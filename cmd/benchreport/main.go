@@ -253,16 +253,44 @@ func measure(sc Scenario, id config.ModelID, topo config.Topology) (Measurement,
 	return m, nil
 }
 
+// compareAB is the interleaved A/B harness behind every overhead row: five
+// rounds of the baseline pass then the candidate pass (base, cand, base,
+// cand, ...), keeping each side's fastest. Back-to-back alternation cancels
+// slow host drift (thermal, heap growth) that a run-all-of-one-then-the-
+// other order would charge entirely to whichever side went second. pass
+// reports one timed run in seconds; noisePct is the spread of the baseline
+// side's rounds (see FlightOverhead.NoisePct).
+func compareAB(pass func(candidate bool, round int) (float64, error)) (base, cand, noisePct float64, err error) {
+	var baseRuns []float64
+	for round := 0; round < 5; round++ {
+		for _, candidate := range []bool{false, true} {
+			sec, err := pass(candidate, round)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if candidate {
+				if cand == 0 || sec < cand {
+					cand = sec
+				}
+			} else {
+				baseRuns = append(baseRuns, sec)
+				if base == 0 || sec < base {
+					base = sec
+				}
+			}
+		}
+	}
+	return base, cand, spreadPct(baseRuns), nil
+}
+
 // measureProbeOverhead runs one scenario through ExecuteContext (no probe)
-// and ExecuteProbed (interval telemetry to a discarded writer), interleaved
-// best of five passes each (off, on, off, on, ...) — the same
-// drift-cancelling structure measureFlight uses, so slow host drift is
-// charged to both sides instead of whichever ran second. Both paths run the
-// identical request; the only difference is the probe machinery itself.
+// and ExecuteProbed (interval telemetry to a discarded writer) under
+// compareAB. Both paths run the identical request; the only difference is
+// the probe machinery itself.
 func measureProbeOverhead(count uint64) (*ProbeOverhead, error) {
 	sc := Scenario{Model: "V", Topology: "crossbar4", Benchmark: "gcc", N: count}
 	req := &hetwire.RunRequest{Benchmark: sc.Benchmark, Model: sc.Model, N: sc.N}
-	pass := func(probed bool) (float64, error) {
+	off, on, noise, err := compareAB(func(probed bool, _ int) (float64, error) {
 		runtime.GC()
 		start := time.Now()
 		var err error
@@ -271,37 +299,19 @@ func measureProbeOverhead(count uint64) (*ProbeOverhead, error) {
 		} else {
 			_, err = req.ExecuteContext(context.Background())
 		}
-		if err != nil {
-			return 0, err
-		}
-		return float64(count) / time.Since(start).Seconds(), nil
+		return time.Since(start).Seconds(), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	var off, on float64
-	var offRates []float64
-	for round := 0; round < 5; round++ {
-		for _, probed := range []bool{false, true} {
-			rate, err := pass(probed)
-			if err != nil {
-				return nil, err
-			}
-			if probed {
-				if rate > on {
-					on = rate
-				}
-			} else {
-				offRates = append(offRates, rate)
-				if rate > off {
-					off = rate
-				}
-			}
-		}
-	}
+	// The spread of per-round rates equals the spread of per-round times.
+	offRate, onRate := float64(count)/off, float64(count)/on
 	return &ProbeOverhead{
 		Scenario:        sc,
-		OffInstrsPerSec: off,
-		OnInstrsPerSec:  on,
-		OverheadPct:     (off - on) / off * 100,
-		NoisePct:        spreadPct(offRates),
+		OffInstrsPerSec: offRate,
+		OnInstrsPerSec:  onRate,
+		OverheadPct:     (offRate - onRate) / offRate * 100,
+		NoisePct:        noise,
 	}, nil
 }
 
@@ -378,21 +388,12 @@ func measureBatch(count uint64) (*BatchThroughput, error) {
 	return bt, nil
 }
 
-// qosPass pushes the job stream through one daemon configuration and times
-// submission-to-last-completion. Distinct budgets per job defeat the result
-// cache, so every job simulates.
-func qosPass(fifo bool, workers int, ns []uint64) (time.Duration, error) {
-	opts := server.Options{Workers: workers, QueueDepth: len(ns) + 8, FIFOScheduler: fifo}
-	keys := []string{""}
-	if !fifo {
-		// Two competing tenants make the fair path do real work: separate
-		// queues, weight-scaled vtime updates, per-tenant accounting.
-		opts.Tenants = &tenant.Config{Tenants: []tenant.Spec{
-			{Name: "alpha", Key: "qos-alpha", Weight: 3},
-			{Name: "beta", Key: "qos-beta", Weight: 1},
-		}}
-		keys = []string{"qos-alpha", "qos-beta"}
-	}
+// jobStreamPass pushes one stream of single-scenario jobs through a fresh
+// daemon built from opts, submitting round-robin under the tenant keys, and
+// times submission to last completion. Distinct budgets per job defeat the
+// result cache, so every job simulates and every probe site fires.
+func jobStreamPass(opts server.Options, keys []string, workers int, ns []uint64) (time.Duration, error) {
+	opts.Workers, opts.QueueDepth = workers, len(ns)+8
 	s := server.New(opts)
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
@@ -425,165 +426,95 @@ func qosPass(fifo bool, workers int, ns []uint64) (time.Duration, error) {
 			return 0, err
 		}
 		if st.State != server.StateDone {
-			return 0, fmt.Errorf("qos pass job %s ended %s: %s", id, st.State, st.Error)
+			return 0, fmt.Errorf("job %s ended %s: %s", id, st.State, st.Error)
 		}
 	}
 	return time.Since(start), nil
 }
 
-// measureQoS times the identical job stream under FIFO and under the
-// weighted-fair scheduler, interleaved best of five passes each.
-func measureQoS(count uint64) (*QoSOverhead, error) {
+// streamOverhead is the readout of one job-stream comparison.
+type streamOverhead struct {
+	jobs, workers      int
+	n                  uint64
+	baseMS, candMS     float64
+	overheadPct, noise float64
+}
+
+// compareStreams times the identical stream of 24 jobs through a baseline
+// and a candidate daemon configuration under compareAB. config returns the
+// options and tenant keys for each side.
+func compareStreams(count uint64, config func(candidate bool) (server.Options, []string)) (*streamOverhead, error) {
 	const jobs = 24
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
-	per := count / 2
-	if per < 1_000 {
-		per = 1_000
-	}
+	workers := min(runtime.GOMAXPROCS(0), 4)
+	per := max(count/2, 1_000)
 	// Warm the workload memo cache so neither configuration pays the
 	// one-time benchmark build.
-	if _, err := qosPass(true, workers, []uint64{1_000}); err != nil {
+	opts, keys := config(false)
+	if _, err := jobStreamPass(opts, keys, workers, []uint64{1_000}); err != nil {
 		return nil, err
 	}
-	// Interleave the passes (fifo, fair, fifo, fair, ...) and keep each
-	// side's best: back-to-back alternation cancels slow host drift
-	// (thermal, heap growth) that a run-all-of-one-then-the-other order
-	// would charge entirely to whichever side went second.
-	var fifoWall, fairWall time.Duration
-	var fifoWalls []float64
-	for round := 0; round < 5; round++ {
-		for _, fifo := range []bool{true, false} {
-			// Fresh budgets every pass: a shared prefix would hit the new
-			// server's empty cache anyway, but distinct values also keep the
-			// two configurations' workloads byte-for-byte symmetric.
-			ns := make([]uint64, jobs)
-			for j := range ns {
-				ns[j] = per + uint64(round*jobs+j)
-			}
-			wall, err := qosPass(fifo, workers, ns)
-			if err != nil {
-				return nil, err
-			}
-			if fifo {
-				fifoWalls = append(fifoWalls, wall.Seconds())
-				if fifoWall == 0 || wall < fifoWall {
-					fifoWall = wall
-				}
-			} else if fairWall == 0 || wall < fairWall {
-				fairWall = wall
-			}
+	base, cand, noise, err := compareAB(func(candidate bool, round int) (float64, error) {
+		// Fresh budgets every pass: a shared prefix would hit the new
+		// server's empty cache anyway, but distinct values also keep the two
+		// configurations' workloads byte-for-byte symmetric.
+		ns := make([]uint64, jobs)
+		for j := range ns {
+			ns[j] = per + uint64(round*jobs+j)
 		}
+		opts, keys := config(candidate)
+		wall, err := jobStreamPass(opts, keys, workers, ns)
+		return wall.Seconds(), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &QoSOverhead{
-		Jobs:       jobs,
-		Workers:    workers,
-		N:          per,
-		FIFOWallMS: float64(fifoWall) / float64(time.Millisecond),
-		FairWallMS: float64(fairWall) / float64(time.Millisecond),
-		OverheadPct: (fairWall.Seconds() - fifoWall.Seconds()) /
-			fifoWall.Seconds() * 100,
-		NoisePct: spreadPct(fifoWalls),
+	return &streamOverhead{
+		jobs: jobs, workers: workers, n: per,
+		baseMS: base * 1e3, candMS: cand * 1e3,
+		overheadPct: (cand - base) / base * 100, noise: noise,
 	}, nil
 }
 
-// flightPass pushes the job stream through one daemon configuration —
-// recorder disabled (FlightEvents -1) or enabled at the default ring size —
-// and times submission-to-last-completion. Distinct budgets defeat the
-// result cache, so every job simulates and every probe site fires.
-func flightPass(enabled bool, workers int, ns []uint64) (time.Duration, error) {
-	opts := server.Options{Workers: workers, QueueDepth: len(ns) + 8, FlightEvents: -1}
-	if enabled {
-		opts.FlightEvents = 0 // default ring
-	}
-	s := server.New(opts)
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		s.Shutdown(ctx)
-		ts.Close()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	cl := client.New(client.Options{BaseURL: ts.URL})
-	runtime.GC()
-	start := time.Now()
-	ids := make([]string, len(ns))
-	for i, n := range ns {
-		var st server.JobStatus
-		if err := cl.DoJSON(ctx, http.MethodPost, "/v1/jobs",
-			map[string]any{"benchmark": "gcc", "n": n}, "", &st); err != nil {
-			return 0, err
+// measureQoS times the identical job stream under the FIFO queue and under
+// the weighted-fair scheduler with two competing tenants.
+func measureQoS(count uint64) (*QoSOverhead, error) {
+	r, err := compareStreams(count, func(fair bool) (server.Options, []string) {
+		if !fair {
+			return server.Options{FIFOScheduler: true}, []string{""}
 		}
-		ids[i] = st.ID
-	}
-	for _, id := range ids {
-		st, err := cl.Await(ctx, id, 2*time.Millisecond)
-		if err != nil {
-			return 0, err
-		}
-		if st.State != server.StateDone {
-			return 0, fmt.Errorf("flight pass job %s ended %s: %s", id, st.State, st.Error)
-		}
-	}
-	return time.Since(start), nil
-}
-
-// measureFlight times the identical job stream with the recorder off and on,
-// interleaved best of five passes each (same drift-cancelling structure as
-// measureQoS, but with more rounds: the true per-event cost is nanoseconds
-// against multi-second passes, so the reported difference is dominated by
-// scheduler noise and extra rounds tighten both minima toward it).
-func measureFlight(count uint64) (*FlightOverhead, error) {
-	const jobs = 24
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
-	per := count / 2
-	if per < 1_000 {
-		per = 1_000
-	}
-	if _, err := flightPass(false, workers, []uint64{1_000}); err != nil {
+		// Two competing tenants make the fair path do real work: separate
+		// queues, weight-scaled vtime updates, per-tenant accounting.
+		return server.Options{Tenants: &tenant.Config{Tenants: []tenant.Spec{
+			{Name: "alpha", Key: "qos-alpha", Weight: 3},
+			{Name: "beta", Key: "qos-beta", Weight: 1},
+		}}}, []string{"qos-alpha", "qos-beta"}
+	})
+	if err != nil {
 		return nil, err
 	}
-	var offWall, onWall time.Duration
-	var offWalls []float64
-	for round := 0; round < 5; round++ {
-		for _, enabled := range []bool{false, true} {
-			ns := make([]uint64, jobs)
-			for j := range ns {
-				ns[j] = per + uint64(round*jobs+j)
-			}
-			wall, err := flightPass(enabled, workers, ns)
-			if err != nil {
-				return nil, err
-			}
-			if enabled {
-				if onWall == 0 || wall < onWall {
-					onWall = wall
-				}
-			} else {
-				offWalls = append(offWalls, wall.Seconds())
-				if offWall == 0 || wall < offWall {
-					offWall = wall
-				}
-			}
+	return &QoSOverhead{
+		Jobs: r.jobs, Workers: r.workers, N: r.n,
+		FIFOWallMS: r.baseMS, FairWallMS: r.candMS,
+		OverheadPct: r.overheadPct, NoisePct: r.noise,
+	}, nil
+}
+
+// measureFlight times the identical job stream with the flight recorder
+// disabled (FlightEvents -1) and enabled at the default ring size.
+func measureFlight(count uint64) (*FlightOverhead, error) {
+	r, err := compareStreams(count, func(enabled bool) (server.Options, []string) {
+		if !enabled {
+			return server.Options{FlightEvents: -1}, []string{""}
 		}
+		return server.Options{}, []string{""}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &FlightOverhead{
-		Jobs:      jobs,
-		Workers:   workers,
-		N:         per,
-		OffWallMS: float64(offWall) / float64(time.Millisecond),
-		OnWallMS:  float64(onWall) / float64(time.Millisecond),
-		OverheadPct: (onWall.Seconds() - offWall.Seconds()) /
-			offWall.Seconds() * 100,
-		NoisePct: spreadPct(offWalls),
+		Jobs: r.jobs, Workers: r.workers, N: r.n,
+		OffWallMS: r.baseMS, OnWallMS: r.candMS,
+		OverheadPct: r.overheadPct, NoisePct: r.noise,
 	}, nil
 }
 

@@ -1,7 +1,8 @@
 // Command hetwired serves the hetwire simulator over HTTP: a bounded
-// worker pool executes run and sweep jobs from a FIFO queue, deterministic
-// results are cached content-addressed, and /metrics exposes Prometheus
-// gauges for the queue, pool, and cache.
+// worker pool executes run, sweep, and batch jobs picked by a weighted-fair
+// scheduler (per-tenant queues, an interactive lane for single runs),
+// deterministic results are cached content-addressed, and /metrics exposes
+// Prometheus gauges for the queue, pool, and cache.
 //
 //	hetwired -addr :8677 -workers 8 -cache-mb 128
 //
@@ -90,7 +91,6 @@ func serve(args []string) {
 		leaseSize  = fs.Int("lease-size", 0, "coordinator: scenarios per work lease; node: max scenarios to request per lease (0 = default)")
 		leaseTTL   = fs.Duration("lease-ttl", 0, "work-lease deadline before re-dispatch (0 = coordinator default)")
 		nodeName   = fs.String("node-name", "", "node label reported at registration (default: hostname)")
-		leaseLog   = fs.String("lease-log", "", "node: append one JSONL record per completed lease to this file")
 		tenantsF   = fs.String("tenants", "", "tenant config file (JSON) enabling keyed multi-tenancy with weighted-fair scheduling; empty = open mode")
 		flightN    = fs.Int("flight-events", 0, "flight-recorder ring capacity in events (0 = default 4096; negative disables the recorder)")
 		flightDir  = fs.String("flight-dir", "", "directory for automatic flight dumps on worker panic or watchdog stall (empty = no auto-dump)")
@@ -111,7 +111,7 @@ func serve(args []string) {
 		logger.Printf("fault injection active: %s", injector)
 	}
 	if *join != "" {
-		joinCluster(logger, *join, *token, *nodeName, *workers, *leaseSize, *leaseLog, *flightN, *flightLog)
+		joinCluster(logger, *join, *token, *nodeName, *workers, *leaseSize, *flightN, *flightLog)
 		return
 	}
 	var tenantCfg *tenant.Config
@@ -209,7 +209,7 @@ func serve(args []string) {
 // joinCluster runs the process as a cluster worker node against the
 // coordinator at base, until SIGTERM/SIGINT. A signal mid-lease abandons the
 // lease without uploading; the coordinator's lease expiry re-dispatches it.
-func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxLease int, leaseLog string, flightN int, flightLog string) {
+func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxLease, flightN int, flightLog string) {
 	if token == "" {
 		logger.Fatalf("-join requires the shared secret: set -cluster-token or $HETWIRE_CLUSTER_TOKEN")
 	}
@@ -217,15 +217,6 @@ func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxL
 		if hn, err := os.Hostname(); err == nil {
 			name = hn
 		}
-	}
-	var eventLog *os.File
-	if leaseLog != "" {
-		f, err := os.OpenFile(leaseLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			logger.Fatalf("opening -lease-log %s: %v", leaseLog, err)
-		}
-		defer f.Close()
-		eventLog = f
 	}
 	var fr *flight.Recorder
 	if flightN >= 0 {
@@ -263,7 +254,6 @@ func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxL
 		Parallelism: parallelism,
 		MaxLease:    maxLease,
 		Logger:      logger,
-		EventLog:    eventLog,
 		Flight:      fr,
 	})
 	if err != nil && ctx.Err() == nil {

@@ -6,7 +6,7 @@
 //	hetwiretrace summary -json gcc.trace     # machine-readable summary
 //	hetwiretrace diff a.trace b.trace        # metric-by-metric comparison
 //	hetwiretrace timeline -width 80 gcc.trace
-//	hetwiretrace cluster coordinator.flight node-a.flight node-a.leases
+//	hetwiretrace cluster coordinator.flight node-a.flight node-b.flight
 //
 // record runs the simulation in-process (no daemon needed) with the probe
 // attached; the other verbs work on any trace file, including ones captured
@@ -14,16 +14,16 @@
 // recordings of the same scenario shows exactly the metrics a config change
 // moved.
 //
-// cluster merges flight-recorder dumps (JSONL or the hetwire-bin container,
-// from GET /v1/debug/flight or a node's -flight-log) and node lease logs
-// (-lease-log) into one causal timeline per trace ID. Ordering is sequence
-// numbers and lease-grant anchoring, never wall clock, so merging the dumps
-// of two identical runs yields byte-identical timelines.
+// Traces and flight dumps are JSONL only. cluster merges flight-recorder
+// dumps (from GET /v1/debug/flight or a node's -flight-log, which also
+// carries the node's per-lease outcome events) into one causal timeline per
+// trace ID. Ordering is sequence numbers and lease-grant anchoring, never
+// wall clock, so merging the dumps of two identical runs yields
+// byte-identical timelines.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -35,7 +35,6 @@ import (
 	"hetwire"
 	"hetwire/internal/obs"
 	"hetwire/internal/obs/flight"
-	"hetwire/internal/wire"
 )
 
 func main() {
@@ -71,11 +70,11 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  hetwiretrace record  -benchmark B [-model M] [-clusters C] [-n N] [-o FILE] [-binary]
+  hetwiretrace record  -benchmark B [-model M] [-clusters C] [-n N] [-o FILE]
   hetwiretrace summary [-json] FILE
   hetwiretrace diff    [-json] [-top K] FILE_A FILE_B
   hetwiretrace timeline [-width W] FILE
-  hetwiretrace cluster [-durations] DUMP...   # flight dumps + lease logs -> causal timeline
+  hetwiretrace cluster [-durations] DUMP...   # flight dumps -> causal timeline
 `)
 }
 
@@ -87,7 +86,6 @@ func cmdRecord(args []string) error {
 		clusters  = fs.Int("clusters", 0, "cluster count override (4 or 16)")
 		n         = fs.Uint64("n", 100_000, "instruction budget")
 		out       = fs.String("o", "-", "trace output file ('-' for stdout)")
-		binary    = fs.Bool("binary", false, "write the trace in the hetwire-bin/v1 frame container instead of raw JSONL")
 	)
 	fs.Parse(args)
 	if *benchmark == "" {
@@ -102,11 +100,6 @@ func cmdRecord(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	if *binary {
-		tw := wire.NewTraceWriter(w)
-		defer tw.Close()
-		w = tw
-	}
 	req := &hetwire.RunRequest{Benchmark: *benchmark, Model: *model, Clusters: *clusters, N: *n}
 	resp, err := req.ExecuteProbed(context.Background(), w)
 	if err != nil {
@@ -117,21 +110,14 @@ func cmdRecord(args []string) error {
 	return nil
 }
 
-// readTraceFile loads a trace in either encoding: the file is sniffed for
-// the binary frame magic, and binary containers are unwrapped back into the
-// JSONL stream obs.ReadTrace expects. The JSONL lines inside a container are
-// byte-identical to a raw recording, so both formats summarise identically.
+// readTraceFile loads a JSONL trace.
 func readTraceFile(path string) (obs.Header, []obs.Sample, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return obs.Header{}, nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(4); err == nil && wire.IsWire(magic) {
-		return obs.ReadTrace(wire.NewTraceReader(br))
-	}
-	return obs.ReadTrace(br)
+	return obs.ReadTrace(bufio.NewReader(f))
 }
 
 func summarizeFile(path string) (obs.Summary, error) {
@@ -194,47 +180,19 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
-// readClusterFile sniffs one cluster dump: binary flight containers by the
-// wire magic, then JSONL flight dumps and lease logs by the schema field of
-// the first record. Flight dumps are labelled by their header's source (the
-// process that recorded them), lease logs by file name.
+// readClusterFile loads one JSONL flight dump, labelled by its header's
+// source (the process that recorded it), or by file name when it has none.
 func readClusterFile(path string) (flight.Source, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return flight.Source{}, err
 	}
-	if wire.IsWire(data) {
-		hdr, events, err := flight.ReadDump(wire.NewFlightReader(bytes.NewReader(data)))
-		if err != nil {
-			return flight.Source{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return flight.Source{Name: sourceName(hdr, path), Events: events}, nil
+	defer f.Close()
+	hdr, events, err := flight.ReadDump(f)
+	if err != nil {
+		return flight.Source{}, fmt.Errorf("%s: %w", path, err)
 	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		json.Unmarshal(line, &probe)
-		break
-	}
-	switch probe.Schema {
-	case flight.Schema:
-		hdr, events, err := flight.ReadDump(bytes.NewReader(data))
-		if err != nil {
-			return flight.Source{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return flight.Source{Name: sourceName(hdr, path), Events: events}, nil
-	case obs.LeaseSchema:
-		leases, err := obs.ReadLeaseEvents(bytes.NewReader(data))
-		if err != nil {
-			return flight.Source{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return flight.Source{Name: filepath.Base(path), Leases: leases}, nil
-	}
-	return flight.Source{}, fmt.Errorf("%s: not a flight dump or lease log (schema %q)", path, probe.Schema)
+	return flight.Source{Name: sourceName(hdr, path), Events: events}, nil
 }
 
 func sourceName(hdr flight.Header, path string) string {
@@ -249,7 +207,7 @@ func cmdCluster(args []string) error {
 	durations := fs.Bool("durations", false, "include measured vtime/duration fields (nondeterministic; off for diffable output)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		return fmt.Errorf("cluster: need at least one flight dump or lease log")
+		return fmt.Errorf("cluster: need at least one flight dump")
 	}
 	sources := make([]flight.Source, 0, fs.NArg())
 	for _, path := range fs.Args() {

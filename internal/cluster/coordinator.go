@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"sort"
@@ -95,8 +95,7 @@ type slot struct {
 	state  int
 	req    hetwire.RunRequest
 	key    string // content-addressed request identity (CacheKey)
-	body   []byte
-	sum    string // BodySum(body)
+	body   []byte // the result frame
 	cached bool   // filled via the federated cache rather than a fresh run
 	node   string
 	errMsg string
@@ -111,7 +110,7 @@ type jobState struct {
 	id      string
 	traceID string
 	// tenant is the submitting tenant's name, stamped onto every lease the
-	// job produces so node-side lease logs attribute work to its tenant.
+	// job produces so node-side flight events attribute work to its tenant.
 	// Accounting (sim-CPU billing, fair-share charging) stays on the
 	// coordinator; the name on the wire is observability only.
 	tenant  string
@@ -167,9 +166,9 @@ type Stats struct {
 	// only result bodies are trusted from stale leases, so the batch outcome
 	// cannot depend on straggler interleaving.
 	UploadsStale uint64
-	// UploadConflicts counts duplicate uploads whose bytes disagreed with the
-	// recorded result — impossible for deterministic simulations; a non-zero
-	// value means a node is misbehaving (first result wins).
+	// UploadConflicts counts duplicate uploads whose frame bytes disagreed
+	// with the recorded result — impossible for deterministic simulations; a
+	// non-zero value means a node is misbehaving (first result wins).
 	UploadConflicts uint64
 	FederatedHits   uint64
 	JobsSubmitted   uint64
@@ -179,8 +178,8 @@ type Stats struct {
 
 // Coordinator is the cluster master: it owns node membership, the lease
 // table, and every in-flight cluster job. All methods are safe for
-// concurrent use; the HTTP layer in internal/server is a thin JSON shim
-// over them.
+// concurrent use; the HTTP layer in internal/server is a thin shim over
+// them.
 type Coordinator struct {
 	opts Options
 
@@ -242,7 +241,6 @@ func (c *Coordinator) Register(req *RegisterRequest) (*RegisterResponse, error) 
 		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
 		PollMS:      c.opts.Poll.Milliseconds(),
-		WireFormats: []string{wire.Format},
 	}, nil
 }
 
@@ -392,51 +390,53 @@ func (c *Coordinator) CacheCheck(req *CacheCheckRequest) (*CacheCheckResponse, e
 	return &CacheCheckResponse{Known: known}, nil
 }
 
-// Upload records a lease's results. It is deliberately forgiving about
-// result *bodies*: a body for an expired or unknown lease is still accepted
-// (the work is correct whoever did it — results are content-addressed),
-// already-filled slots count as duplicates and change nothing, and a
-// finished job answers JobDone so stragglers stop resending. Scenario
-// *errors* are the exception: only the lease that still owns the slot may
-// fail it, because a straggler's transient error overriding a healthy
-// re-dispatch would make the batch outcome depend on interleaving.
-func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
+// Upload records a lease's decoded upload stream (wire.DecodeUpload). It is
+// deliberately forgiving about result *frames*: a frame for an expired or
+// unknown lease is still accepted (the work is correct whoever did it —
+// results are content-addressed), already-filled slots count as duplicates
+// and change nothing, and a finished job answers JobDone so stragglers stop
+// resending. Scenario *errors* are the exception: only the lease that still
+// owns the slot may fail it, because a straggler's transient error
+// overriding a healthy re-dispatch would make the batch outcome depend on
+// interleaving.
+func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult) (*UploadResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.Now()
 	c.sweepLocked(now)
-	n, ok := c.nodes[req.NodeID]
+	n, ok := c.nodes[hdr.NodeID]
 	if !ok {
-		return nil, reqErr(ReasonUnknownNode, "unknown node %q (re-register)", req.NodeID)
+		return nil, reqErr(ReasonUnknownNode, "unknown node %q (re-register)", hdr.NodeID)
 	}
 	n.lastSeen = now
 	// owned remembers the index range this upload's lease still held on
 	// arrival. An expired lease (or one belonging to another node) owns
 	// nothing: its scenario errors and requeue requests are stale.
 	ownStart, ownEnd := 0, 0
-	if ls, ok := c.leases[req.LeaseID]; ok && ls.nodeID == n.id {
+	if ls, ok := c.leases[hdr.LeaseID]; ok && ls.nodeID == n.id {
 		ownStart, ownEnd = ls.start, ls.end
 		c.releaseLeaseLocked(ls)
 	}
 	owned := func(idx int) bool { return idx >= ownStart && idx < ownEnd }
-	j, ok := c.jobs[req.JobID]
+	j, ok := c.jobs[hdr.JobID]
 	if !ok {
 		return &UploadResponse{JobDone: true}, nil
 	}
 	resp := &UploadResponse{}
-	for i := range req.Results {
-		r := &req.Results[i]
+	for i := range results {
+		r := &results[i]
 		if r.Index < 0 || r.Index >= len(j.slots) {
 			return nil, reqErr(hetwire.ReasonBadRequest,
 				"result index %d out of range for job %s (%d scenarios)", r.Index, j.id, len(j.slots))
 		}
-		// Normalise the result to its canonical wire frame before any
-		// comparison or store: the slot table, the federated cache, and the
-		// idempotency sums all speak frames, so a JSON straggler and a binary
-		// re-dispatch of the same scenario collide on identical bytes.
-		frame, err := resultFrame(r)
-		if err != nil {
-			return nil, err
+		// Validate the frame (CRC, strict payload decode, summary agreement)
+		// before any comparison or store: the slot table and the federated
+		// cache hold exactly the bytes the node's simulation produced.
+		frame := r.Frame
+		if len(frame) > 0 {
+			if err := wire.ValidateResultFrame(frame); err != nil {
+				return nil, reqErr(hetwire.ReasonBadRequest, "result index %d frame rejected: %v", r.Index, err)
+			}
 		}
 		sl := &j.slots[r.Index]
 		// A straggler result can land while its index sits in the pending
@@ -453,7 +453,7 @@ func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
 		switch {
 		case sl.state == slotDone || sl.state == slotFailed || sl.state == slotCancelled:
 			// Straggler after re-dispatch: verify the duplicate agrees.
-			if len(frame) > 0 && sl.state == slotDone && BodySum(frame) != sl.sum {
+			if len(frame) > 0 && sl.state == slotDone && !bytes.Equal(frame, sl.body) {
 				c.stats.UploadConflicts++
 				c.opts.Logger.Printf("cluster upload CONFLICT job=%s index=%d node=%s (first result kept)",
 					j.id, r.Index, n.id)
@@ -501,7 +501,6 @@ func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
 			}
 			sl.state = slotDone
 			sl.body = body
-			sl.sum = BodySum(body)
 			sl.cached = true
 			sl.node = n.id
 			settle()
@@ -511,11 +510,10 @@ func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
 			resp.Accepted++
 		case len(frame) == 0:
 			return nil, reqErr(hetwire.ReasonBadRequest,
-				"result index %d carries neither body, error, nor skip marker", r.Index)
+				"result index %d carries neither frame, error, nor skip marker", r.Index)
 		default:
 			sl.state = slotDone
 			sl.body = append([]byte(nil), frame...)
-			sl.sum = BodySum(sl.body)
 			sl.node = n.id
 			settle()
 			c.stats.UploadsAccepted++
@@ -525,7 +523,7 @@ func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
 			}
 		}
 	}
-	for _, sp := range req.Spans {
+	for _, sp := range hdr.Spans {
 		j.spanDur[sp.Name] += sp.DurMS
 	}
 	c.opts.Flight.Record(flight.Event{
@@ -533,7 +531,7 @@ func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
 		Trace:  j.traceID,
 		Tenant: j.tenant,
 		Job:    j.id,
-		Lease:  req.LeaseID,
+		Lease:  hdr.LeaseID,
 		Node:   n.id,
 		Detail: fmt.Sprintf("accepted=%d duplicate=%d requeued=%d", resp.Accepted, resp.Duplicate, len(resp.Requeued)),
 	})
@@ -550,32 +548,6 @@ func (c *Coordinator) Upload(req *UploadRequest) (*UploadResponse, error) {
 	return resp, nil
 }
 
-// resultFrame converts one uploaded result to its canonical wire frame. A
-// binary upload's frame is validated (CRC, strict payload decode, summary
-// agreement) and used as-is; a JSON body is verified against its declared
-// sha256 (transport integrity for the debug encoding) and re-encoded
-// canonically. Error and skip markers carry no frame and yield nil.
-func resultFrame(r *ScenarioResult) ([]byte, error) {
-	if len(r.Frame) > 0 {
-		if err := wire.ValidateResultFrame(r.Frame); err != nil {
-			return nil, reqErr(hetwire.ReasonBadRequest, "result index %d frame rejected: %v", r.Index, err)
-		}
-		return r.Frame, nil
-	}
-	if len(r.Body) == 0 {
-		return nil, nil
-	}
-	if r.BodySHA256 != "" && BodySum(r.Body) != r.BodySHA256 {
-		return nil, reqErr(hetwire.ReasonBadRequest,
-			"result index %d body does not match its declared sha256 (corrupt upload)", r.Index)
-	}
-	var resp hetwire.RunResponse
-	if err := json.Unmarshal(r.Body, &resp); err != nil {
-		return nil, reqErr(hetwire.ReasonBadRequest, "result index %d body is not a run response: %v", r.Index, err)
-	}
-	return wire.EncodeRunResult(&resp)
-}
-
 // cacheGet reads the federated cache. Called with c.mu held; the cache has
 // its own lock but never calls back into the coordinator.
 func (c *Coordinator) cacheGet(key string) ([]byte, bool) {
@@ -588,7 +560,7 @@ func (c *Coordinator) cacheGet(key string) ([]byte, bool) {
 // Submit expands and registers a batch as a cluster job on behalf of the
 // named tenant ("" for pre-tenancy callers and open mode). The returned
 // channel closes when every scenario reaches a terminal state (or the job
-// is cancelled); collect the outcome with Take.
+// is cancelled); collect the outcome with TakeFrames.
 func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string) (jobID string, done <-chan struct{}, err error) {
 	if err := batch.Validate(); err != nil {
 		return "", nil, err
@@ -626,7 +598,8 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 }
 
 // Cancel resolves a job's unfinished scenarios as cancelled and closes its
-// done channel. Already-recorded results are kept (Take still returns them).
+// done channel. Already-recorded results are kept (TakeFrames still
+// returns them).
 func (c *Coordinator) Cancel(jobID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -677,51 +650,6 @@ func (c *Coordinator) takeJob(jobID string) (*jobState, bool) {
 	return j, true
 }
 
-// Take collects a finished (or cancelled) job's merged response and removes
-// the job from the coordinator. Scenario results land at their expansion
-// index; node identity is an execution detail and does not appear in the
-// response, which is what makes the cluster path bit-compatible with local
-// batch execution. This is the decoded (debug) view; the serving path uses
-// TakeFrames, which never decodes a result.
-func (c *Coordinator) Take(jobID string) (*hetwire.BatchResponse, map[string]float64, error) {
-	j, ok := c.takeJob(jobID)
-	if !ok {
-		return nil, nil, reqErr(hetwire.ReasonBadRequest, "unknown cluster job %q", jobID)
-	}
-	out := &hetwire.BatchResponse{Scenarios: make([]hetwire.BatchScenario, len(j.slots))}
-	for i := range j.slots {
-		sl := &j.slots[i]
-		sc := &out.Scenarios[i]
-		sc.Index = i
-		sc.Request = sl.req
-		switch sl.state {
-		case slotDone:
-			resp, err := wire.DecodeRunResult(sl.body)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cluster: decoding scenario %d result: %w", i, err)
-			}
-			sc.Response = resp
-			sc.Cached = sl.cached
-			if sl.cached {
-				out.CacheHits++
-			}
-			out.Completed++
-		case slotFailed:
-			sc.Error = sl.errMsg
-			sc.Reason = sl.reason
-			if sc.Reason == "" {
-				sc.Reason = hetwire.ReasonInvalidRequest
-			}
-			out.Failed++
-		default: // cancelled (or, impossibly, still open)
-			sc.Error = "cancelled"
-			sc.Reason = "cancelled"
-			out.Failed++
-		}
-	}
-	return out, j.spanDur, nil
-}
-
 // FrameOutcome summarises one scenario's terminal state for progress
 // reporting next to its wire frame, derived from the slot table and the
 // frame header alone — no result payload is decoded.
@@ -732,7 +660,8 @@ type FrameOutcome struct {
 }
 
 // TakeFrames collects a finished (or cancelled) job as per-scenario wire
-// frames and removes the job from the coordinator. Recorded result frames
+// frames and removes the job from the coordinator. Scenario results land at
+// their expansion index and carry no node identity; recorded result frames
 // are embedded verbatim — this path never decodes a result — so the batch
 // stream assembled from these frames is bit-identical to local batch
 // execution. Frames come back in expansion order with one outcome summary
@@ -779,7 +708,8 @@ func (c *Coordinator) TakeFrames(jobID string) ([][]byte, []FrameOutcome, map[st
 
 // AwaitJob blocks until the job completes, ctx ends, or — because lease
 // expiry and node death are only detected when the clock is consulted — a
-// periodic sweep tick fires. Cancelling ctx cancels the job.
+// periodic sweep tick fires. Cancelling ctx cancels the job and drops its
+// record: nobody is left to collect the finished results.
 func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan struct{}) error {
 	tick := time.NewTicker(c.sweepInterval())
 	defer tick.Stop()
@@ -789,6 +719,7 @@ func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan st
 			return nil
 		case <-ctx.Done():
 			c.Cancel(jobID)
+			c.takeJob(jobID)
 			return ctx.Err()
 		case <-tick.C:
 			c.Sweep()

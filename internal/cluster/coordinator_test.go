@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -103,18 +102,56 @@ func testBatch(scenarios int) *hetwire.BatchRequest {
 	}
 }
 
-// resultFor fabricates a deterministic upload body for an index. The IPC
-// varies by index so distinct scenarios stay distinct after the coordinator
-// canonicalises bodies into wire frames.
-func resultFor(idx int) ScenarioResult {
-	body, _ := json.Marshal(map[string]any{"ipc": 1.0 + float64(idx)})
-	return ScenarioResult{Index: idx, Body: body, BodySHA256: BodySum(body)}
+// resultFor fabricates a deterministic result frame for an index. The IPC
+// varies by index so distinct scenarios carry distinct frames.
+func resultFor(idx int) wire.UploadResult {
+	frame, err := wire.EncodeRunResult(&hetwire.RunResponse{IPC: 1.0 + float64(idx)})
+	if err != nil {
+		panic(err)
+	}
+	return wire.UploadResult{Index: idx, Frame: frame}
+}
+
+// upload sends results for a lease as nodeID.
+func upload(c *Coordinator, nodeID string, lease *Lease, results ...wire.UploadResult) (*UploadResponse, error) {
+	return c.Upload(&wire.UploadHeader{NodeID: nodeID, LeaseID: lease.ID, JobID: lease.JobID}, results)
+}
+
+// take collects a finished job through TakeFrames and decodes the frames
+// into the BatchResponse view the tests assert on.
+func take(t *testing.T, c *Coordinator, jobID string) *hetwire.BatchResponse {
+	t.Helper()
+	frames, _, _, err := c.TakeFrames(jobID)
+	if err != nil {
+		t.Fatalf("take %s: %v", jobID, err)
+	}
+	out := &hetwire.BatchResponse{Scenarios: make([]hetwire.BatchScenario, len(frames))}
+	for i, fr := range frames {
+		sc, err := wire.DecodeScenario(fr)
+		if err != nil {
+			t.Fatalf("take %s: scenario %d: %v", jobID, i, err)
+		}
+		bs := &out.Scenarios[i]
+		bs.Index, bs.Request, bs.Error, bs.Reason, bs.Cached = sc.Index, sc.Request, sc.Error, sc.Reason, sc.Cached
+		if sc.Result == nil {
+			out.Failed++
+			continue
+		}
+		if bs.Response, err = wire.DecodeRunResult(sc.Result); err != nil {
+			t.Fatalf("take %s: scenario %d result: %v", jobID, i, err)
+		}
+		out.Completed++
+		if sc.Cached {
+			out.CacheHits++
+		}
+	}
+	return out
 }
 
 // uploadRange uploads fabricated results for [start, end).
 func uploadRange(t *testing.T, c *Coordinator, nodeID string, lease *Lease) *UploadResponse {
 	t.Helper()
-	results := make([]ScenarioResult, 0, lease.End-lease.Start)
+	results := make([]wire.UploadResult, 0, lease.End-lease.Start)
 	for idx := lease.Start; idx < lease.End; idx++ {
 		r := resultFor(idx)
 		key, err := lease.Scenarios[idx-lease.Start].CacheKey()
@@ -124,9 +161,7 @@ func uploadRange(t *testing.T, c *Coordinator, nodeID string, lease *Lease) *Upl
 		r.CacheKey = key
 		results = append(results, r)
 	}
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: nodeID, LeaseID: lease.ID, JobID: lease.JobID, Results: results,
-	})
+	resp, err := upload(c, nodeID, lease, results...)
 	if err != nil {
 		t.Fatalf("upload lease %s: %v", lease.ID, err)
 	}
@@ -162,7 +197,7 @@ func TestUnknownNodeIsMachineReadable(t *testing.T) {
 	if _, err := c.Lease(&LeaseRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
 		t.Fatalf("lease: got reason %q err %v", hetwire.ReasonCode(err), err)
 	}
-	if _, err := c.Upload(&UploadRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
+	if _, err := c.Upload(&wire.UploadHeader{NodeID: "n-9999"}, nil); hetwire.ReasonCode(err) != ReasonUnknownNode {
 		t.Fatalf("upload: got reason %q err %v", hetwire.ReasonCode(err), err)
 	}
 	if _, err := c.CacheCheck(&CacheCheckRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
@@ -230,10 +265,7 @@ func TestLeaseExpiryRedispatchesToAnotherNode(t *testing.T) {
 	}
 
 	// The straggler finally reports in: every result is a duplicate no-op.
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: l1.ID, JobID: l1.JobID,
-		Results: []ScenarioResult{resultFor(0), resultFor(1), resultFor(2), resultFor(3)},
-	})
+	resp, err := upload(c, n1, l1, resultFor(0), resultFor(1), resultFor(2), resultFor(3))
 	if err != nil {
 		t.Fatalf("straggler upload: %v", err)
 	}
@@ -242,6 +274,23 @@ func TestLeaseExpiryRedispatchesToAnotherNode(t *testing.T) {
 	}
 	if st := c.Stats(); st.UploadConflicts != 0 {
 		t.Fatalf("identical duplicate counted as conflict: %+v", st)
+	}
+
+	// A duplicate whose frame bytes differ is a conflict; the first result
+	// stays recorded.
+	if _, err := upload(c, n1, l1, resultFor(1)); err != nil {
+		t.Fatalf("conflicting upload: %v", err)
+	}
+	swapped := resultFor(1)
+	swapped.Index = 0
+	if resp, err := upload(c, n1, l1, swapped); err != nil || resp.Duplicate != 1 {
+		t.Fatalf("conflicting upload: %+v err %v", resp, err)
+	}
+	if st := c.Stats(); st.UploadConflicts != 1 {
+		t.Fatalf("differing duplicate not counted as conflict: %+v", st)
+	}
+	if out := take(t, c, l1.JobID); out.Scenarios[0].Response.IPC != 1.0 {
+		t.Fatalf("conflict replaced the first result: IPC %v", out.Scenarios[0].Response.IPC)
 	}
 }
 
@@ -320,10 +369,7 @@ func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
 	// The node simulates index 0 and skips index 1.
 	r0 := resultFor(0)
 	r0.CacheKey = keys[0]
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{r0, {Index: 1, CacheKey: keys[1], Skipped: true}},
-	})
+	resp, err := upload(c, n1, lease, r0, wire.UploadResult{Index: 1, CacheKey: keys[1], Skipped: true})
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
@@ -339,10 +385,7 @@ func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
 		t.Fatal("fresh upload did not populate the federated cache")
 	}
 	<-done
-	out, _, err := c.Take(lease.JobID)
-	if err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	out := take(t, c, lease.JobID)
 	if out.Completed != 2 || out.CacheHits != 1 || !out.Scenarios[1].Cached {
 		t.Fatalf("merged response: completed=%d hits=%d", out.Completed, out.CacheHits)
 	}
@@ -361,10 +404,7 @@ func TestEvictedCacheEntryRequeuesSkippedIndex(t *testing.T) {
 	cache.Put(key, []byte(`{"ipc":1}`))
 	// The entry vanishes between the node's check and its skip-marker upload.
 	cache.Delete(key)
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{{Index: 0, CacheKey: key, Skipped: true}},
-	})
+	resp, err := upload(c, n1, lease, wire.UploadResult{Index: 0, CacheKey: key, Skipped: true})
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
@@ -388,28 +428,23 @@ func TestUploadRejectsMalformedResults(t *testing.T) {
 	lease := mustLease(t, c, n1, 0)
 
 	// Out-of-range index.
-	_, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{{Index: 99, Body: []byte("{}")}},
-	})
+	out := resultFor(0)
+	out.Index = 99
+	_, err := upload(c, n1, lease, out)
 	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
 		t.Fatalf("out-of-range index: reason %q err %v", hetwire.ReasonCode(err), err)
 	}
 
-	// Body that does not match its declared checksum.
-	_, err = c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{{Index: 0, Body: []byte(`{"ipc":1}`), BodySHA256: "not-a-sum"}},
-	})
+	// A frame whose payload fails its CRC.
+	corrupt := resultFor(0)
+	corrupt.Frame[len(corrupt.Frame)-1] ^= 0xff
+	_, err = upload(c, n1, lease, corrupt)
 	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
-		t.Fatalf("checksum mismatch: reason %q err %v", hetwire.ReasonCode(err), err)
+		t.Fatalf("corrupt frame: reason %q err %v", hetwire.ReasonCode(err), err)
 	}
 
-	// A result with neither body, error, nor skip marker.
-	_, err = c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{{Index: 0}},
-	})
+	// A result with neither frame, error, nor skip marker.
+	_, err = upload(c, n1, lease, wire.UploadResult{Index: 0})
 	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
 		t.Fatalf("empty result: reason %q err %v", hetwire.ReasonCode(err), err)
 	}
@@ -425,18 +460,12 @@ func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 	}
 	lease := mustLease(t, c, n1, 0)
 	r0 := resultFor(0)
-	_, err = c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{r0, {Index: 1, Error: "simulated node failure", Reason: "bad_config"}},
-	})
+	_, err = upload(c, n1, lease, r0, wire.UploadResult{Index: 1, Error: "simulated node failure", Reason: "bad_config"})
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
 	<-done
-	out, _, err := c.Take(lease.JobID)
-	if err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	out := take(t, c, lease.JobID)
 	if out.Completed != 1 || out.Failed != 1 {
 		t.Fatalf("completed=%d failed=%d, want 1/1", out.Completed, out.Failed)
 	}
@@ -455,10 +484,7 @@ func TestCancelResolvesOpenSlots(t *testing.T) {
 	}
 	lease := mustLease(t, c, n1, 2)
 	r0 := resultFor(0)
-	if _, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: lease.ID, JobID: lease.JobID,
-		Results: []ScenarioResult{r0},
-	}); err != nil {
+	if _, err := upload(c, n1, lease, r0); err != nil {
 		t.Fatalf("upload: %v", err)
 	}
 	c.Cancel(jobID)
@@ -467,10 +493,7 @@ func TestCancelResolvesOpenSlots(t *testing.T) {
 	default:
 		t.Fatal("done channel not closed by cancel")
 	}
-	out, _, err := c.Take(jobID)
-	if err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	out := take(t, c, jobID)
 	if out.Completed != 1 || out.Failed != 2 {
 		t.Fatalf("after cancel: completed=%d failed=%d, want 1/2", out.Completed, out.Failed)
 	}
@@ -538,9 +561,7 @@ func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 
 	// The straggler delivers index 0 while it is still queued (not re-leased).
 	r0 := resultFor(0)
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: l1.ID, JobID: l1.JobID, Results: []ScenarioResult{r0},
-	})
+	resp, err := upload(c, n1, l1, r0)
 	if err != nil {
 		t.Fatalf("straggler upload: %v", err)
 	}
@@ -561,10 +582,7 @@ func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 	default:
 		t.Fatal("job not complete after all four indices resolved")
 	}
-	out, _, err := c.Take(l1.JobID)
-	if err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	out := take(t, c, l1.JobID)
 	if out.Completed != 4 || out.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 4/0", out.Completed, out.Failed)
 	}
@@ -594,13 +612,9 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	l2 := mustLease(t, c, n2, 0) // re-dispatch of [0,2)
 
 	// The straggler reports a transient failure for the re-leased slots.
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: l1.ID, JobID: l1.JobID,
-		Results: []ScenarioResult{
-			{Index: 0, Error: "context deadline exceeded", Reason: "internal"},
-			{Index: 1, Error: "context deadline exceeded", Reason: "internal"},
-		},
-	})
+	resp, err := upload(c, n1, l1,
+		wire.UploadResult{Index: 0, Error: "context deadline exceeded", Reason: "internal"},
+		wire.UploadResult{Index: 1, Error: "context deadline exceeded", Reason: "internal"})
 	if err != nil {
 		t.Fatalf("stale error upload: %v", err)
 	}
@@ -618,10 +632,7 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	default:
 		t.Fatal("job not complete after healthy upload")
 	}
-	out, _, err := c.Take(l1.JobID)
-	if err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	out := take(t, c, l1.JobID)
 	if out.Completed != 2 || out.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 2/0 (stale error leaked)", out.Completed, out.Failed)
 	}
@@ -653,13 +664,9 @@ func TestStaleSkipMarkerDoesNotDuplicatePendingIndex(t *testing.T) {
 	for i := range keys {
 		keys[i], _ = l1.Scenarios[i].CacheKey()
 	}
-	resp, err := c.Upload(&UploadRequest{
-		NodeID: n1, LeaseID: l1.ID, JobID: l1.JobID,
-		Results: []ScenarioResult{
-			{Index: 0, CacheKey: keys[0], Skipped: true},
-			{Index: 1, CacheKey: keys[1], Skipped: true},
-		},
-	})
+	resp, err := upload(c, n1, l1,
+		wire.UploadResult{Index: 0, CacheKey: keys[0], Skipped: true},
+		wire.UploadResult{Index: 1, CacheKey: keys[1], Skipped: true})
 	if err != nil {
 		t.Fatalf("stale skip upload: %v", err)
 	}

@@ -5,11 +5,11 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"hetwire/internal/obs"
 	"hetwire/internal/obs/flight"
 )
 
@@ -93,9 +93,7 @@ func TestHeartbeatIndexesNodeEventsPerJob(t *testing.T) {
 
 	uploadRange(t, c, n1, lease)
 	<-done
-	if _, _, err := c.Take(jobID); err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	take(t, c, jobID)
 	// Taken job: the record is gone, late events are dropped silently.
 	c.Heartbeat(&HeartbeatRequest{NodeID: n1, Events: []flight.Event{
 		{Seq: 3, Kind: flight.KindSpan, Job: jobID},
@@ -106,9 +104,9 @@ func TestHeartbeatIndexesNodeEventsPerJob(t *testing.T) {
 }
 
 // runTwoNodeScript drives one fully scripted 2-node cluster run — fixed
-// registration order, fixed lease acquisition order, node-side events and
-// lease logs fabricated exactly as the agent records them — and returns the
-// merged canonical timeline. Two invocations must return identical bytes.
+// registration order, fixed lease acquisition order, node-side events
+// fabricated exactly as the agent records them — and returns the merged
+// canonical timeline. Two invocations must return identical bytes.
 func runTwoNodeScript(t *testing.T) string {
 	t.Helper()
 	clk := newFakeClock()
@@ -121,7 +119,6 @@ func runTwoNodeScript(t *testing.T) string {
 	}
 
 	nodeFR := []*flight.Recorder{flight.New(64), flight.New(64)}
-	var leaseLogs [2][]obs.LeaseEvent
 	for i, nodeID := range nodes {
 		lease := mustLease(t, c, nodeID, 0)
 		nodeFR[i].Record(flight.Event{
@@ -133,23 +130,19 @@ func runTwoNodeScript(t *testing.T) string {
 			Kind: flight.KindSpan, Trace: lease.TraceID, Job: lease.JobID,
 			Lease: lease.ID, Node: nodeID, DurMS: float64(i + 1), Detail: SpanSim,
 		})
-		leaseLogs[i] = append(leaseLogs[i], obs.LeaseEvent{
-			Schema: obs.LeaseSchema, TraceID: lease.TraceID, Tenant: lease.Tenant,
-			JobID: lease.JobID, LeaseID: lease.ID, Node: nodeID,
-			Start: lease.Start, End: lease.End, Simulated: lease.End - lease.Start,
+		nodeFR[i].Record(flight.Event{
+			Kind: flight.KindLeaseDone, Trace: lease.TraceID, Tenant: lease.Tenant,
+			Job: lease.JobID, Lease: lease.ID, Node: nodeID,
+			Detail: fmt.Sprintf("simulated=%d skipped=0 failed=0", lease.End-lease.Start),
 		})
 	}
 	<-done
-	if _, _, err := c.Take(jobID); err != nil {
-		t.Fatalf("take: %v", err)
-	}
+	take(t, c, jobID)
 
 	return flight.MergeTimeline([]flight.Source{
 		{Name: "coordinator", Events: flight.Canonical(coordFR.Snapshot())},
 		{Name: "alpha", Events: flight.Canonical(nodeFR[0].Snapshot())},
 		{Name: "beta", Events: flight.Canonical(nodeFR[1].Snapshot())},
-		{Name: "alpha.leases", Leases: leaseLogs[0]},
-		{Name: "beta.leases", Leases: leaseLogs[1]},
 	}, false)
 }
 
@@ -165,16 +158,16 @@ func TestMergedTimelineByteIdenticalAcrossRuns(t *testing.T) {
 		t.Fatalf("timeline lost the trace section:\n%s", a)
 	}
 	// Causal shape: each lease's rows form one block anchored to its grant —
-	// grant, then the node's execution, then the lease log, then the upload —
-	// and blocks appear in grant order.
+	// grant, then the node's execution and outcome, then the upload — and
+	// blocks appear in grant order.
 	wantOrder := []string{
 		"lease_grant tenant=acme job=cj-000001 lease=l-000001",
 		"lease_run tenant=acme job=cj-000001 lease=l-000001",
-		"lease-log l-000001 node=n-0001",
+		"lease_done tenant=acme job=cj-000001 lease=l-000001 node=n-0001 detail=simulated=2",
 		"lease_upload tenant=acme job=cj-000001 lease=l-000001",
 		"lease_grant tenant=acme job=cj-000001 lease=l-000002",
 		"lease_run tenant=acme job=cj-000001 lease=l-000002",
-		"lease-log l-000002 node=n-0002",
+		"lease_done tenant=acme job=cj-000001 lease=l-000002 node=n-0002 detail=simulated=2",
 		"lease_upload tenant=acme job=cj-000001 lease=l-000002",
 	}
 	pos := -1

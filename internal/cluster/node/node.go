@@ -13,7 +13,6 @@ package node
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,7 +26,6 @@ import (
 	"hetwire/internal/batch"
 	"hetwire/internal/client"
 	"hetwire/internal/cluster"
-	"hetwire/internal/obs"
 	"hetwire/internal/obs/flight"
 	"hetwire/internal/wire"
 )
@@ -52,12 +50,10 @@ type Options struct {
 	Client *client.Client
 	// Logger receives node lifecycle logs (default: discard).
 	Logger *log.Logger
-	// EventLog, when non-nil, receives one obs.LeaseEvent JSONL record per
-	// completed (or aborted) lease.
-	EventLog io.Writer
 	// Flight, when non-nil, records the node's operational events (lease
-	// start, per-phase spans) and drains them into heartbeat traffic so the
-	// coordinator can index them per job for cluster-wide trace aggregation.
+	// start, per-phase spans, lease outcome) and drains them into heartbeat
+	// traffic so the coordinator can index them per job for cluster-wide
+	// trace aggregation.
 	Flight *flight.Recorder
 	// OnLease, when non-nil, observes each lease as it is received, before
 	// any work happens. Tests use it to kill the node mid-lease.
@@ -88,10 +84,6 @@ type agent struct {
 	hbEvery time.Duration
 	poll    time.Duration
 	needReg bool // heartbeat saw Known=false: re-register before next lease
-	// wireOK records that the coordinator advertised the binary wire format
-	// at registration: results are then encoded as wire frames and uploads go
-	// out binary; otherwise the JSON upload body is used.
-	wireOK bool
 	// flightSent is the highest flight-recorder sequence number the
 	// coordinator has acknowledged receiving (via a successful heartbeat);
 	// the next heartbeat drains everything after it.
@@ -178,28 +170,14 @@ func (a *agent) register(ctx context.Context) error {
 	if err := a.cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/register", &req, "register-"+a.opts.Name, &resp); err != nil {
 		return fmt.Errorf("node: registering with coordinator: %w", err)
 	}
-	wireOK := false
-	for _, f := range resp.WireFormats {
-		if f == wire.Format {
-			wireOK = true
-			break
-		}
-	}
 	a.mu.Lock()
 	a.nodeID = resp.NodeID
 	a.hbEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
 	a.poll = time.Duration(resp.PollMS) * time.Millisecond
 	a.needReg = false
-	a.wireOK = wireOK
 	a.mu.Unlock()
-	a.opts.Logger.Printf("node registered id=%s coordinator=%s wire=%t", resp.NodeID, a.opts.Coordinator, wireOK)
+	a.opts.Logger.Printf("node registered id=%s coordinator=%s", resp.NodeID, a.opts.Coordinator)
 	return nil
-}
-
-func (a *agent) wire() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.wireOK
 }
 
 func (a *agent) id() string {
@@ -289,30 +267,27 @@ func (a *agent) lease(ctx context.Context) (*cluster.Lease, time.Duration, error
 // runLease executes one lease end to end: federated cache check, simulate
 // the unknowns, upload. A context cancellation mid-lease aborts without
 // uploading — the straggler case the coordinator's lease expiry exists for.
+// The lease's outcome is recorded as one KindLeaseDone flight event.
 func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	count := lease.End - lease.Start
 	if count != len(lease.Scenarios) {
 		return fmt.Errorf("node: lease %s carries %d scenarios for range [%d,%d)",
 			lease.ID, len(lease.Scenarios), lease.Start, lease.End)
 	}
-	ev := obs.LeaseEvent{
-		TraceID: lease.TraceID,
-		Tenant:  lease.Tenant,
-		JobID:   lease.JobID,
-		LeaseID: lease.ID,
-		Node:    a.id(),
-		Start:   lease.Start,
-		End:     lease.End,
+	record := func(kind, reason, detail string, durMS float64) {
+		a.opts.Flight.Record(flight.Event{
+			Kind:   kind,
+			Trace:  lease.TraceID,
+			Tenant: lease.Tenant,
+			Job:    lease.JobID,
+			Lease:  lease.ID,
+			Node:   a.id(),
+			Reason: reason,
+			DurMS:  durMS,
+			Detail: detail,
+		})
 	}
-	a.opts.Flight.Record(flight.Event{
-		Kind:   flight.KindLeaseRun,
-		Trace:  lease.TraceID,
-		Tenant: lease.Tenant,
-		Job:    lease.JobID,
-		Lease:  lease.ID,
-		Node:   a.id(),
-		Detail: fmt.Sprintf("range=[%d,%d)", lease.Start, lease.End),
-	})
+	record(flight.KindLeaseRun, "", fmt.Sprintf("range=[%d,%d)", lease.Start, lease.End), 0)
 
 	// Phase 1: ask the federated cache index which results are already known.
 	// Failures degrade to "nothing known" — the check is an optimization, the
@@ -326,14 +301,17 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	}
 	t0 := time.Now()
 	known := a.cacheCheck(ctx, keys)
-	spans := []cluster.Span{{Name: cluster.SpanCacheCheck, DurMS: msSince(t0)}}
+	hdr := &wire.UploadHeader{NodeID: a.id(), LeaseID: lease.ID, JobID: lease.JobID,
+		Spans: []wire.SpanMS{{Name: cluster.SpanCacheCheck, DurMS: msSince(t0)}}}
 
 	// Phase 2: simulate every scenario the cache does not already hold,
 	// through the shared batch engine so lease execution draws from the same
 	// process-wide CPU budget as local surfaces. Scenario failures are
 	// isolated to their slots; only context cancellation aborts the lease.
-	results := make([]cluster.ScenarioResult, count)
-	useWire := a.wire()
+	// Each result is encoded as a wire frame: the frame CRC plus the
+	// coordinator's full validation guard transport, and the coordinator
+	// stores the frame bytes without re-encoding.
+	results := make([]wire.UploadResult, count)
 	simCtx := hetwire.WithTraceID(ctx, lease.TraceID)
 	t0 = time.Now()
 	errs := batch.RunRange(simCtx, lease.Start, lease.End, a.opts.Parallelism, func(ctx context.Context, idx int) error {
@@ -345,54 +323,36 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 			res.Skipped = true
 			return nil
 		}
-		sc := lease.Scenarios[i]
-		resp, err := sc.ExecuteContext(ctx)
+		resp, err := lease.Scenarios[i].ExecuteContext(ctx)
+		if err == nil {
+			res.Frame, err = wire.EncodeRunResult(resp)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			res.Error = err.Error()
 			res.Reason = hetwire.ReasonCode(err)
-			return nil
 		}
-		// Binary-speaking coordinators get the result as a wire frame — the
-		// frame CRC plus the coordinator's full validation replace the JSON
-		// path's declared sha256, and the coordinator stores the frame bytes
-		// without re-encoding.
-		if useWire {
-			frame, err := wire.EncodeRunResult(resp)
-			if err != nil {
-				res.Error = err.Error()
-				res.Reason = hetwire.ReasonBadRequest
-				return nil
-			}
-			res.Frame = frame
-			return nil
-		}
-		body, err := json.Marshal(resp)
-		if err != nil {
-			res.Error = err.Error()
-			res.Reason = hetwire.ReasonBadRequest
-			return nil
-		}
-		res.Body = body
-		res.BodySHA256 = cluster.BodySum(body)
 		return nil
 	})
-	spans = append(spans, cluster.Span{Name: cluster.SpanSim, DurMS: msSince(t0)})
+	hdr.Spans = append(hdr.Spans, wire.SpanMS{Name: cluster.SpanSim, DurMS: msSince(t0)})
+	var simulated, skipped, failed int
+	outcome := func() string {
+		return fmt.Sprintf("simulated=%d skipped=%d failed=%d", simulated, skipped, failed)
+	}
 	if err := ctx.Err(); err != nil {
-		ev.Aborted = true
-		a.logEvent(ev)
+		record(flight.KindLeaseDone, "aborted", outcome(), 0)
 		return err
 	}
 	for i := range results {
 		switch {
 		case results[i].Skipped:
-			ev.Skipped++
+			skipped++
 		case results[i].Error != "":
-			ev.Failed++
-		case len(results[i].Body) > 0 || len(results[i].Frame) > 0:
-			ev.Simulated++
+			failed++
+		case len(results[i].Frame) > 0:
+			simulated++
 		case errs[i] != nil:
 			// Engine-level failure (token acquisition, contained panic) with no
 			// scenario-level record: report it so the slot resolves.
@@ -400,7 +360,7 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 			results[i].CacheKey = keys[i]
 			results[i].Error = errs[i].Error()
 			results[i].Reason = hetwire.ReasonCode(errs[i])
-			ev.Failed++
+			failed++
 		}
 	}
 
@@ -408,22 +368,10 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	// uploads are idempotent by content on the coordinator.
 	t0 = time.Now()
 	var uresp cluster.UploadResponse
-	var err error
-	if useWire {
-		var body []byte
-		body, err = encodeWireUpload(a.id(), lease.ID, lease.JobID, results, spans)
-		if err == nil {
-			err = a.cl.DoBytes(ctx, http.MethodPost, "/v1/cluster/upload", wire.ContentType,
-				body, "upload-"+lease.ID, &uresp)
-		}
-	} else {
-		err = a.cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/upload", &cluster.UploadRequest{
-			NodeID:  a.id(),
-			LeaseID: lease.ID,
-			JobID:   lease.JobID,
-			Results: results,
-			Spans:   spans,
-		}, "upload-"+lease.ID, &uresp)
+	body, err := wire.EncodeUpload(hdr, results)
+	if err == nil {
+		err = a.cl.DoBytes(ctx, http.MethodPost, "/v1/cluster/upload", wire.ContentType,
+			body, "upload-"+lease.ID, &uresp)
 	}
 	if err != nil {
 		if reason(err) == cluster.ReasonUnknownNode {
@@ -431,59 +379,20 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 			a.needReg = true
 			a.mu.Unlock()
 		}
-		ev.Aborted = true
-		a.logEvent(ev)
+		record(flight.KindLeaseDone, "aborted", outcome(), 0)
 		return fmt.Errorf("node: uploading lease %s: %w", lease.ID, err)
 	}
 	// Span summaries ride the flight recorder (and from there, heartbeat
 	// traffic): one event per phase, DurMS being the measured — hence
 	// nondeterministic, hence Canonical-elided — cost.
-	for _, sp := range append(spans, cluster.Span{Name: cluster.SpanUpload, DurMS: msSince(t0)}) {
-		a.opts.Flight.Record(flight.Event{
-			Kind:   flight.KindSpan,
-			Trace:  lease.TraceID,
-			Tenant: lease.Tenant,
-			Job:    lease.JobID,
-			Lease:  lease.ID,
-			Node:   a.id(),
-			DurMS:  sp.DurMS,
-			Detail: sp.Name,
-		})
+	for _, sp := range append(hdr.Spans, wire.SpanMS{Name: cluster.SpanUpload, DurMS: msSince(t0)}) {
+		record(flight.KindSpan, "", sp.Name, sp.DurMS)
 	}
-	a.opts.Logger.Printf("node lease %s done job=%s range=[%d,%d) simulated=%d skipped=%d failed=%d accepted=%d duplicate=%d requeued=%d upload_ms=%.1f",
-		lease.ID, lease.JobID, lease.Start, lease.End, ev.Simulated, ev.Skipped, ev.Failed,
+	a.opts.Logger.Printf("node lease %s done job=%s range=[%d,%d) %s accepted=%d duplicate=%d requeued=%d upload_ms=%.1f",
+		lease.ID, lease.JobID, lease.Start, lease.End, outcome(),
 		uresp.Accepted, uresp.Duplicate, len(uresp.Requeued), msSince(t0))
-	a.logEvent(ev)
+	record(flight.KindLeaseDone, "", outcome(), 0)
 	return nil
-}
-
-// encodeWireUpload assembles the binary upload body: one TypeUploadHeader
-// frame carrying the lease identity and spans, then one TypeUploadResult
-// frame per scenario, each embedding its result frame verbatim.
-func encodeWireUpload(nodeID, leaseID, jobID string, results []cluster.ScenarioResult, spans []cluster.Span) ([]byte, error) {
-	hdr := &wire.UploadHeader{NodeID: nodeID, LeaseID: leaseID, JobID: jobID}
-	for _, sp := range spans {
-		hdr.Spans = append(hdr.Spans, wire.SpanMS{Name: sp.Name, DurMS: sp.DurMS})
-	}
-	out, err := wire.AppendUploadHeader(nil, hdr)
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		r := &results[i]
-		out, err = wire.AppendUploadResult(out, &wire.UploadResult{
-			Index:    r.Index,
-			CacheKey: r.CacheKey,
-			Frame:    r.Frame,
-			Error:    r.Error,
-			Reason:   r.Reason,
-			Skipped:  r.Skipped,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // cacheCheck queries the federated index, folding any failure into "nothing
@@ -507,15 +416,6 @@ func (a *agent) cacheCheck(ctx context.Context, keys []string) []bool {
 		return known
 	}
 	return resp.Known
-}
-
-func (a *agent) logEvent(ev obs.LeaseEvent) {
-	if a.opts.EventLog == nil {
-		return
-	}
-	if err := obs.AppendLeaseEvent(a.opts.EventLog, ev); err != nil {
-		a.opts.Logger.Printf("node lease event log: %v", err)
-	}
 }
 
 // terminal reports whether an error should stop the node loop entirely:

@@ -1,21 +1,26 @@
 // Package cluster is the distributed sweep fabric: a coordinator that
 // expands BatchRequest sweeps in canonical order, shards the scenario index
 // space into bounded work leases, and hands them to registered worker nodes
-// over a small authenticated HTTP/JSON protocol, plus the node agent that
-// pulls leases, simulates, and uploads content-addressed results.
+// over a small authenticated HTTP protocol, plus the node agent that pulls
+// leases, simulates, and uploads content-addressed results.
+//
+// One encoding per message: control messages (register, heartbeat, lease,
+// cache check, and the upload acknowledgement) are JSON; results travel
+// only as hetwire-bin/v1 upload streams (wire.EncodeUpload), so the
+// coordinator stores exactly the frame bytes a node's simulation produced.
 //
 // Determinism contract: the coordinator expands each batch exactly once
 // (hetwire.BatchRequest.Expand) and every scenario result is addressed by
-// its expansion index. A scenario's result bytes are a pure function of its
-// RunRequest (simulations are deterministic and json.Marshal of the same
-// response struct is byte-stable), so the assembled BatchResponse is
-// bit-identical regardless of node count, lease size, which node ran which
-// range, or how lease expiry and re-dispatch interleaved. Duplicate uploads
-// — a straggler finishing after its lease was re-dispatched — are no-ops by
-// construction: the slot is already filled with the same bytes. Scenario
-// errors are not content-addressed, so they are only trusted from the lease
-// that still owns the slot; a straggler's stale error is dropped rather than
-// allowed to override a healthy re-dispatch.
+// its expansion index. A scenario's result frame is a pure function of its
+// RunRequest (simulations are deterministic and the wire encoding is
+// canonical), so the assembled batch stream is bit-identical regardless of
+// node count, lease size, which node ran which range, or how lease expiry
+// and re-dispatch interleaved. Duplicate uploads — a straggler finishing
+// after its lease was re-dispatched — are no-ops by construction: the slot
+// already holds the same bytes, and the coordinator compares the frames to
+// prove it. Scenario errors are not content-addressed, so they are only
+// trusted from the lease that still owns the slot; a straggler's stale
+// error is dropped rather than allowed to override a healthy re-dispatch.
 //
 // Robustness contract: leases carry deadlines; an expired lease returns its
 // unfinished indices to the pending queue for another node (straggler
@@ -28,9 +33,6 @@
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"hetwire"
@@ -38,8 +40,9 @@ import (
 )
 
 // ProtocolVersion is bumped on any incompatible change to the wire types or
-// lease semantics; register rejects mismatched nodes.
-const ProtocolVersion = 1
+// lease semantics; register rejects mismatched nodes. Version 2 made the
+// hetwire-bin/v1 upload stream the only upload encoding.
+const ProtocolVersion = 2
 
 // Machine-readable reason codes specific to the cluster protocol. They ride
 // hetwire.RequestError, so hetwire.ReasonCode extracts them uniformly and
@@ -107,19 +110,13 @@ type RegisterResponse struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 	// PollMS is the suggested idle poll interval when no work is available.
 	PollMS int64 `json:"poll_ms"`
-	// WireFormats lists the binary upload encodings the coordinator accepts
-	// (e.g. "hetwire-bin/v1"). A node that recognises one uploads binary
-	// result frames under that content type; otherwise it falls back to the
-	// JSON upload body, which every coordinator accepts.
-	WireFormats []string `json:"wire_formats,omitempty"`
 }
 
 // HeartbeatRequest is the periodic liveness check-in. Events optionally
 // piggybacks the node's flight-recorder drain: events recorded since the
-// last acknowledged heartbeat, for the coordinator to index per job. The
-// field is additive — old nodes omit it, old coordinators ignore it — and
-// rides the JSON heartbeat precisely so the binary upload format (and its
-// golden-wire fixtures) stays untouched.
+// last acknowledged heartbeat, for the coordinator to index per job. It
+// rides the JSON heartbeat so the upload stream (and its golden-wire
+// fixtures) stays untouched.
 type HeartbeatRequest struct {
 	NodeID string         `json:"node_id"`
 	Events []flight.Event `json:"events,omitempty"`
@@ -159,9 +156,8 @@ type Lease struct {
 	// one sweep can be followed coordinator -> node -> simulator.
 	TraceID string `json:"trace_id,omitempty"`
 	// Tenant names the tenant the originating job was submitted by; the node
-	// copies it into its lease events so node-side logs attribute work to
-	// tenants. Empty for pre-tenancy coordinators and open mode (the field is
-	// additive — old nodes ignore it, old coordinators omit it).
+	// copies it into its flight events so node-side records attribute work
+	// to tenants. Empty in open mode.
 	Tenant string `json:"tenant,omitempty"`
 	// Start (inclusive) and End (exclusive) bound the absolute scenario
 	// indices this lease covers.
@@ -195,62 +191,17 @@ type CacheCheckResponse struct {
 	Known []bool `json:"known"`
 }
 
-// ScenarioResult is one scenario's outcome inside an upload, addressed by
-// its absolute expansion index.
-type ScenarioResult struct {
-	Index int `json:"index"`
-	// CacheKey is the scenario's content-addressed request identity
-	// (hetwire.RunRequest.CacheKey); the coordinator uses it to populate the
-	// federated cache and to fill skipped slots.
-	CacheKey string `json:"cache_key,omitempty"`
-	// Body is the JSON-marshalled hetwire.RunResponse for completed
-	// scenarios uploaded in the JSON (debug/fallback) encoding.
-	Body json.RawMessage `json:"body,omitempty"`
-	// Frame is the binary wire frame (wire.EncodeRunResult) for completed
-	// scenarios uploaded in the hetwire-bin encoding. It never rides the
-	// JSON body — the binary upload path populates it directly — and exactly
-	// one of Frame, Body, Error, or Skipped is set per result.
-	Frame []byte `json:"-"`
-	// BodySHA256 is the hex SHA-256 of Body, verified by the coordinator on
-	// receipt (transport integrity) and compared on duplicate uploads (the
-	// idempotency check).
-	BodySHA256 string `json:"body_sha256,omitempty"`
-	// Skipped marks a scenario the node did not simulate because the
-	// federated cache check reported its key as known.
-	Skipped bool `json:"skipped,omitempty"`
-	// Error/Reason report a scenario that failed on the node (isolated to
-	// its slot, like local batch execution).
-	Error  string `json:"error,omitempty"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// Span is a node-side per-lease phase timing, merged by name into the
-// originating job's span breakdown by the coordinator.
-type Span struct {
-	Name  string  `json:"name"`
-	DurMS float64 `json:"dur_ms"`
-}
-
-// Node-side lease phase names.
+// Node-side lease phase names, carried as wire.SpanMS in upload headers.
 const (
 	SpanCacheCheck = "node_cache_check"
 	SpanSim        = "node_sim"
 	SpanUpload     = "node_upload"
 )
 
-// UploadRequest delivers a lease's results. Uploads are idempotent: a result
-// for an already-filled slot whose bytes match is counted as a duplicate and
-// otherwise ignored, so a straggler whose lease was re-dispatched cannot
-// disturb the batch.
-type UploadRequest struct {
-	NodeID  string           `json:"node_id"`
-	LeaseID string           `json:"lease_id"`
-	JobID   string           `json:"job_id"`
-	Results []ScenarioResult `json:"results"`
-	Spans   []Span           `json:"spans,omitempty"`
-}
-
-// UploadResponse summarises how an upload landed.
+// UploadResponse summarises how an upload landed. Uploads are idempotent:
+// a result for an already-filled slot whose frame matches is counted as a
+// duplicate and otherwise ignored, so a straggler whose lease was
+// re-dispatched cannot disturb the batch.
 type UploadResponse struct {
 	// Accepted counts results that filled a previously-unfilled slot.
 	Accepted int `json:"accepted"`
@@ -264,13 +215,6 @@ type UploadResponse struct {
 	// JobDone reports that the job is no longer live (completed, cancelled,
 	// or already collected); the node should drop any remaining state for it.
 	JobDone bool `json:"job_done"`
-}
-
-// BodySum is the content hash used for upload idempotency checks: hex
-// SHA-256 of the marshalled result body.
-func BodySum(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
 }
 
 // reqErr builds a hetwire.RequestError with a cluster reason code.

@@ -60,6 +60,10 @@ const (
 	KindLeaseUpload = "lease_upload"
 	// KindLeaseRun: node-side — the agent started executing a lease.
 	KindLeaseRun = "lease_run"
+	// KindLeaseDone: node-side — how the lease ended. Detail carries the
+	// simulated, skipped, and failed scenario counts; Reason is "aborted"
+	// when the node gave the lease up before a successful upload.
+	KindLeaseDone = "lease_done"
 	// KindSpan: node-side span summary attached to heartbeat traffic
 	// (Detail names the phase, DurMS its measured cost).
 	KindSpan = "span"

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"hetwire/internal/obs"
 	"hetwire/internal/obs/flight"
-	"hetwire/internal/wire"
 )
 
 // TestNilRecorderIsInert pins the disabled-path contract: every method on a
@@ -102,9 +100,9 @@ func TestCanonicalClearsMeasuredFields(t *testing.T) {
 	}
 }
 
-// TestDumpRoundTrip checks JSONL dump identity and that the same dump pushed
-// through the binary flight container (TypeFlightRecord frames) comes back
-// byte-identical — the property the CI cmp determinism check relies on.
+// TestDumpRoundTrip checks that a JSONL dump reads back to the events it
+// was written from and re-writes to identical bytes — the property the CI
+// cmp determinism check relies on.
 func TestDumpRoundTrip(t *testing.T) {
 	events := []flight.Event{
 		{Seq: 1, Kind: flight.KindAdmit, Trace: "t1", Tenant: "acme", Job: "j-1", Lane: "interactive"},
@@ -126,25 +124,12 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Errorf("round trip drifted:\n got %+v\nwant %+v", got, events)
 	}
 
-	// Binary container: frame the JSONL, unwrap it, require byte identity.
-	var framed bytes.Buffer
-	fw := wire.NewFlightWriter(&framed)
-	if _, err := fw.Write(jsonl.Bytes()); err != nil {
+	var again bytes.Buffer
+	if err := flight.WriteDump(&again, hdr.Source, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !wire.IsWire(framed.Bytes()) {
-		t.Fatal("framed dump does not carry the wire magic")
-	}
-	var unwrapped bytes.Buffer
-	if _, err := unwrapped.ReadFrom(wire.NewFlightReader(bytes.NewReader(framed.Bytes()))); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(unwrapped.Bytes(), jsonl.Bytes()) {
-		t.Errorf("binary container round trip is not byte-identical:\n got %q\nwant %q",
-			unwrapped.Bytes(), jsonl.Bytes())
+	if !bytes.Equal(again.Bytes(), jsonl.Bytes()) {
+		t.Errorf("re-written dump is not byte-identical:\n got %q\nwant %q", again.Bytes(), jsonl.Bytes())
 	}
 }
 
@@ -177,7 +162,7 @@ func TestSinkStreamsEvents(t *testing.T) {
 	}
 }
 
-// timelineSources builds a fixed coordinator + node + lease-log source set.
+// timelineSources builds a fixed coordinator + node source set.
 func timelineSources() []flight.Source {
 	coord := []flight.Event{
 		{Seq: 1, Kind: flight.KindAdmit, Trace: "tr-a", Tenant: "acme", Job: "b-1"},
@@ -188,15 +173,12 @@ func timelineSources() []flight.Source {
 	nodeEvs := []flight.Event{
 		{Seq: 1, Kind: flight.KindLeaseRun, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-1", Node: "n-1", Detail: "range=[0,4)"},
 		{Seq: 2, Kind: flight.KindSpan, Trace: "tr-a", Job: "b-1", Lease: "l-1", Node: "n-1", DurMS: 7.5, Detail: "node_sim"},
-		{Seq: 3, Kind: flight.KindLeaseRun, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-2", Node: "n-1", Detail: "range=[4,8)"},
-	}
-	leases := []obs.LeaseEvent{
-		{Schema: obs.LeaseSchema, TraceID: "tr-a", Tenant: "acme", JobID: "b-1", LeaseID: "l-1", Node: "n-1", Start: 0, End: 4, Simulated: 4},
+		{Seq: 3, Kind: flight.KindLeaseDone, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-1", Node: "n-1", Detail: "simulated=4 skipped=0 failed=0"},
+		{Seq: 4, Kind: flight.KindLeaseRun, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-2", Node: "n-1", Detail: "range=[4,8)"},
 	}
 	return []flight.Source{
 		{Name: "coordinator", Events: coord},
 		{Name: "node-1", Events: nodeEvs},
-		{Name: "node-1.leases", Leases: leases},
 	}
 }
 
@@ -224,8 +206,9 @@ func TestMergeTimelineDeterministicAndCausal(t *testing.T) {
 		t.Errorf("causal ordering broken (grant1=%d run1=%d grant2=%d run2=%d):\n%s",
 			grant1, run1, grant2, run2, a)
 	}
-	if !strings.Contains(a, "lease-log l-1 node=n-1 job=b-1 scenarios=[0,4) simulated=4") {
-		t.Errorf("lease log row missing:\n%s", a)
+	done1 := strings.Index(a, "lease_done tenant=acme job=b-1 lease=l-1 node=n-1 detail=simulated=4 skipped=0 failed=0")
+	if !(done1 > run1 && grant2 > done1) {
+		t.Errorf("lease outcome row missing or outside its grant block (done1=%d):\n%s", done1, a)
 	}
 	if strings.Contains(a, "dur_ms") {
 		t.Error("durations leaked into a canonical timeline")

@@ -4,36 +4,32 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"hetwire/internal/obs"
 )
 
-// Source is one process's contribution to a merged cluster timeline: a
-// flight dump (coordinator or node) and/or a node's lease log. Name labels
-// the rows it contributes; dumps carry their own source label in the
-// header, which callers normally pass through here.
+// Source is one process's flight dump (coordinator or node) in a merged
+// cluster timeline. Name labels the rows it contributes; dumps carry their
+// own source label in the header, which callers normally pass through here.
 type Source struct {
 	Name   string
 	Events []Event
-	Leases []obs.LeaseEvent
 }
 
 // mergedRow is one timeline line with its deterministic sort key. Anchor is
 // the coordinator sequence number the row hangs off: coordinator events
-// anchor to themselves; node events and lease records anchor to the
-// coordinator's lease_grant for their lease, so causally dependent rows
-// sort after their cause. Rows whose lease the coordinator never granted
-// (partial dump sets) sink to the end.
+// anchor to themselves; node events anchor to the coordinator's lease_grant
+// for their lease, so causally dependent rows sort after their cause. Rows
+// whose lease the coordinator never granted (partial dump sets) sink to the
+// end.
 type mergedRow struct {
 	anchor uint64
-	class  int // 0 coordinator event, 1 node event, 2 lease record
+	class  int // 0 coordinator event, 1 node event
 	source string
 	seq    uint64
 	text   string
 }
 
-// MergeTimeline merges coordinator and node flight dumps plus lease logs
-// into one causal timeline per trace ID, rendered as deterministic text:
+// MergeTimeline merges coordinator and node flight dumps into one causal
+// timeline per trace ID, rendered as deterministic text:
 // ordering is by sequence number and grant anchoring, never wall clock, so
 // two identical cluster runs merge byte-identically. Measured quantities
 // (vtime, durations) are elided unless withDurations is set — they are the
@@ -54,9 +50,6 @@ func MergeTimeline(sources []Source, withDurations bool) string {
 
 	const unanchored = ^uint64(0)
 	byTrace := make(map[string][]mergedRow)
-	addRow := func(trace string, row mergedRow) {
-		byTrace[trace] = append(byTrace[trace], row)
-	}
 	for _, src := range sources {
 		isCoord := src.Name == coordName && coordName != ""
 		for _, ev := range src.Events {
@@ -71,16 +64,7 @@ func MergeTimeline(sources []Source, withDurations bool) string {
 					row.anchor = unanchored
 				}
 			}
-			addRow(ev.Trace, row)
-		}
-		for _, le := range src.Leases {
-			row := mergedRow{source: src.Name, class: 2, text: formatLease(le)}
-			if a, ok := grantSeq[le.LeaseID]; ok {
-				row.anchor = a
-			} else {
-				row.anchor = unanchored
-			}
-			addRow(le.TraceID, row)
+			byTrace[ev.Trace] = append(byTrace[ev.Trace], row)
 		}
 	}
 
@@ -151,18 +135,4 @@ func formatEvent(ev Event, withDurations bool) string {
 	}
 	add("detail", ev.Detail)
 	return b.String()
-}
-
-// formatLease renders one lease-log record. Lease logs carry no wall-clock
-// state (obs.LeaseEvent), so every field prints.
-func formatLease(le obs.LeaseEvent) string {
-	s := fmt.Sprintf("lease-log %s node=%s job=%s scenarios=[%d,%d) simulated=%d skipped=%d failed=%d",
-		le.LeaseID, le.Node, le.JobID, le.Start, le.End, le.Simulated, le.Skipped, le.Failed)
-	if le.Tenant != "" {
-		s += " tenant=" + le.Tenant
-	}
-	if le.Aborted {
-		s += " aborted"
-	}
-	return s
 }

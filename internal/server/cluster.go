@@ -75,8 +75,8 @@ func (s *Server) clusterAuth(h http.HandlerFunc) http.HandlerFunc {
 // Body size bounds for cluster protocol requests: a coordinator must not
 // buffer arbitrary bytes from a compromised node. Control messages
 // (register, heartbeat, lease, cachecheck) are at most a lease's worth of
-// cache keys; uploads carry simulation result bodies — KBs each, a lease's
-// worth per request — so they get a larger but still bounded cap.
+// cache keys; uploads carry result frames — KBs each, a lease's worth per
+// request — so they get a larger but still bounded cap.
 const (
 	clusterControlBodyLimit = 1 << 20
 	clusterUploadBodyLimit  = 16 << 20
@@ -158,71 +158,28 @@ func (s *Server) handleClusterCacheCheck(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, resp)
 }
 
+// handleClusterUpload accepts a lease's results as a hetwire-bin/v1 upload
+// stream (wire.EncodeUpload); any other body is rejected as bad_wire. The
+// embedded result frames reach the coordinator verbatim, so an accepted
+// result's bytes are exactly what the node's simulation produced.
 func (s *Server) handleClusterUpload(w http.ResponseWriter, r *http.Request) {
-	var req cluster.UploadRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
-		if !decodeWireUpload(w, r, &req) {
-			return
-		}
-	} else if !decodeCluster(w, r, &req, clusterUploadBodyLimit) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, clusterUploadBodyLimit))
+	var hdr *wire.UploadHeader
+	var results []wire.UploadResult
+	if err == nil {
+		hdr, results, err = wire.DecodeUpload(body)
+	}
+	if err != nil {
+		httpErrorReason(w, http.StatusBadRequest, "bad_wire",
+			fmt.Errorf("decoding cluster upload: %w", err))
 		return
 	}
-	resp, err := s.coord.Upload(&req)
+	resp, err := s.coord.Upload(hdr, results)
 	if err != nil {
 		clusterError(w, err)
 		return
 	}
 	writeJSON(w, resp)
-}
-
-// decodeWireUpload reads a binary upload body: one TypeUploadHeader frame
-// carrying the lease identity and spans, followed by one TypeUploadResult
-// frame per scenario. Result frames embedded in the upload are passed to the
-// coordinator verbatim (ScenarioResult.Frame), so an accepted result's bytes
-// are exactly what the node's simulation produced.
-func decodeWireUpload(w http.ResponseWriter, r *http.Request, req *cluster.UploadRequest) bool {
-	fail := func(err error) bool {
-		httpErrorReason(w, http.StatusBadRequest, "bad_wire",
-			fmt.Errorf("decoding cluster upload: %w", err))
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, clusterUploadBodyLimit))
-	if err != nil {
-		return fail(err)
-	}
-	frames, err := wire.Split(body)
-	if err != nil {
-		return fail(err)
-	}
-	if len(frames) == 0 {
-		return fail(errors.New("empty upload stream"))
-	}
-	hdr, err := wire.DecodeUploadHeader(frames[0])
-	if err != nil {
-		return fail(err)
-	}
-	req.NodeID = hdr.NodeID
-	req.LeaseID = hdr.LeaseID
-	req.JobID = hdr.JobID
-	for _, sp := range hdr.Spans {
-		req.Spans = append(req.Spans, cluster.Span{Name: sp.Name, DurMS: sp.DurMS})
-	}
-	req.Results = make([]cluster.ScenarioResult, 0, len(frames)-1)
-	for _, fr := range frames[1:] {
-		ur, err := wire.DecodeUploadResult(fr)
-		if err != nil {
-			return fail(err)
-		}
-		req.Results = append(req.Results, cluster.ScenarioResult{
-			Index:    ur.Index,
-			CacheKey: ur.CacheKey,
-			Frame:    ur.Frame,
-			Skipped:  ur.Skipped,
-			Error:    ur.Error,
-			Reason:   ur.Reason,
-		})
-	}
-	return true
 }
 
 func (s *Server) handleClusterNodes(w http.ResponseWriter, _ *http.Request) {
@@ -245,7 +202,6 @@ func (s *Server) runClusterBatch(job *Job) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	if err := s.coord.AwaitJob(job.ctx, jobID, done); err != nil {
-		s.coord.Take(jobID) // drop the cancelled job's record
 		return nil, false, err
 	}
 	frames, outcomes, spanDur, err := s.coord.TakeFrames(jobID)

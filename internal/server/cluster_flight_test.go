@@ -1,11 +1,10 @@
 // End-to-end trace propagation across the ops plane: a client-minted trace
 // ID follows a streamed batch job from submission through the coordinator's
-// work leases to a real node agent's flight recorder and lease log, and the
-// pieces merge into one causal timeline.
+// work leases to a real node agent's flight recorder, and the two dumps
+// merge into one causal timeline.
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -16,7 +15,6 @@ import (
 	"hetwire"
 	"hetwire/internal/client"
 	"hetwire/internal/cluster/node"
-	"hetwire/internal/obs"
 	"hetwire/internal/obs/flight"
 	"hetwire/internal/server"
 )
@@ -24,9 +22,8 @@ import (
 func TestClusterTracePropagationEndToEnd(t *testing.T) {
 	h := startCoordinator(t, server.ClusterOptions{LeaseSize: 2})
 
-	// A real node agent with its own flight recorder and lease log.
+	// A real node agent with its own flight recorder.
 	nodeFR := flight.New(256)
-	var leaseLog bytes.Buffer
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	nodeDone := make(chan error, 1)
@@ -36,7 +33,6 @@ func TestClusterTracePropagationEndToEnd(t *testing.T) {
 			Token:       testClusterToken,
 			Name:        "trace-node",
 			Flight:      nodeFR,
-			EventLog:    &leaseLog,
 		})
 	}()
 
@@ -82,30 +78,28 @@ func TestClusterTracePropagationEndToEnd(t *testing.T) {
 	cancel()
 	<-nodeDone
 
-	// Node side: lease execution carries the client's trace.
-	var nodeKinds []string
+	// Node side: lease execution and each lease's outcome carry the
+	// client's trace.
+	runs, outcomes := 0, 0
 	for _, ev := range nodeFR.Snapshot() {
-		if ev.Kind == flight.KindLeaseRun || ev.Kind == flight.KindSpan {
+		switch ev.Kind {
+		case flight.KindLeaseRun, flight.KindSpan, flight.KindLeaseDone:
 			if ev.Trace != traceID {
 				t.Errorf("node event %+v lost the trace", ev)
 			}
-			nodeKinds = append(nodeKinds, ev.Kind)
+		}
+		switch ev.Kind {
+		case flight.KindLeaseRun:
+			runs++
+		case flight.KindLeaseDone:
+			outcomes++
+			if ev.Reason != "" || !strings.HasPrefix(ev.Detail, "simulated=") {
+				t.Errorf("lease outcome %+v, want a clean simulated/skipped/failed count", ev)
+			}
 		}
 	}
-	if len(nodeKinds) == 0 {
-		t.Fatal("node recorder saw no lease execution")
-	}
-	leases, err := obs.ReadLeaseEvents(bytes.NewReader(leaseLog.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leases) == 0 {
-		t.Fatal("node wrote no lease-log records")
-	}
-	for _, le := range leases {
-		if le.TraceID != traceID {
-			t.Errorf("lease log record %+v lost the trace", le)
-		}
+	if runs == 0 || outcomes != runs {
+		t.Fatalf("node recorded %d lease runs and %d outcomes, want one outcome per run", runs, outcomes)
 	}
 
 	// Coordinator side: the flight dump records the lease lifecycle under the
@@ -132,23 +126,22 @@ func TestClusterTracePropagationEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The three dumps merge into one causal timeline for the trace: the
+	// The two dumps merge into one causal timeline for the trace: the
 	// coordinator's grant block precedes the node's execution and the
-	// lease-log record lands inside it.
+	// lease's outcome lands inside it.
 	timeline := flight.MergeTimeline([]flight.Source{
 		{Name: "hetwired", Events: flight.Canonical(coordEvents)},
 		{Name: "trace-node", Events: flight.Canonical(nodeFR.Snapshot())},
-		{Name: "trace-node.leases", Leases: leases},
 	}, false)
 	if !strings.Contains(timeline, "trace "+traceID) {
 		t.Fatalf("merged timeline has no section for %s:\n%s", traceID, timeline)
 	}
 	grant := strings.Index(timeline, "lease_grant")
 	run := strings.Index(timeline, "lease_run")
-	logRow := strings.Index(timeline, "lease-log")
-	if !(grant >= 0 && run > grant && logRow > grant) {
-		t.Errorf("timeline not causally ordered (grant=%d run=%d log=%d):\n%s",
-			grant, run, logRow, timeline)
+	done := strings.Index(timeline, "lease_done")
+	if !(grant >= 0 && run > grant && done > run) {
+		t.Errorf("timeline not causally ordered (grant=%d run=%d done=%d):\n%s",
+			grant, run, done, timeline)
 	}
 
 	// Wire sanity for the streaming route label: the normalized route must

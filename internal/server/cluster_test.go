@@ -8,6 +8,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"hetwire/internal/cluster"
 	"hetwire/internal/cluster/node"
 	"hetwire/internal/server"
+	"hetwire/internal/wire"
 )
 
 const testClusterToken = "cluster-e2e-secret"
@@ -313,6 +315,48 @@ func readAll(t *testing.T, resp *http.Response) string {
 		if err != nil {
 			return sb.String()
 		}
+	}
+}
+
+// clusterPost sends an authenticated cluster request and returns the status
+// and the machine-readable rejection reason.
+func (h *clusterHarness) clusterPost(path, contentType, body string) (int, string) {
+	h.t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, h.ts.URL+path, strings.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Authorization", "Bearer "+testClusterToken)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg struct {
+		Reason string `json:"reason"`
+	}
+	json.NewDecoder(resp.Body).Decode(&msg)
+	return resp.StatusCode, msg.Reason
+}
+
+// TestClusterUploadIsFramesOnly: the upload endpoint speaks only the
+// hetwire-bin/v1 upload stream — a JSON body, whatever its content type, is
+// 400 bad_wire — and a node of the protocol that still uploaded JSON is
+// refused at registration instead of looping on rejected uploads.
+func TestClusterUploadIsFramesOnly(t *testing.T) {
+	h := startCoordinator(t, server.ClusterOptions{})
+	jsonUpload := `{"node_id":"n-0001","lease_id":"l-000001","job_id":"cj-000001","results":[{"index":0,"body":{"ipc":1}}]}`
+	for _, ct := range []string{"application/json", wire.ContentType} {
+		if code, reason := h.clusterPost("/v1/cluster/upload", ct, jsonUpload); code != http.StatusBadRequest || reason != "bad_wire" {
+			t.Errorf("JSON upload as %s: %d %q, want 400 bad_wire", ct, code, reason)
+		}
+	}
+	register := func(protocol int) string {
+		return fmt.Sprintf(`{"name":"old","protocol":%d,"compat_hash":%q}`, protocol, cluster.CompatHash())
+	}
+	if code, reason := h.clusterPost("/v1/cluster/register", "application/json", register(1)); code != http.StatusConflict || reason != cluster.ReasonIncompatibleNode {
+		t.Errorf("protocol-1 registration: %d %q, want 409 %s", code, reason, cluster.ReasonIncompatibleNode)
+	}
+	if code, _ := h.clusterPost("/v1/cluster/register", "application/json", register(cluster.ProtocolVersion)); code != http.StatusOK {
+		t.Errorf("current-protocol registration: %d, want 200", code)
 	}
 }
 

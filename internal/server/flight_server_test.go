@@ -45,8 +45,8 @@ func fetchFlight(t *testing.T, base, accept, query string) (string, []byte) {
 
 // TestFlightDebugEndpoint drives one traced job and checks the dump carries
 // the decision chain (admit -> dispatch -> cache miss) under the client's
-// trace ID, that canonical dumps are byte-stable across fetches, and that the
-// binary container unwraps to the identical JSONL bytes.
+// trace ID, that canonical dumps are byte-stable across fetches, and that a
+// client asking for the binary encoding still gets the same JSONL bytes.
 func TestFlightDebugEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
@@ -101,20 +101,13 @@ func TestFlightDebugEndpoint(t *testing.T) {
 		t.Error("two canonical dumps of the same ring differ")
 	}
 
-	// The binary container negotiated via Accept unwraps to the same bytes.
-	wct, framed := fetchFlight(t, ts.URL, wire.ContentType, "?canon=1")
-	if wct != wire.ContentType {
-		t.Errorf("binary dump Content-Type = %q, want %q", wct, wire.ContentType)
+	// Dumps are JSONL only: Accept cannot select another encoding.
+	wct, viaWire := fetchFlight(t, ts.URL, wire.ContentType, "?canon=1")
+	if wct != "application/x-ndjson" {
+		t.Errorf("dump Content-Type under Accept %s = %q, want application/x-ndjson", wire.ContentType, wct)
 	}
-	if !wire.IsWire(framed) {
-		t.Fatal("binary dump does not start with the wire magic")
-	}
-	var unwrapped bytes.Buffer
-	if _, err := unwrapped.ReadFrom(wire.NewFlightReader(bytes.NewReader(framed))); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(unwrapped.Bytes(), canon1) {
-		t.Error("binary container does not unwrap to the JSONL canonical dump")
+	if !bytes.Equal(viaWire, canon1) {
+		t.Error("Accept changed the dump bytes")
 	}
 }
 

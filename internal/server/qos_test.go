@@ -327,6 +327,80 @@ func rejectionReason(t *testing.T, raw []byte) string {
 	return body.Reason
 }
 
+// cancelJob sends DELETE /v1/jobs/{id} and requires a 200.
+func cancelJob(t *testing.T, base, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel %s = %d, want 200", id, resp.StatusCode)
+	}
+}
+
+// TestCancelQueuedJobReturnsQueueShare: cancelling a queued job gives its
+// queue slot back at once. A tenant at its queue-share cap that cancels one
+// queued job may submit again right away, and its Queued ledger drops with
+// the cancel, not when a worker later pops the dead job.
+func TestCancelQueuedJobReturnsQueueShare(t *testing.T) {
+	cfg := &tenant.Config{Tenants: []tenant.Spec{{Name: "capped", Key: "key-capped", QueueShare: 0.2}}}
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 10, Tenants: cfg, ShedInterval: time.Hour})
+	capped, _ := s.tenants.Lookup("key-capped")
+	submit := func(body map[string]any) (int, string) {
+		resp, raw := postAs(t, ts.URL+"/v1/jobs", "key-capped", "", body)
+		var st JobStatus
+		if resp.StatusCode == http.StatusAccepted {
+			mustUnmarshal(t, raw, &st)
+		}
+		return resp.StatusCode, st.ID
+	}
+	var ids []string
+	defer func() {
+		for _, id := range ids {
+			cancelJob(t, ts.URL, id)
+		}
+	}()
+	// Occupy the single worker so the next submissions stay queued.
+	code, id := submit(map[string]any{"benchmark": "swim", "n": 3000000})
+	if code != http.StatusAccepted {
+		t.Fatalf("long job = %d", code)
+	}
+	ids = append(ids, id)
+	waitFor(t, 10*time.Second, func() bool { return capped.Snapshot().InFlight == 1 }, "long job dispatched")
+	// Share 0.2 of depth 10 = 2 queue slots: fill both.
+	var queued []string
+	for i := 0; i < 2; i++ {
+		code, id := submit(map[string]any{"benchmark": "gzip", "n": 40000 + i})
+		if code != http.StatusAccepted {
+			t.Fatalf("filler %d = %d", i, code)
+		}
+		queued = append(queued, id)
+		ids = append(ids, id)
+	}
+	if code, _ := submit(map[string]any{"benchmark": "gzip", "n": 50000}); code != http.StatusTooManyRequests {
+		t.Fatalf("over-share submit = %d, want 429", code)
+	}
+
+	cancelJob(t, ts.URL, queued[0])
+	if got := capped.Snapshot().Queued; got != 1 {
+		t.Errorf("Queued after cancelling one of two queued jobs = %d, want 1", got)
+	}
+	if depth := s.queue.depthNow(); depth != 1 {
+		t.Errorf("queue depth after the cancel = %d, want 1", depth)
+	}
+	code, id = submit(map[string]any{"benchmark": "gzip", "n": 50001})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after cancelling a queued job = %d, want 202 (the slot was not returned)", code)
+	}
+	ids = append(ids, id)
+}
+
 func TestTenantRejections(t *testing.T) {
 	cfg := &tenant.Config{Tenants: []tenant.Spec{
 		{Name: "ratey", Key: "key-ratey", RatePerSec: 0.25, Burst: 1},
@@ -378,6 +452,18 @@ func TestTenantRejections(t *testing.T) {
 		capped, _ := s.tenants.Lookup("key-capped")
 		waitFor(t, 10*time.Second, func() bool { return capped.Snapshot().InFlight == 1 },
 			"long job dispatched")
+		// Leave the tenant idle for the next subtest: cancel everything this
+		// one submitted and wait until its ledger has drained.
+		ids := []string{long.ID}
+		defer func() {
+			for _, id := range ids {
+				cancelJob(t, ts.URL, id)
+			}
+			waitFor(t, 10*time.Second, func() bool {
+				u := capped.Snapshot()
+				return u.Queued == 0 && u.InFlight == 0
+			}, "capped's ledger to drain")
+		}()
 		// Share 0.2 of depth 10 = 2 queue slots. Two queued submissions fit;
 		// the third bounces with the tenant-scoped reason, not queue_full.
 		for i := 0; i < 2; i++ {
@@ -385,6 +471,9 @@ func TestTenantRejections(t *testing.T) {
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("filler %d = %d: %s", i, resp.StatusCode, raw)
 			}
+			var filler JobStatus
+			mustUnmarshal(t, raw, &filler)
+			ids = append(ids, filler.ID)
 		}
 		resp3, raw3 := postAs(t, ts.URL+"/v1/jobs", "key-capped", "", map[string]any{"benchmark": "gzip", "n": 50000})
 		if resp3.StatusCode != http.StatusTooManyRequests {
@@ -395,10 +484,6 @@ func TestTenantRejections(t *testing.T) {
 		}
 		if ra, err := strconv.Atoi(resp3.Header.Get("Retry-After")); err != nil || ra < 1 {
 			t.Errorf("Retry-After = %q, want a positive integer of seconds", resp3.Header.Get("Retry-After"))
-		}
-		// The global queue had 7+ free slots: only the share cap rejects.
-		if req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+long.ID, nil); req != nil {
-			http.DefaultClient.Do(req)
 		}
 	})
 

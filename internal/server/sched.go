@@ -2,6 +2,7 @@ package server
 
 import (
 	"expvar"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -253,6 +254,37 @@ func (q *fairQueue) takeLocked(tq *tenantQueue, lane jobLane) *Job {
 		VTime:  tq.vtime,
 	})
 	return j
+}
+
+// remove withdraws a job that was cancelled while queued, giving back its
+// queue slot, its tenant's queue share and its Queued ledger entry at once
+// instead of when a worker would have popped it. A job no longer in the
+// queue (a worker popped it first) is left alone; the worker's claim fails.
+func (q *fairQueue) remove(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	drop := func(s []*Job) ([]*Job, bool) {
+		i := slices.Index(s, j)
+		if i < 0 {
+			return s, false
+		}
+		return slices.Delete(s, i, i+1), true
+	}
+	var ok bool
+	if q.fifo {
+		q.fifoQ, ok = drop(q.fifoQ)
+	} else if tq, found := q.tenants[j.tenant.Name()]; found {
+		if tq.lanes[j.lane], ok = drop(tq.lanes[j.lane]); ok {
+			tq.queued--
+		}
+	}
+	if !ok {
+		return
+	}
+	q.depth--
+	j.tenant.DecQueued()
+	// A draining queue may just have become empty: wake workers to exit.
+	q.cond.Broadcast()
 }
 
 // finished releases a dispatched job's bulk slot (no-op for interactive

@@ -1,9 +1,10 @@
 // Package server implements hetwired, the simulation-as-a-service daemon:
-// an HTTP/JSON front end over the hetwire simulator with a bounded FIFO job
-// queue, a fixed worker pool, a content-addressed result cache, and
-// Prometheus-format metrics. Simulations are deterministic, so identical
-// requests are served from the cache (or coalesced onto an in-flight run)
-// instead of re-simulating.
+// an HTTP front end over the hetwire simulator with a bounded job queue
+// drained by a weighted-fair scheduler (per-tenant queues, an interactive
+// lane for single runs; see sched.go), a fixed worker pool, a
+// content-addressed result cache, and Prometheus-format metrics.
+// Simulations are deterministic, so identical requests are served from the
+// cache (or coalesced onto an in-flight run) instead of re-simulating.
 //
 // Endpoints:
 //
@@ -53,8 +54,8 @@ import (
 type Options struct {
 	// Workers is the simulation worker-pool size (default 4).
 	Workers int
-	// QueueDepth bounds the FIFO job queue (default 64); submissions
-	// beyond it are rejected with 429 + Retry-After.
+	// QueueDepth bounds the job queue (default 64); submissions beyond it
+	// are rejected with 429 + Retry-After.
 	QueueDepth int
 	// CacheBytes is the result-cache byte budget (default 64 MiB).
 	CacheBytes int64
@@ -1152,6 +1153,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if job.markCancelled(time.Now()) {
+		s.queue.remove(job)
 		s.metrics.jobsCancelled.Add(1)
 		job.tenant.CountTerminal(string(StateCancelled))
 	} else {
@@ -1184,11 +1186,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{"status": "ok"})
 }
 
-// handleDebugFlight dumps the flight recorder's surviving event window.
-// ?canon=1 clears the measured fields (VTime, DurMS) so two identical runs
-// dump byte-identical files — the determinism contract CI pins with cmp.
-// Content negotiation mirrors the result path: binary clients get the dump
-// wrapped in TypeFlightRecord frames, everyone else gets JSONL.
+// handleDebugFlight dumps the flight recorder's surviving event window as
+// JSONL, whatever the Accept header says. ?canon=1 clears the measured
+// fields (VTime, DurMS) so two identical runs dump byte-identical files —
+// the determinism contract CI pins with cmp.
 func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 	if !s.flight.Enabled() {
 		httpError(w, http.StatusNotFound, errors.New("flight recorder disabled (-flight-events < 0)"))
@@ -1197,14 +1198,6 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 	events := s.flight.Snapshot()
 	if r.URL.Query().Get("canon") == "1" {
 		events = flight.Canonical(events)
-	}
-	if acceptsWire(r) {
-		w.Header().Set("Content-Type", wire.ContentType)
-		fw := wire.NewFlightWriter(w)
-		if err := flight.WriteDump(fw, "hetwired", events); err == nil {
-			fw.Close()
-		}
-		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flight.WriteDump(w, "hetwired", events)

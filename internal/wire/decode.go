@@ -473,20 +473,30 @@ func DecodeBatch(buf []byte) (*hetwire.BatchResponse, error) {
 	return resp, nil
 }
 
-// DecodeTraceRecord decodes a TypeTraceRecord frame into its sequence
-// number and the wrapped JSONL line.
-func DecodeTraceRecord(frame []byte) (uint32, []byte, error) {
-	h, payload, err := checkFrame(frame)
+// DecodeUpload decodes a complete upload stream: one TypeUploadHeader frame
+// followed by any number of TypeUploadResult frames. Embedded result frames
+// are validated structurally and returned verbatim, never decoded.
+func DecodeUpload(buf []byte) (*UploadHeader, []UploadResult, error) {
+	frames, err := Split(buf)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	if h.Type != TypeTraceRecord {
-		return 0, nil, fmt.Errorf("wire: frame type %#02x is not a trace record", h.Type)
+	if len(frames) == 0 {
+		return nil, nil, fmt.Errorf("wire: empty upload stream")
 	}
-	if h.Flags != 0 || h.Summary != 0 {
-		return 0, nil, fmt.Errorf("wire: trace record frame has nonzero flags/summary")
+	h, err := DecodeUploadHeader(frames[0])
+	if err != nil {
+		return nil, nil, err
 	}
-	return h.Index, append([]byte(nil), payload...), nil
+	results := make([]UploadResult, len(frames)-1)
+	for i, fr := range frames[1:] {
+		r, err := DecodeUploadResult(fr)
+		if err != nil {
+			return nil, nil, err
+		}
+		results[i] = *r
+	}
+	return h, results, nil
 }
 
 // DecodeUploadHeader decodes a TypeUploadHeader frame.

@@ -362,22 +362,15 @@ func EncodeBatch(resp *hetwire.BatchResponse) ([]byte, error) {
 	})
 }
 
-// AppendTraceRecord wraps one canonical hetwire-trace/v1 JSONL line (no
-// trailing newline) as a TypeTraceRecord frame with sequence number index.
-func AppendTraceRecord(dst []byte, index uint32, line []byte) ([]byte, error) {
-	e := &enc{}
-	e.b = append(e.b, line...)
-	return e.seal(TypeTraceRecord, 0, index, 0, dst)
-}
-
-// SpanMS is a named duration inside an upload header, mirroring
-// cluster.Span without importing it (cluster imports wire, not vice versa).
+// SpanMS is one node-side lease phase timing inside an upload header; the
+// coordinator merges spans by name into the originating job's breakdown.
 type SpanMS struct {
 	Name  string
 	DurMS float64
 }
 
-// UploadHeader opens a cluster upload stream with the uploader's identity.
+// UploadHeader opens a cluster upload stream: the uploading node, the lease
+// and job the results answer, and the node-side span timings.
 type UploadHeader struct {
 	NodeID  string
 	LeaseID string
@@ -404,17 +397,35 @@ func AppendUploadHeader(dst []byte, h *UploadHeader) ([]byte, error) {
 	return e.seal(TypeUploadHeader, 0, 0, 0, dst)
 }
 
-// UploadResult is one scenario outcome inside a binary cluster upload,
-// mirroring cluster.ScenarioResult with the body already in frame form.
-// Exactly one of Frame, Error, and Skipped is set.
+// UploadResult is one scenario outcome inside a cluster upload, addressed
+// by its absolute expansion index. Exactly one of Frame, Error, and Skipped
+// is set.
 type UploadResult struct {
-	Index    int
+	Index int
+	// CacheKey is the scenario's content-addressed request identity
+	// (hetwire.RunRequest.CacheKey); the coordinator uses it to populate the
+	// federated cache and to fill skipped slots.
 	CacheKey string
 	// Frame is the embedded TypeRunResult frame for a completed scenario.
-	Frame   []byte
-	Error   string
-	Reason  string
+	Frame []byte
+	// Error/Reason report a scenario that failed on the node, isolated to
+	// its slot like local batch execution.
+	Error  string
+	Reason string
+	// Skipped marks a scenario the node did not simulate because the
+	// federated cache check reported its key as known.
 	Skipped bool
+}
+
+// EncodeUpload assembles a complete upload stream: h as a TypeUploadHeader
+// frame, then one TypeUploadResult frame per result, each embedding its
+// result frame verbatim.
+func EncodeUpload(h *UploadHeader, results []UploadResult) ([]byte, error) {
+	out, err := AppendUploadHeader(nil, h)
+	for i := 0; i < len(results) && err == nil; i++ {
+		out, err = AppendUploadResult(out, &results[i])
+	}
+	return out, err
 }
 
 // AppendUploadResult appends r as a TypeUploadResult frame.

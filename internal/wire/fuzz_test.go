@@ -14,9 +14,9 @@ import (
 )
 
 // fuzzSeeds builds the seed corpus shared by both fuzz targets: valid
-// frames of every type, a complete batch stream, a trace container, and a
-// few deliberately-broken variants so the fuzzer starts on both sides of
-// every validation.
+// frames of every type, a complete batch stream, a stream of frames with a
+// retired type byte, and a few deliberately-broken variants so the fuzzer
+// starts on both sides of every validation.
 func fuzzSeeds(t testing.TB) [][]byte {
 	must := func(b []byte, err error) []byte {
 		if err != nil {
@@ -48,12 +48,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		Failed:    1,
 		CacheHits: 1,
 	}))
-	var traceBuf bytes.Buffer
-	tw := NewTraceWriter(&traceBuf)
-	fmt.Fprintf(tw, "{\"schema\":\"hetwire-trace/v1\"}\n{\"cycle\":1}\n")
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Type 0x05 once framed trace JSONL lines; decoders must reject it.
+	retired := must(appendFrame(nil, 0x05, 0, 0, 0, []byte(`{"schema":"hetwire-trace/v1"}`)))
+	retired = must(appendFrame(retired, 0x05, 0, 1, 0, []byte(`{"cycle":1}`)))
 	uploadHdr := must(AppendUploadHeader(nil, &UploadHeader{
 		NodeID: "n1", LeaseID: "l1", JobID: "j1",
 		Spans: []SpanMS{{Name: "node_sim", DurMS: 3.5}},
@@ -71,7 +68,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 
 	return [][]byte{
 		result, multi, empty, scenario, failed, batch,
-		traceBuf.Bytes(), uploadHdr, uploadRes, uploadSkip, bhdr, btrl,
+		retired, uploadHdr, uploadRes, uploadSkip, bhdr, btrl,
 		torn, corrupt, badMagic,
 		nil, []byte("HWB1"), []byte(`{"ipc":1}`),
 	}
@@ -110,18 +107,6 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("accepted batch trailer does not re-encode identically (%v)", err)
 			}
 		}
-		if seq, line, err := DecodeTraceRecord(data); err == nil {
-			again, err := AppendTraceRecord(nil, seq, line)
-			if err != nil || !bytes.Equal(again, data) {
-				t.Fatalf("accepted trace record does not re-encode identically (%v)", err)
-			}
-		}
-		if seq, line, err := DecodeFlightRecord(data); err == nil {
-			again, err := AppendFlightRecord(nil, seq, line)
-			if err != nil || !bytes.Equal(again, data) {
-				t.Fatalf("accepted flight record does not re-encode identically (%v)", err)
-			}
-		}
 		if uh, err := DecodeUploadHeader(data); err == nil {
 			again, err := AppendUploadHeader(nil, uh)
 			if err != nil || !bytes.Equal(again, data) {
@@ -132,6 +117,12 @@ func FuzzWireDecode(f *testing.F) {
 			again, err := AppendUploadResult(nil, ur)
 			if err != nil || !bytes.Equal(again, data) {
 				t.Fatalf("accepted upload result does not re-encode identically (%v)", err)
+			}
+		}
+		if uh, results, err := DecodeUpload(data); err == nil {
+			again, err := EncodeUpload(uh, results)
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("accepted upload stream does not re-encode identically (%v)", err)
 			}
 		}
 		if resp, err := DecodeBatch(data); err == nil {

@@ -1,25 +1,25 @@
 // Package wire implements hetwire-bin/v1, the length-prefixed, versioned
-// binary encoding for simulation results, batch scenario streams, cluster
-// uploads, and hetwire-trace records.
+// binary encoding for simulation results, batch scenario streams, and
+// cluster uploads.
 //
 // Every frame starts with a fixed 28-byte header (magic, version, type,
 // flags, index, payload length, payload CRC-32, and an 8-byte summary word)
 // so containers can be counted, split, and routed without decoding any
 // payload: the batch streamer copies stored frames verbatim, the cache
 // serves hits as a single buffer copy, and progress displays read IPC out
-// of the summary word. JSON remains the debug/fallback view; the two
-// encodings are views of the same structs, so a result round-tripped
-// through either path hashes identically (see ResultHash).
+// of the summary word. Result bytes move between processes only as frames;
+// JSON is a view rendered at the public HTTP edge for clients that ask for
+// it, and a result round-tripped through either view hashes identically
+// (see ResultHash).
 //
 // The encoding is canonical: there is exactly one accepted byte string for
 // any value. Decoders validate everything — CRC, exact lengths, bool bytes,
 // map ordering, flag bits, header/payload agreement — and reject the rest,
 // which makes decode∘encode the identity and encode∘decode the identity on
 // accepted frames (the fuzz targets pin both directions). Canonical bytes
-// are what make content-addressed upload idempotency work across formats:
-// the coordinator normalises every upload to its frame bytes before
-// hashing, so a JSON straggler and a binary re-dispatch of the same
-// scenario still collide on the same sum.
+// are what make content-addressed upload idempotency work: a straggler and
+// a re-dispatch of the same scenario upload byte-identical frames, so the
+// coordinator detects duplicates by comparing bytes.
 package wire
 
 import (
@@ -33,8 +33,8 @@ import (
 )
 
 const (
-	// Format names the encoding version; it is advertised during cluster
-	// registration and bumped on any incompatible layout change.
+	// Format names the encoding version; it is bumped on any incompatible
+	// layout change.
 	Format = "hetwire-bin/v1"
 	// ContentType is the HTTP media type used to negotiate the binary
 	// encoding (Accept on reads, Content-Type on writes).
@@ -65,18 +65,13 @@ const (
 	// TypeBatchTrailer closes a batch stream with the completed/failed/
 	// cache-hit counts.
 	TypeBatchTrailer byte = 0x04
-	// TypeTraceRecord wraps one canonical hetwire-trace/v1 JSONL line;
-	// the header index is the record's sequence number.
-	TypeTraceRecord byte = 0x05
+	// 0x05 and 0x08 are retired (they framed trace and flight JSONL lines);
+	// decoders reject them as unknown types and they must never be reused.
 	// TypeUploadHeader opens a cluster upload stream: node, lease, and job
 	// identity plus the node-side span timings.
 	TypeUploadHeader byte = 0x06
 	// TypeUploadResult is one scenario outcome inside a cluster upload.
 	TypeUploadResult byte = 0x07
-	// TypeFlightRecord wraps one canonical hetwire-flight/v1 JSONL line
-	// (a flight-recorder dump header or event); the header index is the
-	// record's position in the dump stream.
-	TypeFlightRecord byte = 0x08
 )
 
 // Flag bits, meaningful per frame type; all other bits must be zero.
@@ -111,7 +106,7 @@ var ResultDecodes = expvar.NewInt("hetwire_wire_result_decodes")
 //	[4]     version (1)
 //	[5]     type
 //	[6:8)   flags
-//	[8:12)  index (scenario expansion index / trace sequence number)
+//	[8:12)  index (scenario expansion index)
 //	[12:16) payload length
 //	[16:20) payload CRC-32 (IEEE)
 //	[20:28) summary word (float64 bits; IPC for result-bearing frames)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hetwire"
@@ -395,48 +394,34 @@ func TestNonCanonicalRejected(t *testing.T) {
 	}
 }
 
-func TestTraceContainerRoundTrip(t *testing.T) {
-	lines := []string{
-		`{"schema":"hetwire-trace/v1","benchmark":"gcc"}`,
-		`{"cycle":1000,"ipc":0.5}`,
-		`{"cycle":2000,"ipc":0.75}`,
-	}
-	jsonl := strings.Join(lines, "\n") + "\n"
-
-	var bin bytes.Buffer
-	tw := NewTraceWriter(&bin)
-	// Write in awkward chunks to exercise line buffering.
-	for i := 0; i < len(jsonl); i += 7 {
-		end := i + 7
-		if end > len(jsonl) {
-			end = len(jsonl)
-		}
-		if _, err := tw.Write([]byte(jsonl[i:end])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !IsWire(bin.Bytes()) {
-		t.Fatal("trace container does not sniff as wire")
-	}
-	if n, err := Count(bin.Bytes()); err != nil || n != len(lines) {
-		t.Fatalf("Count = %d, %v; want %d", n, err, len(lines))
-	}
-	back, err := io.ReadAll(NewTraceReader(bytes.NewReader(bin.Bytes())))
+// TestRetiredFrameTypesRejected pins that the retired type bytes 0x05 and
+// 0x08 (once trace and flight JSONL containers) are unknown to every
+// decoder, alone and inside an upload stream.
+func TestRetiredFrameTypesRejected(t *testing.T) {
+	hdr, err := AppendUploadHeader(nil, &UploadHeader{NodeID: "n", LeaseID: "l", JobID: "j"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(back) != jsonl {
-		t.Fatalf("trace container round trip:\n got %q\nwant %q", back, jsonl)
-	}
-
-	// Out-of-order sequence numbers are rejected.
-	frames, _ := Split(bin.Bytes())
-	swapped := append(append(append([]byte(nil), frames[0]...), frames[2]...), frames[1]...)
-	if _, err := io.ReadAll(NewTraceReader(bytes.NewReader(swapped))); err == nil {
-		t.Fatal("out-of-order trace records accepted")
+	for _, typ := range []byte{0x05, 0x08} {
+		frame, err := appendFrame(nil, typ, 0, 0, 0, []byte(`{"seq":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeRunResult(frame); err == nil {
+			t.Errorf("type %#02x decoded as a run result", typ)
+		}
+		if _, err := DecodeScenario(frame); err == nil {
+			t.Errorf("type %#02x decoded as a scenario", typ)
+		}
+		if _, err := DecodeUploadHeader(frame); err == nil {
+			t.Errorf("type %#02x decoded as an upload header", typ)
+		}
+		if _, err := DecodeUploadResult(frame); err == nil {
+			t.Errorf("type %#02x decoded as an upload result", typ)
+		}
+		if _, _, err := DecodeUpload(append(append([]byte(nil), hdr...), frame...)); err == nil {
+			t.Errorf("upload stream carrying type %#02x accepted", typ)
+		}
 	}
 }
 
@@ -489,6 +474,26 @@ func TestUploadFramesRoundTrip(t *testing.T) {
 	}
 	if _, err := AppendUploadResult(nil, &UploadResult{Index: 0, Frame: result, Skipped: true}); err == nil {
 		t.Fatal("frame+skip upload result must not encode")
+	}
+
+	// The whole stream round-trips through EncodeUpload/DecodeUpload.
+	results := []UploadResult{*cases[0], *cases[1], *cases[2]}
+	stream, err := EncodeUpload(uh, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotH, gotR, err := DecodeUpload(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotH, uh) || !reflect.DeepEqual(gotR, results) {
+		t.Fatalf("upload stream mismatch: %+v %+v", gotH, gotR)
+	}
+	if _, _, err := DecodeUpload(nil); err == nil {
+		t.Fatal("empty upload stream accepted")
+	}
+	if _, _, err := DecodeUpload(append(append([]byte(nil), stream...), hf...)); err == nil {
+		t.Fatal("upload stream with a second header accepted")
 	}
 }
 
