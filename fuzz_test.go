@@ -57,11 +57,11 @@ func FuzzBatchRequestValidate(f *testing.F) {
 	f.Add([]byte(`{"sweep":{"models":["I","V"],"benchmarks":["gcc","mcf"],"clusters":[4,16],"ns":[4000,16000]}}`))
 	f.Add([]byte(`{"scenarios":[{"benchmark":"gcc"}],"sweep":{"models":["VIII"],"benchmarks":["swim"]}}`))
 	f.Add([]byte(`{"sweep":{"models":["I"],"benchmarks":["gcc"],"ns":[1,2,3,4,5,6,7,8,9,10]},"parallelism":4}`))
-	f.Add([]byte(`{}`))                                       // empty: no scenarios
-	f.Add([]byte(`{"parallelism":-1,"scenarios":[{"benchmark":"gcc"}]}`)) // negative parallelism
-	f.Add([]byte(`{"scenarios":[{"benchmark":"no-such-benchmark"}]}`))   // bad scenario
-	f.Add([]byte(`{"sweep":{"models":["I"],"benchmarks":["gcc"],"clusters":[7]}}`))       // bad clusters
-	f.Add([]byte(`{"sweep":{"benchmarks":["gcc"]}}`))                                     // missing models axis
+	f.Add([]byte(`{}`))                                                             // empty: no scenarios
+	f.Add([]byte(`{"parallelism":-1,"scenarios":[{"benchmark":"gcc"}]}`))           // negative parallelism
+	f.Add([]byte(`{"scenarios":[{"benchmark":"no-such-benchmark"}]}`))              // bad scenario
+	f.Add([]byte(`{"sweep":{"models":["I"],"benchmarks":["gcc"],"clusters":[7]}}`)) // bad clusters
+	f.Add([]byte(`{"sweep":{"benchmarks":["gcc"]}}`))                               // missing models axis
 	f.Add([]byte(`{"sweep":{"models":["I","V","VIII","X"],"benchmarks":["gcc","mcf","swim","gzip"],` +
 		`"clusters":[4,16],"ns":[1000,2000,3000,4000,5000,6000,7000,8000,9000,10000,11000,12000,13000,` +
 		`14000,15000,16000,17000,18000,19000,20000,21000,22000,23000,24000,25000,26000,27000,28000,29000,` +

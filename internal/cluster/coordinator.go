@@ -27,9 +27,6 @@ type Options struct {
 	// request, cache check, or upload — before it is declared dead and its
 	// leases expire immediately (default 3×Heartbeat).
 	DeadAfter time.Duration
-	// Poll is the idle-poll hint returned with empty lease responses
-	// (default 200ms).
-	Poll time.Duration
 	// Cache is the federated content-addressed result store: cache checks
 	// consult it, uploads populate it, and skip markers are filled from it.
 	// The hetwired coordinator passes its own LRU result cache, so cluster
@@ -64,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3 * o.Heartbeat
-	}
-	if o.Poll <= 0 {
-		o.Poll = 200 * time.Millisecond
 	}
 	if o.Logger == nil {
 		o.Logger = log.New(discardWriter{}, "", 0)
@@ -193,6 +187,9 @@ type Coordinator struct {
 	nextLease uint64
 	compat    string
 	stats     Stats
+	// work is closed and replaced whenever indices enter a job's pending
+	// queue (wakeLocked), waking every Lease held open for want of work.
+	work chan struct{}
 }
 
 // New builds a coordinator.
@@ -203,7 +200,15 @@ func New(opts Options) *Coordinator {
 		jobs:   make(map[string]*jobState),
 		leases: make(map[string]*leaseState),
 		compat: CompatHash(),
+		work:   make(chan struct{}),
 	}
+}
+
+// wakeLocked tells every held Lease that indices just entered a pending
+// queue. Called with c.mu held.
+func (c *Coordinator) wakeLocked() {
+	close(c.work)
+	c.work = make(chan struct{})
 }
 
 // Register admits a node after checking protocol and simulator
@@ -240,7 +245,6 @@ func (c *Coordinator) Register(req *RegisterRequest) (*RegisterResponse, error) 
 		NodeID:      n.id,
 		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
-		PollMS:      c.opts.Poll.Milliseconds(),
 	}, nil
 }
 
@@ -281,10 +285,36 @@ func (c *Coordinator) NodeEvents(jobID string) []flight.Event {
 
 // Lease hands the requesting node the next shard of pending work: up to Max
 // (or the default lease size) scenario indices from the oldest job with
-// pending work, contiguous when possible.
-func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// pending work, contiguous when possible. When nothing is pending it holds
+// the request until indices enter a pending queue or ctx ends; a hold that
+// ends without work answers an empty LeaseResponse, not an error. An unknown
+// node is rejected at once.
+func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, error) {
+	for {
+		c.mu.Lock()
+		lease, err := c.leaseLocked(req)
+		// Take the wake channel under the same lock as the pending check: an
+		// enqueue landing after the unlock closes exactly this channel, so
+		// the hold cannot sleep through work that arrived in between.
+		work := c.work
+		c.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		if lease != nil {
+			return &LeaseResponse{Lease: lease}, nil
+		}
+		select {
+		case <-work:
+		case <-ctx.Done():
+			return &LeaseResponse{}, nil
+		}
+	}
+}
+
+// leaseLocked grants one lease, or returns nil when nothing is pending.
+// Called with c.mu held.
+func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 	now := c.opts.Now()
 	c.sweepLocked(now)
 	n, ok := c.nodes[req.NodeID]
@@ -345,7 +375,7 @@ func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 		})
 		c.opts.Logger.Printf("cluster lease issued id=%s job=%s node=%s range=[%d,%d) tenant=%s trace=%s",
 			ls.id, jobID, n.id, ls.start, ls.end, j.tenant, j.traceID)
-		return &LeaseResponse{Lease: &Lease{
+		return &Lease{
 			ID:        ls.id,
 			JobID:     jobID,
 			TraceID:   j.traceID,
@@ -354,9 +384,9 @@ func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 			End:       ls.end,
 			Scenarios: scenarios,
 			TTLMS:     c.opts.LeaseTTL.Milliseconds(),
-		}}, nil
+		}, nil
 	}
-	return &LeaseResponse{RetryMS: c.opts.Poll.Milliseconds()}, nil
+	return nil, nil
 }
 
 // CacheCheck answers the federated cache index query: Known[i] reports
@@ -493,6 +523,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 					sl.state = slotPending
 					j.pending = insertSorted(j.pending, r.Index)
 					resp.Requeued = append(resp.Requeued, r.Index)
+					c.wakeLocked()
 				} else {
 					c.stats.UploadsStale++
 					resp.Duplicate++
@@ -593,6 +624,7 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 	c.jobs[j.id] = j
 	c.jobOrder = append(c.jobOrder, j.id)
 	c.stats.JobsSubmitted++
+	c.wakeLocked()
 	c.opts.Logger.Printf("cluster job submitted id=%s scenarios=%d tenant=%s trace=%s", j.id, len(reqs), tenant, traceID)
 	return j.id, j.done, nil
 }
@@ -790,6 +822,9 @@ func (c *Coordinator) expireLeaseLocked(ls *leaseState, why string) {
 	}
 	c.releaseLeaseLocked(ls)
 	c.stats.LeasesExpired++
+	if requeued > 0 {
+		c.wakeLocked()
+	}
 	ev := flight.Event{
 		Kind:   flight.KindLeaseExpire,
 		Job:    ls.jobID,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -168,14 +169,22 @@ func uploadRange(t *testing.T, c *Coordinator, nodeID string, lease *Lease) *Upl
 	return resp
 }
 
+// noWait is an already-cancelled context: a Lease given it grants what is
+// pending and answers idle at once instead of holding the request.
+var noWait = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
 func mustLease(t *testing.T, c *Coordinator, nodeID string, max int) *Lease {
 	t.Helper()
-	resp, err := c.Lease(&LeaseRequest{NodeID: nodeID, Max: max})
+	resp, err := c.Lease(noWait, &LeaseRequest{NodeID: nodeID, Max: max})
 	if err != nil {
 		t.Fatalf("lease: %v", err)
 	}
 	if resp.Lease == nil {
-		t.Fatalf("expected a lease, got idle (retry %dms)", resp.RetryMS)
+		t.Fatal("expected a lease, got idle")
 	}
 	return resp.Lease
 }
@@ -194,7 +203,7 @@ func TestRegisterRejectsIncompatibleNodes(t *testing.T) {
 
 func TestUnknownNodeIsMachineReadable(t *testing.T) {
 	c := testCoordinator(t, newFakeClock(), nil)
-	if _, err := c.Lease(&LeaseRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
+	if _, err := c.Lease(noWait, &LeaseRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
 		t.Fatalf("lease: got reason %q err %v", hetwire.ReasonCode(err), err)
 	}
 	if _, err := c.Upload(&wire.UploadHeader{NodeID: "n-9999"}, nil); hetwire.ReasonCode(err) != ReasonUnknownNode {
@@ -230,8 +239,134 @@ func TestLeaseShardsInCanonicalOrder(t *testing.T) {
 	if l3.Start != 8 || l3.End != 10 {
 		t.Fatalf("third lease covers [%d,%d), want [8,10)", l3.Start, l3.End)
 	}
-	if resp, err := c.Lease(&LeaseRequest{NodeID: n1}); err != nil || resp.Lease != nil {
+	if resp, err := c.Lease(noWait, &LeaseRequest{NodeID: n1}); err != nil || resp.Lease != nil {
 		t.Fatalf("exhausted job still leased: %+v err %v", resp.Lease, err)
+	}
+}
+
+// heldLease starts a Lease for nodeID under a 10 s deadline that a passing
+// run never reaches, and requires it to still be held after a short grace.
+// The channel delivers its answer. Should the goroutine not have parked by
+// the time the caller adds work, the Lease grants at once and the test still
+// holds; an early idle answer is the failure being tested for.
+func heldLease(t *testing.T, c *Coordinator, nodeID string) <-chan *LeaseResponse {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	out := make(chan *LeaseResponse, 1)
+	go func() {
+		resp, err := c.Lease(ctx, &LeaseRequest{NodeID: nodeID})
+		if err != nil {
+			t.Errorf("held lease: %v", err)
+		}
+		out <- resp
+	}()
+	select {
+	case resp := <-out:
+		t.Fatalf("idle lease answered before any work arrived: %+v", resp)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return out
+}
+
+// awaitLease receives a held Lease's answer, which must carry a lease.
+func awaitLease(t *testing.T, held <-chan *LeaseResponse) *Lease {
+	t.Helper()
+	resp := <-held
+	if resp == nil || resp.Lease == nil {
+		t.Fatal("held lease ended without work")
+	}
+	return resp.Lease
+}
+
+// TestHeldLeaseWakesOnSubmit: lease requests that find nothing pending are
+// held, and a Submit during the hold answers every held request, each with
+// its own shard of the new job.
+func TestHeldLeaseWakesOnSubmit(t *testing.T) {
+	c := testCoordinator(t, newFakeClock(), nil)
+	n1 := register(t, c, "a")
+	n2 := register(t, c, "b")
+	held1, held2 := heldLease(t, c, n1), heldLease(t, c, n2)
+	jobID, _, err := c.Submit(testBatch(8), "", "")
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	l1, l2 := awaitLease(t, held1), awaitLease(t, held2)
+	if l1.Start > l2.Start {
+		l1, l2 = l2, l1
+	}
+	if l1.JobID != jobID || l2.JobID != jobID || l1.Start != 0 || l1.End != 4 || l2.Start != 4 || l2.End != 8 {
+		t.Fatalf("held leases got %s [%d,%d) and %s [%d,%d), want %s [0,4) and [4,8)",
+			l1.JobID, l1.Start, l1.End, l2.JobID, l2.Start, l2.End, jobID)
+	}
+}
+
+// TestHeldLeaseWakesOnExpiry: a Sweep that expires a lease past its TTL
+// wakes another node's held request, which gets the expired range.
+func TestHeldLeaseWakesOnExpiry(t *testing.T) {
+	clk := newFakeClock()
+	c := testCoordinator(t, clk, nil)
+	n1 := register(t, c, "sick")
+	n2 := register(t, c, "healthy")
+	if _, _, err := c.Submit(testBatch(4), "", ""); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	l1 := mustLease(t, c, n1, 0)
+	held := heldLease(t, c, n2)
+	clk.Advance(11 * time.Second) // past the 10s TTL, inside n2's 30s DeadAfter
+	c.Sweep()
+	if l2 := awaitLease(t, held); l2.ID == l1.ID || l2.Start != l1.Start || l2.End != l1.End {
+		t.Fatalf("held lease got %s [%d,%d), want a re-dispatch of %s [%d,%d)",
+			l2.ID, l2.Start, l2.End, l1.ID, l1.Start, l1.End)
+	}
+}
+
+// TestHeldLeaseWakesOnSkipRequeue: an owned skip marker whose cache entry
+// was evicted puts its index back in the queue and wakes a held request.
+func TestHeldLeaseWakesOnSkipRequeue(t *testing.T) {
+	c := testCoordinator(t, newFakeClock(), newMemCache())
+	n1 := register(t, c, "a")
+	n2 := register(t, c, "b")
+	if _, _, err := c.Submit(testBatch(1), "", ""); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	lease := mustLease(t, c, n1, 0)
+	key, _ := lease.Scenarios[0].CacheKey()
+	held := heldLease(t, c, n2)
+	resp, err := upload(c, n1, lease, wire.UploadResult{Index: 0, CacheKey: key, Skipped: true})
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	if len(resp.Requeued) != 1 || resp.Requeued[0] != 0 {
+		t.Fatalf("requeued = %v, want [0]", resp.Requeued)
+	}
+	if l2 := awaitLease(t, held); l2.Start != 0 || l2.End != 1 {
+		t.Fatalf("held lease covers [%d,%d), want [0,1)", l2.Start, l2.End)
+	}
+}
+
+// TestIdleLeaseHoldEndsEmpty: a hold whose context ends without work answers
+// an empty lease and no error; an unknown node is rejected without a hold.
+func TestIdleLeaseHoldEndsEmpty(t *testing.T) {
+	c := testCoordinator(t, newFakeClock(), nil)
+	n1 := register(t, c, "a")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	resp, err := c.Lease(ctx, &LeaseRequest{NodeID: n1})
+	if err != nil || resp == nil || resp.Lease != nil {
+		t.Fatalf("idle hold: %+v err %v, want an empty lease and no error", resp, err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("idle lease answered before its context ended")
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Lease(ctx, &LeaseRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
+		t.Fatalf("unknown node: reason %q err %v", hetwire.ReasonCode(err), err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("unknown node was held before its rejection")
 	}
 }
 
@@ -587,7 +722,7 @@ func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 		t.Fatalf("completed=%d failed=%d, want 4/0", out.Completed, out.Failed)
 	}
 	// No further work may exist for the collected job.
-	if resp, err := c.Lease(&LeaseRequest{NodeID: n2}); err != nil || resp.Lease != nil {
+	if resp, err := c.Lease(noWait, &LeaseRequest{NodeID: n2}); err != nil || resp.Lease != nil {
 		t.Fatalf("collected job still leasable: %+v err %v", resp.Lease, err)
 	}
 }
@@ -679,7 +814,7 @@ func TestStaleSkipMarkerDoesNotDuplicatePendingIndex(t *testing.T) {
 	if l2.Start != 0 || l2.End != 2 {
 		t.Fatalf("re-dispatched lease covers [%d,%d), want [0,2)", l2.Start, l2.End)
 	}
-	if resp, err := c.Lease(&LeaseRequest{NodeID: n2}); err != nil || resp.Lease != nil {
+	if resp, err := c.Lease(noWait, &LeaseRequest{NodeID: n2}); err != nil || resp.Lease != nil {
 		t.Fatalf("duplicate pending entry produced a second lease: %+v err %v", resp.Lease, err)
 	}
 	uploadRange(t, c, n2, l2)

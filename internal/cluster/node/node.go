@@ -4,6 +4,11 @@
 // already-known scenarios, simulates the rest through the shared CPU-token
 // batch engine, and uploads content-addressed results.
 //
+// The agent never sleeps while idle: the coordinator holds a lease request
+// that finds no work and answers it when work arrives (or after its hold
+// ends, empty), and the agent asks again right after every answer. Only a
+// failed request is followed by a fixed retryWait pause.
+//
 // The agent lives in its own package (rather than in internal/cluster)
 // because it builds on internal/client, which imports internal/server, which
 // imports internal/cluster for the coordinator — keeping the protocol and
@@ -82,13 +87,15 @@ type agent struct {
 	mu      sync.Mutex
 	nodeID  string
 	hbEvery time.Duration
-	poll    time.Duration
 	needReg bool // heartbeat saw Known=false: re-register before next lease
 	// flightSent is the highest flight-recorder sequence number the
 	// coordinator has acknowledged receiving (via a successful heartbeat);
 	// the next heartbeat drains everything after it.
 	flightSent uint64
 }
+
+// retryWait is the pause after a failed lease request before the next one.
+const retryWait = 200 * time.Millisecond
 
 // Run operates one node against the coordinator until ctx ends. It returns
 // ctx's error on shutdown, or a terminal error if the coordinator rejects
@@ -122,22 +129,19 @@ func Run(ctx context.Context, opts Options) error {
 				return err
 			}
 		}
-		lease, retry, err := a.lease(ctx)
+		lease, err := a.lease(ctx)
 		if err != nil {
 			if terminal(ctx, err) {
 				return err
 			}
 			a.opts.Logger.Printf("node lease request failed (will retry): %v", err)
-			if err := sleepCtx(ctx, a.pollInterval()); err != nil {
+			if err := sleepCtx(ctx, retryWait); err != nil {
 				return err
 			}
 			continue
 		}
 		if lease == nil {
-			if err := sleepCtx(ctx, retry); err != nil {
-				return err
-			}
-			continue
+			continue // the coordinator's hold ended without work: ask again
 		}
 		if a.opts.OnLease != nil {
 			a.opts.OnLease(lease)
@@ -173,7 +177,6 @@ func (a *agent) register(ctx context.Context) error {
 	a.mu.Lock()
 	a.nodeID = resp.NodeID
 	a.hbEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
-	a.poll = time.Duration(resp.PollMS) * time.Millisecond
 	a.needReg = false
 	a.mu.Unlock()
 	a.opts.Logger.Printf("node registered id=%s coordinator=%s", resp.NodeID, a.opts.Coordinator)
@@ -184,15 +187,6 @@ func (a *agent) id() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.nodeID
-}
-
-func (a *agent) pollInterval() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.poll <= 0 {
-		return 200 * time.Millisecond
-	}
-	return a.poll
 }
 
 // heartbeatLoop keeps the node alive on the coordinator while the main loop
@@ -243,9 +237,9 @@ func (a *agent) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// lease asks for work. A nil lease with a nil error means idle: wait retry
-// and ask again.
-func (a *agent) lease(ctx context.Context) (*cluster.Lease, time.Duration, error) {
+// lease asks for work; the coordinator holds the request while nothing is
+// pending. A nil lease with a nil error means the hold ended idle.
+func (a *agent) lease(ctx context.Context) (*cluster.Lease, error) {
 	var resp cluster.LeaseResponse
 	err := a.cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/lease",
 		&cluster.LeaseRequest{NodeID: a.id(), Max: a.opts.MaxLease}, "lease", &resp)
@@ -255,13 +249,9 @@ func (a *agent) lease(ctx context.Context) (*cluster.Lease, time.Duration, error
 			a.needReg = true
 			a.mu.Unlock()
 		}
-		return nil, 0, err
+		return nil, err
 	}
-	retry := time.Duration(resp.RetryMS) * time.Millisecond
-	if retry <= 0 {
-		retry = a.pollInterval()
-	}
-	return resp.Lease, retry, nil
+	return resp.Lease, nil
 }
 
 // runLease executes one lease end to end: federated cache check, simulate

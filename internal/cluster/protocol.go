@@ -9,6 +9,13 @@
 // only as hetwire-bin/v1 upload streams (wire.EncodeUpload), so the
 // coordinator stores exactly the frame bytes a node's simulation produced.
 //
+// Dispatch is push-on-arrival over a pull protocol: a lease request that
+// finds nothing pending is held open (the daemon bounds the hold at 200
+// ms) and answered as soon as indices enter the pending queue — on submit,
+// on a lease expiry that requeues work, or on a skip marker whose cache
+// entry was evicted. A node asks again right after every answer, so queued
+// work reaches an idle node at once rather than at its next poll.
+//
 // Determinism contract: the coordinator expands each batch exactly once
 // (hetwire.BatchRequest.Expand) and every scenario result is addressed by
 // its expansion index. A scenario's result frame is a pure function of its
@@ -41,8 +48,11 @@ import (
 
 // ProtocolVersion is bumped on any incompatible change to the wire types or
 // lease semantics; register rejects mismatched nodes. Version 2 made the
-// hetwire-bin/v1 upload stream the only upload encoding.
-const ProtocolVersion = 2
+// hetwire-bin/v1 upload stream the only upload encoding. Version 3 made an
+// idle lease request a held one and dropped the idle-poll hints from the
+// register and lease responses: the coordinator, not the node, now paces an
+// idle node.
+const ProtocolVersion = 3
 
 // Machine-readable reason codes specific to the cluster protocol. They ride
 // hetwire.RequestError, so hetwire.ReasonCode extracts them uniformly and
@@ -108,8 +118,6 @@ type RegisterResponse struct {
 	// leases; a node that cannot finish a lease within it should ask for
 	// smaller leases (Max on LeaseRequest).
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	// PollMS is the suggested idle poll interval when no work is available.
-	PollMS int64 `json:"poll_ms"`
 }
 
 // HeartbeatRequest is the periodic liveness check-in. Events optionally
@@ -130,17 +138,19 @@ type HeartbeatResponse struct {
 }
 
 // LeaseRequest is pull-based work acquisition: a node asks for up to Max
-// scenarios (0 = the coordinator's default lease size).
+// scenarios (0 = the coordinator's default lease size). When nothing is
+// pending the coordinator holds the request open and answers it the moment
+// work arrives, so a node never sleeps between asks.
 type LeaseRequest struct {
 	NodeID string `json:"node_id"`
 	Max    int    `json:"max,omitempty"`
 }
 
-// LeaseResponse carries at most one lease; a nil Lease means no work is
-// pending and the node should poll again after RetryMS.
+// LeaseResponse carries at most one lease; a nil Lease means no work became
+// pending while the coordinator held the request, and the node should ask
+// again at once.
 type LeaseResponse struct {
-	Lease   *Lease `json:"lease,omitempty"`
-	RetryMS int64  `json:"retry_ms,omitempty"`
+	Lease *Lease `json:"lease,omitempty"`
 }
 
 // Lease is one contiguous shard of a batch's scenario index space, assigned

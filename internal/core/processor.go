@@ -97,7 +97,7 @@ type Processor struct {
 
 	// Front end.
 	fetchCal    *sched.Calendar // fetch bandwidth: FetchWidth/cycle
-	fetchQ      *sched.Wheel     // 64 entries, freed at dispatch
+	fetchQ      *sched.Wheel    // 64 entries, freed at dispatch
 	dispatchCal *sched.Calendar // DispatchWidth/cycle
 	commitCal   *sched.Calendar // CommitWidth/cycle
 	rob         []uint64        // ring of commit times, ROBSize entries

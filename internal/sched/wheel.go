@@ -2,11 +2,12 @@ package sched
 
 import "math/bits"
 
-// Wheel is the event-wheel replacement for Heap: the same bounded-occupancy
-// pool abstraction (slots held until a release cycle, lazy expiry under the
+// Wheel is the event-wheel replacement for a binary heap (Heap, kept in
+// heap_test.go as the test oracle): the same bounded-occupancy pool
+// abstraction (slots held until a release cycle, lazy expiry under the
 // monotone-query contract), but stored as a power-of-two ring of per-cycle
 // release counts with a one-bit-per-cycle occupancy summary instead of a
-// binary heap. Every operation is a handful of word operations on flat
+// heap. Every operation is a handful of word operations on flat
 // arrays — no sift-up/sift-down, no per-operation allocation — and the
 // expiry sweep touches each cycle bucket at most once over the life of a
 // run, so the amortized cost per query is O(1) plus one bitmap word per 64

@@ -57,7 +57,7 @@ func TestWheelHeapDifferential(t *testing.T) {
 					if gw != gh {
 						t.Fatalf("op %d: repeat Acquire(%d): wheel %d, heap %d", op, now, gw, gh)
 					}
-					release := gh + src.Uint64n(tc.maxSpread + 1)
+					release := gh + src.Uint64n(tc.maxSpread+1)
 					w.Commit(release)
 					h.Commit(release)
 				}

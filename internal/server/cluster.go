@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -132,12 +133,21 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, s.coord.Heartbeat(&req))
 }
 
+// leaseWait bounds how long an idle lease request is held open waiting for
+// work. Nodes ask again as soon as a hold ends, so it also caps an idle
+// node's lease traffic at five requests per second.
+const leaseWait = 200 * time.Millisecond
+
+// handleClusterLease answers a lease request, holding it open for up to
+// leaseWait when no work is pending; a node that disconnects ends the hold.
 func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 	var req cluster.LeaseRequest
 	if !decodeCluster(w, r, &req, clusterControlBodyLimit) {
 		return
 	}
-	resp, err := s.coord.Lease(&req)
+	ctx, cancel := context.WithTimeout(r.Context(), leaseWait)
+	defer cancel()
+	resp, err := s.coord.Lease(ctx, &req)
 	if err != nil {
 		clusterError(w, err)
 		return

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -33,11 +34,20 @@ var fuzzClusterHandler = sync.OnceValue(func() http.Handler {
 	}}, "", ""); err != nil {
 		panic(err)
 	}
-	if _, err := s.coord.Lease(&cluster.LeaseRequest{NodeID: "n-0001"}); err != nil {
+	if _, err := s.coord.Lease(fuzzDone, &cluster.LeaseRequest{NodeID: "n-0001"}); err != nil {
 		panic(err)
 	}
 	return s.Handler()
 })
+
+// fuzzDone is an already-cancelled context. Every fuzz request carries it, so
+// a lease input that finds no pending work answers idle at once instead of
+// holding the exec for the handler's full lease wait.
+var fuzzDone = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // fuzzUploadStream is a valid upload for job cj-000001: a header, a result
 // frame, a skip marker, and a scenario error.
@@ -97,7 +107,7 @@ func FuzzClusterProtocol(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		path := clusterFuzzEndpoints[int(which)%len(clusterFuzzEndpoints)]
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(fuzzDone)
 		req.Header.Set("Content-Type", "application/json")
 		if path == "/v1/cluster/upload" {
 			req.Header.Set("Content-Type", wire.ContentType)

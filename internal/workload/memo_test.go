@@ -153,7 +153,7 @@ func TestMemoCacheLRUOrder(t *testing.T) {
 	if st.Evictions != 1 || st.Entries != 3 {
 		t.Fatalf("stats after over-budget insert = %+v, want exactly 1 eviction", st)
 	}
-	c.Generator(gcc) // must still be cached
+	c.Generator(gcc)                   // must still be cached
 	if st := c.Stats(); st.Hits != 2 { // the explicit touch + this one
 		t.Errorf("gcc was evicted instead of the LRU entry: %+v", st)
 	}

@@ -274,4 +274,3 @@ func (r *RunRequest) ExecuteContext(ctx context.Context) (*RunResponse, error) {
 	resp.IPC = stats.ArithmeticMean(ipcs)
 	return resp, nil
 }
-
