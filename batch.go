@@ -9,10 +9,11 @@ import (
 	"hetwire/internal/batch"
 )
 
-// MaxSweepPoints caps how many scenarios one batch (or daemon sweep job) may
-// expand to. It bounds both the admission cost of validating a batch and the
-// memory its merged response retains; larger studies split into several
-// batches, which the result cache then stitches together for free.
+// MaxSweepPoints caps how many scenarios one batch (a library call or a
+// daemon batch job) may expand to. It bounds both the admission cost of
+// validating a batch and the memory its merged response retains; larger
+// studies split into several batches, which the result cache then stitches
+// together for free.
 const MaxSweepPoints = 1024
 
 // BatchSweep describes cartesian sweep axes: the cross product of

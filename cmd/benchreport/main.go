@@ -21,17 +21,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"time"
 
 	"hetwire"
-	"hetwire/internal/client"
 	"hetwire/internal/config"
-	"hetwire/internal/server"
-	"hetwire/internal/tenant"
 	"hetwire/internal/wire"
 )
 
@@ -75,55 +70,6 @@ type Report struct {
 	// Wire measures the hetwire-bin/v1 result path: frame encode/decode
 	// throughput and the zero-copy cache-hit serve cost.
 	Wire *WireCost `json:"wire,omitempty"`
-	// QoSOverhead compares the weighted-fair scheduler against the plain
-	// FIFO queue on an identical job stream; the fair path is required to
-	// stay within low single digits of FIFO.
-	QoSOverhead *QoSOverhead `json:"qos_overhead,omitempty"`
-	// FlightOverhead compares the serving path with the flight recorder
-	// disabled vs enabled on an identical job stream; the always-on recorder
-	// is required to stay within noise (<1%) of the disabled path.
-	FlightOverhead *FlightOverhead `json:"flight_overhead,omitempty"`
-}
-
-// FlightOverhead is the flight-recorder-on vs recorder-off cost readout: the
-// same stream of single-scenario jobs pushed through a live daemon once with
-// the recorder compiled out of the hot path (nil recorder, one pointer
-// compare per probe site) and once recording every admission, dispatch, and
-// cache decision into the ring.
-type FlightOverhead struct {
-	Jobs      int     `json:"jobs"`
-	Workers   int     `json:"workers"`
-	N         uint64  `json:"n"`
-	OffWallMS float64 `json:"off_wall_ms"`
-	OnWallMS  float64 `json:"on_wall_ms"`
-	// OverheadPct is how much slower the recorded stream was, in percent of
-	// the recorder-off wall clock (negative means faster — noise).
-	OverheadPct float64 `json:"overhead_pct"`
-	// NoisePct is the spread (max-min over min, percent) of the baseline
-	// side's per-round measurements: an OverheadPct smaller than NoisePct is
-	// indistinguishable from host noise.
-	NoisePct float64 `json:"noise_pct"`
-}
-
-// QoSOverhead is the fair-scheduler-on vs scheduler-off cost readout: the
-// same stream of single-scenario jobs pushed through a live daemon once
-// under the FIFO queue and once under the weighted-fair scheduler with two
-// competing tenants. All jobs ride the interactive lane so both
-// configurations keep every worker busy and the delta isolates dispatch
-// bookkeeping (per-tenant queues, vtime accounting, CPU billing), not the
-// bulk-lane reservation policy.
-type QoSOverhead struct {
-	Jobs       int     `json:"jobs"`
-	Workers    int     `json:"workers"`
-	N          uint64  `json:"n"`
-	FIFOWallMS float64 `json:"fifo_wall_ms"`
-	FairWallMS float64 `json:"fair_wall_ms"`
-	// OverheadPct is how much slower the fair-scheduled stream was, in
-	// percent of the FIFO wall clock (negative means faster — noise).
-	OverheadPct float64 `json:"overhead_pct"`
-	// NoisePct is the spread (max-min over min, percent) of the FIFO side's
-	// per-round wall clocks; see FlightOverhead.NoisePct.
-	NoisePct float64 `json:"noise_pct"`
 }
 
 // WireCost is the binary result-path cost readout, taken on a real frame
@@ -169,7 +115,8 @@ type ProbeOverhead struct {
 	// unprobed rate (negative means the probed run measured faster — noise).
 	OverheadPct float64 `json:"overhead_pct"`
 	// NoisePct is the spread (max-min over min, percent) of the unprobed
-	// side's per-round rates; see FlightOverhead.NoisePct.
+	// side's per-round rates: an OverheadPct smaller than NoisePct is
+	// indistinguishable from host noise.
 	NoisePct float64 `json:"noise_pct"`
 }
 
@@ -253,18 +200,18 @@ func measure(sc Scenario, id config.ModelID, topo config.Topology) (Measurement,
 	return m, nil
 }
 
-// compareAB is the interleaved A/B harness behind every overhead row: five
-// rounds of the baseline pass then the candidate pass (base, cand, base,
+// compareAB is the interleaved A/B harness behind the probe-overhead row:
+// five rounds of the baseline pass then the candidate pass (base, cand, base,
 // cand, ...), keeping each side's fastest. Back-to-back alternation cancels
 // slow host drift (thermal, heap growth) that a run-all-of-one-then-the-
 // other order would charge entirely to whichever side went second. pass
 // reports one timed run in seconds; noisePct is the spread of the baseline
-// side's rounds (see FlightOverhead.NoisePct).
-func compareAB(pass func(candidate bool, round int) (float64, error)) (base, cand, noisePct float64, err error) {
+// side's rounds (see ProbeOverhead.NoisePct).
+func compareAB(pass func(candidate bool) (float64, error)) (base, cand, noisePct float64, err error) {
 	var baseRuns []float64
 	for round := 0; round < 5; round++ {
 		for _, candidate := range []bool{false, true} {
-			sec, err := pass(candidate, round)
+			sec, err := pass(candidate)
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -290,7 +237,7 @@ func compareAB(pass func(candidate bool, round int) (float64, error)) (base, can
 func measureProbeOverhead(count uint64) (*ProbeOverhead, error) {
 	sc := Scenario{Model: "V", Topology: "crossbar4", Benchmark: "gcc", N: count}
 	req := &hetwire.RunRequest{Benchmark: sc.Benchmark, Model: sc.Model, N: sc.N}
-	off, on, noise, err := compareAB(func(probed bool, _ int) (float64, error) {
+	off, on, noise, err := compareAB(func(probed bool) (float64, error) {
 		runtime.GC()
 		start := time.Now()
 		var err error
@@ -386,136 +333,6 @@ func measureBatch(count uint64) (*BatchThroughput, error) {
 		})
 	}
 	return bt, nil
-}
-
-// jobStreamPass pushes one stream of single-scenario jobs through a fresh
-// daemon built from opts, submitting round-robin under the tenant keys, and
-// times submission to last completion. Distinct budgets per job defeat the
-// result cache, so every job simulates and every probe site fires.
-func jobStreamPass(opts server.Options, keys []string, workers int, ns []uint64) (time.Duration, error) {
-	opts.Workers, opts.QueueDepth = workers, len(ns)+8
-	s := server.New(opts)
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		s.Shutdown(ctx)
-		ts.Close()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	clients := make([]*client.Client, len(keys))
-	for i, key := range keys {
-		clients[i] = client.New(client.Options{BaseURL: ts.URL, TenantKey: key})
-	}
-	runtime.GC()
-	start := time.Now()
-	ids := make([]string, len(ns))
-	for i, n := range ns {
-		var st server.JobStatus
-		if err := clients[i%len(clients)].DoJSON(ctx, http.MethodPost, "/v1/jobs",
-			map[string]any{"benchmark": "gcc", "n": n}, "", &st); err != nil {
-			return 0, err
-		}
-		ids[i] = st.ID
-	}
-	for i, id := range ids {
-		st, err := clients[i%len(clients)].Await(ctx, id, 2*time.Millisecond)
-		if err != nil {
-			return 0, err
-		}
-		if st.State != server.StateDone {
-			return 0, fmt.Errorf("job %s ended %s: %s", id, st.State, st.Error)
-		}
-	}
-	return time.Since(start), nil
-}
-
-// streamOverhead is the readout of one job-stream comparison.
-type streamOverhead struct {
-	jobs, workers      int
-	n                  uint64
-	baseMS, candMS     float64
-	overheadPct, noise float64
-}
-
-// compareStreams times the identical stream of 24 jobs through a baseline
-// and a candidate daemon configuration under compareAB. config returns the
-// options and tenant keys for each side.
-func compareStreams(count uint64, config func(candidate bool) (server.Options, []string)) (*streamOverhead, error) {
-	const jobs = 24
-	workers := min(runtime.GOMAXPROCS(0), 4)
-	per := max(count/2, 1_000)
-	// Warm the workload memo cache so neither configuration pays the
-	// one-time benchmark build.
-	opts, keys := config(false)
-	if _, err := jobStreamPass(opts, keys, workers, []uint64{1_000}); err != nil {
-		return nil, err
-	}
-	base, cand, noise, err := compareAB(func(candidate bool, round int) (float64, error) {
-		// Fresh budgets every pass: a shared prefix would hit the new
-		// server's empty cache anyway, but distinct values also keep the two
-		// configurations' workloads byte-for-byte symmetric.
-		ns := make([]uint64, jobs)
-		for j := range ns {
-			ns[j] = per + uint64(round*jobs+j)
-		}
-		opts, keys := config(candidate)
-		wall, err := jobStreamPass(opts, keys, workers, ns)
-		return wall.Seconds(), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &streamOverhead{
-		jobs: jobs, workers: workers, n: per,
-		baseMS: base * 1e3, candMS: cand * 1e3,
-		overheadPct: (cand - base) / base * 100, noise: noise,
-	}, nil
-}
-
-// measureQoS times the identical job stream under the FIFO queue and under
-// the weighted-fair scheduler with two competing tenants.
-func measureQoS(count uint64) (*QoSOverhead, error) {
-	r, err := compareStreams(count, func(fair bool) (server.Options, []string) {
-		if !fair {
-			return server.Options{FIFOScheduler: true}, []string{""}
-		}
-		// Two competing tenants make the fair path do real work: separate
-		// queues, weight-scaled vtime updates, per-tenant accounting.
-		return server.Options{Tenants: &tenant.Config{Tenants: []tenant.Spec{
-			{Name: "alpha", Key: "qos-alpha", Weight: 3},
-			{Name: "beta", Key: "qos-beta", Weight: 1},
-		}}}, []string{"qos-alpha", "qos-beta"}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QoSOverhead{
-		Jobs: r.jobs, Workers: r.workers, N: r.n,
-		FIFOWallMS: r.baseMS, FairWallMS: r.candMS,
-		OverheadPct: r.overheadPct, NoisePct: r.noise,
-	}, nil
-}
-
-// measureFlight times the identical job stream with the flight recorder
-// disabled (FlightEvents -1) and enabled at the default ring size.
-func measureFlight(count uint64) (*FlightOverhead, error) {
-	r, err := compareStreams(count, func(enabled bool) (server.Options, []string) {
-		if !enabled {
-			return server.Options{FlightEvents: -1}, []string{""}
-		}
-		return server.Options{}, []string{""}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &FlightOverhead{
-		Jobs: r.jobs, Workers: r.workers, N: r.n,
-		OffWallMS: r.baseMS, OnWallMS: r.candMS,
-		OverheadPct: r.overheadPct, NoisePct: r.noise,
-	}, nil
 }
 
 // measureWire simulates one scenario, then times the binary result path on
@@ -647,24 +464,6 @@ func main() {
 	rep.Wire = wc
 	fmt.Fprintf(os.Stderr, "wire frame %d B encode %7.1f MB/s decode %7.1f MB/s cache-hit serve %6.1f ns/op\n",
 		wc.FrameBytes, wc.EncodeMBPerSec, wc.DecodeMBPerSec, wc.CacheHitServeNsPerOp)
-
-	qo, err := measureQoS(count)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: qos overhead: %v\n", err)
-		os.Exit(1)
-	}
-	rep.QoSOverhead = qo
-	fmt.Fprintf(os.Stderr, "qos overhead %d jobs n=%-7d workers=%d fifo %8.1f ms fair %8.1f ms (%+.2f%%, noise %.2f%%)\n",
-		qo.Jobs, qo.N, qo.Workers, qo.FIFOWallMS, qo.FairWallMS, qo.OverheadPct, qo.NoisePct)
-
-	fo, err := measureFlight(count)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: flight overhead: %v\n", err)
-		os.Exit(1)
-	}
-	rep.FlightOverhead = fo
-	fmt.Fprintf(os.Stderr, "flight overhead %d jobs n=%-7d workers=%d off %8.1f ms on %8.1f ms (%+.2f%%, noise %.2f%%)\n",
-		fo.Jobs, fo.N, fo.Workers, fo.OffWallMS, fo.OnWallMS, fo.OverheadPct, fo.NoisePct)
 
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

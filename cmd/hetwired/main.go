@@ -1,5 +1,5 @@
 // Command hetwired serves the hetwire simulator over HTTP: a bounded
-// worker pool executes run, sweep, and batch jobs picked by a weighted-fair
+// worker pool executes run and batch jobs picked by a weighted-fair
 // scheduler (per-tenant queues, an interactive lane for single runs),
 // deterministic results are cached content-addressed, and /metrics exposes
 // Prometheus gauges for the queue, pool, and cache.
@@ -9,7 +9,7 @@
 // Submit work (raw HTTP, or the built-in fault-tolerant client mode):
 //
 //	curl -s localhost:8677/v1/run -d '{"benchmark":"gcc","model":"VII","n":100000}'
-//	curl -s localhost:8677/v1/jobs -d '{"sweep":{"models":["I","VII"],"benchmarks":["gzip","mcf"],"ns":[100000]}}'
+//	curl -s localhost:8677/v1/jobs -d '{"batch":{"sweep":{"models":["I","VII"],"benchmarks":["gzip","mcf"],"ns":[100000]}}}'
 //	hetwired run -server http://localhost:8677 -bench gcc -model VII -n 100000
 //
 // The client mode submits idempotently (retried submits land on the same
@@ -92,7 +92,7 @@ func serve(args []string) {
 		leaseTTL   = fs.Duration("lease-ttl", 0, "work-lease deadline before re-dispatch (0 = coordinator default)")
 		nodeName   = fs.String("node-name", "", "node label reported at registration (default: hostname)")
 		tenantsF   = fs.String("tenants", "", "tenant config file (JSON) enabling keyed multi-tenancy with weighted-fair scheduling; empty = open mode")
-		flightN    = fs.Int("flight-events", 0, "flight-recorder ring capacity in events (0 = default 4096; negative disables the recorder)")
+		flightN    = fs.Int("flight-events", 0, "flight-recorder ring capacity in events (0 = default 4096)")
 		flightDir  = fs.String("flight-dir", "", "directory for automatic flight dumps on worker panic or watchdog stall (empty = no auto-dump)")
 		flightLog  = fs.String("flight-log", "", "node: stream every flight event to this JSONL file as it is recorded")
 	)
@@ -218,14 +218,8 @@ func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxL
 			name = hn
 		}
 	}
-	var fr *flight.Recorder
-	if flightN >= 0 {
-		fr = flight.New(flightN)
-	}
+	fr := flight.New(flightN)
 	if flightLog != "" {
-		if fr == nil {
-			logger.Fatalf("-flight-log requires the recorder: drop -flight-events=%d or make it non-negative", flightN)
-		}
 		f, err := os.OpenFile(flightLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			logger.Fatalf("opening -flight-log %s: %v", flightLog, err)

@@ -9,7 +9,9 @@
 // Contract, mirroring the package obs probes:
 //
 //   - A nil *Recorder is fully inert: every method is a single pointer
-//     compare and return, so the disabled path costs nothing measurable.
+//     compare and return, so a component running without a recorder (a
+//     node agent started without one) pays nothing measurable. The
+//     hetwired daemon always has one.
 //   - Events carry a monotonic sequence number and NO wall-clock state.
 //     Ordering is seq order, so two identical runs dump identically and
 //     dumps are golden-testable. Measured quantities (virtual time,
@@ -181,9 +183,6 @@ func (r *Recorder) Record(ev Event) {
 		st.mu.Unlock()
 	}
 }
-
-// Enabled reports whether events are being recorded.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Seq returns the sequence number of the most recently recorded event
 // (0 before any event).

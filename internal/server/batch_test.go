@@ -115,14 +115,25 @@ func TestBatchJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestBatchRejectedTooLarge: an oversized batch is rejected with the
-// machine-readable reason, and the rejection is counted in /metrics.
+// TestBatchRejectedTooLarge: a batch expanding past hetwire.MaxSweepPoints
+// is rejected with the machine-readable reason, and the rejection is
+// counted in /metrics.
 func TestBatchRejectedTooLarge(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, MaxSweepPoints: 3})
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs",
-		batchBody([]string{"I", "V"}, []string{"gcc", "mcf"}, 2_000, 0)) // 4 > 3
+	_, ts := newTestServer(t, Options{Workers: 1})
+	ns := make([]uint64, hetwire.MaxSweepPoints+1)
+	for i := range ns {
+		ns[i] = 2_000 + uint64(i)
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+		"batch": map[string]any{"sweep": map[string]any{
+			"models": []string{"I"}, "benchmarks": []string{"gcc"}, "ns": ns,
+		}},
+	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), "limit") {
+		t.Errorf("error does not name the limit: %s", raw)
 	}
 	if !strings.Contains(string(raw), `"reason": "batch_too_large"`) &&
 		!strings.Contains(string(raw), `"reason":"batch_too_large"`) {
@@ -134,8 +145,8 @@ func TestBatchRejectedTooLarge(t *testing.T) {
 	}
 }
 
-// TestBatchRejectedShapes: batch+sweep together and invalid scenario shapes
-// fail admission with their specific codes.
+// TestBatchRejectedShapes: invalid batch shapes fail admission with their
+// specific codes.
 func TestBatchRejectedShapes(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
@@ -143,10 +154,6 @@ func TestBatchRejectedShapes(t *testing.T) {
 		body   map[string]any
 		reason string
 	}{
-		{"batch and sweep", map[string]any{
-			"batch": map[string]any{"scenarios": []map[string]any{{"benchmark": "gcc"}}},
-			"sweep": map[string]any{"models": []string{"I"}, "benchmarks": []string{"gcc"}},
-		}, "bad_request"},
 		{"empty batch", map[string]any{"batch": map[string]any{}}, "bad_request"},
 		{"unknown benchmark", map[string]any{
 			"batch": map[string]any{"scenarios": []map[string]any{{"benchmark": "bogus"}}},

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"sync"
 
 	"hetwire/internal/obs/flight"
@@ -112,17 +113,35 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 		c.misses++
 		c.mu.Unlock()
 
-		f.body, f.err = compute()
-		close(f.done)
+		c.fill(key, f, compute)
+		return f.body, false, f.err
+	}
+}
 
+// fill runs compute for flight f, then unregisters the flight, stores a
+// successful body, and releases the coalesced waiters. A panicking compute
+// must not wedge its key: the waiters get an error naming the panic, the
+// next Do for the key computes afresh, and the panic is re-raised for the
+// caller's containment (batch.Run per scenario, the worker per job) to
+// report.
+func (c *Cache) fill(key string, f *inflightCall, compute func() ([]byte, error)) {
+	defer func() {
+		r := recover()
+		if r != nil {
+			f.body, f.err = nil, fmt.Errorf("server: result computation panicked: %v", r)
+		}
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if f.err == nil {
 			c.insert(key, f.body)
 		}
 		c.mu.Unlock()
-		return f.body, false, f.err
-	}
+		close(f.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
+	f.body, f.err = compute()
 }
 
 // isContextError reports whether err is a context cancellation or deadline

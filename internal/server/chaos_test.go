@@ -116,17 +116,17 @@ func TestChaosStorm(t *testing.T) {
 			}
 		}(g)
 	}
-	// Two sweep jobs ride along so the multi-point path sees faults too.
+	// Two batch jobs ride along so the multi-scenario path sees faults too.
 	submitters.Add(1)
 	go func() {
 		defer submitters.Done()
 		for i := 0; i < 2; i++ {
 			code, st := post(map[string]any{
-				"sweep": map[string]any{
+				"batch": map[string]any{"sweep": map[string]any{
 					"models":     []string{"I", "V"},
 					"benchmarks": []string{"gzip", "mcf"},
 					"ns":         []uint64{6000 + uint64(i)*500},
-				},
+				}},
 			})
 			if code == http.StatusAccepted {
 				addID(st.ID)
@@ -265,12 +265,12 @@ func TestChaosStormMultiTenant(t *testing.T) {
 					"benchmark": benches[(g+i)%len(benches)],
 					"n":         5000 + 900*i + 13000*g, // distinct budgets defeat the cache
 				}
-				if i == 7 { // one sweep per tenant exercises the bulk lane
-					body = map[string]any{"sweep": map[string]any{
+				if i == 7 { // one batch per tenant exercises the bulk lane
+					body = map[string]any{"batch": map[string]any{"sweep": map[string]any{
 						"models":     []string{"I", "V"},
 						"benchmarks": []string{benches[g]},
 						"ns":         []uint64{uint64(90000 + 1000*g)},
-					}}
+					}}}
 				}
 				code, st := post(keys[g], body)
 				switch {

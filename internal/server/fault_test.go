@@ -268,22 +268,3 @@ func TestZeroFaultInjectorDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepPointLimit: a sweep expanding past MaxSweepPoints is rejected at
-// submission with a clear error, never enqueued.
-func TestSweepPointLimit(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, MaxSweepPoints: 4})
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"sweep": map[string]any{
-			"models":     []string{"I", "II", "III"},
-			"benchmarks": []string{"gzip", "gcc"},
-			"ns":         []uint64{1000},
-		},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized sweep = %d %s, want 400", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "limit") {
-		t.Errorf("error does not name the limit: %s", body)
-	}
-}

@@ -111,18 +111,6 @@ func TestFlightDebugEndpoint(t *testing.T) {
 	}
 }
 
-func TestFlightDisabledReturns404(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, FlightEvents: -1})
-	resp, err := http.Get(ts.URL + "/v1/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled recorder: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestFlightAutoDumpOnPanic checks the incident path: a worker panic leaves
 // a flight dump on disk whose tail records the panic against the victim job.
 func TestFlightAutoDumpOnPanic(t *testing.T) {

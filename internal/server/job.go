@@ -19,8 +19,8 @@ import (
 type JobState string
 
 // Job lifecycle: Queued -> Running -> one of Done/Failed/Cancelled. Queued
-// jobs cancel immediately; running sweep jobs cancel between points
-// (individual simulation legs are not preemptible).
+// jobs cancel immediately; a running job's simulations stop within one
+// ctx-check interval (hetwire.CtxCheckInterval committed instructions).
 const (
 	StateQueued    JobState = "queued"
 	StateRunning   JobState = "running"
@@ -34,13 +34,11 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job is one queued unit of work: a single/multiprogrammed run, a sweep, or
-// a batch.
+// Job is one queued unit of work: a single/multiprogrammed run or a batch.
 type Job struct {
 	ID    string
-	Kind  string // "run", "sweep", or "batch"
+	Kind  string // "run" or "batch"
 	Req   hetwire.RunRequest
-	Sweep *SweepRequest
 	Batch *hetwire.BatchRequest
 	// TraceID is the request-trace identifier the job was submitted under
 	// (client-minted or daemon-minted); immutable after submission.
@@ -64,8 +62,8 @@ type Job struct {
 
 	mu         sync.Mutex
 	state      JobState
-	body       []byte // encoded result (wire frames or JSON), valid when state == StateDone
-	jsonBody   []byte // memoized JSON view of a wire-framed body, built on first demand
+	body       []byte // encoded result wire frames, valid when state == StateDone
+	jsonBody   []byte // memoized JSON view of body, built on first demand
 	jsonErr    error
 	errMsg     string
 	failureLog string // stack trace when the job died to a worker panic
@@ -82,7 +80,7 @@ type Job struct {
 // logs) and in the job context (hetwire.TraceIDFrom), so code running under
 // the worker can label its output without reaching back to the server.
 // Interactive-lane jobs additionally mark their context for the CPU-token
-// pool's fast lane, so a run job preempts bulk sweeps at scenario
+// pool's fast lane, so a run job preempts bulk batches at scenario
 // granularity once a worker picks it up.
 func newJob(parent context.Context, id, kind, traceID string, tn *tenant.Tenant, deadline time.Duration, now time.Time) *Job {
 	parent = hetwire.WithTraceID(parent, traceID)
@@ -130,7 +128,7 @@ func (j *Job) claim(now time.Time) bool {
 }
 
 // finish records the terminal outcome. Cancellation wins over errors so a
-// job cancelled mid-sweep reports "cancelled", not the context error; a
+// job cancelled mid-run reports "cancelled", not the context error; a
 // deadline expiry is a failure (the job did not do what was asked) with an
 // explicit message rather than a bare context error.
 func (j *Job) finish(body []byte, cacheHit bool, ipc float64, err error, now time.Time) {
@@ -202,7 +200,7 @@ type JobStatus struct {
 	Kind string `json:"kind"`
 	// Tenant is the resolved tenant the job was submitted by ("anonymous"
 	// for keyless submissions); Lane is its scheduler class ("interactive"
-	// for single-scenario runs, "bulk" for sweeps and batches).
+	// for single-scenario runs, "bulk" for batches).
 	Tenant   string   `json:"tenant,omitempty"`
 	Lane     string   `json:"lane,omitempty"`
 	State    JobState `json:"state"`
@@ -221,8 +219,8 @@ type JobStatus struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Spans is the per-phase timing breakdown (queue_wait, cpu_wait,
 	// cache_lookup, sim_run, result_encode), milliseconds relative to
-	// submission. Sweep and batch jobs merge per-point phases into one span
-	// per name.
+	// submission. Batch jobs merge per-scenario phases into one span per
+	// name.
 	Spans []Span `json:"spans,omitempty"`
 	// Batch is the per-scenario progress of a batch job, available from
 	// submission on — a poll during the run sees completed scenarios before
@@ -269,9 +267,9 @@ func (j *Job) Status(withResult bool) JobStatus {
 }
 
 // RawResult returns the stored result body exactly as the worker produced
-// it — wire frames for run and batch jobs, JSON for sweeps — without any
-// conversion. This is the zero-copy serving path: a binary-negotiating
-// client gets the cached frame bytes with no decode.
+// it — the run-result frame or the batch stream — without any conversion.
+// This is the zero-copy serving path: a binary-negotiating client gets the
+// cached frame bytes with no decode.
 func (j *Job) RawResult() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -281,14 +279,11 @@ func (j *Job) RawResult() []byte {
 	return j.body
 }
 
-// resultJSONLocked returns the JSON view of the result body, converting a
-// wire-framed body on first demand and memoizing it (polling clients that
-// want JSON pay the decode once per job, not per poll). Called with j.mu
-// held.
+// resultJSONLocked returns the JSON view of the result body, converting
+// the wire-framed body on first demand and memoizing it (polling clients
+// that want JSON pay the decode once per job, not per poll). Called with
+// j.mu held.
 func (j *Job) resultJSONLocked() json.RawMessage {
-	if len(j.body) == 0 || !wire.IsWire(j.body) {
-		return j.body
-	}
 	if j.jsonBody == nil && j.jsonErr == nil {
 		j.jsonBody, j.jsonErr = wireBodyJSON(j.Kind, j.body)
 	}
@@ -318,60 +313,6 @@ var (
 	ErrQueueFull = errors.New("server: job queue is full")
 	ErrDraining  = errors.New("server: draining, not accepting jobs")
 )
-
-// SweepRequest asks for the cross product of models x benchmarks x
-// instruction counts, executed as one job. Every point goes through the
-// result cache individually, so overlapping sweeps re-simulate only the
-// points no earlier query has covered.
-type SweepRequest struct {
-	Models     []string        `json:"models"`
-	Benchmarks []string        `json:"benchmarks"`
-	Ns         []uint64        `json:"ns,omitempty"`
-	Clusters   int             `json:"clusters,omitempty"`
-	Config     json.RawMessage `json:"config,omitempty"`
-}
-
-// expand enumerates the sweep's points as individual run requests, in
-// deterministic benchmark-major order.
-func (s *SweepRequest) expand() ([]hetwire.RunRequest, error) {
-	if len(s.Models) == 0 || len(s.Benchmarks) == 0 {
-		return nil, fmt.Errorf("server: sweep needs at least one model and one benchmark")
-	}
-	ns := s.Ns
-	if len(ns) == 0 {
-		ns = []uint64{hetwire.DefaultRunInstructions}
-	}
-	reqs := make([]hetwire.RunRequest, 0, len(s.Models)*len(s.Benchmarks)*len(ns))
-	for _, b := range s.Benchmarks {
-		for _, m := range s.Models {
-			for _, n := range ns {
-				reqs = append(reqs, hetwire.RunRequest{
-					Benchmark: b,
-					Model:     m,
-					N:         n,
-					Clusters:  s.Clusters,
-					Config:    s.Config,
-				})
-			}
-		}
-	}
-	return reqs, nil
-}
-
-// SweepPoint is one completed point of a sweep response.
-type SweepPoint struct {
-	Benchmark string  `json:"benchmark"`
-	Model     string  `json:"model"`
-	N         uint64  `json:"n"`
-	IPC       float64 `json:"ipc"`
-	Cached    bool    `json:"cached"`
-}
-
-// SweepResponse is the marshalled result of a sweep job.
-type SweepResponse struct {
-	Points    []SweepPoint `json:"points"`
-	CacheHits int          `json:"cache_hits"`
-}
 
 // BatchPointStatus is one scenario's live state within a batch job.
 type BatchPointStatus struct {

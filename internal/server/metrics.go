@@ -316,7 +316,7 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 	fmt.Fprintf(w, "hetwired_jobs{state=\"queued\"} %d\n", queueDepth)
 	fmt.Fprintf(w, "hetwired_jobs{state=\"running\"} %d\n", m.jobsRunning.Load())
 
-	gauge("hetwired_queue_depth", "Jobs waiting in the FIFO queue.", float64(queueDepth))
+	gauge("hetwired_queue_depth", "Jobs waiting in the weighted-fair queue.", float64(queueDepth))
 	gauge("hetwired_workers", "Size of the worker pool.", float64(m.workers))
 	gauge("hetwired_workers_busy", "Workers currently executing a job.", float64(m.workersBusy.Load()))
 	if m.workers > 0 {

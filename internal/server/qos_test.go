@@ -81,7 +81,7 @@ func TestFairQueueWeightedShares(t *testing.T) {
 		t.Fatal("beta not registered")
 	}
 
-	q := newFairQueue(64, 2, false, nil)
+	q := newFairQueue(64, 2, nil)
 	stub := func(tn *tenant.Tenant) *Job { return &Job{tenant: tn, lane: laneBulk} }
 	for _, tn := range []*tenant.Tenant{alpha, beta} {
 		if err := q.push(stub(tn)); err != nil {
@@ -216,32 +216,27 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 
 // --- priority lanes: a bulk storm must not delay interactive admission ---
 
-// TestInteractiveLaneUnderBulkStorm floods the bulk lane with sweeps, then
+// TestInteractiveLaneUnderBulkStorm floods the bulk lane with batches, then
 // submits one single-scenario run. The reserved interactive worker slot
 // must start it promptly — bounded queue wait — even though the bulk
 // backlog is deep at submission time.
 func TestInteractiveLaneUnderBulkStorm(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 128})
-	var sweepID string
+	var batchID string
 	for i := 0; i < 12; i++ {
-		resp, raw := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-			"sweep": map[string]any{
-				"models":     []string{"I", "VIII"},
-				"benchmarks": []string{"gcc"},
-				"ns":         []uint64{uint64(120000 + 64*i)},
-			},
-		})
+		resp, raw := postJSON(t, ts.URL+"/v1/jobs",
+			batchBody([]string{"I", "VIII"}, []string{"gcc"}, uint64(120000+64*i), 0))
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("sweep %d = %d: %s", i, resp.StatusCode, raw)
+			t.Fatalf("batch %d = %d: %s", i, resp.StatusCode, raw)
 		}
 		var st JobStatus
 		mustUnmarshal(t, raw, &st)
 		if st.Lane != "bulk" {
-			t.Fatalf("sweep lane = %q, want bulk", st.Lane)
+			t.Fatalf("batch lane = %q, want bulk", st.Lane)
 		}
-		sweepID = st.ID
+		batchID = st.ID
 	}
-	// With workers=2 the bulk cap is 1, so at most one sweep can have been
+	// With workers=2 the bulk cap is 1, so at most one batch can have been
 	// dispatched: the backlog is provably deep when the run arrives.
 	if depth := s.queue.depthNow(); depth < 8 {
 		t.Fatalf("queue depth = %d at run submission, storm did not build a backlog", depth)
@@ -265,7 +260,7 @@ func TestInteractiveLaneUnderBulkStorm(t *testing.T) {
 	if final.QueueMS > 2000 {
 		t.Errorf("interactive run waited %.0fms behind a bulk storm, want < 2000ms", final.QueueMS)
 	}
-	waitTerminal(t, ts.URL, sweepID, 120*time.Second)
+	waitTerminal(t, ts.URL, batchID, 120*time.Second)
 }
 
 // --- idempotency is tenant-scoped ---
@@ -350,7 +345,7 @@ func cancelJob(t *testing.T, base, id string) {
 // the cancel, not when a worker later pops the dead job.
 func TestCancelQueuedJobReturnsQueueShare(t *testing.T) {
 	cfg := &tenant.Config{Tenants: []tenant.Spec{{Name: "capped", Key: "key-capped", QueueShare: 0.2}}}
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 10, Tenants: cfg, ShedInterval: time.Hour})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 10, Tenants: cfg, shedInterval: time.Hour})
 	capped, _ := s.tenants.Lookup("key-capped")
 	submit := func(body map[string]any) (int, string) {
 		resp, raw := postAs(t, ts.URL+"/v1/jobs", "key-capped", "", body)
@@ -406,9 +401,9 @@ func TestTenantRejections(t *testing.T) {
 		{Name: "ratey", Key: "key-ratey", RatePerSec: 0.25, Burst: 1},
 		{Name: "capped", Key: "key-capped", QueueShare: 0.2},
 	}}
-	// ShedInterval an hour out: the watchdog would otherwise clear the
+	// shedInterval an hour out: the watchdog would otherwise clear the
 	// forced load-shed latch (queue empty <= low water) mid-subtest.
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 10, Tenants: cfg, ShedInterval: time.Hour})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 10, Tenants: cfg, shedInterval: time.Hour})
 
 	t.Run("unknown_tenant", func(t *testing.T) {
 		resp, raw := postAs(t, ts.URL+"/v1/jobs", "no-such-key", "", map[string]any{"benchmark": "gzip", "n": 1000})
@@ -493,9 +488,8 @@ func TestTenantRejections(t *testing.T) {
 		if !s.Shedding() {
 			t.Fatal("setShed(true) did not engage shedding")
 		}
-		resp, raw := postAs(t, ts.URL+"/v1/jobs", "key-ratey", "", map[string]any{
-			"sweep": map[string]any{"models": []string{"I"}, "benchmarks": []string{"gzip"}, "ns": []uint64{60000}},
-		})
+		resp, raw := postAs(t, ts.URL+"/v1/jobs", "key-ratey", "",
+			batchBody([]string{"I"}, []string{"gzip"}, 60000, 0))
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("bulk under shed = %d (%s), want 429", resp.StatusCode, raw)
 		}

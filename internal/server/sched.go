@@ -15,7 +15,7 @@ import (
 
 // jobLane classifies a job for the scheduler's two priority lanes.
 // Interactive work is the single-scenario "run" kind — the latency-critical
-// class; sweeps and batches are bulk. The split mirrors the source paper's
+// class; batches are bulk. The split mirrors the source paper's
 // wire classes: latency-critical traffic rides the fast lane, bandwidth
 // traffic the fat one, and neither starves the other.
 type jobLane int
@@ -62,10 +62,10 @@ type tenantQueue struct {
 	lastSeq uint64
 }
 
-// fairQueue replaces the FIFO job queue with weighted-fair, two-lane
-// dispatch. Push is admission (per-tenant queue-share caps enforced here);
-// pop is the scheduling decision; charge folds a finished job's measured
-// sim-CPU back into its tenant's virtual time.
+// fairQueue is the daemon's job queue: weighted-fair, two-lane dispatch.
+// Push is admission (per-tenant queue-share caps enforced here); pop is the
+// scheduling decision; charge folds a finished job's measured sim-CPU back
+// into its tenant's virtual time.
 //
 // Lane policy: a worker asking for work takes the best tenant's interactive
 // job if any exists anywhere; bulk jobs dispatch only while fewer than
@@ -81,10 +81,6 @@ type fairQueue struct {
 
 	maxDepth int
 	bulkCap  int
-	// fifo disables fair scheduling: one global FIFO, no lanes, no caps.
-	// This is the benchreport's scheduler-off baseline, kept only to measure
-	// the fair path's overhead against.
-	fifo bool
 
 	// flight receives a KindDispatch event per scheduling decision; nil-safe
 	// (a nil *Recorder records nothing at the cost of one pointer compare).
@@ -98,11 +94,10 @@ type fairQueue struct {
 	// never banks unbounded credit against active tenants.
 	vfloor  float64
 	tenants map[string]*tenantQueue
-	fifoQ   []*Job
 	closed  bool
 }
 
-func newFairQueue(maxDepth, workers int, fifo bool, fr *flight.Recorder) *fairQueue {
+func newFairQueue(maxDepth, workers int, fr *flight.Recorder) *fairQueue {
 	bulkCap := workers - 1
 	if bulkCap < 1 {
 		bulkCap = 1
@@ -110,7 +105,6 @@ func newFairQueue(maxDepth, workers int, fifo bool, fr *flight.Recorder) *fairQu
 	q := &fairQueue{
 		maxDepth: maxDepth,
 		bulkCap:  bulkCap,
-		fifo:     fifo,
 		flight:   fr,
 		tenants:  make(map[string]*tenantQueue),
 	}
@@ -137,19 +131,15 @@ func (q *fairQueue) push(j *Job) error {
 	if q.depth >= q.maxDepth {
 		return ErrQueueFull
 	}
-	if q.fifo {
-		q.fifoQ = append(q.fifoQ, j)
-	} else {
-		tq := q.tenantLocked(j.tenant)
-		if share := j.tenant.QueueShareCap(q.maxDepth); share > 0 && tq.queued >= share {
-			return errTenantQueueShare
-		}
-		if tq.queued == 0 && tq.vtime < q.vfloor {
-			tq.vtime = q.vfloor
-		}
-		tq.lanes[j.lane] = append(tq.lanes[j.lane], j)
-		tq.queued++
+	tq := q.tenantLocked(j.tenant)
+	if share := j.tenant.QueueShareCap(q.maxDepth); share > 0 && tq.queued >= share {
+		return errTenantQueueShare
 	}
+	if tq.queued == 0 && tq.vtime < q.vfloor {
+		tq.vtime = q.vfloor
+	}
+	tq.lanes[j.lane] = append(tq.lanes[j.lane], j)
+	tq.queued++
 	q.depth++
 	j.tenant.IncQueued()
 	q.cond.Signal()
@@ -188,17 +178,6 @@ func (q *fairQueue) pop() (*Job, bool) {
 // the min-vtime tenant's interactive job first, else (under the bulk cap)
 // the min-vtime tenant's bulk job.
 func (q *fairQueue) pickLocked() *Job {
-	if q.fifo {
-		if len(q.fifoQ) == 0 {
-			return nil
-		}
-		j := q.fifoQ[0]
-		q.fifoQ[0] = nil
-		q.fifoQ = q.fifoQ[1:]
-		q.depth--
-		j.tenant.DecQueued()
-		return j
-	}
 	if tq := q.bestLocked(laneInteractive); tq != nil {
 		return q.takeLocked(tq, laneInteractive)
 	}
@@ -263,24 +242,16 @@ func (q *fairQueue) takeLocked(tq *tenantQueue, lane jobLane) *Job {
 func (q *fairQueue) remove(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	drop := func(s []*Job) ([]*Job, bool) {
-		i := slices.Index(s, j)
-		if i < 0 {
-			return s, false
-		}
-		return slices.Delete(s, i, i+1), true
-	}
-	var ok bool
-	if q.fifo {
-		q.fifoQ, ok = drop(q.fifoQ)
-	} else if tq, found := q.tenants[j.tenant.Name()]; found {
-		if tq.lanes[j.lane], ok = drop(tq.lanes[j.lane]); ok {
-			tq.queued--
-		}
-	}
+	tq, ok := q.tenants[j.tenant.Name()]
 	if !ok {
 		return
 	}
+	i := slices.Index(tq.lanes[j.lane], j)
+	if i < 0 {
+		return
+	}
+	tq.lanes[j.lane] = slices.Delete(tq.lanes[j.lane], i, i+1)
+	tq.queued--
 	q.depth--
 	j.tenant.DecQueued()
 	// A draining queue may just have become empty: wake workers to exit.
@@ -305,7 +276,7 @@ func (q *fairQueue) finished(j *Job) {
 // cache-hit jobs is not billed like one running fresh 16k-instruction
 // simulations.
 func (q *fairQueue) charge(j *Job, cpu time.Duration) {
-	if cpu <= 0 || q.fifo {
+	if cpu <= 0 {
 		return
 	}
 	q.mu.Lock()
@@ -343,7 +314,6 @@ type SchedTenantSnapshot struct {
 // SchedSnapshot is a point-in-time view of the fair queue for expvar and
 // the hetwired_sched_lane_depth metrics.
 type SchedSnapshot struct {
-	FIFO        bool                  `json:"fifo"`
 	Depth       int                   `json:"depth"`
 	BulkRunning int                   `json:"bulk_running"`
 	BulkCap     int                   `json:"bulk_cap"`
@@ -359,17 +329,12 @@ func (q *fairQueue) snapshot() SchedSnapshot {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := SchedSnapshot{
-		FIFO:        q.fifo,
 		Depth:       q.depth,
 		BulkRunning: q.bulkRunning,
 		BulkCap:     q.bulkCap,
 		VFloor:      q.vfloor,
 		Seq:         q.seq,
 		LaneDepth:   map[string]int{laneInteractive.String(): 0, laneBulk.String(): 0},
-	}
-	if q.fifo {
-		s.LaneDepth[laneBulk.String()] = len(q.fifoQ)
-		return s
 	}
 	for name, tq := range q.tenants {
 		s.LaneDepth[laneInteractive.String()] += len(tq.lanes[laneInteractive])

@@ -9,7 +9,7 @@
 // Endpoints:
 //
 //	POST   /v1/run        synchronous run; X-Hetwired-Cache: hit|miss
-//	POST   /v1/jobs       submit a run, sweep, or batch job; returns its id
+//	POST   /v1/jobs       submit a run or batch job; returns its id
 //	GET    /v1/jobs       list job statuses (?state= filters)
 //	GET    /v1/jobs/{id}  poll one job; result body included when done
 //	DELETE /v1/jobs/{id}  cancel a queued or running job
@@ -59,18 +59,12 @@ type Options struct {
 	QueueDepth int
 	// CacheBytes is the result-cache byte budget (default 64 MiB).
 	CacheBytes int64
-	// MaxJobs bounds the retained job records; the oldest terminal jobs
-	// are pruned past it (default 1024).
-	MaxJobs int
 	// DefaultDeadline is the per-job wall-clock budget (queue wait included)
 	// applied when a submission carries none (default 2m). Zero after
 	// defaulting is impossible; a negative value disables deadlines.
 	DefaultDeadline time.Duration
 	// MaxDeadline caps per-request deadline overrides (default 10m).
 	MaxDeadline time.Duration
-	// MaxSweepPoints bounds how many points one sweep job may expand to
-	// (default 1024); larger sweeps are rejected at submission.
-	MaxSweepPoints int
 	// DefaultRetryAfter is the Retry-After hint returned on queue-full
 	// rejections before any job has completed, when no observed latency
 	// exists to estimate drain time from (default 1s).
@@ -79,26 +73,12 @@ type Options struct {
 	// configured tenants by API key and per-tenant limits apply. Nil is open
 	// mode — everything runs as the unlimited anonymous tenant.
 	Tenants *tenant.Config
-	// FIFOScheduler disables the weighted-fair scheduler in favour of the
-	// plain FIFO queue. A benchmarking knob (benchreport's qos_overhead row
-	// measures the fair path against this baseline); production keeps it off.
-	FIFOScheduler bool
-	// ShedHighWater, ShedLowWater, ShedWindow, and ShedInterval tune the
-	// overload watchdog: the queue staying at or above ShedHighWater x
-	// QueueDepth for ShedWindow engages load-shed mode (bulk submissions get
-	// 429 load_shed), cleared when depth falls to ShedLowWater x QueueDepth.
-	// Defaults: 0.9, 0.25, 2s, 100ms.
-	ShedHighWater float64
-	ShedLowWater  float64
-	ShedWindow    time.Duration
-	ShedInterval  time.Duration
 	// Faults optionally wires the deterministic fault-injection harness into
 	// the worker path (chaos tests, HETWIRE_FAULTS). Nil injects nothing.
 	Faults *faultinject.Injector
 	// FlightEvents sizes the always-on flight recorder's event ring
-	// (rounded up to a power of two). Zero selects flight.DefaultEvents;
-	// a negative value disables the recorder entirely (nil-recorder fast
-	// path: one pointer compare per would-be event).
+	// (rounded up to a power of two). Zero or below selects
+	// flight.DefaultEvents.
 	FlightEvents int
 	// FlightDir, when set, is where the recorder auto-dumps on worker panic
 	// or watchdog stall (flight-<reason>-<seq>.jsonl). Empty disables
@@ -111,7 +91,15 @@ type Options struct {
 	Cluster *ClusterOptions
 	// Logger receives structured request and job logs (default: discard).
 	Logger *log.Logger
+
+	// shedInterval is the overload watchdog's sampling period (default
+	// 100ms). Tests set it far out to hold a forced load-shed latch.
+	shedInterval time.Duration
 }
+
+// maxJobs bounds the retained job records; the oldest terminal jobs are
+// pruned past it.
+const maxJobs = 1024
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -123,9 +111,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = 64 << 20
 	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 1024
-	}
 	if o.DefaultDeadline == 0 {
 		o.DefaultDeadline = 2 * time.Minute
 	}
@@ -135,23 +120,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 10 * time.Minute
 	}
-	if o.MaxSweepPoints <= 0 {
-		o.MaxSweepPoints = 1024
-	}
 	if o.DefaultRetryAfter <= 0 {
 		o.DefaultRetryAfter = time.Second
 	}
-	if o.ShedHighWater <= 0 || o.ShedHighWater > 1 {
-		o.ShedHighWater = 0.9
-	}
-	if o.ShedLowWater <= 0 || o.ShedLowWater >= o.ShedHighWater {
-		o.ShedLowWater = 0.25
-	}
-	if o.ShedWindow <= 0 {
-		o.ShedWindow = 2 * time.Second
-	}
-	if o.ShedInterval <= 0 {
-		o.ShedInterval = 100 * time.Millisecond
+	if o.shedInterval <= 0 {
+		o.shedInterval = 100 * time.Millisecond
 	}
 	if o.Logger == nil {
 		o.Logger = log.New(discard{}, "", 0)
@@ -175,9 +148,7 @@ type Server struct {
 	// shed is the overload watchdog's latch: while set, bulk-lane
 	// submissions are rejected with reason load_shed.
 	shed atomic.Bool
-	// flight is the always-on flight recorder; nil when disabled
-	// (Options.FlightEvents < 0), in which case every Record call is one
-	// pointer compare.
+	// flight is the always-on flight recorder; never nil.
 	flight *flight.Recorder
 	// coord is the cluster coordinator; nil unless Options.Cluster was set.
 	coord        *cluster.Coordinator
@@ -199,13 +170,10 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	var fr *flight.Recorder
-	if opts.FlightEvents >= 0 {
-		fr = flight.New(opts.FlightEvents)
-	}
+	fr := flight.New(opts.FlightEvents)
 	s := &Server{
 		opts:    opts,
-		queue:   newFairQueue(opts.QueueDepth, opts.Workers, opts.FIFOScheduler, fr),
+		queue:   newFairQueue(opts.QueueDepth, opts.Workers, fr),
 		cache:   NewCache(opts.CacheBytes),
 		metrics: NewMetrics(opts.Workers, time.Now()),
 		tenants: tenant.NewRegistry(opts.Tenants),
@@ -314,8 +282,8 @@ func (r *statusRecorder) Flush() {
 
 // Shutdown drains the daemon: intake closes immediately (submissions get
 // 503), queued and running jobs finish, and the worker pool exits. If ctx
-// expires first, running jobs are cancelled (sweeps stop between points)
-// and Shutdown returns the context error.
+// expires first, running jobs are cancelled and Shutdown returns the
+// context error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -426,8 +394,6 @@ func (s *Server) runJob(job *Job) {
 	var hit bool
 	var err error
 	switch job.Kind {
-	case "sweep":
-		body, hit, err = s.runSweep(job.ctx, job.Sweep, job.spans)
 	case "batch":
 		if s.coord != nil {
 			body, hit, err = s.runClusterBatch(job)
@@ -584,39 +550,6 @@ func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, spans *
 	return body, hit, err
 }
 
-// runSweep executes a sweep point by point, consulting the cache for each
-// and honouring cancellation between points.
-func (s *Server) runSweep(ctx context.Context, sw *SweepRequest, spans *spanRecorder) ([]byte, bool, error) {
-	reqs, err := sw.expand()
-	if err != nil {
-		return nil, false, err
-	}
-	out := SweepResponse{Points: make([]SweepPoint, 0, len(reqs))}
-	for i := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		req := &reqs[i]
-		body, hit, err := s.runCached(ctx, req, spans)
-		if err != nil {
-			return nil, false, fmt.Errorf("point %s/%s/n=%d: %w",
-				req.Benchmark, req.Model, req.Instructions(), err)
-		}
-		if hit {
-			out.CacheHits++
-		}
-		out.Points = append(out.Points, SweepPoint{
-			Benchmark: req.Benchmark,
-			Model:     req.Model,
-			N:         req.Instructions(),
-			IPC:       ipcOf(body),
-			Cached:    hit,
-		})
-	}
-	body, err := json.Marshal(out)
-	return body, out.CacheHits == len(reqs), err
-}
-
 // runBatch executes a batch job on the shared engine: scenarios run in
 // parallel under the process CPU-token budget, each going through the result
 // cache individually, with per-scenario spans merged into the job's recorder
@@ -701,67 +634,60 @@ func scenarioReason(err error) string {
 // batch stream, deriving the trailer counts from the frame headers alone.
 // The bool result reports whether every scenario was a cache hit.
 func assembleBatch(frames [][]byte) ([]byte, bool, error) {
-	var completed, failed, hits int
-	for i, fr := range frames {
-		h, err := wire.PeekHeader(fr)
-		if err != nil {
-			return nil, false, fmt.Errorf("batch scenario %d: %w", i, err)
-		}
-		if h.Flags&wire.FlagError != 0 {
-			failed++
-			continue
-		}
-		completed++
-		if h.Flags&wire.FlagCached != 0 {
-			hits++
-		}
-	}
 	out, err := wire.AppendBatchHeader(nil, len(frames))
 	if err != nil {
 		return nil, false, err
 	}
-	for _, fr := range frames {
+	var tr wire.BatchTrailer
+	for i, fr := range frames {
+		if err := countScenario(&tr, fr); err != nil {
+			return nil, false, fmt.Errorf("batch scenario %d: %w", i, err)
+		}
 		out = append(out, fr...)
 	}
-	out, err = wire.AppendBatchTrailer(out, wire.BatchTrailer{
-		Total:     len(frames),
-		Completed: completed,
-		Failed:    failed,
-		CacheHits: hits,
-	})
+	out, err = wire.AppendBatchTrailer(out, tr)
 	if err != nil {
 		return nil, false, err
 	}
-	return out, hits == len(frames), nil
+	return out, tr.CacheHits == len(frames), nil
 }
 
-// ipcOf extracts the summary IPC from a result body. Wire frames carry the
-// IPC in the frame header, so the common path reads 28 bytes and never
-// decodes the payload; JSON bodies (sweep and batch summaries) fall back to
-// unmarshalling.
+// countScenario folds one scenario frame into a batch trailer's counts,
+// reading only the frame header's flags. The stored batch body and the
+// progressive stream both build their trailer this way, so the two carry
+// the same bytes.
+func countScenario(tr *wire.BatchTrailer, frame []byte) error {
+	h, err := wire.PeekHeader(frame)
+	if err != nil {
+		return err
+	}
+	tr.Total++
+	if h.Flags&wire.FlagError != 0 {
+		tr.Failed++
+		return nil
+	}
+	tr.Completed++
+	if h.Flags&wire.FlagCached != 0 {
+		tr.CacheHits++
+	}
+	return nil
+}
+
+// ipcOf extracts the summary IPC from a run-result frame's header, so the
+// path reads 28 bytes and never decodes the payload. Any other body (a
+// batch stream, or none) has no single IPC and yields 0.
 func ipcOf(body []byte) float64 {
-	if wire.IsWire(body) {
-		h, err := wire.PeekHeader(body)
-		if err != nil || h.Type != wire.TypeRunResult {
-			return 0
-		}
-		return h.SummaryFloat()
-	}
-	var v struct {
-		IPC float64 `json:"ipc"`
-	}
-	if body == nil || json.Unmarshal(body, &v) != nil {
+	h, err := wire.PeekHeader(body)
+	if err != nil || h.Type != wire.TypeRunResult {
 		return 0
 	}
-	return v.IPC
+	return h.SummaryFloat()
 }
 
-// submitRequest is the POST /v1/jobs body: run-request fields inline, a
-// "sweep" object, or a "batch" object, plus an optional per-job deadline
-// override.
+// submitRequest is the POST /v1/jobs body: run-request fields inline or a
+// "batch" object, plus an optional per-job deadline override.
 type submitRequest struct {
 	hetwire.RunRequest
-	Sweep *SweepRequest         `json:"sweep,omitempty"`
 	Batch *hetwire.BatchRequest `json:"batch,omitempty"`
 	// DeadlineMS overrides the server's default per-job wall-clock budget,
 	// capped at Options.MaxDeadline.
@@ -791,12 +717,6 @@ func (s *Server) deadlineFor(sub *submitRequest) time.Duration {
 func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID string) (job *Job, replayed bool, err error) {
 	kind := "run"
 	var batchReqs []hetwire.RunRequest
-	if sub.Batch != nil && sub.Sweep != nil {
-		err := &hetwire.RequestError{Code: hetwire.ReasonBadRequest,
-			Err: fmt.Errorf("server: a submission carries either batch or sweep, not both")}
-		s.reject(tn, hetwire.ReasonCode(err))
-		return nil, false, err
-	}
 	if sub.Batch != nil {
 		kind = "batch"
 		if err := sub.Batch.Validate(); err != nil {
@@ -808,38 +728,7 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 			s.reject(tn, hetwire.ReasonCode(err))
 			return nil, false, err
 		}
-		// Validate enforced the library-wide MaxSweepPoints; the daemon's own
-		// per-job limit may be tighter.
-		if len(reqs) > s.opts.MaxSweepPoints {
-			err := &hetwire.RequestError{Code: hetwire.ReasonBatchTooLarge,
-				Err: fmt.Errorf("server: batch expands to %d scenarios, limit is %d", len(reqs), s.opts.MaxSweepPoints)}
-			s.reject(tn, hetwire.ReasonCode(err))
-			return nil, false, err
-		}
 		batchReqs = reqs
-	} else if sub.Sweep != nil {
-		kind = "sweep"
-		reqs, err := sub.Sweep.expand()
-		if err != nil {
-			err = &hetwire.RequestError{Code: hetwire.ReasonBadRequest, Err: err}
-			s.reject(tn, hetwire.ReasonCode(err))
-			return nil, false, err
-		}
-		if len(reqs) > s.opts.MaxSweepPoints {
-			err := &hetwire.RequestError{Code: hetwire.ReasonSweepTooLarge,
-				Err: fmt.Errorf("server: sweep expands to %d points, limit is %d", len(reqs), s.opts.MaxSweepPoints)}
-			s.reject(tn, hetwire.ReasonCode(err))
-			return nil, false, err
-		}
-		for i := range reqs {
-			if reqs[i].N > hetwire.MaxInstructions {
-				err := &hetwire.RequestError{Code: hetwire.ReasonBudgetExceeded,
-					Err: fmt.Errorf("server: sweep point n=%d exceeds the per-request limit of %d",
-						reqs[i].N, uint64(hetwire.MaxInstructions))}
-				s.reject(tn, hetwire.ReasonCode(err))
-				return nil, false, err
-			}
-		}
 	} else if err := sub.RunRequest.Validate(); err != nil {
 		s.reject(tn, hetwire.ReasonCode(err))
 		return nil, false, err
@@ -885,7 +774,6 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	s.nextID++
 	job = newJob(s.baseCtx, fmt.Sprintf("j-%06d", s.nextID), kind, traceID, tn, s.deadlineFor(sub), time.Now())
 	job.Req = sub.RunRequest
-	job.Sweep = sub.Sweep
 	job.Batch = sub.Batch
 	if batchReqs != nil {
 		job.progress = newBatchProgress(batchReqs)
@@ -944,9 +832,9 @@ func (s *Server) dropLocked(job *Job) {
 	job.cancel() // release the deadline timer
 }
 
-// pruneLocked drops the oldest terminal job records past MaxJobs.
+// pruneLocked drops the oldest terminal job records past maxJobs.
 func (s *Server) pruneLocked() {
-	for len(s.order) > s.opts.MaxJobs {
+	for len(s.order) > maxJobs {
 		pruned := false
 		for i, id := range s.order {
 			if j, ok := s.jobs[id]; ok && j.State().Terminal() {
@@ -1157,7 +1045,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		s.metrics.jobsCancelled.Add(1)
 		job.tenant.CountTerminal(string(StateCancelled))
 	} else {
-		job.cancel() // running: stops between sweep points; terminal: no-op
+		job.cancel() // running: the simulation sees its context end; terminal: no-op
 	}
 	writeJSON(w, job.Status(false))
 }
@@ -1191,10 +1079,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // fields (VTime, DurMS) so two identical runs dump byte-identical files —
 // the determinism contract CI pins with cmp.
 func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	if !s.flight.Enabled() {
-		httpError(w, http.StatusNotFound, errors.New("flight recorder disabled (-flight-events < 0)"))
-		return
-	}
 	events := s.flight.Snapshot()
 	if r.URL.Query().Get("canon") == "1" {
 		events = flight.Canonical(events)
@@ -1214,7 +1098,7 @@ func (s *Server) handleTenantsUsage(w http.ResponseWriter, _ *http.Request) {
 // (worker panic, watchdog stall). Best-effort: dump failures are logged,
 // never propagated — the incident path must not gain new failure modes.
 func (s *Server) autoDumpFlight(reason string) {
-	if !s.flight.Enabled() || s.opts.FlightDir == "" {
+	if s.opts.FlightDir == "" {
 		return
 	}
 	name := filepath.Join(s.opts.FlightDir, fmt.Sprintf("flight-%s-%d.jsonl", reason, s.flight.Seq()))

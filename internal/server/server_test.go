@@ -59,6 +59,81 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCachePanickingFillReleasesKey: a fill that panics must not wedge its
+// key. The panic reaches the filling caller, a waiter coalesced onto the
+// panicking flight gets an error instead of waiting out its deadline, and
+// the next Do for the key runs its own compute at once.
+func TestCachePanickingFillReleasesKey(t *testing.T) {
+	c := NewCache(1 << 20)
+	// A wedged key holds every later caller for its whole context; 2s is far
+	// beyond what a released key takes, so a wedge fails fast.
+	const wedge = 2 * time.Second
+	filling := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(context.Background(), "k", func() ([]byte, error) {
+			close(filling)
+			<-release
+			panic("simulator bug")
+		})
+	}()
+	<-filling
+
+	type result struct {
+		body []byte
+		hit  bool
+		err  error
+	}
+	waiter := make(chan result, 1)
+	waiterComputed := false
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), wedge)
+		defer cancel()
+		body, hit, err := c.Do(ctx, "k", func() ([]byte, error) {
+			waiterComputed = true
+			return []byte("waiter"), nil
+		})
+		waiter <- result{body, hit, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Coalesced == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never coalesced onto the in-flight fill")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	if r := <-recovered; r != "simulator bug" {
+		t.Errorf("filling caller recovered %v, want the fill's panic re-raised", r)
+	}
+	w := <-waiter
+	if w.err == nil || isContextError(w.err) || !strings.Contains(w.err.Error(), "panicked") {
+		t.Errorf("coalesced waiter got body=%q err=%v, want an error naming the panic", w.body, w.err)
+	}
+	if waiterComputed {
+		t.Error("coalesced waiter ran its own compute")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), wedge)
+	defer cancel()
+	start := time.Now()
+	computed := false
+	body, hit, err := c.Do(ctx, "k", func() ([]byte, error) {
+		computed = true
+		return []byte("fresh"), nil
+	})
+	if err != nil || hit || !computed || string(body) != "fresh" {
+		t.Fatalf("Do after the panic: body=%q hit=%t computed=%t err=%v after %s, want a fresh compute",
+			body, hit, computed, err, time.Since(start).Round(time.Millisecond))
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want the fresh body stored after two fills", st)
+	}
+}
+
 func TestCacheCoalescesConcurrentComputes(t *testing.T) {
 	c := NewCache(1 << 20)
 	var computes int32
@@ -348,7 +423,7 @@ func TestMultiprogrammedRun(t *testing.T) {
 	}
 }
 
-// --- sweeps ---
+// --- batch studies share the cache with single runs ---
 
 func TestSweepSharesCacheWithSingleRuns(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
@@ -357,15 +432,10 @@ func TestSweepSharesCacheWithSingleRuns(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm run: %d %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"sweep": map[string]any{
-			"models":     []string{"I", "VII"},
-			"benchmarks": []string{"gzip"},
-			"ns":         []uint64{12000},
-		},
-	})
+	study := batchBody([]string{"I", "VII"}, []string{"gzip"}, 12000, 0)
+	resp, body = postJSON(t, ts.URL+"/v1/jobs", study)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("sweep submit: %d %s", resp.StatusCode, body)
+		t.Fatalf("batch submit: %d %s", resp.StatusCode, body)
 	}
 	var st JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -373,35 +443,28 @@ func TestSweepSharesCacheWithSingleRuns(t *testing.T) {
 	}
 	final := waitTerminal(t, ts.URL, st.ID, 60*time.Second)
 	if final.State != StateDone {
-		t.Fatalf("sweep finished %s: %s", final.State, final.Error)
+		t.Fatalf("batch finished %s: %s", final.State, final.Error)
 	}
-	var sweep SweepResponse
-	if err := json.Unmarshal(final.Result, &sweep); err != nil {
-		t.Fatal(err)
+	if final.Batch == nil || len(final.Batch.Points) != 2 {
+		t.Fatalf("batch points = %+v, want 2", final.Batch)
 	}
-	if len(sweep.Points) != 2 {
-		t.Fatalf("sweep points = %d, want 2", len(sweep.Points))
+	if !final.Batch.Points[0].Cached || final.Batch.CacheHits < 1 {
+		t.Errorf("pre-warmed point not served from cache: %+v", final.Batch)
 	}
-	if !sweep.Points[0].Cached || sweep.CacheHits < 1 {
-		t.Errorf("pre-warmed point not served from cache: %+v", sweep)
+	if final.Batch.Points[1].Cached {
+		t.Errorf("cold point reported cached: %+v", final.Batch.Points[1])
 	}
-	if sweep.Points[1].Cached {
-		t.Errorf("cold point reported cached: %+v", sweep.Points[1])
+	// Re-running the identical study must be all hits.
+	resp, body = postJSON(t, ts.URL+"/v1/jobs", study)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch resubmit: %d %s", resp.StatusCode, body)
 	}
-	// Re-running the identical sweep must be all hits.
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"sweep": map[string]any{
-			"models":     []string{"I", "VII"},
-			"benchmarks": []string{"gzip"},
-			"ns":         []uint64{12000},
-		},
-	})
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	final = waitTerminal(t, ts.URL, st.ID, 60*time.Second)
 	if !final.CacheHit {
-		t.Error("identical sweep not fully cached")
+		t.Error("identical batch not fully cached")
 	}
 	if cs := s.Cache().Stats(); cs.Misses != 2 {
 		t.Errorf("distinct simulations = %d, want 2", cs.Misses)
@@ -439,48 +502,6 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if st := waitTerminal(t, ts.URL, blocker.ID, 60*time.Second); st.State != StateDone {
 		t.Errorf("blocker state = %s: %s", st.State, st.Error)
-	}
-}
-
-func TestCancelRunningSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second sweep")
-	}
-	_, ts := newTestServer(t, Options{Workers: 1})
-	benches := []string{"gzip", "gcc", "mcf", "mesa", "twolf", "swim", "art", "vpr"}
-	_, raw := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"sweep": map[string]any{
-			"models":     []string{"I", "IV"},
-			"benchmarks": benches,
-			"ns":         []uint64{250000},
-		},
-	})
-	var st JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for it to start, then cancel mid-sweep.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var cur JobStatus
-		getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &cur)
-		if cur.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never started: %s", cur.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	final := waitTerminal(t, ts.URL, st.ID, 60*time.Second)
-	if final.State != StateCancelled {
-		t.Errorf("sweep state = %s, want cancelled", final.State)
 	}
 }
 
@@ -561,13 +582,34 @@ func TestValidationErrors(t *testing.T) {
 		{"benchmark": "gzip", "benchmarks": []string{"gcc"}, "n": 1000}, // both
 		{"benchmark": "gzip", "model": "XI", "n": 1000},                 // bad model
 		{"benchmark": "gzip", "clusters": 7, "n": 1000},                 // bad clusters
-		{"sweep": map[string]any{"models": []string{}, "benchmarks": []string{"gzip"}}},
 	}
 	for i, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", c)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, body %s", i, resp.StatusCode, body)
 		}
+	}
+	// A top-level "sweep" object is not a job shape: studies are
+	// {"batch": {"sweep": ...}}. The body decodes as a run request naming no
+	// workload, so it is a plain bad request.
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+		"sweep": map[string]any{"models": []string{"I"}, "benchmarks": []string{"gzip"}, "ns": []uint64{1000}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("top-level sweep: status %d, body %s", resp.StatusCode, body)
+	}
+	var rej struct {
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal(body, &rej); err != nil || rej.Reason != "bad_request" {
+		t.Errorf("top-level sweep: reason %q (%v), want bad_request; body %s", rej.Reason, err, body)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("rejected submissions created %d jobs: %+v", len(list.Jobs), list.Jobs)
 	}
 }
 

@@ -37,7 +37,7 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	flush(w)
-	var completed, failed, hits int
+	var tr wire.BatchTrailer
 	for i := 0; i < p.total(); i++ {
 		fr, ok := awaitFrame(r, job, i)
 		if !ok {
@@ -53,29 +53,15 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		h, err := wire.PeekHeader(fr)
-		if err != nil {
+		if err := countScenario(&tr, fr); err != nil {
 			return
-		}
-		if h.Flags&wire.FlagError != 0 {
-			failed++
-		} else {
-			completed++
-			if h.Flags&wire.FlagCached != 0 {
-				hits++
-			}
 		}
 		if _, err := w.Write(fr); err != nil {
 			return
 		}
 		flush(w)
 	}
-	trailer, err := wire.AppendBatchTrailer(nil, wire.BatchTrailer{
-		Total:     p.total(),
-		Completed: completed,
-		Failed:    failed,
-		CacheHits: hits,
-	})
+	trailer, err := wire.AppendBatchTrailer(nil, tr)
 	if err != nil {
 		return
 	}

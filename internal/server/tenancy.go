@@ -63,22 +63,29 @@ func (s *Server) retryAfterFor(tn *tenant.Tenant, reason string) time.Duration {
 	return s.retryAfter()
 }
 
+// Overload watchdog thresholds; see shedMonitor.
+const (
+	shedHighWater = 0.9
+	shedLowWater  = 0.25
+	shedWindow    = 2 * time.Second
+)
+
 // shedMonitor is the overload watchdog: sampling the queue every
-// ShedInterval, it trips load-shed mode after the depth has stayed at or
-// above ShedHighWater x QueueDepth for a full ShedWindow, and clears it once
-// the depth falls to ShedLowWater x QueueDepth. While shedding, bulk-lane
+// shedInterval, it trips load-shed mode after the depth has stayed at or
+// above shedHighWater x QueueDepth for a full shedWindow, and clears it once
+// the depth falls to shedLowWater x QueueDepth. While shedding, bulk-lane
 // submissions are rejected with reason load_shed (429); the interactive
 // lane stays open — the point of shedding is to keep latency-critical
 // traffic live by dropping the traffic that can wait.
 func (s *Server) shedMonitor() {
-	ticker := time.NewTicker(s.opts.ShedInterval)
+	ticker := time.NewTicker(s.opts.shedInterval)
 	defer ticker.Stop()
-	high := int(s.opts.ShedHighWater * float64(s.opts.QueueDepth))
+	high := int(shedHighWater * float64(s.opts.QueueDepth))
 	if high < 1 {
 		high = 1
 	}
-	low := int(s.opts.ShedLowWater * float64(s.opts.QueueDepth))
-	need := int(s.opts.ShedWindow / s.opts.ShedInterval)
+	low := int(shedLowWater * float64(s.opts.QueueDepth))
+	need := int(shedWindow / s.opts.shedInterval)
 	if need < 1 {
 		need = 1
 	}
@@ -107,7 +114,7 @@ func (s *Server) shedMonitor() {
 				s.flight.Record(flight.Event{Kind: flight.KindShedEngage,
 					Detail: fmt.Sprintf("depth=%d high_water=%d", depth, high)})
 				s.opts.Logger.Printf("load-shed engaged depth=%d high_water=%d window=%s (bulk lane rejected until depth<=%d)",
-					depth, high, s.opts.ShedWindow, low)
+					depth, high, shedWindow, low)
 			}
 		default:
 			hot = 0

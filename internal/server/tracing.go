@@ -62,8 +62,8 @@ func ensureTraceID(w http.ResponseWriter, r *http.Request) string {
 
 // Span is one timed phase of a job's lifecycle, relative to submission.
 // The daemon records queue_wait, cpu_wait, cache_lookup, sim_run, and
-// result_encode; sweep and batch jobs merge the per-point phases into one
-// span per name, so the span list stays bounded no matter how many points a
+// result_encode; batch jobs merge the per-scenario phases into one span
+// per name, so the span list stays bounded no matter how many scenarios a
 // job expands to.
 type Span struct {
 	Name string `json:"name"`

@@ -184,13 +184,13 @@ func TestRejectionReasonCounters(t *testing.T) {
 	}
 
 	resp, raw = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"sweep": map[string]any{"models": []string{"I"}, "benchmarks": []string{}},
+		"batch": map[string]any{"sweep": map[string]any{"models": []string{"I"}, "benchmarks": []string{}}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty sweep: status %d", resp.StatusCode)
+		t.Fatalf("empty batch sweep: status %d", resp.StatusCode)
 	}
 	if got := reasonOf(raw); got != hetwire.ReasonBadRequest {
-		t.Errorf("empty sweep reason = %q, want %q", got, hetwire.ReasonBadRequest)
+		t.Errorf("empty batch sweep reason = %q, want %q", got, hetwire.ReasonBadRequest)
 	}
 
 	// Undecodable body.

@@ -26,11 +26,8 @@ const (
 	// ReasonProbeUnsupported: a telemetry-probed execution was requested for
 	// a request shape that cannot be probed (multiprogrammed runs).
 	ReasonProbeUnsupported = "probe_unsupported"
-	// ReasonSweepTooLarge: a sweep expands to more points than the daemon's
-	// per-job limit.
-	ReasonSweepTooLarge = "sweep_too_large"
 	// ReasonBatchTooLarge: a batch request expands to more scenarios than
-	// MaxSweepPoints (or the daemon's configured per-job limit).
+	// MaxSweepPoints.
 	ReasonBatchTooLarge = "batch_too_large"
 	// ReasonInvalidRequest is the fallback code for validation errors that
 	// carry no specific reason.
