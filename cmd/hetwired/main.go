@@ -33,8 +33,9 @@
 //
 // Batch jobs submitted to the coordinator are sharded into work leases and
 // executed by the nodes; results are content-addressed and flow through the
-// coordinator's federated result cache, so repeated sweeps skip known
-// scenarios cluster-wide. See internal/cluster for the protocol.
+// coordinator's federated result cache, which answers known scenarios at
+// submit, so a repeated sweep leases nothing. See internal/cluster for the
+// protocol.
 package main
 
 import (

@@ -252,12 +252,10 @@ func (c *Client) Run(ctx context.Context, req *hetwire.RunRequest, deadlineMS in
 	return &resp, st, nil
 }
 
-// RunWire performs a synchronous run negotiating the binary wire format:
-// POST /v1/run with Accept: application/x-hetwire-bin. A daemon that speaks
-// the format answers with the stored result frame; a daemon that does not
-// ignores the Accept header and answers JSON, detected here by content type
-// — the fallback costs only the decode. The bool result reports whether the
-// daemon served the run from its cache.
+// RunWire performs a synchronous run in the binary wire format: POST
+// /v1/run with Accept: application/x-hetwire-bin, answered with the stored
+// result frame. A 200 body of any other content type is an error. The bool
+// result reports whether the daemon served the run from its cache.
 func (c *Client) RunWire(ctx context.Context, req *hetwire.RunRequest) (*hetwire.RunResponse, bool, error) {
 	key, err := req.CacheKey()
 	if err != nil {
@@ -275,15 +273,11 @@ func (c *Client) RunWire(ctx context.Context, req *hetwire.RunRequest) (*hetwire
 		return nil, false, err
 	}
 	hit := rr.cacheHeader == "hit"
-	if strings.HasPrefix(rr.contentType, wire.ContentType) || wire.IsWire(rr.body) {
-		resp, err := wire.DecodeRunResult(rr.body)
-		return resp, hit, err
+	if !strings.HasPrefix(rr.contentType, wire.ContentType) {
+		return nil, hit, fmt.Errorf("client: run answered %q, not %s", rr.contentType, wire.ContentType)
 	}
-	var resp hetwire.RunResponse
-	if err := json.Unmarshal(rr.body, &resp); err != nil {
-		return nil, hit, fmt.Errorf("client: decoding run response: %w", err)
-	}
-	return &resp, hit, nil
+	resp, err := wire.DecodeRunResult(rr.body)
+	return resp, hit, err
 }
 
 // StreamBatch consumes a batch job's binary stream (GET /v1/jobs/{id}/stream),

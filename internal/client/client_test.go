@@ -16,6 +16,7 @@ import (
 	"hetwire"
 	"hetwire/internal/faultinject"
 	"hetwire/internal/server"
+	"hetwire/internal/tenant"
 )
 
 // instantSleeper replaces the client's sleep seam: it records every backoff
@@ -337,5 +338,58 @@ func TestAPIErrorCarriesReason(t *testing.T) {
 	}
 	if apiErr.Reason != hetwire.ReasonUnknownBenchmark {
 		t.Errorf("reason = %q, want %q", apiErr.Reason, hetwire.ReasonUnknownBenchmark)
+	}
+}
+
+// TestRunWireAgainstDaemon: RunWire returns the same result as executing
+// the request in process, a miss first and a cache hit on the repeat. The
+// repeat comes from a second tenant: a replay of the first tenant's
+// idempotency key would hand back the first job's miss.
+func TestRunWireAgainstDaemon(t *testing.T) {
+	s := server.New(server.Options{Workers: 1, Tenants: &tenant.Config{Tenants: []tenant.Spec{
+		{Name: "a", Key: "key-a"}, {Name: "b", Key: "key-b"},
+	}}})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	req := &hetwire.RunRequest{Benchmark: "gzip", Model: "VII", N: 4000}
+	want, err := req.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := func(r *hetwire.RunResponse) string {
+		return hetwire.ResultHash(hetwire.Result{Benchmark: r.Benchmark, Stats: *r.Stats})
+	}
+	for i, key := range []string{"key-a", "key-b"} {
+		wantHit := i > 0
+		got, hit, err := New(Options{BaseURL: ts.URL, TenantKey: key}).RunWire(context.Background(), req)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if hit != wantHit {
+			t.Errorf("run %d: hit = %v, want %v", i, hit, wantHit)
+		}
+		if hash(got) != hash(want) {
+			t.Errorf("run %d: ResultHash %s, in-process %s", i, hash(got), hash(want))
+		}
+	}
+}
+
+// TestRunWireRejectsJSON: a 200 answer that is not a wire frame is an error
+// naming its content type, not a silent JSON decode.
+func TestRunWireRejectsJSON(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"benchmark":"gzip","model":"I","ipc":1.5}`))
+	}))
+	t.Cleanup(ts.Close)
+	cl := New(Options{BaseURL: ts.URL})
+	resp, _, err := cl.RunWire(context.Background(), &hetwire.RunRequest{Benchmark: "gzip", N: 4000})
+	if err == nil || !strings.Contains(err.Error(), "application/json") {
+		t.Fatalf("RunWire on a JSON answer: resp %+v err %v, want an error naming application/json", resp, err)
 	}
 }

@@ -24,14 +24,14 @@ type Options struct {
 	// Heartbeat is the check-in cadence announced to nodes (default 5s).
 	Heartbeat time.Duration
 	// DeadAfter is how long a node may stay silent — no heartbeat, lease
-	// request, cache check, or upload — before it is declared dead and its
-	// leases expire immediately (default 3×Heartbeat).
+	// request, or upload — before it is declared dead and its leases expire
+	// immediately (default 3×Heartbeat).
 	DeadAfter time.Duration
-	// Cache is the federated content-addressed result store: cache checks
-	// consult it, uploads populate it, and skip markers are filled from it.
-	// The hetwired coordinator passes its own LRU result cache, so cluster
-	// results and single-box results share one store. Nil disables
-	// federation (every scenario simulates).
+	// Cache is the federated content-addressed result store: Submit fills
+	// every scenario it holds, and uploads populate it. The hetwired
+	// coordinator passes its own LRU result cache, so cluster results and
+	// single-box results share one store. Nil disables federation (every
+	// scenario simulates).
 	Cache ResultCache
 	// Flight, when set, receives lease-lifecycle events (grant, upload,
 	// expire) from the coordinator. Nil records nothing.
@@ -78,7 +78,7 @@ func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // slot states for one scenario inside a cluster job.
 const (
 	slotPending = iota // waiting to be leased
-	slotLeased         // inside a live lease
+	slotLeased         // inside a live lease; its lease record exists
 	slotDone           // result bytes recorded
 	slotFailed         // the node reported a scenario-level error
 	slotCancelled
@@ -90,12 +90,12 @@ type slot struct {
 	req    hetwire.RunRequest
 	key    string // content-addressed request identity (CacheKey)
 	body   []byte // the result frame
-	cached bool   // filled via the federated cache rather than a fresh run
-	node   string
+	cached bool   // filled from the federated cache at submit
 	errMsg string
 	reason string
-	// redispatched marks an index whose lease expired at least once; the
-	// next lease containing it counts toward the re-dispatch metric.
+	// redispatched marks an index whose lease ended unresolved at least
+	// once; the next lease containing it counts toward the re-dispatch
+	// metric.
 	redispatched bool
 }
 
@@ -117,10 +117,6 @@ type jobState struct {
 	spanDur map[string]float64
 	// fedHits counts slots filled from the federated cache.
 	fedHits int
-	// nodeEvents holds the flight-recorder events nodes attached to their
-	// heartbeats for this job, in arrival order — the coordinator-side index
-	// behind cluster-wide causal trace aggregation.
-	nodeEvents []flight.Event
 }
 
 // nodeState tracks one registered node.
@@ -151,14 +147,15 @@ type Stats struct {
 	LeasesIssued      uint64
 	LeasesExpired     uint64
 	LeasesOutstanding int
-	// ScenariosRedispatched counts scenario-index re-leases after an expiry.
+	// ScenariosRedispatched counts re-leases of scenario indices whose
+	// earlier lease ended unresolved (expiry, node death, partial upload).
 	ScenariosRedispatched uint64
 	UploadsAccepted       uint64
 	UploadsDuplicate      uint64
-	// UploadsStale counts dropped scenario errors and skip markers from leases
-	// that no longer owned their slots (expired and possibly re-dispatched):
-	// only result bodies are trusted from stale leases, so the batch outcome
-	// cannot depend on straggler interleaving.
+	// UploadsStale counts dropped scenario errors from leases that no longer
+	// owned their slots (expired and possibly re-dispatched): only result
+	// bodies are trusted from stale leases, so the batch outcome cannot
+	// depend on straggler interleaving.
 	UploadsStale uint64
 	// UploadConflicts counts duplicate uploads whose frame bytes disagreed
 	// with the recorded result — impossible for deterministic simulations; a
@@ -177,9 +174,12 @@ type Stats struct {
 type Coordinator struct {
 	opts Options
 
-	mu        sync.Mutex
-	nodes     map[string]*nodeState
-	jobs      map[string]*jobState
+	mu    sync.Mutex
+	nodes map[string]*nodeState
+	jobs  map[string]*jobState
+	// leases holds every live lease. Every slotLeased slot lies inside one,
+	// so an upload, an expiry or a node death always resolves or requeues
+	// it.
 	leases    map[string]*leaseState
 	jobOrder  []string // submission order; leases are filled oldest-first
 	nextNode  uint64
@@ -244,7 +244,6 @@ func (c *Coordinator) Register(req *RegisterRequest) (*RegisterResponse, error) 
 	return &RegisterResponse{
 		NodeID:      n.id,
 		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
-		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
 	}, nil
 }
 
@@ -260,27 +259,7 @@ func (c *Coordinator) Heartbeat(req *HeartbeatRequest) *HeartbeatResponse {
 		return &HeartbeatResponse{Known: false}
 	}
 	n.lastSeen = c.opts.Now()
-	// Index piggybacked node flight events under the jobs they concern; the
-	// node stamps its own name, the job ID routes them. Events for finished
-	// (taken) jobs are dropped — there is no record left to attach them to.
-	for _, ev := range req.Events {
-		if j, ok := c.jobs[ev.Job]; ok {
-			j.nodeEvents = append(j.nodeEvents, ev)
-		}
-	}
 	return &HeartbeatResponse{Known: true}
-}
-
-// NodeEvents copies the node flight events indexed so far for a live job
-// (empty once the job has been taken).
-func (c *Coordinator) NodeEvents(jobID string) []flight.Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[jobID]
-	if !ok {
-		return nil
-	}
-	return append([]flight.Event(nil), j.nodeEvents...)
 }
 
 // Lease hands the requesting node the next shard of pending work: up to Max
@@ -383,52 +362,22 @@ func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 			Start:     ls.start,
 			End:       ls.end,
 			Scenarios: scenarios,
-			TTLMS:     c.opts.LeaseTTL.Milliseconds(),
 		}, nil
 	}
 	return nil, nil
 }
 
-// CacheCheck answers the federated cache index query: Known[i] reports
-// whether Keys[i] is resident in the coordinator's result cache right now.
-// A positive answer is a hint, not a promise — the entry may be evicted
-// before the node's skip marker arrives, in which case the index is
-// re-queued — so correctness never depends on the answer.
-func (c *Coordinator) CacheCheck(req *CacheCheckRequest) (*CacheCheckResponse, error) {
-	if len(req.Keys) > MaxCacheCheckKeys {
-		return nil, reqErr(hetwire.ReasonBadRequest,
-			"cache check carries %d keys, limit %d (split the check)", len(req.Keys), MaxCacheCheckKeys)
-	}
-	c.mu.Lock()
-	now := c.opts.Now()
-	c.sweepLocked(now)
-	n, ok := c.nodes[req.NodeID]
-	if ok {
-		n.lastSeen = now
-	}
-	cache := c.opts.Cache
-	c.mu.Unlock()
-	if !ok {
-		return nil, reqErr(ReasonUnknownNode, "unknown node %q (re-register)", req.NodeID)
-	}
-	known := make([]bool, len(req.Keys))
-	if cache != nil {
-		for i, k := range req.Keys {
-			_, known[i] = cache.Get(k)
-		}
-	}
-	return &CacheCheckResponse{Known: known}, nil
-}
-
-// Upload records a lease's decoded upload stream (wire.DecodeUpload). It is
-// deliberately forgiving about result *frames*: a frame for an expired or
-// unknown lease is still accepted (the work is correct whoever did it —
-// results are content-addressed), already-filled slots count as duplicates
-// and change nothing, and a finished job answers JobDone so stragglers stop
-// resending. Scenario *errors* are the exception: only the lease that still
-// owns the slot may fail it, because a straggler's transient error
+// Upload records a lease's decoded upload stream (wire.DecodeUpload). It
+// validates every result before changing any state, so a rejected upload
+// leaves the slot table and its lease as they were. It is deliberately
+// forgiving about result *frames*: a frame for an expired or unknown lease
+// is still accepted (the work is correct whoever did it — results are
+// content-addressed), and already-filled slots count as duplicates and
+// change nothing. Scenario *errors* are the exception: only the lease that
+// still owns the slot may fail it, because a straggler's transient error
 // overriding a healthy re-dispatch would make the batch outcome depend on
-// interleaving.
+// interleaving. An upload from the lease's owner ends the lease; indices
+// it left unresolved return to the pending queue at once.
 func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult) (*UploadResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -439,20 +388,21 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 		return nil, reqErr(ReasonUnknownNode, "unknown node %q (re-register)", hdr.NodeID)
 	}
 	n.lastSeen = now
-	// owned remembers the index range this upload's lease still held on
-	// arrival. An expired lease (or one belonging to another node) owns
-	// nothing: its scenario errors and requeue requests are stale.
-	ownStart, ownEnd := 0, 0
-	if ls, ok := c.leases[hdr.LeaseID]; ok && ls.nodeID == n.id {
-		ownStart, ownEnd = ls.start, ls.end
-		c.releaseLeaseLocked(ls)
+	// own is the lease this upload answers, if it is still live and held by
+	// the uploader. An expired lease (or one belonging to another node) owns
+	// nothing: its scenario errors are stale.
+	own, ok := c.leases[hdr.LeaseID]
+	if !ok || own.nodeID != n.id || own.jobID != hdr.JobID {
+		own = nil
 	}
-	owned := func(idx int) bool { return idx >= ownStart && idx < ownEnd }
 	j, ok := c.jobs[hdr.JobID]
 	if !ok {
-		return &UploadResponse{JobDone: true}, nil
+		// Unknown or already collected job: nothing is left to fill.
+		if own != nil {
+			c.releaseLeaseLocked(own)
+		}
+		return &UploadResponse{}, nil
 	}
-	resp := &UploadResponse{}
 	for i := range results {
 		r := &results[i]
 		if r.Index < 0 || r.Index >= len(j.slots) {
@@ -462,28 +412,24 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 		// Validate the frame (CRC, strict payload decode, summary agreement)
 		// before any comparison or store: the slot table and the federated
 		// cache hold exactly the bytes the node's simulation produced.
-		frame := r.Frame
-		if len(frame) > 0 {
-			if err := wire.ValidateResultFrame(frame); err != nil {
+		if len(r.Frame) > 0 {
+			if err := wire.ValidateResultFrame(r.Frame); err != nil {
 				return nil, reqErr(hetwire.ReasonBadRequest, "result index %d frame rejected: %v", r.Index, err)
 			}
+		} else if r.Error == "" {
+			return nil, reqErr(hetwire.ReasonBadRequest,
+				"result index %d carries neither frame nor error", r.Index)
 		}
+	}
+	owned := func(idx int) bool { return own != nil && idx >= own.start && idx < own.end }
+	resp := &UploadResponse{}
+	for i := range results {
+		r := &results[i]
 		sl := &j.slots[r.Index]
-		// A straggler result can land while its index sits in the pending
-		// queue (lease expired, index not yet re-leased). Accepting it must
-		// also retire the queue entry, or the index would be re-leased over
-		// the recorded result and resolve — decrementing j.open — twice.
-		wasPending := sl.state == slotPending
-		settle := func() {
-			j.open--
-			if wasPending {
-				j.pending = removeSorted(j.pending, r.Index)
-			}
-		}
 		switch {
 		case sl.state == slotDone || sl.state == slotFailed || sl.state == slotCancelled:
 			// Straggler after re-dispatch: verify the duplicate agrees.
-			if len(frame) > 0 && sl.state == slotDone && !bytes.Equal(frame, sl.body) {
+			if len(r.Frame) > 0 && sl.state == slotDone && !bytes.Equal(r.Frame, sl.body) {
 				c.stats.UploadConflicts++
 				c.opts.Logger.Printf("cluster upload CONFLICT job=%s index=%d node=%s (first result kept)",
 					j.id, r.Index, n.id)
@@ -491,68 +437,36 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 				c.stats.UploadsDuplicate++
 			}
 			resp.Duplicate++
+			continue
+		case r.Error != "" && !owned(r.Index):
+			// Stale error from an expired lease: the slot is pending or
+			// re-leased, and a healthy node's result must win. Drop it.
+			c.stats.UploadsStale++
+			resp.Duplicate++
+			continue
 		case r.Error != "":
-			if !owned(r.Index) {
-				// Stale error from an expired lease: the slot is pending or
-				// re-leased, and a healthy node's result must win. Drop it.
-				c.stats.UploadsStale++
-				resp.Duplicate++
-				continue
-			}
 			sl.state = slotFailed
 			sl.errMsg = r.Error
 			sl.reason = r.Reason
-			sl.node = n.id
-			settle()
-			c.stats.UploadsAccepted++
-			resp.Accepted++
-		case r.Skipped:
-			// Fill from the federated cache; if the entry vanished, re-queue —
-			// but only a slot this lease still owns may re-enter the queue. A
-			// stale skip marker's slot is already pending or owned by another
-			// live lease, and queueing it again would duplicate the index.
-			body, ok := c.cacheGet(sl.key)
-			if ok && wire.ValidateResultFrame(body) != nil {
-				// The cached entry is not a valid result frame (corrupt, or a
-				// foreign value under our key): treat it as evicted rather
-				// than let bad bytes into the slot table.
-				ok = false
-			}
-			if !ok {
-				if owned(r.Index) {
-					sl.state = slotPending
-					j.pending = insertSorted(j.pending, r.Index)
-					resp.Requeued = append(resp.Requeued, r.Index)
-					c.wakeLocked()
-				} else {
-					c.stats.UploadsStale++
-					resp.Duplicate++
-				}
-				continue
-			}
-			sl.state = slotDone
-			sl.body = body
-			sl.cached = true
-			sl.node = n.id
-			settle()
-			j.fedHits++
-			c.stats.FederatedHits++
-			c.stats.UploadsAccepted++
-			resp.Accepted++
-		case len(frame) == 0:
-			return nil, reqErr(hetwire.ReasonBadRequest,
-				"result index %d carries neither frame, error, nor skip marker", r.Index)
 		default:
 			sl.state = slotDone
-			sl.body = append([]byte(nil), frame...)
-			sl.node = n.id
-			settle()
-			c.stats.UploadsAccepted++
-			resp.Accepted++
-			if c.opts.Cache != nil && sl.key != "" {
+			sl.body = append([]byte(nil), r.Frame...)
+			if c.opts.Cache != nil {
 				c.opts.Cache.Put(sl.key, sl.body)
 			}
 		}
+		// A straggler result can land while its index sits in the pending
+		// queue (lease expired, index not yet re-leased). Accepting it must
+		// also retire the queue entry, or the index would be re-leased over
+		// the recorded result and resolve — decrementing j.open — twice.
+		j.pending = removeSorted(j.pending, r.Index)
+		j.open--
+		c.stats.UploadsAccepted++
+		resp.Accepted++
+	}
+	requeued := 0
+	if own != nil {
+		requeued = c.endLeaseLocked(own)
 	}
 	for _, sp := range hdr.Spans {
 		j.spanDur[sp.Name] += sp.DurMS
@@ -564,7 +478,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 		Job:    j.id,
 		Lease:  hdr.LeaseID,
 		Node:   n.id,
-		Detail: fmt.Sprintf("accepted=%d duplicate=%d requeued=%d", resp.Accepted, resp.Duplicate, len(resp.Requeued)),
+		Detail: fmt.Sprintf("accepted=%d duplicate=%d requeued=%d", resp.Accepted, resp.Duplicate, requeued),
 	})
 	if j.open == 0 {
 		// A straggler upload can land after the job already completed (every
@@ -574,24 +488,17 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 		default:
 			c.completeLocked(j)
 		}
-		resp.JobDone = true
 	}
 	return resp, nil
 }
 
-// cacheGet reads the federated cache. Called with c.mu held; the cache has
-// its own lock but never calls back into the coordinator.
-func (c *Coordinator) cacheGet(key string) ([]byte, bool) {
-	if c.opts.Cache == nil || key == "" {
-		return nil, false
-	}
-	return c.opts.Cache.Get(key)
-}
-
 // Submit expands and registers a batch as a cluster job on behalf of the
-// named tenant ("" for pre-tenancy callers and open mode). The returned
-// channel closes when every scenario reaches a terminal state (or the job
-// is cancelled); collect the outcome with TakeFrames.
+// named tenant ("" for pre-tenancy callers and open mode). Every scenario
+// whose valid result frame is already in the federated cache is filled at
+// once; only the rest are queued for leasing, and a job with nothing left
+// to simulate completes before Submit returns. The returned channel closes
+// when every scenario reaches a terminal state (or the job is cancelled);
+// collect the outcome with TakeFrames.
 func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string) (jobID string, done <-chan struct{}, err error) {
 	if err := batch.Validate(); err != nil {
 		return "", nil, err
@@ -604,19 +511,30 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 		traceID: traceID,
 		tenant:  tenant,
 		slots:   make([]slot, len(reqs)),
-		pending: make([]int, len(reqs)),
-		open:    len(reqs),
 		done:    make(chan struct{}),
 		spanDur: make(map[string]float64),
 	}
+	// The job is private until it is registered below, so its slots are
+	// filled without c.mu; the cache has its own lock.
 	for i := range reqs {
 		key, err := reqs[i].CacheKey()
 		if err != nil {
 			return "", nil, err
 		}
-		j.slots[i] = slot{state: slotPending, req: reqs[i], key: key}
-		j.pending[i] = i
+		sl := &j.slots[i]
+		*sl = slot{state: slotPending, req: reqs[i], key: key}
+		if c.opts.Cache != nil {
+			// A cached entry that is not a valid result frame (corrupt, or a
+			// foreign value under our key) is simulated again, never served.
+			if body, ok := c.opts.Cache.Get(key); ok && wire.ValidateResultFrame(body) == nil {
+				sl.state, sl.body, sl.cached = slotDone, body, true
+				j.fedHits++
+				continue
+			}
+		}
+		j.pending = append(j.pending, i)
 	}
+	j.open = len(j.pending)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextJob++
@@ -624,8 +542,14 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 	c.jobs[j.id] = j
 	c.jobOrder = append(c.jobOrder, j.id)
 	c.stats.JobsSubmitted++
-	c.wakeLocked()
-	c.opts.Logger.Printf("cluster job submitted id=%s scenarios=%d tenant=%s trace=%s", j.id, len(reqs), tenant, traceID)
+	c.stats.FederatedHits += uint64(j.fedHits)
+	c.opts.Logger.Printf("cluster job submitted id=%s scenarios=%d cached=%d tenant=%s trace=%s",
+		j.id, len(reqs), j.fedHits, tenant, traceID)
+	if j.open == 0 {
+		c.completeLocked(j)
+	} else {
+		c.wakeLocked()
+	}
 	return j.id, j.done, nil
 }
 
@@ -804,12 +728,33 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 	}
 }
 
-// expireLeaseLocked returns a lease's unfinished indices to the pending
-// queue (straggler re-dispatch) and drops the lease record.
+// expireLeaseLocked ends a lease past its deadline (straggler re-dispatch).
 func (c *Coordinator) expireLeaseLocked(ls *leaseState, why string) {
-	j, ok := c.jobs[ls.jobID]
+	requeued := c.endLeaseLocked(ls)
+	c.stats.LeasesExpired++
+	ev := flight.Event{
+		Kind:   flight.KindLeaseExpire,
+		Job:    ls.jobID,
+		Lease:  ls.id,
+		Node:   ls.nodeID,
+		Reason: why,
+		Detail: fmt.Sprintf("requeued=%d", requeued),
+	}
+	if j, ok := c.jobs[ls.jobID]; ok {
+		ev.Trace = j.traceID
+		ev.Tenant = j.tenant
+	}
+	c.opts.Flight.Record(ev)
+	c.opts.Logger.Printf("cluster lease expired id=%s job=%s node=%s requeued=%d (%s)",
+		ls.id, ls.jobID, ls.nodeID, requeued, why)
+}
+
+// endLeaseLocked drops a lease record and returns its still-leased indices
+// to the pending queue, waking held leases when there are any. It returns
+// how many indices it requeued.
+func (c *Coordinator) endLeaseLocked(ls *leaseState) int {
 	requeued := 0
-	if ok {
+	if j, ok := c.jobs[ls.jobID]; ok {
 		for idx := ls.start; idx < ls.end; idx++ {
 			sl := &j.slots[idx]
 			if sl.state == slotLeased {
@@ -821,25 +766,10 @@ func (c *Coordinator) expireLeaseLocked(ls *leaseState, why string) {
 		}
 	}
 	c.releaseLeaseLocked(ls)
-	c.stats.LeasesExpired++
 	if requeued > 0 {
 		c.wakeLocked()
 	}
-	ev := flight.Event{
-		Kind:   flight.KindLeaseExpire,
-		Job:    ls.jobID,
-		Lease:  ls.id,
-		Node:   ls.nodeID,
-		Reason: why,
-		Detail: fmt.Sprintf("requeued=%d", requeued),
-	}
-	if ok {
-		ev.Trace = j.traceID
-		ev.Tenant = j.tenant
-	}
-	c.opts.Flight.Record(ev)
-	c.opts.Logger.Printf("cluster lease expired id=%s job=%s node=%s requeued=%d (%s)",
-		ls.id, ls.jobID, ls.nodeID, requeued, why)
+	return requeued
 }
 
 // releaseLeaseLocked drops a lease record without touching slot state.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -52,12 +53,6 @@ func (c *memCache) Get(key string) ([]byte, bool) {
 func (c *memCache) Put(key string, body []byte) {
 	c.mu.Lock()
 	c.m[key] = append([]byte(nil), body...)
-	c.mu.Unlock()
-}
-
-func (c *memCache) Delete(key string) {
-	c.mu.Lock()
-	delete(c.m, key)
 	c.mu.Unlock()
 }
 
@@ -154,13 +149,7 @@ func uploadRange(t *testing.T, c *Coordinator, nodeID string, lease *Lease) *Upl
 	t.Helper()
 	results := make([]wire.UploadResult, 0, lease.End-lease.Start)
 	for idx := lease.Start; idx < lease.End; idx++ {
-		r := resultFor(idx)
-		key, err := lease.Scenarios[idx-lease.Start].CacheKey()
-		if err != nil {
-			t.Fatalf("cache key: %v", err)
-		}
-		r.CacheKey = key
-		results = append(results, r)
+		results = append(results, resultFor(idx))
 	}
 	resp, err := upload(c, nodeID, lease, results...)
 	if err != nil {
@@ -208,9 +197,6 @@ func TestUnknownNodeIsMachineReadable(t *testing.T) {
 	}
 	if _, err := c.Upload(&wire.UploadHeader{NodeID: "n-9999"}, nil); hetwire.ReasonCode(err) != ReasonUnknownNode {
 		t.Fatalf("upload: got reason %q err %v", hetwire.ReasonCode(err), err)
-	}
-	if _, err := c.CacheCheck(&CacheCheckRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
-		t.Fatalf("cachecheck: got reason %q err %v", hetwire.ReasonCode(err), err)
 	}
 	if hb := c.Heartbeat(&HeartbeatRequest{NodeID: "n-9999"}); hb.Known {
 		t.Fatal("heartbeat from an unknown node must answer Known=false")
@@ -318,30 +304,6 @@ func TestHeldLeaseWakesOnExpiry(t *testing.T) {
 	if l2 := awaitLease(t, held); l2.ID == l1.ID || l2.Start != l1.Start || l2.End != l1.End {
 		t.Fatalf("held lease got %s [%d,%d), want a re-dispatch of %s [%d,%d)",
 			l2.ID, l2.Start, l2.End, l1.ID, l1.Start, l1.End)
-	}
-}
-
-// TestHeldLeaseWakesOnSkipRequeue: an owned skip marker whose cache entry
-// was evicted puts its index back in the queue and wakes a held request.
-func TestHeldLeaseWakesOnSkipRequeue(t *testing.T) {
-	c := testCoordinator(t, newFakeClock(), newMemCache())
-	n1 := register(t, c, "a")
-	n2 := register(t, c, "b")
-	if _, _, err := c.Submit(testBatch(1), "", ""); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	lease := mustLease(t, c, n1, 0)
-	key, _ := lease.Scenarios[0].CacheKey()
-	held := heldLease(t, c, n2)
-	resp, err := upload(c, n1, lease, wire.UploadResult{Index: 0, CacheKey: key, Skipped: true})
-	if err != nil {
-		t.Fatalf("upload: %v", err)
-	}
-	if len(resp.Requeued) != 1 || resp.Requeued[0] != 0 {
-		t.Fatalf("requeued = %v, want [0]", resp.Requeued)
-	}
-	if l2 := awaitLease(t, held); l2.Start != 0 || l2.End != 1 {
-		t.Fatalf("held lease covers [%d,%d), want [0,1)", l2.Start, l2.End)
 	}
 }
 
@@ -463,125 +425,188 @@ func TestDeadNodeLeasesExpireImmediately(t *testing.T) {
 	}
 }
 
+// cacheKeys expands a batch the way Submit does and returns each scenario's
+// federated cache key.
+func cacheKeys(t *testing.T, b *hetwire.BatchRequest) []string {
+	t.Helper()
+	reqs, err := b.Expand()
+	if err != nil {
+		t.Fatalf("expand: %v", err)
+	}
+	keys := make([]string, len(reqs))
+	for i := range reqs {
+		if keys[i], err = reqs[i].CacheKey(); err != nil {
+			t.Fatalf("cache key %d: %v", i, err)
+		}
+	}
+	return keys
+}
+
+// TestFederatedCacheFillsSkippedSlots: Submit fills a scenario the federated
+// cache already holds, so leases skip its slot and only the miss is leased.
 func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
-	clk := newFakeClock()
 	cache := newMemCache()
-	c := testCoordinator(t, clk, cache)
+	c := testCoordinator(t, newFakeClock(), cache)
 	n1 := register(t, c, "a")
+	keys := cacheKeys(t, testBatch(2))
+	// Pre-load index 1's result, as if another sweep had computed it. The
+	// federated store holds wire frames, so the preload must be one too.
+	body1 := resultFor(1).Frame
+	cache.Put(keys[1], body1)
+
 	_, done, err := c.Submit(testBatch(2), "", "")
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	if st := c.Stats(); st.FederatedHits != 1 {
+		t.Fatalf("federated hits after submit = %d, want 1", st.FederatedHits)
+	}
 	lease := mustLease(t, c, n1, 0)
-	keys := make([]string, 2)
-	for i := range lease.Scenarios {
-		keys[i], _ = lease.Scenarios[i].CacheKey()
+	if lease.Start != 0 || lease.End != 1 {
+		t.Fatalf("lease covers [%d,%d), want only the miss [0,1)", lease.Start, lease.End)
 	}
-
-	// Nothing cached yet: the check reports all unknown.
-	chk, err := c.CacheCheck(&CacheCheckRequest{NodeID: n1, Keys: keys})
-	if err != nil {
-		t.Fatalf("cachecheck: %v", err)
+	if resp, err := c.Lease(noWait, &LeaseRequest{NodeID: n1}); err != nil || resp.Lease != nil {
+		t.Fatalf("cached index leased: %+v err %v", resp.Lease, err)
 	}
-	for i, k := range chk.Known {
-		if k {
-			t.Fatalf("key %d reported known on an empty cache", i)
-		}
-	}
-
-	// Pre-load index 1's result, as if another sweep had computed it. The
-	// federated store holds wire frames, so the preload must be one too.
-	body1, err := wire.EncodeRunResult(&hetwire.RunResponse{IPC: 2})
-	if err != nil {
-		t.Fatalf("encoding preload frame: %v", err)
-	}
-	cache.Put(keys[1], body1)
-	chk, _ = c.CacheCheck(&CacheCheckRequest{NodeID: n1, Keys: keys})
-	if chk.Known[0] || !chk.Known[1] {
-		t.Fatalf("cachecheck after preload: %v", chk.Known)
-	}
-
-	// The node simulates index 0 and skips index 1.
-	r0 := resultFor(0)
-	r0.CacheKey = keys[0]
-	resp, err := upload(c, n1, lease, r0, wire.UploadResult{Index: 1, CacheKey: keys[1], Skipped: true})
-	if err != nil {
-		t.Fatalf("upload: %v", err)
-	}
-	if resp.Accepted != 2 || len(resp.Requeued) != 0 || !resp.JobDone {
-		t.Fatalf("upload response: %+v", resp)
-	}
-	st := c.Stats()
-	if st.FederatedHits != 1 {
-		t.Fatalf("federated hits = %d, want 1", st.FederatedHits)
+	if resp := uploadRange(t, c, n1, lease); resp.Accepted != 1 {
+		t.Fatalf("upload response: %+v, want 1 accepted", resp)
 	}
 	// Index 0's fresh result must have populated the federated store.
 	if _, ok := cache.Get(keys[0]); !ok {
 		t.Fatal("fresh upload did not populate the federated cache")
 	}
 	<-done
-	out := take(t, c, lease.JobID)
-	if out.Completed != 2 || out.CacheHits != 1 || !out.Scenarios[1].Cached {
-		t.Fatalf("merged response: completed=%d hits=%d", out.Completed, out.CacheHits)
+	frames, _, _, err := c.TakeFrames(lease.JobID)
+	if err != nil {
+		t.Fatalf("take: %v", err)
+	}
+	sc, err := wire.DecodeScenario(frames[1])
+	if err != nil {
+		t.Fatalf("scenario 1: %v", err)
+	}
+	if !sc.Cached || !bytes.Equal(sc.Result, body1) {
+		t.Fatalf("cached slot: cached=%v, result equals the cached bytes: %v", sc.Cached, bytes.Equal(sc.Result, body1))
+	}
+	if sc, err := wire.DecodeScenario(frames[0]); err != nil || sc.Cached {
+		t.Fatalf("simulated slot: %+v err %v, want a fresh result", sc, err)
+	}
+	if st := c.Stats(); st.FederatedHits != 1 || st.JobsCompleted != 1 {
+		t.Fatalf("stats after the job: %+v, want 1 federated hit and 1 completed job", st)
 	}
 }
 
-func TestEvictedCacheEntryRequeuesSkippedIndex(t *testing.T) {
-	clk := newFakeClock()
+// TestInvalidCachedEntryIsSimulated: a cached entry that is not a valid
+// result frame is leased and simulated, never served.
+func TestInvalidCachedEntryIsSimulated(t *testing.T) {
 	cache := newMemCache()
-	c := testCoordinator(t, clk, cache)
+	c := testCoordinator(t, newFakeClock(), cache)
 	n1 := register(t, c, "a")
-	if _, _, err := c.Submit(testBatch(1), "", ""); err != nil {
+	keys := cacheKeys(t, testBatch(1))
+	cache.Put(keys[0], []byte(`{"ipc":1}`))
+	_, done, err := c.Submit(testBatch(1), "", "")
+	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	lease := mustLease(t, c, n1, 0)
-	key, _ := lease.Scenarios[0].CacheKey()
-	cache.Put(key, []byte(`{"ipc":1}`))
-	// The entry vanishes between the node's check and its skip-marker upload.
-	cache.Delete(key)
-	resp, err := upload(c, n1, lease, wire.UploadResult{Index: 0, CacheKey: key, Skipped: true})
-	if err != nil {
-		t.Fatalf("upload: %v", err)
+	if lease.Start != 0 || lease.End != 1 {
+		t.Fatalf("lease covers [%d,%d), want [0,1)", lease.Start, lease.End)
 	}
-	if len(resp.Requeued) != 1 || resp.Requeued[0] != 0 {
-		t.Fatalf("requeued = %v, want [0]", resp.Requeued)
+	uploadRange(t, c, n1, lease)
+	<-done
+	out := take(t, c, lease.JobID)
+	if out.Completed != 1 || out.CacheHits != 0 || out.Scenarios[0].Response.IPC != 1 {
+		t.Fatalf("completed=%d hits=%d ipc=%v, want the simulated result", out.Completed, out.CacheHits, out.Scenarios[0].Response.IPC)
 	}
-	// The index is pending again and the next lease re-covers it.
-	l2 := mustLease(t, c, n1, 0)
-	if l2.Start != 0 || l2.End != 1 {
-		t.Fatalf("requeued lease covers [%d,%d), want [0,1)", l2.Start, l2.End)
+	if st := c.Stats(); st.FederatedHits != 0 {
+		t.Fatalf("invalid entry counted as a federated hit: %+v", st)
 	}
 }
 
+// TestFullyCachedBatchCompletesInSubmit: a batch whose every scenario is
+// cached completes before Submit returns, with no node registered and no
+// lease issued.
+func TestFullyCachedBatchCompletesInSubmit(t *testing.T) {
+	cache := newMemCache()
+	c := testCoordinator(t, newFakeClock(), cache)
+	for i, key := range cacheKeys(t, testBatch(3)) {
+		cache.Put(key, resultFor(i).Frame)
+	}
+	jobID, done, err := c.Submit(testBatch(3), "", "")
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("fully cached job still open after Submit")
+	}
+	out := take(t, c, jobID)
+	if out.Completed != 3 || out.CacheHits != 3 {
+		t.Fatalf("completed=%d hits=%d, want 3/3", out.Completed, out.CacheHits)
+	}
+	if st := c.Stats(); st.FederatedHits != 3 || st.JobsCompleted != 1 || st.LeasesIssued != 0 {
+		t.Fatalf("stats: %+v, want 3 federated hits, 1 completed job, no lease", st)
+	}
+}
+
+// TestUploadRejectsMalformedResults: a rejected upload changes nothing — its
+// lease stays outstanding, and past the TTL every index it covers is leased
+// again, including those of valid results that preceded the bad one. An
+// accepted partial upload from the lease's owner ends the lease and frees
+// the indices it left unresolved at once.
 func TestUploadRejectsMalformedResults(t *testing.T) {
 	clk := newFakeClock()
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "a")
-	if _, _, err := c.Submit(testBatch(2), "", ""); err != nil {
+	n2 := register(t, c, "b")
+	_, done, err := c.Submit(testBatch(4), "", "")
+	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	lease := mustLease(t, c, n1, 0)
 
-	// Out-of-range index.
-	out := resultFor(0)
-	out.Index = 99
-	_, err := upload(c, n1, lease, out)
-	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
-		t.Fatalf("out-of-range index: reason %q err %v", hetwire.ReasonCode(err), err)
-	}
-
-	// A frame whose payload fails its CRC.
-	corrupt := resultFor(0)
+	outOfRange := resultFor(1)
+	outOfRange.Index = 99
+	corrupt := resultFor(1)
 	corrupt.Frame[len(corrupt.Frame)-1] ^= 0xff
-	_, err = upload(c, n1, lease, corrupt)
-	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
-		t.Fatalf("corrupt frame: reason %q err %v", hetwire.ReasonCode(err), err)
+	for _, tc := range []struct {
+		name    string
+		results []wire.UploadResult
+	}{
+		{"out-of-range index", []wire.UploadResult{resultFor(0), outOfRange}},
+		{"corrupt frame", []wire.UploadResult{resultFor(0), corrupt}},
+		{"empty result", []wire.UploadResult{resultFor(0), {Index: 1}}},
+	} {
+		if _, err := upload(c, n1, lease, tc.results...); hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
+			t.Fatalf("%s: reason %q err %v", tc.name, hetwire.ReasonCode(err), err)
+		}
+		if st := c.Stats(); st.LeasesOutstanding != 1 || st.UploadsAccepted != 0 {
+			t.Fatalf("%s: stats %+v, want the lease outstanding and nothing accepted", tc.name, st)
+		}
 	}
 
-	// A result with neither frame, error, nor skip marker.
-	_, err = upload(c, n1, lease, wire.UploadResult{Index: 0})
-	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
-		t.Fatalf("empty result: reason %q err %v", hetwire.ReasonCode(err), err)
+	clk.Advance(11 * time.Second) // past the 10s TTL
+	l2 := mustLease(t, c, n1, 0)
+	if l2.Start != 0 || l2.End != 4 {
+		t.Fatalf("re-dispatched lease covers [%d,%d), want [0,4)", l2.Start, l2.End)
+	}
+
+	held := heldLease(t, c, n2)
+	if resp, err := upload(c, n1, l2, resultFor(0)); err != nil || resp.Accepted != 1 {
+		t.Fatalf("partial upload: %+v err %v", resp, err)
+	}
+	l3 := awaitLease(t, held)
+	if l3.Start != 1 || l3.End != 4 {
+		t.Fatalf("held lease covers [%d,%d), want the unresolved [1,4)", l3.Start, l3.End)
+	}
+	if st := c.Stats(); st.LeasesOutstanding != 1 {
+		t.Fatalf("stats %+v, want only the new lease outstanding", st)
+	}
+	uploadRange(t, c, n2, l3)
+	select {
+	case <-done:
+	default:
+		t.Fatal("job not complete after every index resolved")
 	}
 }
 
@@ -770,73 +795,5 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	out := take(t, c, l1.JobID)
 	if out.Completed != 2 || out.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 2/0 (stale error leaked)", out.Completed, out.Failed)
-	}
-}
-
-// TestStaleSkipMarkerDoesNotDuplicatePendingIndex: a skip marker from an
-// expired lease whose cache entry vanished must not re-queue an index that is
-// already pending — the queue is a set, and a duplicate entry would hand the
-// same scenario to two leases.
-func TestStaleSkipMarkerDoesNotDuplicatePendingIndex(t *testing.T) {
-	clk := newFakeClock()
-	cache := newMemCache()
-	c := testCoordinator(t, clk, cache)
-	n1 := register(t, c, "slow")
-	n2 := register(t, c, "healthy")
-	_, done, err := c.Submit(testBatch(2), "", "")
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	l1 := mustLease(t, c, n1, 0)
-	clk.Advance(5 * time.Second)
-	c.Heartbeat(&HeartbeatRequest{NodeID: n2})
-	clk.Advance(6 * time.Second)
-	c.Sweep() // [0,2) back in pending
-
-	// Straggler skip markers with no cache entries behind them: dropped, not
-	// re-queued (the indices are already pending).
-	keys := make([]string, 2)
-	for i := range keys {
-		keys[i], _ = l1.Scenarios[i].CacheKey()
-	}
-	resp, err := upload(c, n1, l1,
-		wire.UploadResult{Index: 0, CacheKey: keys[0], Skipped: true},
-		wire.UploadResult{Index: 1, CacheKey: keys[1], Skipped: true})
-	if err != nil {
-		t.Fatalf("stale skip upload: %v", err)
-	}
-	if len(resp.Requeued) != 0 || resp.Duplicate != 2 {
-		t.Fatalf("stale skip markers: %+v, want 2 dropped and none requeued", resp)
-	}
-
-	// Exactly one lease covers the two indices; a second lease finds nothing.
-	l2 := mustLease(t, c, n2, 0)
-	if l2.Start != 0 || l2.End != 2 {
-		t.Fatalf("re-dispatched lease covers [%d,%d), want [0,2)", l2.Start, l2.End)
-	}
-	if resp, err := c.Lease(noWait, &LeaseRequest{NodeID: n2}); err != nil || resp.Lease != nil {
-		t.Fatalf("duplicate pending entry produced a second lease: %+v err %v", resp.Lease, err)
-	}
-	uploadRange(t, c, n2, l2)
-	select {
-	case <-done:
-	default:
-		t.Fatal("job not complete")
-	}
-}
-
-// TestCacheCheckKeyCapIsEnforced: an oversized cache check is a protocol
-// violation with a machine-readable reason, not a cheap way to hammer the
-// coordinator's result cache.
-func TestCacheCheckKeyCapIsEnforced(t *testing.T) {
-	c := testCoordinator(t, newFakeClock(), newMemCache())
-	n1 := register(t, c, "a")
-	keys := make([]string, MaxCacheCheckKeys+1)
-	_, err := c.CacheCheck(&CacheCheckRequest{NodeID: n1, Keys: keys})
-	if hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
-		t.Fatalf("oversized cache check: reason %q err %v", hetwire.ReasonCode(err), err)
-	}
-	if _, err := c.CacheCheck(&CacheCheckRequest{NodeID: n1, Keys: keys[:MaxCacheCheckKeys]}); err != nil {
-		t.Fatalf("at-cap cache check rejected: %v", err)
 	}
 }

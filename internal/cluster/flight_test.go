@@ -1,7 +1,6 @@
 // Ops-plane tests for the cluster fabric: coordinator flight events across
-// the lease lifecycle, heartbeat-piggybacked node event indexing, and the
-// deterministic merged timeline two identical runs must reproduce
-// byte-identically.
+// the lease lifecycle, and the deterministic merged timeline two identical
+// runs must reproduce byte-identically.
 package cluster
 
 import (
@@ -66,43 +65,6 @@ func TestCoordinatorFlightLeaseLifecycle(t *testing.T) {
 	}
 }
 
-// TestHeartbeatIndexesNodeEventsPerJob: events piggybacked on heartbeats are
-// filed under the jobs they concern; events for unknown (or already-taken)
-// jobs are dropped rather than accumulated unboundedly.
-func TestHeartbeatIndexesNodeEventsPerJob(t *testing.T) {
-	clk := newFakeClock()
-	c := testFlightCoordinator(t, clk, nil)
-	n1 := register(t, c, "a")
-	jobID, done, err := c.Submit(testBatch(2), "tr-idx", "")
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	lease := mustLease(t, c, n1, 0)
-
-	c.Heartbeat(&HeartbeatRequest{NodeID: n1, Events: []flight.Event{
-		{Seq: 1, Kind: flight.KindLeaseRun, Trace: "tr-idx", Job: jobID, Lease: lease.ID, Node: n1},
-		{Seq: 2, Kind: flight.KindSpan, Trace: "tr-idx", Job: "b-9999", Lease: "l-9999", Node: n1}, // unknown job
-	}})
-	got := c.NodeEvents(jobID)
-	if len(got) != 1 || got[0].Kind != flight.KindLeaseRun || got[0].Node != n1 {
-		t.Fatalf("indexed events = %+v, want just the lease_run", got)
-	}
-	if c.NodeEvents("b-9999") != nil {
-		t.Error("events indexed for an unknown job")
-	}
-
-	uploadRange(t, c, n1, lease)
-	<-done
-	take(t, c, jobID)
-	// Taken job: the record is gone, late events are dropped silently.
-	c.Heartbeat(&HeartbeatRequest{NodeID: n1, Events: []flight.Event{
-		{Seq: 3, Kind: flight.KindSpan, Job: jobID},
-	}})
-	if c.NodeEvents(jobID) != nil {
-		t.Error("events survived (or were indexed after) job take")
-	}
-}
-
 // runTwoNodeScript drives one fully scripted 2-node cluster run — fixed
 // registration order, fixed lease acquisition order, node-side events
 // fabricated exactly as the agent records them — and returns the merged
@@ -133,7 +95,7 @@ func runTwoNodeScript(t *testing.T) string {
 		nodeFR[i].Record(flight.Event{
 			Kind: flight.KindLeaseDone, Trace: lease.TraceID, Tenant: lease.Tenant,
 			Job: lease.JobID, Lease: lease.ID, Node: nodeID,
-			Detail: fmt.Sprintf("simulated=%d skipped=0 failed=0", lease.End-lease.Start),
+			Detail: fmt.Sprintf("simulated=%d failed=0", lease.End-lease.Start),
 		})
 	}
 	<-done

@@ -1,8 +1,8 @@
 // Package node is the worker side of the distributed sweep fabric: an agent
 // that registers with a hetwired coordinator, heartbeats, pulls work leases,
-// checks the coordinator's federated result-cache index to skip
-// already-known scenarios, simulates the rest through the shared CPU-token
-// batch engine, and uploads content-addressed results.
+// simulates every leased scenario through the shared CPU-token batch engine,
+// and uploads content-addressed results. The coordinator has already
+// answered cached scenarios at submit, so a lease holds only work to do.
 //
 // The agent never sleeps while idle: the coordinator holds a lease request
 // that finds no work and answers it when work arrives (or after its hold
@@ -56,9 +56,9 @@ type Options struct {
 	// Logger receives node lifecycle logs (default: discard).
 	Logger *log.Logger
 	// Flight, when non-nil, records the node's operational events (lease
-	// start, per-phase spans, lease outcome) and drains them into heartbeat
-	// traffic so the coordinator can index them per job for cluster-wide
-	// trace aggregation.
+	// start, per-phase spans, lease outcome). Its sink (hetwired's
+	// -flight-log) is the node's only event channel: hetwiretrace cluster
+	// merges it with the coordinator's dump.
 	Flight *flight.Recorder
 	// OnLease, when non-nil, observes each lease as it is received, before
 	// any work happens. Tests use it to kill the node mid-lease.
@@ -88,10 +88,6 @@ type agent struct {
 	nodeID  string
 	hbEvery time.Duration
 	needReg bool // heartbeat saw Known=false: re-register before next lease
-	// flightSent is the highest flight-recorder sequence number the
-	// coordinator has acknowledged receiving (via a successful heartbeat);
-	// the next heartbeat drains everything after it.
-	flightSent uint64
 }
 
 // retryWait is the pause after a failed lease request before the next one.
@@ -203,31 +199,15 @@ func (a *agent) heartbeatLoop(ctx context.Context) {
 		if err := sleepCtx(ctx, every); err != nil {
 			return
 		}
-		// Drain flight events recorded since the last acknowledged heartbeat
-		// onto this one; the sent watermark only advances on success, so a
-		// failed heartbeat retries the same window (the coordinator indexes
-		// per job ID, and duplicates only arise from ring lapping, never from
-		// the drain itself).
-		a.mu.Lock()
-		sent := a.flightSent
-		a.mu.Unlock()
-		events := a.opts.Flight.Since(sent)
 		var resp cluster.HeartbeatResponse
 		err := a.cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/heartbeat",
-			&cluster.HeartbeatRequest{NodeID: a.id(), Events: events}, "hb", &resp)
+			&cluster.HeartbeatRequest{NodeID: a.id()}, "hb", &resp)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
 			a.opts.Logger.Printf("node heartbeat failed: %v", err)
 			continue
-		}
-		if n := len(events); n > 0 {
-			a.mu.Lock()
-			if last := events[n-1].Seq; last > a.flightSent {
-				a.flightSent = last
-			}
-			a.mu.Unlock()
 		}
 		if !resp.Known {
 			a.mu.Lock()
@@ -254,10 +234,10 @@ func (a *agent) lease(ctx context.Context) (*cluster.Lease, error) {
 	return resp.Lease, nil
 }
 
-// runLease executes one lease end to end: federated cache check, simulate
-// the unknowns, upload. A context cancellation mid-lease aborts without
-// uploading — the straggler case the coordinator's lease expiry exists for.
-// The lease's outcome is recorded as one KindLeaseDone flight event.
+// runLease executes one lease end to end: simulate, then upload. A context
+// cancellation mid-lease aborts without uploading — the straggler case the
+// coordinator's lease expiry exists for. The lease's outcome is recorded as
+// one KindLeaseDone flight event.
 func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	count := lease.End - lease.Start
 	if count != len(lease.Scenarios) {
@@ -279,40 +259,19 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	}
 	record(flight.KindLeaseRun, "", fmt.Sprintf("range=[%d,%d)", lease.Start, lease.End), 0)
 
-	// Phase 1: ask the federated cache index which results are already known.
-	// Failures degrade to "nothing known" — the check is an optimization, the
-	// upload path re-verifies everything.
-	keys := make([]string, count)
-	for i := range lease.Scenarios {
-		k, err := lease.Scenarios[i].CacheKey()
-		if err == nil {
-			keys[i] = k
-		}
-	}
-	t0 := time.Now()
-	known := a.cacheCheck(ctx, keys)
-	hdr := &wire.UploadHeader{NodeID: a.id(), LeaseID: lease.ID, JobID: lease.JobID,
-		Spans: []wire.SpanMS{{Name: cluster.SpanCacheCheck, DurMS: msSince(t0)}}}
-
-	// Phase 2: simulate every scenario the cache does not already hold,
-	// through the shared batch engine so lease execution draws from the same
-	// process-wide CPU budget as local surfaces. Scenario failures are
-	// isolated to their slots; only context cancellation aborts the lease.
-	// Each result is encoded as a wire frame: the frame CRC plus the
-	// coordinator's full validation guard transport, and the coordinator
-	// stores the frame bytes without re-encoding.
+	// Phase 1: simulate every scenario through the shared batch engine, so
+	// lease execution draws from the same process-wide CPU budget as local
+	// surfaces. Scenario failures are isolated to their slots; only context
+	// cancellation aborts the lease. Each result is encoded as a wire frame:
+	// the frame CRC plus the coordinator's full validation guard transport,
+	// and the coordinator stores the frame bytes without re-encoding.
 	results := make([]wire.UploadResult, count)
 	simCtx := hetwire.WithTraceID(ctx, lease.TraceID)
-	t0 = time.Now()
+	t0 := time.Now()
 	errs := batch.RunRange(simCtx, lease.Start, lease.End, a.opts.Parallelism, func(ctx context.Context, idx int) error {
 		i := idx - lease.Start
 		res := &results[i]
 		res.Index = idx
-		res.CacheKey = keys[i]
-		if known[i] {
-			res.Skipped = true
-			return nil
-		}
 		resp, err := lease.Scenarios[i].ExecuteContext(ctx)
 		if err == nil {
 			res.Frame, err = wire.EncodeRunResult(resp)
@@ -326,10 +285,11 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 		}
 		return nil
 	})
-	hdr.Spans = append(hdr.Spans, wire.SpanMS{Name: cluster.SpanSim, DurMS: msSince(t0)})
-	var simulated, skipped, failed int
+	hdr := &wire.UploadHeader{NodeID: a.id(), LeaseID: lease.ID, JobID: lease.JobID,
+		Spans: []wire.SpanMS{{Name: cluster.SpanSim, DurMS: msSince(t0)}}}
+	var simulated, failed int
 	outcome := func() string {
-		return fmt.Sprintf("simulated=%d skipped=%d failed=%d", simulated, skipped, failed)
+		return fmt.Sprintf("simulated=%d failed=%d", simulated, failed)
 	}
 	if err := ctx.Err(); err != nil {
 		record(flight.KindLeaseDone, "aborted", outcome(), 0)
@@ -337,8 +297,6 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	}
 	for i := range results {
 		switch {
-		case results[i].Skipped:
-			skipped++
 		case results[i].Error != "":
 			failed++
 		case len(results[i].Frame) > 0:
@@ -347,14 +305,13 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 			// Engine-level failure (token acquisition, contained panic) with no
 			// scenario-level record: report it so the slot resolves.
 			results[i].Index = lease.Start + i
-			results[i].CacheKey = keys[i]
 			results[i].Error = errs[i].Error()
 			results[i].Reason = hetwire.ReasonCode(errs[i])
 			failed++
 		}
 	}
 
-	// Phase 3: upload. Keyed by lease ID so transport retries replay safely —
+	// Phase 2: upload. Keyed by lease ID so transport retries replay safely —
 	// uploads are idempotent by content on the coordinator.
 	t0 = time.Now()
 	var uresp cluster.UploadResponse
@@ -372,40 +329,17 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 		record(flight.KindLeaseDone, "aborted", outcome(), 0)
 		return fmt.Errorf("node: uploading lease %s: %w", lease.ID, err)
 	}
-	// Span summaries ride the flight recorder (and from there, heartbeat
-	// traffic): one event per phase, DurMS being the measured — hence
-	// nondeterministic, hence Canonical-elided — cost.
+	// Span summaries ride the flight recorder: one event per phase, DurMS
+	// being the measured — hence nondeterministic, hence Canonical-elided —
+	// cost.
 	for _, sp := range append(hdr.Spans, wire.SpanMS{Name: cluster.SpanUpload, DurMS: msSince(t0)}) {
 		record(flight.KindSpan, "", sp.Name, sp.DurMS)
 	}
-	a.opts.Logger.Printf("node lease %s done job=%s range=[%d,%d) %s accepted=%d duplicate=%d requeued=%d upload_ms=%.1f",
+	a.opts.Logger.Printf("node lease %s done job=%s range=[%d,%d) %s accepted=%d duplicate=%d upload_ms=%.1f",
 		lease.ID, lease.JobID, lease.Start, lease.End, outcome(),
-		uresp.Accepted, uresp.Duplicate, len(uresp.Requeued), msSince(t0))
+		uresp.Accepted, uresp.Duplicate, msSince(t0))
 	record(flight.KindLeaseDone, "", outcome(), 0)
 	return nil
-}
-
-// cacheCheck queries the federated index, folding any failure into "nothing
-// known".
-func (a *agent) cacheCheck(ctx context.Context, keys []string) []bool {
-	known := make([]bool, len(keys))
-	ask := false
-	for _, k := range keys {
-		if k != "" {
-			ask = true
-			break
-		}
-	}
-	if !ask {
-		return known
-	}
-	var resp cluster.CacheCheckResponse
-	err := a.cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/cachecheck",
-		&cluster.CacheCheckRequest{NodeID: a.id(), Keys: keys}, "cachecheck", &resp)
-	if err != nil || len(resp.Known) != len(keys) {
-		return known
-	}
-	return resp.Known
 }
 
 // terminal reports whether an error should stop the node loop entirely:

@@ -5,16 +5,17 @@
 // leases, simulates, and uploads content-addressed results.
 //
 // One encoding per message: control messages (register, heartbeat, lease,
-// cache check, and the upload acknowledgement) are JSON; results travel
-// only as hetwire-bin/v1 upload streams (wire.EncodeUpload), so the
-// coordinator stores exactly the frame bytes a node's simulation produced.
+// and the upload acknowledgement) are JSON; results travel only as
+// hetwire-bin/v1 upload streams (wire.EncodeUpload), so the coordinator
+// stores exactly the frame bytes a node's simulation produced.
 //
 // Dispatch is push-on-arrival over a pull protocol: a lease request that
 // finds nothing pending is held open (the daemon bounds the hold at 200
-// ms) and answered as soon as indices enter the pending queue — on submit,
-// on a lease expiry that requeues work, or on a skip marker whose cache
-// entry was evicted. A node asks again right after every answer, so queued
-// work reaches an idle node at once rather than at its next poll.
+// ms) and answered as soon as indices enter the pending queue — on a submit
+// that left scenarios to simulate, or when a lease ends with indices
+// unresolved (expiry, node death, or a partial upload). A node asks again
+// right after every answer, so queued work reaches an idle node at once
+// rather than at its next poll.
 //
 // Determinism contract: the coordinator expands each batch exactly once
 // (hetwire.BatchRequest.Expand) and every scenario result is addressed by
@@ -32,18 +33,16 @@
 // Robustness contract: leases carry deadlines; an expired lease returns its
 // unfinished indices to the pending queue for another node (straggler
 // re-dispatch). Nodes that miss enough heartbeats are declared dead and
-// their leases expire immediately. A node checks the coordinator's
-// federated result-cache index before simulating and skips scenarios whose
-// results are already known; uploaded results populate the coordinator's
-// content-addressed cache, so cluster work and single-box work share one
-// result store.
+// their leases expire immediately. The coordinator answers every scenario
+// its federated result cache already holds at submit, so only misses are
+// leased; uploaded results populate that content-addressed cache, so
+// cluster work and single-box work share one result store.
 package cluster
 
 import (
 	"fmt"
 
 	"hetwire"
-	"hetwire/internal/obs/flight"
 )
 
 // ProtocolVersion is bumped on any incompatible change to the wire types or
@@ -51,8 +50,9 @@ import (
 // hetwire-bin/v1 upload stream the only upload encoding. Version 3 made an
 // idle lease request a held one and dropped the idle-poll hints from the
 // register and lease responses: the coordinator, not the node, now paces an
-// idle node.
-const ProtocolVersion = 3
+// idle node. Version 4 answers cached scenarios at submit, so the remote
+// cache check, skip markers, heartbeat events and unread fields are gone.
+const ProtocolVersion = 4
 
 // Machine-readable reason codes specific to the cluster protocol. They ride
 // hetwire.RequestError, so hetwire.ReasonCode extracts them uniformly and
@@ -114,20 +114,11 @@ type RegisterResponse struct {
 	// HeartbeatMS is how often the node must check in; missing several in a
 	// row declares the node dead.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// LeaseTTLMS is the work-lease deadline the coordinator will stamp on
-	// leases; a node that cannot finish a lease within it should ask for
-	// smaller leases (Max on LeaseRequest).
-	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 }
 
-// HeartbeatRequest is the periodic liveness check-in. Events optionally
-// piggybacks the node's flight-recorder drain: events recorded since the
-// last acknowledged heartbeat, for the coordinator to index per job. It
-// rides the JSON heartbeat so the upload stream (and its golden-wire
-// fixtures) stays untouched.
+// HeartbeatRequest is the periodic liveness check-in.
 type HeartbeatRequest struct {
-	NodeID string         `json:"node_id"`
-	Events []flight.Event `json:"events,omitempty"`
+	NodeID string `json:"node_id"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat. Known=false tells the node the
@@ -175,37 +166,12 @@ type Lease struct {
 	End   int `json:"end"`
 	// Scenarios holds the expanded requests for [Start, End).
 	Scenarios []hetwire.RunRequest `json:"scenarios"`
-	// TTLMS is the lease deadline: results uploaded after it may find their
-	// indices re-dispatched (uploads stay idempotent either way).
-	TTLMS int64 `json:"ttl_ms"`
-}
-
-// MaxCacheCheckKeys bounds one CacheCheckRequest: each key costs a locked
-// cache lookup, and a node only ever needs one lease's worth of keys per
-// check, so a huge batch is a protocol violation rather than a workload.
-const MaxCacheCheckKeys = 4096
-
-// CacheCheckRequest asks the coordinator's federated result-cache index
-// which content-addressed keys are already known. Len(Keys) must not exceed
-// MaxCacheCheckKeys; split larger checks.
-type CacheCheckRequest struct {
-	NodeID string   `json:"node_id"`
-	Keys   []string `json:"keys"`
-}
-
-// CacheCheckResponse answers a cache check: Known[i] reports whether Keys[i]
-// is resident in the coordinator's result cache. A node skips simulating
-// known scenarios and uploads a skip marker instead; the coordinator fills
-// those slots from its cache.
-type CacheCheckResponse struct {
-	Known []bool `json:"known"`
 }
 
 // Node-side lease phase names, carried as wire.SpanMS in upload headers.
 const (
-	SpanCacheCheck = "node_cache_check"
-	SpanSim        = "node_sim"
-	SpanUpload     = "node_upload"
+	SpanSim    = "node_sim"
+	SpanUpload = "node_upload"
 )
 
 // UploadResponse summarises how an upload landed. Uploads are idempotent:
@@ -218,13 +184,6 @@ type UploadResponse struct {
 	// Duplicate counts results whose slot was already filled identically
 	// (straggler after re-dispatch) — a no-op by design.
 	Duplicate int `json:"duplicate"`
-	// Requeued lists skip-marker indices the coordinator could not fill
-	// because the cached entry was evicted between check and upload; they
-	// return to the pending queue for a future lease.
-	Requeued []int `json:"requeued,omitempty"`
-	// JobDone reports that the job is no longer live (completed, cancelled,
-	// or already collected); the node should drop any remaining state for it.
-	JobDone bool `json:"job_done"`
 }
 
 // reqErr builds a hetwire.RequestError with a cluster reason code.

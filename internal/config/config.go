@@ -7,6 +7,7 @@ package config
 import (
 	"fmt"
 
+	"hetwire/internal/sched"
 	"hetwire/internal/wires"
 )
 
@@ -480,11 +481,40 @@ func (c Config) RingLatency(class wires.Class) int {
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c Config) Validate() error {
-	if c.Core.FetchWidth <= 0 || c.Core.DispatchWidth <= 0 || c.Core.CommitWidth <= 0 {
-		return fmt.Errorf("config: pipeline widths must be positive")
+	k := &c.Core
+	// Each of these sizes a sched.Calendar or sched.Wheel, whose 8-bit
+	// per-cycle counts cap it; the constructors panic past the cap.
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"FetchWidth", k.FetchWidth, sched.MaxCalendarCapacity},
+		{"DispatchWidth", k.DispatchWidth, sched.MaxCalendarCapacity},
+		{"CommitWidth", k.CommitWidth, sched.MaxCalendarCapacity},
+		{"L1DPorts", k.L1DPorts, sched.MaxCalendarCapacity},
+		{"FetchQueueSize", k.FetchQueueSize, sched.MaxWheelSlots},
+		{"IssueQPerClust", k.IssueQPerClust, sched.MaxWheelSlots},
+		{"RegsPerClust", k.RegsPerClust, sched.MaxWheelSlots},
+	} {
+		if f.v < 1 || f.v > f.max {
+			return fmt.Errorf("config: %s = %d out of range [1,%d]", f.name, f.v, f.max)
+		}
 	}
-	if c.Core.ROBSize <= 0 || c.Core.IssueQPerClust <= 0 || c.Core.RegsPerClust <= 0 {
-		return fmt.Errorf("config: window resources must be positive")
+	if k.ROBSize <= 0 {
+		return fmt.Errorf("config: ROBSize must be positive")
+	}
+	// A negative latency turns into a release cycle near 2^64, and the
+	// wheel grows its ring toward it until memory runs out.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"L1ILatency", k.L1ILatency}, {"L1DLatency", k.L1DLatency},
+		{"L2Latency", k.L2Latency}, {"MemLatency", k.MemLatency},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("config: %s = %d must be >= 0", f.name, f.v)
+		}
 	}
 	if c.Model.Link == (LinkSpec{}) {
 		return fmt.Errorf("config: interconnect model %v has no wires", c.Model.ID)

@@ -63,11 +63,11 @@ const (
 	// KindLeaseRun: node-side — the agent started executing a lease.
 	KindLeaseRun = "lease_run"
 	// KindLeaseDone: node-side — how the lease ended. Detail carries the
-	// simulated, skipped, and failed scenario counts; Reason is "aborted"
-	// when the node gave the lease up before a successful upload.
+	// simulated and failed scenario counts; Reason is "aborted" when the
+	// node gave the lease up before a successful upload.
 	KindLeaseDone = "lease_done"
-	// KindSpan: node-side span summary attached to heartbeat traffic
-	// (Detail names the phase, DurMS its measured cost).
+	// KindSpan: node-side span summary of one lease phase (Detail names the
+	// phase, DurMS its measured cost).
 	KindSpan = "span"
 	// KindCacheHit / KindCacheMiss / KindCacheCorrupt: result-cache
 	// outcomes. Corrupt means a checksum-failed entry was dropped.
@@ -198,8 +198,8 @@ func (r *Recorder) Snapshot() []Event {
 	return r.Since(0)
 }
 
-// Since copies the surviving events with Seq > after, in sequence order.
-// Node agents use it to drain incrementally into heartbeats.
+// Since copies the surviving events with Seq > after, in sequence order;
+// Snapshot is Since(0).
 func (r *Recorder) Since(after uint64) []Event {
 	if r == nil {
 		return nil

@@ -170,7 +170,7 @@ func timelineSources() []flight.Source {
 	nodeEvs := []flight.Event{
 		{Seq: 1, Kind: flight.KindLeaseRun, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-1", Node: "n-1", Detail: "range=[0,4)"},
 		{Seq: 2, Kind: flight.KindSpan, Trace: "tr-a", Job: "b-1", Lease: "l-1", Node: "n-1", DurMS: 7.5, Detail: "node_sim"},
-		{Seq: 3, Kind: flight.KindLeaseDone, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-1", Node: "n-1", Detail: "simulated=4 skipped=0 failed=0"},
+		{Seq: 3, Kind: flight.KindLeaseDone, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-1", Node: "n-1", Detail: "simulated=4 failed=0"},
 		{Seq: 4, Kind: flight.KindLeaseRun, Trace: "tr-a", Tenant: "acme", Job: "b-1", Lease: "l-2", Node: "n-1", Detail: "range=[4,8)"},
 	}
 	return []flight.Source{
@@ -203,7 +203,7 @@ func TestMergeTimelineDeterministicAndCausal(t *testing.T) {
 		t.Errorf("causal ordering broken (grant1=%d run1=%d grant2=%d run2=%d):\n%s",
 			grant1, run1, grant2, run2, a)
 	}
-	done1 := strings.Index(a, "lease_done tenant=acme job=b-1 lease=l-1 node=n-1 detail=simulated=4 skipped=0 failed=0")
+	done1 := strings.Index(a, "lease_done tenant=acme job=b-1 lease=l-1 node=n-1 detail=simulated=4 failed=0")
 	if !(done1 > run1 && grant2 > done1) {
 		t.Errorf("lease outcome row missing or outside its grant block (done1=%d):\n%s", done1, a)
 	}

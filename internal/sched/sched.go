@@ -47,6 +47,10 @@ type Calendar struct {
 // smaller ring keeps the hot cells resident in cache.
 const DefaultWindow = 1 << 13
 
+// MaxCalendarCapacity is the largest per-cycle capacity a Calendar holds:
+// each cell counts its cycle's bookings in 8 bits.
+const MaxCalendarCapacity = 255
+
 // NewCalendar creates a calendar with the given per-cycle capacity and ring
 // size (rounded up to a minimum of 1024 cycles and to the next power of
 // two, so ring indexing is a mask instead of a division). The capacity must
@@ -55,7 +59,7 @@ func NewCalendar(capacity, window int) *Calendar {
 	if capacity <= 0 {
 		panic("sched: calendar capacity must be positive")
 	}
-	if capacity > 255 {
+	if capacity > MaxCalendarCapacity {
 		panic("sched: calendar capacity exceeds the 8-bit cell count")
 	}
 	if window < 1024 {

@@ -52,13 +52,16 @@ type Wheel struct {
 // simulated timing) and vanishingly rare after warmup.
 const wheelMinWindow = 1 << 12
 
+// MaxWheelSlots is the largest pool a Wheel holds: its per-cycle release
+// counts are uint8.
+const MaxWheelSlots = 255
+
 // NewWheel creates a pool with the given number of slots.
 func NewWheel(slots int) *Wheel {
 	if slots <= 0 {
 		panic("sched: wheel needs at least one slot")
 	}
-	if slots > 255 {
-		// counts are uint8; every pool in the machine is far smaller.
+	if slots > MaxWheelSlots {
 		panic("sched: wheel supports at most 255 slots")
 	}
 	w := &Wheel{size: slots}

@@ -52,7 +52,6 @@ func (s *Server) initCluster(co *ClusterOptions) {
 	s.route("POST", "/v1/cluster/register", s.clusterAuth(s.handleClusterRegister))
 	s.route("POST", "/v1/cluster/heartbeat", s.clusterAuth(s.handleClusterHeartbeat))
 	s.route("POST", "/v1/cluster/lease", s.clusterAuth(s.handleClusterLease))
-	s.route("POST", "/v1/cluster/cachecheck", s.clusterAuth(s.handleClusterCacheCheck))
 	s.route("POST", "/v1/cluster/upload", s.clusterAuth(s.handleClusterUpload))
 	s.route("GET", "/v1/cluster/nodes", s.clusterAuth(s.handleClusterNodes))
 }
@@ -75,9 +74,9 @@ func (s *Server) clusterAuth(h http.HandlerFunc) http.HandlerFunc {
 
 // Body size bounds for cluster protocol requests: a coordinator must not
 // buffer arbitrary bytes from a compromised node. Control messages
-// (register, heartbeat, lease, cachecheck) are at most a lease's worth of
-// cache keys; uploads carry result frames — KBs each, a lease's worth per
-// request — so they get a larger but still bounded cap.
+// (register, heartbeat, lease) are a few hundred bytes; uploads carry result
+// frames — KBs each, a lease's worth per request — so they get a larger but
+// still bounded cap.
 const (
 	clusterControlBodyLimit = 1 << 20
 	clusterUploadBodyLimit  = 16 << 20
@@ -155,19 +154,6 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (s *Server) handleClusterCacheCheck(w http.ResponseWriter, r *http.Request) {
-	var req cluster.CacheCheckRequest
-	if !decodeCluster(w, r, &req, clusterControlBodyLimit) {
-		return
-	}
-	resp, err := s.coord.CacheCheck(&req)
-	if err != nil {
-		clusterError(w, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
 // handleClusterUpload accepts a lease's results as a hetwire-bin/v1 upload
 // stream (wire.EncodeUpload); any other body is rejected as bad_wire. The
 // embedded result frames reach the coordinator verbatim, so an accepted
@@ -200,12 +186,13 @@ func (s *Server) handleClusterNodes(w http.ResponseWriter, _ *http.Request) {
 }
 
 // runClusterBatch executes a batch job through the cluster fabric instead of
-// the local CPU pool: submit to the coordinator, wait for nodes to lease and
-// upload every scenario, then collect the per-scenario wire frames and
-// assemble the batch stream by pure byte copy. The stream is bit-identical
-// to local batch execution — scenarios land at their expansion index, carry
-// no node identity, and embed the uploaded result frames verbatim — so the
-// golden corpus reproduces exactly through either path.
+// the local CPU pool: submit to the coordinator (which answers cached
+// scenarios at once), wait for nodes to lease and upload the rest, then
+// collect the per-scenario wire frames and assemble the batch stream by pure
+// byte copy. The stream is bit-identical to local batch execution —
+// scenarios land at their expansion index, carry no node identity, and embed
+// the uploaded result frames verbatim — so the golden corpus reproduces
+// exactly through either path.
 func (s *Server) runClusterBatch(job *Job) ([]byte, bool, error) {
 	jobID, done, err := s.coord.Submit(job.Batch, job.TraceID, job.tenant.Name())
 	if err != nil {
@@ -221,7 +208,7 @@ func (s *Server) runClusterBatch(job *Job) ([]byte, bool, error) {
 	// Merge node-reported lease phases into the job's span breakdown. Only
 	// the fixed protocol span names are admitted so a misbehaving node cannot
 	// grow the span list (or the phase-metric label set) without bound.
-	for _, name := range []string{cluster.SpanCacheCheck, cluster.SpanSim, cluster.SpanUpload} {
+	for _, name := range []string{cluster.SpanSim, cluster.SpanUpload} {
 		if ms, ok := spanDur[name]; ok {
 			job.spans.observe(name, time.Now(), time.Duration(ms*float64(time.Millisecond)))
 		}

@@ -94,7 +94,7 @@ func TestClusterTracePropagationEndToEnd(t *testing.T) {
 		case flight.KindLeaseDone:
 			outcomes++
 			if ev.Reason != "" || !strings.HasPrefix(ev.Detail, "simulated=") {
-				t.Errorf("lease outcome %+v, want a clean simulated/skipped/failed count", ev)
+				t.Errorf("lease outcome %+v, want a clean simulated/failed count", ev)
 			}
 		}
 	}

@@ -305,6 +305,49 @@ func TestClusterFederatedCacheHits(t *testing.T) {
 	}
 }
 
+// TestClusterCachedRerunNeedsNoNode: once a sweep's results are in the
+// federated cache, rerunning it completes at submit — with its only node
+// gone, well inside a short deadline, and without issuing a lease.
+func TestClusterCachedRerunNeedsNoNode(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	h := startCoordinator(t, server.ClusterOptions{})
+	nodeCtx, stop := context.WithCancel(ctx)
+	nodeExit := h.startNode(nodeCtx, "alpha", nil)
+	sweep := &hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{
+		Models:     []string{"I", "VII"},
+		Benchmarks: []string{"gzip"},
+		Ns:         []uint64{4_000},
+	}}
+	first := h.runBatch(ctx, "cached-first", sweep)
+	if first.Completed != 2 || first.Failed != 0 {
+		t.Fatalf("first pass: %+v", first)
+	}
+	stop()
+	<-nodeExit
+	leases := h.stats().LeasesIssued
+
+	cl := client.New(client.Options{BaseURL: h.ts.URL})
+	st, err := cl.SubmitBatch(ctx, sweep, 2000)
+	if err != nil {
+		t.Fatalf("submitting rerun: %v", err)
+	}
+	if st, err = cl.Await(ctx, st.ID, 20*time.Millisecond); err != nil || st.State != server.StateDone {
+		t.Fatalf("rerun: state %s err %v (%s)", st.State, err, st.Error)
+	}
+	var second hetwire.BatchResponse
+	if err := json.Unmarshal(st.Result, &second); err != nil {
+		t.Fatalf("decoding rerun result: %v", err)
+	}
+	if second.Completed != 2 || second.CacheHits != 2 {
+		t.Fatalf("rerun: completed=%d cache_hits=%d, want 2/2", second.Completed, second.CacheHits)
+	}
+	requireBitIdentical(t, first, &second)
+	if got := h.stats().LeasesIssued; got != leases {
+		t.Errorf("rerun issued %d leases, want none", got-leases)
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	var sb strings.Builder
@@ -339,8 +382,9 @@ func (h *clusterHarness) clusterPost(path, contentType, body string) (int, strin
 
 // TestClusterUploadIsFramesOnly: the upload endpoint speaks only the
 // hetwire-bin/v1 upload stream — a JSON body, whatever its content type, is
-// 400 bad_wire — and a node of the protocol that still uploaded JSON is
-// refused at registration instead of looping on rejected uploads.
+// 400 bad_wire — and nodes of older protocols (one that still uploaded JSON,
+// one that still sent skip markers) are refused at registration instead of
+// looping on rejected uploads.
 func TestClusterUploadIsFramesOnly(t *testing.T) {
 	h := startCoordinator(t, server.ClusterOptions{})
 	jsonUpload := `{"node_id":"n-0001","lease_id":"l-000001","job_id":"cj-000001","results":[{"index":0,"body":{"ipc":1}}]}`
@@ -352,8 +396,10 @@ func TestClusterUploadIsFramesOnly(t *testing.T) {
 	register := func(protocol int) string {
 		return fmt.Sprintf(`{"name":"old","protocol":%d,"compat_hash":%q}`, protocol, cluster.CompatHash())
 	}
-	if code, reason := h.clusterPost("/v1/cluster/register", "application/json", register(1)); code != http.StatusConflict || reason != cluster.ReasonIncompatibleNode {
-		t.Errorf("protocol-1 registration: %d %q, want 409 %s", code, reason, cluster.ReasonIncompatibleNode)
+	for _, old := range []int{1, 3} {
+		if code, reason := h.clusterPost("/v1/cluster/register", "application/json", register(old)); code != http.StatusConflict || reason != cluster.ReasonIncompatibleNode {
+			t.Errorf("protocol-%d registration: %d %q, want 409 %s", old, code, reason, cluster.ReasonIncompatibleNode)
+		}
 	}
 	if code, _ := h.clusterPost("/v1/cluster/register", "application/json", register(cluster.ProtocolVersion)); code != http.StatusOK {
 		t.Errorf("current-protocol registration: %d, want 200", code)

@@ -50,7 +50,7 @@ var fuzzDone = func() context.Context {
 }()
 
 // fuzzUploadStream is a valid upload for job cj-000001: a header, a result
-// frame, a skip marker, and a scenario error.
+// frame, and a scenario error.
 func fuzzUploadStream(f *testing.F) []byte {
 	frame, err := wire.EncodeRunResult(&hetwire.RunResponse{Benchmark: "gzip", Model: "I", N: 1000, IPC: 1.25})
 	if err != nil {
@@ -60,8 +60,7 @@ func fuzzUploadStream(f *testing.F) []byte {
 		&wire.UploadHeader{NodeID: "n-0001", LeaseID: "l-000001", JobID: "cj-000001",
 			Spans: []wire.SpanMS{{Name: cluster.SpanSim, DurMS: 2}}},
 		[]wire.UploadResult{
-			{Index: 0, CacheKey: "k0", Frame: frame},
-			{Index: 1, CacheKey: "k1", Skipped: true},
+			{Index: 0, Frame: frame},
 			{Index: 2, Error: "simulated failure", Reason: "internal"},
 		})
 	if err != nil {
@@ -77,7 +76,6 @@ var clusterFuzzEndpoints = []string{
 	"/v1/cluster/register",
 	"/v1/cluster/heartbeat",
 	"/v1/cluster/lease",
-	"/v1/cluster/cachecheck",
 	"/v1/cluster/upload",
 }
 
@@ -99,10 +97,10 @@ func FuzzClusterProtocol(f *testing.F) {
 	f.Add(uint8(1), []byte(`{"node_id":12345}`))
 	f.Add(uint8(2), []byte(`{"node_id":"n-0001","max":-7}`))
 	f.Add(uint8(2), []byte(`null`))
-	f.Add(uint8(3), []byte(`{"node_id":"n-0001","keys":["", "zzz"]}`))
-	f.Add(uint8(4), upload)
-	f.Add(uint8(4), corrupt)
-	f.Add(uint8(4), []byte("\x00\xff\xfe"))
+	f.Add(uint8(1), []byte(`{"node_id":"n-0001","events":[{"seq":1,"kind":"span"}]}`))
+	f.Add(uint8(3), upload)
+	f.Add(uint8(3), corrupt)
+	f.Add(uint8(3), []byte("\x00\xff\xfe"))
 	f.Add(uint8(255), []byte(``))
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {

@@ -18,8 +18,8 @@
 //	GET    /metrics       Prometheus text exposition
 //
 // Coordinator mode (Options.Cluster) adds the authenticated cluster
-// protocol — POST /v1/cluster/{register,heartbeat,lease,cachecheck,upload}
-// and GET /v1/cluster/nodes — and routes batch jobs to worker nodes; see
+// protocol — POST /v1/cluster/{register,heartbeat,lease,upload} and GET
+// /v1/cluster/nodes — and routes batch jobs to worker nodes; see
 // internal/cluster.
 package server
 

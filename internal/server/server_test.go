@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hetwire"
 )
 
 // --- cache unit tests ---
@@ -610,6 +612,60 @@ func TestValidationErrors(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/jobs", &list)
 	if len(list.Jobs) != 0 {
 		t.Errorf("rejected submissions created %d jobs: %+v", len(list.Jobs), list.Jobs)
+	}
+}
+
+// TestOutOfBoundsConfigIsBadConfig: a config document whose core overrides
+// exceed what the engine's calendars and wheels can hold, or whose latency
+// is negative, is refused by ConfigFromJSON and by POST /v1/run as 400
+// bad_config, before any job exists or any worker could panic. Table 1 and
+// the largest in-bounds values stay accepted.
+func TestOutOfBoundsConfigIsBadConfig(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	for _, doc := range []string{
+		`{"model":"I","core_overrides":{"fetch_width":1000}}`,
+		`{"model":"I","core_overrides":{"fetch_width":256}}`,
+		`{"model":"I","core_overrides":{"fetch_width":0}}`,
+		`{"model":"I","core_overrides":{"issue_queue":300}}`,
+		`{"model":"I","core_overrides":{"registers":300}}`,
+		`{"model":"I","core_overrides":{"memory_latency":-300}}`,
+		`{"model":"I","core_overrides":{"l2_latency":-1}}`,
+		`{"model":"I","core_overrides":{"l1d_latency":-1}}`,
+	} {
+		if _, err := hetwire.ConfigFromJSON([]byte(doc)); err == nil {
+			t.Errorf("ConfigFromJSON accepted %s", doc)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{
+			"benchmark": "gzip", "n": 2000, "config": json.RawMessage(doc),
+		})
+		var rej struct {
+			Reason string `json:"reason"`
+		}
+		json.Unmarshal(body, &rej)
+		if resp.StatusCode != http.StatusBadRequest || rej.Reason != hetwire.ReasonBadConfig {
+			t.Errorf("POST /v1/run with %s: %d %q, want 400 %s (body %s)",
+				doc, resp.StatusCode, rej.Reason, hetwire.ReasonBadConfig, body)
+		}
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("rejected configs created %d jobs: %+v", len(list.Jobs), list.Jobs)
+	}
+	if n := s.Metrics().JobsPanicked(); n != 0 {
+		t.Errorf("%d jobs panicked", n)
+	}
+	for _, doc := range []string{
+		`{"model":"I"}`,
+		`{"model":"X","clusters":16}`,
+		`{"model":"VII","core_overrides":{"rob":256,"fetch_width":4}}`,
+		`{"model":"I","core_overrides":{"fetch_width":255,"issue_queue":255,"registers":255,"memory_latency":0}}`,
+	} {
+		if _, err := hetwire.ConfigFromJSON([]byte(doc)); err != nil {
+			t.Errorf("ConfigFromJSON rejected %s: %v", doc, err)
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ func NormalizeRoute(method, path string) string {
 	}
 	if rest, ok := strings.CutPrefix(path, "/v1/cluster/"); ok {
 		switch rest {
-		case "register", "heartbeat", "lease", "cachecheck", "upload", "nodes":
+		case "register", "heartbeat", "lease", "upload", "nodes":
 			return method + " /v1/cluster/" + rest
 		}
 		return method + " other"

@@ -543,14 +543,14 @@ func DecodeUploadResult(frame []byte) (*UploadResult, error) {
 	if h.Type != TypeUploadResult {
 		return nil, fmt.Errorf("wire: frame type %#02x is not an upload result", h.Type)
 	}
-	if h.Flags&^(FlagError|FlagSkipped) != 0 {
+	if h.Flags&^FlagError != 0 {
 		return nil, fmt.Errorf("wire: upload result frame has unknown flag bits %#04x", h.Flags)
 	}
 	d := &dec{b: payload}
 	ur := &UploadResult{}
 	idx := d.u32()
 	ur.Index = int(idx)
-	ur.CacheKey = d.str()
+	key := d.str()
 	ur.Error = d.str()
 	ur.Reason = d.str()
 	if d.presence() {
@@ -562,19 +562,11 @@ func DecodeUploadResult(frame []byte) (*UploadResult, error) {
 	if idx != h.Index {
 		return nil, fmt.Errorf("wire: upload result payload index %d disagrees with header %d", idx, h.Index)
 	}
-	ur.Skipped = h.Flags&FlagSkipped != 0
-	set := 0
-	if ur.Frame != nil {
-		set++
+	if key != "" {
+		return nil, fmt.Errorf("wire: upload result %d has a non-empty retired cache-key slot", ur.Index)
 	}
-	if ur.Error != "" {
-		set++
-	}
-	if ur.Skipped {
-		set++
-	}
-	if set != 1 {
-		return nil, fmt.Errorf("wire: upload result %d must carry exactly one of frame, error, and skip marker", ur.Index)
+	if (ur.Frame != nil) == (ur.Error != "") {
+		return nil, fmt.Errorf("wire: upload result %d must carry exactly one of frame and error", ur.Index)
 	}
 	if ur.Reason != "" && ur.Error == "" {
 		return nil, fmt.Errorf("wire: upload result %d has a reason code without an error", ur.Index)

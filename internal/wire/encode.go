@@ -398,23 +398,15 @@ func AppendUploadHeader(dst []byte, h *UploadHeader) ([]byte, error) {
 }
 
 // UploadResult is one scenario outcome inside a cluster upload, addressed
-// by its absolute expansion index. Exactly one of Frame, Error, and Skipped
-// is set.
+// by its absolute expansion index. Exactly one of Frame and Error is set.
 type UploadResult struct {
 	Index int
-	// CacheKey is the scenario's content-addressed request identity
-	// (hetwire.RunRequest.CacheKey); the coordinator uses it to populate the
-	// federated cache and to fill skipped slots.
-	CacheKey string
 	// Frame is the embedded TypeRunResult frame for a completed scenario.
 	Frame []byte
 	// Error/Reason report a scenario that failed on the node, isolated to
 	// its slot like local batch execution.
 	Error  string
 	Reason string
-	// Skipped marks a scenario the node did not simulate because the
-	// federated cache check reported its key as known.
-	Skipped bool
 }
 
 // EncodeUpload assembles a complete upload stream: h as a TypeUploadHeader
@@ -437,30 +429,17 @@ func AppendUploadResult(dst []byte, r *UploadResult) ([]byte, error) {
 	if len(frame) == 0 {
 		frame = nil
 	}
-	set := 0
-	if frame != nil {
-		set++
-	}
-	if r.Error != "" {
-		set++
-	}
-	if r.Skipped {
-		set++
-	}
-	if set != 1 {
-		return nil, fmt.Errorf("wire: upload result %d must carry exactly one of frame, error, and skip marker", r.Index)
+	if (frame != nil) == (r.Error != "") {
+		return nil, fmt.Errorf("wire: upload result %d must carry exactly one of frame and error", r.Index)
 	}
 	if r.Reason != "" && r.Error == "" {
 		return nil, fmt.Errorf("wire: upload result %d has a reason code without an error", r.Index)
 	}
 	var flags uint16
 	var summary uint64
-	switch {
-	case r.Error != "":
-		flags |= FlagError
-	case r.Skipped:
-		flags |= FlagSkipped
-	default:
+	if r.Error != "" {
+		flags = FlagError
+	} else {
 		rh, _, err := checkFrame(frame)
 		if err != nil {
 			return nil, fmt.Errorf("wire: upload result %d embedded frame: %w", r.Index, err)
@@ -472,7 +451,7 @@ func AppendUploadResult(dst []byte, r *UploadResult) ([]byte, error) {
 	}
 	e := &enc{}
 	e.u32(uint32(r.Index))
-	e.str(r.CacheKey)
+	e.str("") // retired cache-key slot, kept so the layout does not change
 	e.str(r.Error)
 	e.str(r.Reason)
 	if frame == nil {

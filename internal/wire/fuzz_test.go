@@ -55,8 +55,8 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		NodeID: "n1", LeaseID: "l1", JobID: "j1",
 		Spans: []SpanMS{{Name: "node_sim", DurMS: 3.5}},
 	}))
-	uploadRes := must(AppendUploadResult(nil, &UploadResult{Index: 4, CacheKey: "k", Frame: result}))
-	uploadSkip := must(AppendUploadResult(nil, &UploadResult{Index: 5, CacheKey: "k2", Skipped: true}))
+	uploadRes := must(AppendUploadResult(nil, &UploadResult{Index: 4, Frame: result}))
+	uploadErr := must(AppendUploadResult(nil, &UploadResult{Index: 5, Error: "boom", Reason: "internal"}))
 	bhdr := must(AppendBatchHeader(nil, 3))
 	btrl := must(AppendBatchTrailer(nil, BatchTrailer{Total: 3, Completed: 2, Failed: 0, CacheHits: 1}))
 
@@ -68,7 +68,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 
 	return [][]byte{
 		result, multi, empty, scenario, failed, batch,
-		retired, uploadHdr, uploadRes, uploadSkip, bhdr, btrl,
+		retired, uploadHdr, uploadRes, uploadErr, bhdr, btrl,
 		torn, corrupt, badMagic,
 		nil, []byte("HWB1"), []byte(`{"ipc":1}`),
 	}

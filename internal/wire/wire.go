@@ -81,9 +81,9 @@ const (
 	FlagError uint16 = 1 << 0
 	// FlagCached (TypeScenario): the result was served from a result cache.
 	FlagCached uint16 = 1 << 1
-	// FlagSkipped (TypeUploadResult): federated-cache skip marker; the
-	// coordinator fills the slot from its own cache.
-	FlagSkipped uint16 = 1 << 2
+	// Bit 2 is retired (it marked a TypeUploadResult skip marker, filled
+	// from the coordinator's cache); decoders reject it and it must never
+	// be reused.
 	// FlagIncomplete (TypeBatchTrailer): the stream ended before every
 	// scenario resolved (job cancelled or deadline-exceeded mid-batch).
 	FlagIncomplete uint16 = 1 << 0

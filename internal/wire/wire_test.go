@@ -452,8 +452,7 @@ func TestUploadFramesRoundTrip(t *testing.T) {
 	}
 
 	cases := []*UploadResult{
-		{Index: 0, CacheKey: "k0", Frame: result},
-		{Index: 1, CacheKey: "k1", Skipped: true},
+		{Index: 0, Frame: result},
 		{Index: 2, Error: "sim exploded", Reason: "internal"},
 	}
 	for i, ur := range cases {
@@ -472,12 +471,15 @@ func TestUploadFramesRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: re-encode is not byte-identical", i)
 		}
 	}
-	if _, err := AppendUploadResult(nil, &UploadResult{Index: 0, Frame: result, Skipped: true}); err == nil {
-		t.Fatal("frame+skip upload result must not encode")
+	if _, err := AppendUploadResult(nil, &UploadResult{Index: 0, Frame: result, Error: "both"}); err == nil {
+		t.Fatal("frame+error upload result must not encode")
+	}
+	if _, err := AppendUploadResult(nil, &UploadResult{Index: 1}); err == nil {
+		t.Fatal("empty upload result must not encode")
 	}
 
 	// The whole stream round-trips through EncodeUpload/DecodeUpload.
-	results := []UploadResult{*cases[0], *cases[1], *cases[2]}
+	results := []UploadResult{*cases[0], *cases[1]}
 	stream, err := EncodeUpload(uh, results)
 	if err != nil {
 		t.Fatal(err)
@@ -494,6 +496,55 @@ func TestUploadFramesRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeUpload(append(append([]byte(nil), stream...), hf...)); err == nil {
 		t.Fatal("upload stream with a second header accepted")
+	}
+}
+
+// TestRetiredUploadFieldsRejected: the skip-marker flag bit and the cache
+// key string a protocol-3 node wrote are refused. The key slot stays in the
+// layout, so a frame carrying a key differs from a valid one only there.
+func TestRetiredUploadFieldsRejected(t *testing.T) {
+	result, err := EncodeRunResult(sampleResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := PeekHeader(result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := func(flags uint16, key string, frame []byte, summary uint64) []byte {
+		t.Helper()
+		e := &enc{}
+		e.u32(3)
+		e.str(key)
+		e.str("")
+		e.str("")
+		if frame == nil {
+			e.u8(0)
+		} else {
+			e.u8(1)
+			e.blob(frame)
+		}
+		fr, err := e.seal(TypeUploadResult, flags, 3, summary, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+	valid := legacy(0, "", result, h.Summary)
+	if ur, err := DecodeUploadResult(valid); err != nil || ur.Index != 3 || !bytes.Equal(ur.Frame, result) {
+		t.Fatalf("hand-built valid frame: %+v err %v", ur, err)
+	}
+	if again, err := AppendUploadResult(nil, &UploadResult{Index: 3, Frame: result}); err != nil || !bytes.Equal(again, valid) {
+		t.Fatalf("encoder does not write an empty key slot (%v)", err)
+	}
+	for name, fr := range map[string][]byte{
+		"skip marker":        legacy(1<<2, "k1", nil, 0),
+		"skip bit, no key":   legacy(1<<2, "", nil, 0),
+		"keyed result frame": legacy(0, "k0", result, h.Summary),
+	} {
+		if _, err := DecodeUploadResult(fr); err == nil {
+			t.Errorf("%s decoded", name)
+		}
 	}
 }
 
