@@ -70,7 +70,7 @@ func ConfigFromJSON(raw []byte) (Config, error) {
 	default:
 		return Config{}, fmt.Errorf("hetwire: clusters must be 4 or 16, got %d", cf.Clusters)
 	}
-	if cf.LatencyScale > 0 {
+	if cf.LatencyScale != 0 {
 		cfg.LatencyScale = cf.LatencyScale
 	}
 	pol, ok := steeringNames[cf.Steering]
@@ -83,14 +83,18 @@ func ConfigFromJSON(raw []byte) (Config, error) {
 		cfg.Tech.LSBits = cf.LSBits
 	}
 	for name, on := range cf.Techniques {
-		if err := setTechnique(&cfg.Tech, name, on); err != nil {
-			return Config{}, err
+		field, ok := techniqueFields[name]
+		if !ok {
+			return Config{}, fmt.Errorf("hetwire: unknown technique %q", name)
 		}
+		*field(&cfg.Tech) = on
 	}
 	for name, v := range cf.Overrides {
-		if err := setCoreOverride(&cfg.Core, name, v); err != nil {
-			return Config{}, err
+		field, ok := overrideFields[name]
+		if !ok {
+			return Config{}, fmt.Errorf("hetwire: unknown core override %q", name)
 		}
+		*field(&cfg.Core) = v
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -98,58 +102,36 @@ func ConfigFromJSON(raw []byte) (Config, error) {
 	return cfg, nil
 }
 
-func setTechnique(t *config.Techniques, name string, on bool) error {
-	switch name {
-	case "cache_pipeline":
-		t.LWireCachePipeline = on
-	case "narrow_operands":
-		t.NarrowOperands = on
-	case "narrow_oracle":
-		t.NarrowOracle = on
-	case "mispredict_on_l":
-		t.MispredictOnL = on
-	case "pw_ready_operands":
-		t.PWReadyOperands = on
-	case "pw_store_data":
-		t.PWStoreData = on
-	case "pw_load_balance":
-		t.PWLoadBalance = on
-	case "frequent_value":
-		t.FrequentValueEnc = on
-	case "critical_word":
-		t.CriticalWordOnL = on
-	case "transmission_line_l":
-		t.TransmissionLineL = on
-	default:
-		return fmt.Errorf("hetwire: unknown technique %q", name)
-	}
-	return nil
+// techniqueFields maps each technique name a config document uses to its
+// toggle. ConfigFromJSON sets through it and ConfigJSON reads through it.
+var techniqueFields = map[string]func(*config.Techniques) *bool{
+	"cache_pipeline":      func(t *config.Techniques) *bool { return &t.LWireCachePipeline },
+	"narrow_operands":     func(t *config.Techniques) *bool { return &t.NarrowOperands },
+	"narrow_oracle":       func(t *config.Techniques) *bool { return &t.NarrowOracle },
+	"mispredict_on_l":     func(t *config.Techniques) *bool { return &t.MispredictOnL },
+	"pw_ready_operands":   func(t *config.Techniques) *bool { return &t.PWReadyOperands },
+	"pw_store_data":       func(t *config.Techniques) *bool { return &t.PWStoreData },
+	"pw_load_balance":     func(t *config.Techniques) *bool { return &t.PWLoadBalance },
+	"frequent_value":      func(t *config.Techniques) *bool { return &t.FrequentValueEnc },
+	"critical_word":       func(t *config.Techniques) *bool { return &t.CriticalWordOnL },
+	"transmission_line_l": func(t *config.Techniques) *bool { return &t.TransmissionLineL },
 }
 
-func setCoreOverride(c *config.Core, name string, v int) error {
-	switch name {
-	case "rob":
-		c.ROBSize = v
-	case "issue_queue":
-		c.IssueQPerClust = v
-	case "registers":
-		c.RegsPerClust = v
-	case "fetch_width":
-		c.FetchWidth = v
-	case "l1d_latency":
-		c.L1DLatency = v
-	case "l2_latency":
-		c.L2Latency = v
-	case "memory_latency":
-		c.MemLatency = v
-	default:
-		return fmt.Errorf("hetwire: unknown core override %q", name)
-	}
-	return nil
+// overrideFields maps each "core_overrides" name to its Core field.
+// ConfigFromJSON sets through it and ConfigJSON reads through it.
+var overrideFields = map[string]func(*config.Core) *int{
+	"rob":            func(c *config.Core) *int { return &c.ROBSize },
+	"issue_queue":    func(c *config.Core) *int { return &c.IssueQPerClust },
+	"registers":      func(c *config.Core) *int { return &c.RegsPerClust },
+	"fetch_width":    func(c *config.Core) *int { return &c.FetchWidth },
+	"l1d_latency":    func(c *config.Core) *int { return &c.L1DLatency },
+	"l2_latency":     func(c *config.Core) *int { return &c.L2Latency },
+	"memory_latency": func(c *config.Core) *int { return &c.MemLatency },
 }
 
-// SaveConfigFile writes the sweep-relevant parts of a configuration to a
-// JSON file that LoadConfigFile round-trips.
+// SaveConfigFile writes a configuration to a JSON file that LoadConfigFile
+// reads back as an equal Config. It refuses, with ConfigJSON's error, a
+// configuration a config document cannot express.
 func SaveConfigFile(path string, cfg Config) error {
 	raw, err := ConfigJSON(cfg)
 	if err != nil {
@@ -158,14 +140,17 @@ func SaveConfigFile(path string, cfg Config) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// ConfigJSON encodes the sweep-relevant parts of a configuration as a
-// canonical JSON document: fixed field order, sorted technique keys, and no
-// dependence on how the Config was built. ConfigFromJSON round-trips it,
-// and ConfigHash hashes it, so byte-equality of ConfigJSON output is the
-// serving cache's notion of "same machine".
+// ConfigJSON encodes a configuration as a config document: fixed field
+// order, every technique, each core override that differs from Table 1, and
+// no dependence on how the Config was built. ConfigFromJSON decodes the
+// document to a Config equal to cfg; a configuration no document can
+// express — an edited or custom link, another Core field changed, changed
+// balance parameters — gets an error instead of a document that names a
+// different machine. The document is a file format, not an identity:
+// ConfigHash identifies configurations.
 func ConfigJSON(cfg Config) ([]byte, error) {
 	if cfg.Model.ID < ModelI || cfg.Model.ID > ModelX {
-		return nil, fmt.Errorf("hetwire: config with custom link %v has no canonical JSON form (only named models I..X)", cfg.Model.Link)
+		return nil, fmt.Errorf("hetwire: config with custom link %v has no config document (only named models I..X)", cfg.Model.Link)
 	}
 	cf := configFile{
 		Model:             cfg.Model.ID.String()[len("Model-"):],
@@ -174,18 +159,29 @@ func ConfigJSON(cfg Config) ([]byte, error) {
 		Steering:          cfg.Steering.String(),
 		LinkHeterogeneous: cfg.LinkHeterogeneous,
 		LSBits:            cfg.Tech.LSBits,
-		Techniques: map[string]bool{
-			"cache_pipeline":      cfg.Tech.LWireCachePipeline,
-			"narrow_operands":     cfg.Tech.NarrowOperands,
-			"narrow_oracle":       cfg.Tech.NarrowOracle,
-			"mispredict_on_l":     cfg.Tech.MispredictOnL,
-			"pw_ready_operands":   cfg.Tech.PWReadyOperands,
-			"pw_store_data":       cfg.Tech.PWStoreData,
-			"pw_load_balance":     cfg.Tech.PWLoadBalance,
-			"frequent_value":      cfg.Tech.FrequentValueEnc,
-			"critical_word":       cfg.Tech.CriticalWordOnL,
-			"transmission_line_l": cfg.Tech.TransmissionLineL,
-		},
+		Techniques:        make(map[string]bool, len(techniqueFields)),
+		Overrides:         make(map[string]int),
 	}
-	return json.MarshalIndent(cf, "", "  ")
+	for name, field := range techniqueFields {
+		cf.Techniques[name] = *field(&cfg.Tech)
+	}
+	table1 := config.DefaultCore()
+	for name, field := range overrideFields {
+		if v := *field(&cfg.Core); v != *field(&table1) {
+			cf.Overrides[name] = v
+		}
+	}
+	raw, err := json.MarshalIndent(cf, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	back, err := ConfigFromJSON(raw)
+	if err != nil {
+		return nil, err
+	}
+	if back != cfg {
+		return nil, fmt.Errorf("hetwire: config has fields a config document cannot express " +
+			"(such as an edited link, Core fields other than core_overrides, or balance parameters)")
+	}
+	return raw, nil
 }

@@ -3,20 +3,20 @@ package hetwire
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 )
 
-// ConfigHash returns a stable content hash of the sweep-relevant machine
-// configuration: the SHA-256 of its canonical JSON form (see ConfigJSON),
-// hex-encoded. Two configs hash equally exactly when every knob a config
-// file can express agrees, regardless of how either Config value was
-// constructed — the property the hetwired result cache keys on. Configs
-// with a custom (unnamed) link composition have no canonical form and
-// return an error.
-func ConfigHash(cfg Config) (string, error) {
-	raw, err := ConfigJSON(cfg)
+// ConfigHash returns the identity of a machine configuration: the SHA-256
+// of the Config value's JSON encoding, hex-encoded. The encoding covers
+// every exported field by construction, so two configs hash equally exactly
+// when they are equal, however either was built — the property the result
+// caches, the cluster fingerprint and idempotency keys rely on.
+func ConfigHash(cfg Config) string {
+	raw, err := json.Marshal(cfg)
 	if err != nil {
-		return "", err
+		// Config contains only integers and booleans; encoding cannot fail.
+		panic("hetwire: ConfigHash encode: " + err.Error())
 	}
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }

@@ -1,14 +1,19 @@
 package hetwire
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
+
+	"hetwire/internal/core"
+	"hetwire/internal/workload"
 )
 
 // FuzzConfigFromJSON exercises the config-file decoder with arbitrary
-// documents. Two properties: the decoder never panics, and every accepted
-// configuration round-trips through its canonical JSON form to the same
-// ConfigHash — the invariant the serving cache's identity scheme relies on.
+// documents. The decoder never panics; every configuration it accepts has a
+// config document that decodes back to an equal Config, and simulates
+// 2,000 instructions without a panic or run error and with every
+// instruction's pipeline timing in order.
 func FuzzConfigFromJSON(f *testing.F) {
 	f.Add([]byte(`{"model":"I"}`))
 	f.Add([]byte(`{"model":"V","clusters":16}`))
@@ -20,31 +25,78 @@ func FuzzConfigFromJSON(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"model":"XI"}`))
 	f.Add([]byte(`{"model":"I","clusters":7}`))
+	// Past the bounds: the first three once ran the daemon out of memory,
+	// the fourth aliased two in-flight cycles in the calendar ring.
+	f.Add([]byte(`{"model":"I","core_overrides":{"rob":2000000000}}`))
+	f.Add([]byte(`{"model":"I","core_overrides":{"memory_latency":2000000000}}`))
+	f.Add([]byte(`{"model":"I","latency_scale":1000000000}`))
+	f.Add([]byte(`{"model":"VII","core_overrides":{"memory_latency":8000}}`))
+	// At each bound (see config.Config.Validate and sched.MaxAccessSpan).
+	f.Add([]byte(`{"model":"VII","core_overrides":{"rob":8192}}`))
+	f.Add([]byte(`{"model":"VII","core_overrides":{"fetch_width":255,"issue_queue":255,"registers":255}}`))
+	f.Add([]byte(`{"model":"VII","core_overrides":{"l1d_latency":1712}}`))
+	f.Add([]byte(`{"model":"VII","core_overrides":{"l2_latency":1736}}`))
+	f.Add([]byte(`{"model":"VII","core_overrides":{"memory_latency":2006}}`))
+	f.Add([]byte(`{"model":"VII","clusters":16,"core_overrides":{"memory_latency":1982}}`))
+	f.Add([]byte(`{"model":"VII","latency_scale":285}`))
+	f.Add([]byte(`{"model":"VII","clusters":16,"latency_scale":57}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		cfg, err := ConfigFromJSON(raw)
 		if err != nil {
 			return // rejected input; only panics are failures
 		}
-		canon, err := ConfigJSON(cfg)
+		doc, err := ConfigJSON(cfg)
 		if err != nil {
-			t.Fatalf("accepted config has no canonical JSON: %v", err)
+			t.Fatalf("accepted config has no config document: %v\ninput: %s", err, raw)
 		}
-		cfg2, err := ConfigFromJSON(canon)
+		back, err := ConfigFromJSON(doc)
 		if err != nil {
-			t.Fatalf("canonical JSON does not round-trip: %v\n%s", err, canon)
+			t.Fatalf("config document does not decode: %v\n%s", err, doc)
 		}
-		h1, err := ConfigHash(cfg)
-		if err != nil {
-			t.Fatalf("ConfigHash(decoded): %v", err)
+		if back != cfg {
+			t.Fatalf("round trip changed the config\ninput: %s\ndocument: %s", raw, doc)
 		}
-		h2, err := ConfigHash(cfg2)
-		if err != nil {
-			t.Fatalf("ConfigHash(round-tripped): %v", err)
-		}
-		if h1 != h2 {
-			t.Fatalf("round-trip changed the config identity: %s vs %s\ninput: %s", h1, h2, raw)
-		}
+		simulateChecked(t, cfg, raw)
 	})
+}
+
+// simulateChecked runs 2,000 instructions of one program on cfg and fails
+// on a panic, a run error, or an instruction whose pipeline timing is out
+// of order: sequence numbers strictly increase, commits never go back, each
+// instruction is fetched, dispatched, issued and completed in that order
+// and before it commits, and it dispatches only after the instruction
+// ROBSize older has committed (the ROB never holds more than its size).
+func simulateChecked(t *testing.T, cfg Config, raw []byte) {
+	progs := []string{"gcc", "mcf", "swim"}
+	prof, _ := workload.ByName(progs[len(raw)%len(progs)])
+	p := core.New(cfg)
+	var last core.InstrTiming
+	first := true
+	commits := make([]uint64, cfg.Core.ROBSize) // ring of the last ROBSize commit cycles
+	n := 0
+	p.Observer = func(it core.InstrTiming) {
+		if !(it.Fetch <= it.Dispatch && it.Dispatch <= it.Issue &&
+			it.Issue <= it.Complete && it.Complete < it.Commit) {
+			t.Fatalf("stages out of order: %+v\ninput: %s", it, raw)
+		}
+		if !first && (it.Seq <= last.Seq || it.Commit < last.Commit) {
+			t.Fatalf("instruction %+v follows %+v\ninput: %s", it, last, raw)
+		}
+		slot := &commits[n%len(commits)]
+		if n >= len(commits) && it.Dispatch <= *slot {
+			t.Fatalf("instruction %+v dispatched before the one %d older committed at %d\ninput: %s",
+				it, len(commits), *slot, raw)
+		}
+		*slot = it.Commit
+		n++
+		last, first = it, false
+	}
+	if _, err := p.RunContext(context.Background(), workload.NewGenerator(prof), 2_000); err != nil {
+		t.Fatalf("run: %v\ninput: %s", err, raw)
+	}
+	if first {
+		t.Fatalf("no instruction committed\ninput: %s", raw)
+	}
 }
 
 // FuzzBatchRequestValidate exercises batch admission with arbitrary batch

@@ -250,3 +250,70 @@ func TestResultHashSensitivity(t *testing.T) {
 		t.Error("mutated stats hash equally; ResultHash is not covering Stats")
 	}
 }
+
+// The override corpus pins configurations with core overrides, each run in
+// the same process right after its base model on the same program, so the
+// fixture also guards that the machine pool never serves the base machine
+// for its variant. Refresh intentionally with:
+//
+//	go test -run TestGoldenOverrides -update-golden-overrides .
+var updateGoldenOverrides = flag.Bool("update-golden-overrides", false, "rewrite testdata/golden/overrides.json")
+
+var goldenOverrideDocs = []struct{ name, base, doc string }{
+	{"I/crossbar4/l2_latency=200", `{"model":"I"}`,
+		`{"model":"I","core_overrides":{"l2_latency":200}}`},
+	{"V/hierring16/rob=256,memory_latency=600", `{"model":"V","clusters":16}`,
+		`{"model":"V","clusters":16,"core_overrides":{"rob":256,"memory_latency":600}}`},
+}
+
+func TestGoldenOverrides(t *testing.T) {
+	path := filepath.Join("testdata", "golden", "overrides.json")
+	got := make(map[string]string)
+	for _, o := range goldenOverrideDocs {
+		base, err := ConfigFromJSON([]byte(o.base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ConfigFromJSON([]byte(o.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bench := range []string{"gcc", "mcf"} {
+			const n = 4_000
+			if _, err := RunBenchmark(base, bench, n); err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunBenchmark(cfg, bench, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[fmt.Sprintf("%s/%s/n=%d", o.name, bench, n)] = ResultHash(res)
+		}
+	}
+	if *updateGoldenOverrides {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("override fixture missing (run with -update-golden-overrides to create): %v", err)
+	}
+	want := make(map[string]string)
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s corrupt: %v", path, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s has %d scenarios, want %d", path, len(want), len(got))
+	}
+	for key, h := range got {
+		if want[key] != h {
+			t.Errorf("%s: ResultHash = %s, golden = %s", key, h, want[key])
+		}
+	}
+}

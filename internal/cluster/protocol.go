@@ -72,18 +72,13 @@ const (
 )
 
 // CompatHash is the simulator-compatibility fingerprint exchanged at
-// registration: the canonical ConfigHash of the default machine plus the
-// protocol version. Two builds agree exactly when their default
-// configuration serializes identically — a cheap, content-addressed proxy
-// for "same simulator semantics" that catches config-schema drift without a
+// registration: the ConfigHash of the default machine plus the protocol
+// version. Two builds agree exactly when their default configuration has
+// the same fields and values — a cheap, content-addressed proxy for "same
+// simulator semantics" that catches config-schema drift without a
 // hand-maintained version number.
 func CompatHash() string {
-	h, err := hetwire.ConfigHash(hetwire.DefaultConfig())
-	if err != nil {
-		// The default config always has a canonical form.
-		panic("cluster: default config has no canonical hash: " + err.Error())
-	}
-	return fmt.Sprintf("v%d/%s", ProtocolVersion, h)
+	return fmt.Sprintf("v%d/%s", ProtocolVersion, hetwire.ConfigHash(hetwire.DefaultConfig()))
 }
 
 // NodeCaps describes a worker node's execution capacity, reported at

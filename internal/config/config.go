@@ -409,13 +409,15 @@ type Config struct {
 }
 
 // Default returns the paper's baseline: 4 clusters, Model I (homogeneous
-// 144 B-wires per link), no heterogeneous-wire techniques.
+// 144 B-wires per link), which supports none of the heterogeneous-wire
+// techniques. It equals Default().WithModel(ModelI), so the baseline built
+// in Go and the one a config document names are the same value.
 func Default() Config {
 	return Config{
 		Core:         DefaultCore(),
 		Topology:     Crossbar4,
 		Model:        Model(ModelI),
-		Tech:         Techniques{},
+		Tech:         TechniquesFor(Model(ModelI).Link),
 		LatencyScale: 1,
 	}
 }
@@ -478,49 +480,57 @@ func (c Config) RingLatency(class wires.Class) int {
 	return l
 }
 
+// MaxROBSize caps Core.ROBSize. The engine allocates one commit time per
+// ROB entry, and a larger window lets dependent chains book further ahead
+// of the front end than the calendar ring has been checked to hold (see
+// sched.MaxAccessSpan).
+const MaxROBSize = 8192
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c Config) Validate() error {
 	k := &c.Core
-	// Each of these sizes a sched.Calendar or sched.Wheel, whose 8-bit
-	// per-cycle counts cap it; the constructors panic past the cap.
-	for _, f := range []struct {
-		name   string
-		v, max int
-	}{
-		{"FetchWidth", k.FetchWidth, sched.MaxCalendarCapacity},
-		{"DispatchWidth", k.DispatchWidth, sched.MaxCalendarCapacity},
-		{"CommitWidth", k.CommitWidth, sched.MaxCalendarCapacity},
-		{"L1DPorts", k.L1DPorts, sched.MaxCalendarCapacity},
-		{"FetchQueueSize", k.FetchQueueSize, sched.MaxWheelSlots},
-		{"IssueQPerClust", k.IssueQPerClust, sched.MaxWheelSlots},
-		{"RegsPerClust", k.RegsPerClust, sched.MaxWheelSlots},
-	} {
-		if f.v < 1 || f.v > f.max {
-			return fmt.Errorf("config: %s = %d out of range [1,%d]", f.name, f.v, f.max)
-		}
-	}
-	if k.ROBSize <= 0 {
-		return fmt.Errorf("config: ROBSize must be positive")
-	}
+	// Widths and pool sizes size a sched.Calendar or sched.Wheel, whose
+	// 8-bit per-cycle counts cap them; the constructors panic past the cap.
 	// A negative latency turns into a release cycle near 2^64, and the
-	// wheel grows its ring toward it until memory runs out.
+	// wheel grows its ring toward it until memory runs out. No latency or
+	// scale may alone exceed the access span, which also keeps the span's
+	// sum below from overflowing.
 	for _, f := range []struct {
-		name string
-		v    int
+		name        string
+		v, min, max int
 	}{
-		{"L1ILatency", k.L1ILatency}, {"L1DLatency", k.L1DLatency},
-		{"L2Latency", k.L2Latency}, {"MemLatency", k.MemLatency},
+		{"FetchWidth", k.FetchWidth, 1, sched.MaxCalendarCapacity},
+		{"DispatchWidth", k.DispatchWidth, 1, sched.MaxCalendarCapacity},
+		{"CommitWidth", k.CommitWidth, 1, sched.MaxCalendarCapacity},
+		{"L1DPorts", k.L1DPorts, 1, sched.MaxCalendarCapacity},
+		{"FetchQueueSize", k.FetchQueueSize, 1, sched.MaxWheelSlots},
+		{"IssueQPerClust", k.IssueQPerClust, 1, sched.MaxWheelSlots},
+		{"RegsPerClust", k.RegsPerClust, 1, sched.MaxWheelSlots},
+		{"ROBSize", k.ROBSize, 1, MaxROBSize},
+		{"L1ILatency", k.L1ILatency, 0, sched.MaxAccessSpan},
+		{"L1DLatency", k.L1DLatency, 0, sched.MaxAccessSpan},
+		{"L2Latency", k.L2Latency, 0, sched.MaxAccessSpan},
+		{"MemLatency", k.MemLatency, 0, sched.MaxAccessSpan},
+		{"LatencyScale", c.LatencyScale, 1, sched.MaxAccessSpan},
 	} {
-		if f.v < 0 {
-			return fmt.Errorf("config: %s = %d must be >= 0", f.name, f.v)
+		if f.v < f.min || f.v > f.max {
+			return fmt.Errorf("config: %s = %d out of range [%d,%d]", f.name, f.v, f.min, f.max)
 		}
+	}
+	// The worst single access (see sched.MaxAccessSpan): a round trip over
+	// the longest route on the slowest class, plus the L1D, L2 and memory
+	// latencies.
+	route := c.Latency(wires.PW)
+	if c.Topology == HierRing16 {
+		route += 2 * c.RingLatency(wires.PW)
+	}
+	if span := 2*route + k.L1DLatency + k.L2Latency + k.MemLatency; span > sched.MaxAccessSpan {
+		return fmt.Errorf("config: worst memory access spans %d cycles, over the calendar ring's bound of %d",
+			span, sched.MaxAccessSpan)
 	}
 	if c.Model.Link == (LinkSpec{}) {
 		return fmt.Errorf("config: interconnect model %v has no wires", c.Model.ID)
-	}
-	if c.LatencyScale < 1 {
-		return fmt.Errorf("config: LatencyScale must be >= 1, got %d", c.LatencyScale)
 	}
 	if c.Tech.LWireCachePipeline && !c.Model.Link.Has(wires.L) {
 		return fmt.Errorf("config: L-wire cache pipeline enabled but %v has no L-wires", c.Model.ID)

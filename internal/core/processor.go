@@ -368,7 +368,7 @@ func (p *Processor) initDerived() {
 // cooled, the LSQ emptied, and the architectural registers re-seeded with
 // their round-robin home clusters. A reset processor produces bit-identical
 // results to a freshly constructed one (pinned by TestProcessorResetReplay),
-// which is what lets RunScratch pool processors across runs.
+// which is what lets AcquireScratch pool processors across runs.
 //
 // Reset is only valid on processors built with New: fabric-attached
 // processors (NewOnFabric) share their network and memory hierarchy with

@@ -6,53 +6,31 @@ import (
 	"hetwire/internal/config"
 )
 
-// RunScratch owns the reusable per-run arenas of one simulation: the
-// Processor and, transitively, every calendar ring, wheel, cache array,
-// predictor table and LSQ column it allocated. Building a processor touches
-// tens of megabytes of fresh memory (about eighty 64K-cycle calendars plus
-// the 8MB L2 tag store); pooling the whole machine and rewinding it with
-// Reset turns that into a sweep over only the cells a run actually dirtied.
-//
-// Scratches are pooled per configuration key (the caller supplies a stable
-// content hash of the machine configuration), so a pooled processor is only
-// ever revived for a configuration identical to the one it was built for.
-type RunScratch struct {
-	key  string
-	proc *Processor
-}
-
-// Proc returns the scratch's processor, reset and ready to run.
-func (s *RunScratch) Proc() *Processor { return s.proc }
-
-// scratchPools maps configuration key -> *sync.Pool of *Processor.
+// scratchPools maps a config.Config value -> *sync.Pool of *Processor. A
+// pooled processor owns every calendar ring, wheel, cache array, predictor
+// table and LSQ column it allocated; building one touches tens of megabytes
+// of fresh memory (about eighty 8K-cycle calendars plus the 8MB L2 tag
+// store), while reviving one with Reset sweeps only the cells a run dirtied.
+// The key is the whole configuration, so a processor is only ever revived
+// for the machine it was built for.
 var scratchPools sync.Map
 
 // AcquireScratch returns a run-ready processor for the configuration,
-// reviving a pooled one for the same key when available. An empty key
-// disables pooling (the scratch is built fresh and Release discards it) —
-// the fallback for configurations with no canonical hash.
-func AcquireScratch(key string, cfg config.Config) *RunScratch {
-	if key == "" {
-		return &RunScratch{proc: New(cfg)}
-	}
-	pv, _ := scratchPools.LoadOrStore(key, new(sync.Pool))
+// reviving a pooled one built for an equal configuration when available.
+func AcquireScratch(cfg config.Config) *Processor {
+	pv, _ := scratchPools.LoadOrStore(cfg, new(sync.Pool))
 	if v := pv.(*sync.Pool).Get(); v != nil {
 		p := v.(*Processor)
 		p.Reset()
-		return &RunScratch{key: key, proc: p}
+		return p
 	}
-	return &RunScratch{key: key, proc: New(cfg)}
+	return New(cfg)
 }
 
-// Release returns the processor to its configuration's pool for the next
-// run. The caller must not touch the processor afterwards. Safe to call on
-// unpooled (empty-key) scratches and at most once per Acquire.
-func (s *RunScratch) Release() {
-	if s.key == "" || s.proc == nil {
-		return
-	}
-	p := s.proc
-	s.proc = nil
-	pv, _ := scratchPools.LoadOrStore(s.key, new(sync.Pool))
+// ReleaseScratch returns a processor from AcquireScratch to its
+// configuration's pool for the next run. The caller must not touch the
+// processor afterwards.
+func ReleaseScratch(p *Processor) {
+	pv, _ := scratchPools.LoadOrStore(p.cfg, new(sync.Pool))
 	pv.(*sync.Pool).Put(p)
 }

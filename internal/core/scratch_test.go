@@ -8,7 +8,7 @@ import (
 	"hetwire/internal/workload"
 )
 
-// TestProcessorResetReplay pins the Reset contract RunScratch pooling relies
+// TestProcessorResetReplay pins the Reset contract the scratch pool relies
 // on: a reset processor replays a workload with statistics bit-identical to
 // a freshly constructed one. Exercised across the interconnect models that
 // reach every subsystem Reset touches (L-wire paths, narrow prediction,
@@ -58,28 +58,21 @@ func TestProcessorResetReplay(t *testing.T) {
 }
 
 // TestAcquireScratchReuse checks the pool round-trip: release then acquire
-// with the same key revives a processor that produces identical results,
-// and an empty key degrades to unpooled construction.
+// with the same configuration revives a processor that produces identical
+// results.
 func TestAcquireScratchReuse(t *testing.T) {
 	cfg := config.Default().WithModel(config.ModelV)
 	prof, _ := workload.ByName("swim")
 	const n = 15_000
 
-	s1 := AcquireScratch("test-key-scratch-reuse", cfg)
-	r1 := s1.Proc().Run(workload.NewGenerator(prof), n)
-	s1.Release()
+	p1 := AcquireScratch(cfg)
+	r1 := p1.Run(workload.NewGenerator(prof), n)
+	ReleaseScratch(p1)
 
-	s2 := AcquireScratch("test-key-scratch-reuse", cfg)
-	r2 := s2.Proc().Run(workload.NewGenerator(prof), n)
-	s2.Release()
+	p2 := AcquireScratch(cfg)
+	r2 := p2.Run(workload.NewGenerator(prof), n)
+	ReleaseScratch(p2)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Errorf("pooled rerun diverged:\nfirst:  %+v\nsecond: %+v", r1, r2)
-	}
-
-	s3 := AcquireScratch("", cfg)
-	r3 := s3.Proc().Run(workload.NewGenerator(prof), n)
-	s3.Release() // no-op for unpooled scratches
-	if !reflect.DeepEqual(r1, r3) {
-		t.Errorf("unpooled run diverged from pooled run")
 	}
 }

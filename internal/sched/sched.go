@@ -38,14 +38,28 @@ type Calendar struct {
 	Reservations uint64
 }
 
-// DefaultWindow comfortably exceeds the maximum in-flight timespan of the
-// simulated machine (a 480-entry ROB with 300-cycle memory misses spans a
-// couple of thousand cycles; the ring is 8K cycles). Two cycles that are
+// DefaultWindow is the calendar ring size in cycles. Two cycles that are
 // simultaneously in flight must never be a multiple of the ring size apart,
 // since they would share a cell — era stamps make a smaller ring safe
 // (stale cells read as empty instead of needing to be slid past), and the
 // smaller ring keeps the hot cells resident in cache.
 const DefaultWindow = 1 << 13
+
+// MaxAccessSpan bounds the worst single access a configuration may contain,
+// keeping the ring 4x longer than it. That access is a load that misses to
+// memory from the cluster farthest from the cache, over the slowest wire
+// class: the address goes out over the longest route, looks up L1D, L2 and
+// memory, and the data comes back over the same route. At Table 1 values
+// that is 2*3 + 6 + 30 + 300 = 342 cycles on the 4-cluster crossbar, and
+// 2*(3 + 2*6) + 336 = 366 on the 16-cluster ring (PW: 3 cycles per
+// crossbar, 6 per ring hop, two hops to the cache's quad at most), each
+// route term multiplied by the latency scale. config.Validate rejects a
+// configuration whose span exceeds this bound. Chains of dependent accesses
+// can book further ahead than one access; that the ring holds them is
+// measured, not derived: at each bound Validate sets, mcf, gcc and swim on
+// both topologies give the same results with a 1M-cycle ring as with this
+// one.
+const MaxAccessSpan = DefaultWindow / 4
 
 // MaxCalendarCapacity is the largest per-cycle capacity a Calendar holds:
 // each cell counts its cycle's bookings in 8 bits.

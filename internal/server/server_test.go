@@ -400,6 +400,37 @@ func TestRunSyncIdenticalBodyOnHit(t *testing.T) {
 	}
 }
 
+// TestOverrideRunAfterBaseIsMiss: a config with a core override is a
+// different machine from its base model. Run right after the base, it
+// misses the result cache and the machine pool, and answers what
+// RunRequest.Execute answers for it.
+func TestOverrideRunAfterBaseIsMiss(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	base := map[string]any{"benchmark": "mcf", "n": 20000, "config": map[string]any{"model": "I"}}
+	if resp, body := postJSON(t, ts.URL+"/v1/run", base); resp.StatusCode != http.StatusOK {
+		t.Fatalf("base run: %d %s", resp.StatusCode, body)
+	}
+	doc := json.RawMessage(`{"model":"I","core_overrides":{"l2_latency":200}}`)
+	resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"benchmark": "mcf", "n": 20000, "config": doc})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("override run: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Hetwired-Cache"); got != "miss" {
+		t.Errorf("override run after base: cache header = %q, want miss", got)
+	}
+	var got hetwire.RunResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&hetwire.RunRequest{Benchmark: "mcf", N: 20000, Config: doc}).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.IPC != want.IPC {
+		t.Errorf("override IPC after base = %v, Execute gives %v", got.IPC, want.IPC)
+	}
+}
+
 func TestMultiprogrammedRun(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/run",
@@ -616,10 +647,11 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestOutOfBoundsConfigIsBadConfig: a config document whose core overrides
-// exceed what the engine's calendars and wheels can hold, or whose latency
-// is negative, is refused by ConfigFromJSON and by POST /v1/run as 400
-// bad_config, before any job exists or any worker could panic. Table 1 and
-// the largest in-bounds values stay accepted.
+// exceed what the engine's calendars and wheels can hold, whose latency is
+// negative, or whose worst memory access spans more than the calendar ring
+// allows, is refused by ConfigFromJSON and by POST /v1/run as 400
+// bad_config, before any job exists or any worker could panic or run out of
+// memory. Table 1 and the largest in-bounds values stay accepted.
 func TestOutOfBoundsConfigIsBadConfig(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	for _, doc := range []string{
@@ -631,6 +663,16 @@ func TestOutOfBoundsConfigIsBadConfig(t *testing.T) {
 		`{"model":"I","core_overrides":{"memory_latency":-300}}`,
 		`{"model":"I","core_overrides":{"l2_latency":-1}}`,
 		`{"model":"I","core_overrides":{"l1d_latency":-1}}`,
+		`{"model":"I","core_overrides":{"rob":2000000000}}`,
+		`{"model":"I","core_overrides":{"rob":8193}}`,
+		`{"model":"I","core_overrides":{"memory_latency":2000000000}}`,
+		`{"model":"I","latency_scale":1000000000}`,
+		`{"model":"I","latency_scale":-5}`,
+		`{"model":"VII","core_overrides":{"memory_latency":8000}}`,
+		`{"model":"VII","core_overrides":{"memory_latency":2007}}`,
+		`{"model":"VII","clusters":16,"core_overrides":{"memory_latency":1983}}`,
+		`{"model":"VII","latency_scale":286}`,
+		`{"model":"VII","clusters":16,"latency_scale":58}`,
 	} {
 		if _, err := hetwire.ConfigFromJSON([]byte(doc)); err == nil {
 			t.Errorf("ConfigFromJSON accepted %s", doc)
@@ -662,6 +704,11 @@ func TestOutOfBoundsConfigIsBadConfig(t *testing.T) {
 		`{"model":"X","clusters":16}`,
 		`{"model":"VII","core_overrides":{"rob":256,"fetch_width":4}}`,
 		`{"model":"I","core_overrides":{"fetch_width":255,"issue_queue":255,"registers":255,"memory_latency":0}}`,
+		`{"model":"VII","core_overrides":{"rob":8192}}`,
+		`{"model":"VII","core_overrides":{"memory_latency":2006}}`,
+		`{"model":"VII","clusters":16,"core_overrides":{"memory_latency":1982}}`,
+		`{"model":"VII","latency_scale":285}`,
+		`{"model":"VII","clusters":16,"latency_scale":57}`,
 	} {
 		if _, err := hetwire.ConfigFromJSON([]byte(doc)); err != nil {
 			t.Errorf("ConfigFromJSON rejected %s: %v", doc, err)

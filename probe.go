@@ -52,16 +52,12 @@ func (r *RunRequest) ExecuteProbed(ctx context.Context, w io.Writer) (*RunRespon
 		return nil, err
 	}
 	n := r.Instructions()
-	cfgHash, err := ConfigHash(cfg)
-	if err != nil {
-		return nil, err
-	}
 	rec := obs.NewRecorder(w, obs.Header{
 		Benchmark:         r.Benchmark,
 		Model:             cfg.Model.ID.String(),
 		Clusters:          cfg.Topology.Clusters(),
 		N:                 n,
-		ConfigHash:        cfgHash,
+		ConfigHash:        ConfigHash(cfg),
 		TransmissionLineL: cfg.Tech.TransmissionLineL,
 	})
 

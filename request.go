@@ -151,23 +151,19 @@ func (r *RunRequest) Validate() error {
 }
 
 // CacheKey returns the content-addressed identity of the request: a hex
-// SHA-256 over the canonical JSON of the resolved configuration, the
-// workload names, and the instruction budget. Requests that resolve to the
-// same machine and workload share a key even when expressed differently
-// (e.g. model given inline vs. in the config document), so a result cache
-// keyed on it deduplicates exactly the requests that must produce
-// byte-identical results.
+// SHA-256 over the ConfigHash of the resolved configuration, the workload
+// names, and the instruction budget. Requests that resolve to the same
+// machine and workload share a key even when expressed differently (e.g.
+// model given inline vs. in the config document), so a result cache keyed
+// on it deduplicates exactly the requests that must produce byte-identical
+// results.
 func (r *RunRequest) CacheKey() (string, error) {
 	cfg, err := r.ResolveConfig()
 	if err != nil {
 		return "", err
 	}
-	raw, err := ConfigJSON(cfg)
-	if err != nil {
-		return "", err
-	}
 	h := sha256.New()
-	h.Write(raw)
+	h.Write([]byte(ConfigHash(cfg)))
 	writeStr := func(s string) {
 		var n [8]byte
 		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))

@@ -51,24 +51,20 @@ func RunKernelContext(ctx context.Context, cfg Config, kernel string, n uint64) 
 	return runPooled(ctx, cfg, kernel, prof, n)
 }
 
-// runPooled executes one named workload on a pooled scratch processor
-// (core.RunScratch): processors are keyed by ConfigHash and revived with
-// Reset instead of being rebuilt per run, so repeated jobs on the same
-// configuration — batch sweeps, server workers, the golden corpus — skip
-// the tens of megabytes of construction a fresh machine costs. Results are
-// bit-identical to a fresh build (core.Processor.Reset's contract).
-// Configurations without a canonical hash fall back to unpooled runs.
+// runPooled executes one named workload on a pooled processor
+// (core.AcquireScratch): processors are keyed by the Config value and
+// revived with Reset instead of being rebuilt per run, so repeated jobs on
+// the same configuration — batch sweeps, server workers, the golden corpus
+// — skip the tens of megabytes of construction a fresh machine costs.
+// Results are bit-identical to a fresh build (core.Processor.Reset's
+// contract).
 func runPooled(ctx context.Context, cfg Config, name string, prof workload.Profile, n uint64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	key, err := ConfigHash(cfg)
-	if err != nil {
-		key = ""
-	}
-	scr := core.AcquireScratch(key, cfg)
-	st, runErr := scr.Proc().RunContext(ctx, workload.NewGenerator(prof), n)
-	scr.Release()
+	p := core.AcquireScratch(cfg)
+	st, runErr := p.RunContext(ctx, workload.NewGenerator(prof), n)
+	core.ReleaseScratch(p)
 	return Result{Stats: st, Config: cfg, Benchmark: name}, runErr
 }
 
