@@ -36,6 +36,12 @@
 // coordinator's federated result cache, which answers known scenarios at
 // submit, so a repeated sweep leases nothing. See internal/cluster for the
 // protocol.
+//
+// Each process has one event stream, its flight recorder (-flight-events
+// sizes it). A daemon serves it at /v1/debug/flight; -flight-log streams it
+// to a file, and a node, which has no HTTP surface, streams to stderr
+// without one. Only startup, drain and fatal messages go to stderr, and the
+// "listening on" handshake to stdout.
 package main
 
 import (
@@ -44,6 +50,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -84,7 +91,6 @@ func serve(args []string) {
 		maxDL      = fs.Duration("max-deadline", 10*time.Minute, "cap on per-request deadline overrides")
 		faults     = fs.String("faults", os.Getenv("HETWIRE_FAULTS"), "fault-injection spec (default $HETWIRE_FAULTS; empty = none)")
 		drainT     = fs.Duration("drain-timeout", 30*time.Second, "how long to let jobs finish on SIGTERM")
-		quiet      = fs.Bool("quiet", false, "suppress per-request logging")
 		debugAddr  = fs.String("debug-addr", "", "optional introspection listener (host:port) serving /debug/pprof and /debug/vars; keep it off public interfaces")
 		coord      = fs.Bool("coordinator", false, "run as a cluster coordinator: serve /v1/cluster and execute batch jobs on joined worker nodes")
 		join       = fs.String("join", "", "join the coordinator at this base URL as a worker node instead of serving; requires -cluster-token")
@@ -95,15 +101,11 @@ func serve(args []string) {
 		tenantsF   = fs.String("tenants", "", "tenant config file (JSON) enabling keyed multi-tenancy with weighted-fair scheduling; empty = open mode")
 		flightN    = fs.Int("flight-events", 0, "flight-recorder ring capacity in events (0 = default 4096)")
 		flightDir  = fs.String("flight-dir", "", "directory for automatic flight dumps on worker panic or watchdog stall (empty = no auto-dump)")
-		flightLog  = fs.String("flight-log", "", "node: stream every flight event to this JSONL file as it is recorded")
+		flightLog  = fs.String("flight-log", "", "stream every flight event to this JSONL file as it is recorded (default: none for a daemon, stderr for a node)")
 	)
 	fs.Parse(args)
 
 	logger := log.New(os.Stderr, "hetwired ", log.LstdFlags|log.Lmicroseconds)
-	reqLogger := logger
-	if *quiet {
-		reqLogger = nil
-	}
 	injector, err := faultinject.Parse(*faults)
 	if err != nil {
 		logger.Fatalf("parsing -faults: %v", err)
@@ -111,9 +113,13 @@ func serve(args []string) {
 	if injector != nil {
 		logger.Printf("fault injection active: %s", injector)
 	}
+	fr := flight.New(*flightN)
 	if *join != "" {
-		joinCluster(logger, *join, *token, *nodeName, *workers, *leaseSize, *flightN, *flightLog)
+		joinCluster(logger, fr, *join, *token, *nodeName, *workers, *leaseSize, *flightLog)
 		return
+	}
+	if f := streamFlight(logger, fr, *flightLog, nil, "hetwired"); f != nil {
+		defer f.Close()
 	}
 	var tenantCfg *tenant.Config
 	if *tenantsF != "" {
@@ -146,10 +152,9 @@ func serve(args []string) {
 		DefaultDeadline:   *deadline,
 		MaxDeadline:       *maxDL,
 		Faults:            injector,
-		Logger:            reqLogger,
 		Cluster:           clusterOpts,
 		Tenants:           tenantCfg,
-		FlightEvents:      *flightN,
+		Flight:            fr,
 		FlightDir:         *flightDir,
 	})
 	srv.Metrics().SetBuildInfo(buildVersion(), runtime.Version())
@@ -207,10 +212,28 @@ func serve(args []string) {
 	fmt.Println("hetwired: drained, exiting")
 }
 
+// streamFlight attaches the -flight-log sink to fr, labelled source: the
+// file at path, or w when path is empty (nil streams nothing). It returns
+// the file it opened, if any, for the caller to close.
+func streamFlight(logger *log.Logger, fr *flight.Recorder, path string, w io.Writer, source string) *os.File {
+	var f *os.File
+	if path != "" {
+		var err error
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			logger.Fatalf("opening -flight-log %s: %v", path, err)
+		}
+		w = f
+	}
+	if err := fr.SetSink(w, source); err != nil {
+		logger.Fatalf("writing -flight-log header: %v", err)
+	}
+	return f
+}
+
 // joinCluster runs the process as a cluster worker node against the
 // coordinator at base, until SIGTERM/SIGINT. A signal mid-lease abandons the
 // lease without uploading; the coordinator's lease expiry re-dispatches it.
-func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxLease, flightN int, flightLog string) {
+func joinCluster(logger *log.Logger, fr *flight.Recorder, base, token, name string, parallelism, maxLease int, flightLog string) {
 	if token == "" {
 		logger.Fatalf("-join requires the shared secret: set -cluster-token or $HETWIRE_CLUSTER_TOKEN")
 	}
@@ -219,16 +242,8 @@ func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxL
 			name = hn
 		}
 	}
-	fr := flight.New(flightN)
-	if flightLog != "" {
-		f, err := os.OpenFile(flightLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			logger.Fatalf("opening -flight-log %s: %v", flightLog, err)
-		}
+	if f := streamFlight(logger, fr, flightLog, os.Stderr, name); f != nil {
 		defer f.Close()
-		if err := fr.SetSink(f, name); err != nil {
-			logger.Fatalf("writing -flight-log header: %v", err)
-		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -248,7 +263,6 @@ func joinCluster(logger *log.Logger, base, token, name string, parallelism, maxL
 		Name:        name,
 		Parallelism: parallelism,
 		MaxLease:    maxLease,
-		Logger:      logger,
 		Flight:      fr,
 	})
 	if err != nil && ctx.Err() == nil {

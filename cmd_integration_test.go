@@ -163,7 +163,7 @@ func TestCLIHetwiredServes(t *testing.T) {
 		t.Fatalf("building hetwired: %v\n%s", err, out)
 	}
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2", "-quiet",
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2",
 		"-debug-addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

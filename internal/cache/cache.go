@@ -61,9 +61,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Geometry() Config { return c.cfg }
-
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr / uint64(c.cfg.LineBytes)
 	return int(line % uint64(c.sets)), line/uint64(c.sets) + 1 // +1: tag never 0

@@ -41,23 +41,10 @@ type Options struct {
 	// MaxAttempts bounds the attempts per operation, first try included
 	// (default 6).
 	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff schedule (default 200ms);
-	// attempt k waits ~BaseBackoff<<k with jitter, capped at MaxBackoff
-	// (default 5s). A server Retry-After hint overrides the schedule.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterSeed makes the jitter stream deterministic for tests (default 1).
-	JitterSeed uint64
-	// BreakerThreshold is how many consecutive transport/5xx failures trip
-	// the circuit breaker (default 5); while open, calls fail immediately
-	// with ErrCircuitOpen until BreakerCooldown (default 10s) elapses, after
-	// which the next call probes the daemon (half-open).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// TraceID is sent as X-Hetwire-Trace on every request so daemon logs,
-	// job status, and span timings correlate back to this client. Empty
-	// mints a fresh ID at construction — one per client, covering the whole
-	// submit/poll conversation of each operation.
+	// TraceID is sent as X-Hetwire-Trace on every request so the daemon's
+	// flight events, job status, and span timings correlate back to this
+	// client. Empty mints a fresh ID at construction — one per client,
+	// covering the whole submit/poll conversation of each operation.
 	TraceID string
 	// AuthToken, when non-empty, is sent as "Authorization: Bearer <token>"
 	// on every request. The cluster node agent uses it to authenticate
@@ -78,23 +65,22 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 6
 	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 200 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = 1
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 10 * time.Second
-	}
 	return o
 }
+
+// Retry and breaker policy. Attempt k waits ~baseBackoff<<k with jitter
+// drawn from a stream seeded by jitterSeed, capped at maxBackoff; a server
+// Retry-After hint overrides the schedule. breakerThreshold consecutive
+// transport/5xx failures trip the circuit breaker: calls then fail
+// immediately with ErrCircuitOpen until breakerCooldown elapses, after
+// which the next call probes the daemon (half-open).
+const (
+	baseBackoff      = 200 * time.Millisecond
+	maxBackoff       = 5 * time.Second
+	jitterSeed       = 1
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
 
 // ErrCircuitOpen is returned without touching the network while the breaker
 // is open.
@@ -136,7 +122,7 @@ func New(opts Options) *Client {
 	}
 	return &Client{
 		opts:   opts,
-		jitter: xrand.New(opts.JitterSeed),
+		jitter: xrand.New(jitterSeed),
 		now:    time.Now,
 		sleep:  sleepCtx,
 	}
@@ -550,11 +536,11 @@ func retryStatus(status int) bool {
 }
 
 // backoff returns the jittered exponential delay for the given attempt:
-// uniformly in [half, full] of min(MaxBackoff, BaseBackoff<<attempt).
+// uniformly in [half, full] of min(maxBackoff, baseBackoff<<attempt).
 func (c *Client) backoff(attempt int) time.Duration {
-	d := c.opts.BaseBackoff << uint(attempt)
-	if d <= 0 || d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
+	d := baseBackoff << uint(attempt)
+	if d <= 0 || d > maxBackoff {
+		d = maxBackoff
 	}
 	c.mu.Lock()
 	u := c.jitter.Uint64()
@@ -585,8 +571,8 @@ func (c *Client) breakerRecord(ok bool) {
 		return
 	}
 	c.fails++
-	if c.fails >= c.opts.BreakerThreshold {
-		c.openUntil = c.now().Add(c.opts.BreakerCooldown)
+	if c.fails >= breakerThreshold {
+		c.openUntil = c.now().Add(breakerCooldown)
 	}
 }
 

@@ -152,17 +152,20 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, _ := newFastClient(t, ts.URL, Options{MaxAttempts: 1, BreakerThreshold: 3, BreakerCooldown: 10 * time.Second})
+	c, _ := newFastClient(t, ts.URL, Options{MaxAttempts: 1})
 	now := time.Now()
 	c.now = func() time.Time { return now }
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
+		if c.Breaker() {
+			t.Fatalf("breaker open after %d consecutive 500s, want %d", i, breakerThreshold)
+		}
 		if _, err := c.Job(context.Background(), "j-2"); err == nil {
 			t.Fatal("unhealthy daemon reported success")
 		}
 	}
 	if !c.Breaker() {
-		t.Fatal("breaker not open after 3 consecutive 500s")
+		t.Fatalf("breaker not open after %d consecutive 500s", breakerThreshold)
 	}
 	before := attempts.Load()
 	if _, err := c.Job(context.Background(), "j-2"); !errors.Is(err, ErrCircuitOpen) {
@@ -173,7 +176,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	healthy.Store(true)
-	now = now.Add(11 * time.Second) // past the cooldown: half-open probe
+	now = now.Add(breakerCooldown + time.Second) // past the cooldown: half-open probe
 	st, err := c.Job(context.Background(), "j-2")
 	if err != nil || st.ID != "j-2" {
 		t.Fatalf("half-open probe: %+v, %v", st, err)
@@ -248,7 +251,7 @@ func TestClientServerIntegration(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	cl := New(Options{BaseURL: ts.URL, MaxAttempts: 10, BaseBackoff: 50 * time.Millisecond})
+	cl := New(Options{BaseURL: ts.URL, MaxAttempts: 10})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	resp, st, err := cl.Run(ctx, &hetwire.RunRequest{Benchmark: "gzip", N: 8000}, 0)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 	"time"
@@ -33,11 +32,10 @@ type Options struct {
 	// single-box results share one store. Nil disables federation (every
 	// scenario simulates).
 	Cache ResultCache
-	// Flight, when set, receives lease-lifecycle events (grant, upload,
-	// expire) from the coordinator. Nil records nothing.
+	// Flight, when set, receives the coordinator's events: node joins and
+	// deaths and the lease lifecycle (grant, upload, expire). Nil records
+	// nothing.
 	Flight *flight.Recorder
-	// Logger receives lease lifecycle logs (default: discard).
-	Logger *log.Logger
 	// Now is the clock (default time.Now); tests inject a fake to drive
 	// lease expiry and node death deterministically.
 	Now func() time.Time
@@ -62,18 +60,11 @@ func (o Options) withDefaults() Options {
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3 * o.Heartbeat
 	}
-	if o.Logger == nil {
-		o.Logger = log.New(discardWriter{}, "", 0)
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 	return o
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // slot states for one scenario inside a cluster job.
 const (
@@ -240,7 +231,7 @@ func (c *Coordinator) Register(req *RegisterRequest) (*RegisterResponse, error) 
 	}
 	c.nodes[n.id] = n
 	c.stats.NodesRegistered++
-	c.opts.Logger.Printf("cluster node registered id=%s name=%s gomaxprocs=%d", n.id, n.name, n.caps.GoMaxProcs)
+	c.opts.Flight.Record(flight.Event{Kind: flight.KindNodeJoin, Node: n.id, Detail: n.name})
 	return &RegisterResponse{
 		NodeID:      n.id,
 		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
@@ -352,8 +343,6 @@ func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 			Node:   n.id,
 			Detail: fmt.Sprintf("range=[%d,%d)", ls.start, ls.end),
 		})
-		c.opts.Logger.Printf("cluster lease issued id=%s job=%s node=%s range=[%d,%d) tenant=%s trace=%s",
-			ls.id, jobID, n.id, ls.start, ls.end, j.tenant, j.traceID)
 		return &Lease{
 			ID:        ls.id,
 			JobID:     jobID,
@@ -423,6 +412,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 	}
 	owned := func(idx int) bool { return own != nil && idx >= own.start && idx < own.end }
 	resp := &UploadResponse{}
+	conflicts := 0
 	for i := range results {
 		r := &results[i]
 		sl := &j.slots[r.Index]
@@ -431,8 +421,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 			// Straggler after re-dispatch: verify the duplicate agrees.
 			if len(r.Frame) > 0 && sl.state == slotDone && !bytes.Equal(r.Frame, sl.body) {
 				c.stats.UploadConflicts++
-				c.opts.Logger.Printf("cluster upload CONFLICT job=%s index=%d node=%s (first result kept)",
-					j.id, r.Index, n.id)
+				conflicts++
 			} else {
 				c.stats.UploadsDuplicate++
 			}
@@ -471,6 +460,10 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 	for _, sp := range hdr.Spans {
 		j.spanDur[sp.Name] += sp.DurMS
 	}
+	detail := fmt.Sprintf("accepted=%d duplicate=%d requeued=%d", resp.Accepted, resp.Duplicate, requeued)
+	if conflicts > 0 {
+		detail += fmt.Sprintf(" conflict=%d", conflicts)
+	}
 	c.opts.Flight.Record(flight.Event{
 		Kind:   flight.KindLeaseUpload,
 		Trace:  j.traceID,
@@ -478,7 +471,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 		Job:    j.id,
 		Lease:  hdr.LeaseID,
 		Node:   n.id,
-		Detail: fmt.Sprintf("accepted=%d duplicate=%d requeued=%d", resp.Accepted, resp.Duplicate, requeued),
+		Detail: detail,
 	})
 	if j.open == 0 {
 		// A straggler upload can land after the job already completed (every
@@ -543,8 +536,6 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 	c.jobOrder = append(c.jobOrder, j.id)
 	c.stats.JobsSubmitted++
 	c.stats.FederatedHits += uint64(j.fedHits)
-	c.opts.Logger.Printf("cluster job submitted id=%s scenarios=%d cached=%d tenant=%s trace=%s",
-		j.id, len(reqs), j.fedHits, tenant, traceID)
 	if j.open == 0 {
 		c.completeLocked(j)
 	} else {
@@ -577,14 +568,12 @@ func (c *Coordinator) Cancel(jobID string) {
 	}
 	j.pending = nil
 	c.stats.JobsCancelled++
-	c.opts.Logger.Printf("cluster job cancelled id=%s", j.id)
 	close(j.done)
 }
 
 // completeLocked finishes a job whose last open slot just resolved.
 func (c *Coordinator) completeLocked(j *jobState) {
 	c.stats.JobsCompleted++
-	c.opts.Logger.Printf("cluster job complete id=%s scenarios=%d federated_hits=%d", j.id, len(j.slots), j.fedHits)
 	close(j.done)
 }
 
@@ -711,6 +700,7 @@ func (c *Coordinator) Sweep() {
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for id, n := range c.nodes {
 		if now.Sub(n.lastSeen) > c.opts.DeadAfter {
+			c.opts.Flight.Record(flight.Event{Kind: flight.KindNodeDead, Node: id, Detail: n.name})
 			for lid := range n.leases {
 				if ls, ok := c.leases[lid]; ok {
 					c.expireLeaseLocked(ls, "node dead")
@@ -718,7 +708,6 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			}
 			delete(c.nodes, id)
 			c.stats.NodesDead++
-			c.opts.Logger.Printf("cluster node dead id=%s name=%s (silent for %s)", id, n.name, now.Sub(n.lastSeen))
 		}
 	}
 	for _, ls := range c.leases {
@@ -745,8 +734,6 @@ func (c *Coordinator) expireLeaseLocked(ls *leaseState, why string) {
 		ev.Tenant = j.tenant
 	}
 	c.opts.Flight.Record(ev)
-	c.opts.Logger.Printf("cluster lease expired id=%s job=%s node=%s requeued=%d (%s)",
-		ls.id, ls.jobID, ls.nodeID, requeued, why)
 }
 
 // endLeaseLocked drops a lease record and returns its still-leased indices

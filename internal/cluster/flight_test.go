@@ -25,7 +25,8 @@ func testFlightCoordinator(t *testing.T, clk *fakeClock, fr *flight.Recorder) *C
 }
 
 // TestCoordinatorFlightLeaseLifecycle pins the coordinator-side event chain:
-// grant, upload, and expiry all land in the recorder with the job's trace.
+// the two node joins, then grant, upload, and expiry, which all land in the
+// recorder with the job's trace.
 func TestCoordinatorFlightLeaseLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	fr := flight.New(64)
@@ -44,24 +45,81 @@ func TestCoordinatorFlightLeaseLifecycle(t *testing.T) {
 
 	var kinds []string
 	for _, ev := range fr.Snapshot() {
+		kinds = append(kinds, ev.Kind)
+		if ev.Kind == flight.KindNodeJoin {
+			continue // membership is not job work: no trace or tenant
+		}
 		if ev.Trace != "tr-life" {
 			t.Errorf("event %+v lost the job trace", ev)
 		}
 		if ev.Tenant != "acme" {
 			t.Errorf("event %+v lost the tenant", ev)
 		}
-		kinds = append(kinds, ev.Kind)
 	}
-	want := []string{flight.KindLeaseGrant, flight.KindLeaseExpire, flight.KindLeaseGrant, flight.KindLeaseUpload}
+	want := []string{flight.KindNodeJoin, flight.KindNodeJoin,
+		flight.KindLeaseGrant, flight.KindLeaseExpire, flight.KindLeaseGrant, flight.KindLeaseUpload}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Fatalf("event chain = %v, want %v", kinds, want)
 	}
 	evs := fr.Snapshot()
-	if evs[1].Lease != l1.ID || evs[1].Reason == "" {
-		t.Errorf("expire event = %+v, want lease %s with a reason", evs[1], l1.ID)
+	if evs[3].Lease != l1.ID || evs[3].Reason == "" {
+		t.Errorf("expire event = %+v, want lease %s with a reason", evs[3], l1.ID)
 	}
-	if evs[3].Lease != l2.ID || !strings.Contains(evs[3].Detail, "accepted=2") {
-		t.Errorf("upload event = %+v, want lease %s accepted=2", evs[3], l2.ID)
+	if evs[5].Lease != l2.ID || !strings.Contains(evs[5].Detail, "accepted=2") {
+		t.Errorf("upload event = %+v, want lease %s accepted=2", evs[5], l2.ID)
+	}
+}
+
+// TestCoordinatorFlightNodeMembership: registration records node_join with
+// the assigned ID and name, and a node silent past DeadAfter is recorded as
+// node_dead ahead of the expiry of the lease it held. A straggler upload
+// whose bytes disagree with the kept result reports the conflict in its
+// lease_upload detail.
+func TestCoordinatorFlightNodeMembership(t *testing.T) {
+	clk := newFakeClock()
+	fr := flight.New(64)
+	c := New(Options{
+		LeaseSize: 4,
+		LeaseTTL:  60 * time.Second,
+		Heartbeat: 2 * time.Second,
+		DeadAfter: 6 * time.Second,
+		Now:       clk.Now,
+		Flight:    fr,
+	})
+	doomed := register(t, c, "doomed")
+	survivor := register(t, c, "survivor")
+	if _, _, err := c.Submit(testBatch(4), "tr-dead", "acme"); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	l1 := mustLease(t, c, doomed, 0)
+	clk.Advance(4 * time.Second)
+	c.Heartbeat(&HeartbeatRequest{NodeID: survivor})
+	clk.Advance(3 * time.Second) // doomed is silent past DeadAfter
+	c.Sweep()
+	l2 := mustLease(t, c, survivor, 0)
+	uploadRange(t, c, survivor, l2)
+	swapped := resultFor(1)
+	swapped.Index = 0 // a duplicate for index 0 whose bytes differ
+	if _, err := upload(c, survivor, l1, swapped); err != nil {
+		t.Fatalf("conflicting upload: %v", err)
+	}
+
+	var got []string
+	for _, ev := range fr.Snapshot() {
+		got = append(got, fmt.Sprintf("%s node=%s reason=%s detail=%s", ev.Kind, ev.Node, ev.Reason, ev.Detail))
+	}
+	want := []string{
+		"node_join node=" + doomed + " reason= detail=doomed",
+		"node_join node=" + survivor + " reason= detail=survivor",
+		"lease_grant node=" + doomed + " reason= detail=range=[0,4)",
+		"node_dead node=" + doomed + " reason= detail=doomed",
+		"lease_expire node=" + doomed + " reason=node dead detail=requeued=4",
+		"lease_grant node=" + survivor + " reason= detail=range=[0,4)",
+		"lease_upload node=" + survivor + " reason= detail=accepted=4 duplicate=0 requeued=0",
+		"lease_upload node=" + survivor + " reason= detail=accepted=0 duplicate=1 requeued=0 conflict=1",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("coordinator events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

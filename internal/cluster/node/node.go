@@ -20,8 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"runtime"
 	"sync"
@@ -53,12 +51,10 @@ type Options struct {
 	// Client optionally overrides the HTTP client; by default one is built
 	// from Coordinator and Token with the standard retry policy.
 	Client *client.Client
-	// Logger receives node lifecycle logs (default: discard).
-	Logger *log.Logger
-	// Flight, when non-nil, records the node's operational events (lease
-	// start, per-phase spans, lease outcome). Its sink (hetwired's
-	// -flight-log) is the node's only event channel: hetwiretrace cluster
-	// merges it with the coordinator's dump.
+	// Flight, when non-nil, records the node's events: registration, lease
+	// start, per-phase spans, lease outcome and failed requests. Its sink
+	// (hetwired's -flight-log, stderr by default) is the node's only event
+	// channel: hetwiretrace cluster merges it with the coordinator's dump.
 	Flight *flight.Recorder
 	// OnLease, when non-nil, observes each lease as it is received, before
 	// any work happens. Tests use it to kill the node mid-lease.
@@ -68,9 +64,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Name == "" {
 		o.Name = "node"
-	}
-	if o.Logger == nil {
-		o.Logger = log.New(io.Discard, "", 0)
 	}
 	if o.Client == nil {
 		o.Client = client.New(client.Options{BaseURL: o.Coordinator, AuthToken: o.Token})
@@ -130,7 +123,7 @@ func Run(ctx context.Context, opts Options) error {
 			if terminal(ctx, err) {
 				return err
 			}
-			a.opts.Logger.Printf("node lease request failed (will retry): %v", err)
+			a.opts.Flight.Record(flight.Event{Kind: flight.KindError, Node: a.id(), Reason: "lease_request", Detail: err.Error()})
 			if err := sleepCtx(ctx, retryWait); err != nil {
 				return err
 			}
@@ -146,7 +139,8 @@ func Run(ctx context.Context, opts Options) error {
 			if terminal(ctx, err) {
 				return err
 			}
-			a.opts.Logger.Printf("node lease %s failed (will continue): %v", lease.ID, err)
+			a.opts.Flight.Record(flight.Event{Kind: flight.KindError, Trace: lease.TraceID, Tenant: lease.Tenant,
+				Job: lease.JobID, Lease: lease.ID, Node: a.id(), Reason: "lease", Detail: err.Error()})
 		}
 	}
 }
@@ -175,7 +169,7 @@ func (a *agent) register(ctx context.Context) error {
 	a.hbEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
 	a.needReg = false
 	a.mu.Unlock()
-	a.opts.Logger.Printf("node registered id=%s coordinator=%s", resp.NodeID, a.opts.Coordinator)
+	a.opts.Flight.Record(flight.Event{Kind: flight.KindNodeJoin, Node: resp.NodeID, Detail: a.opts.Name})
 	return nil
 }
 
@@ -206,7 +200,7 @@ func (a *agent) heartbeatLoop(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			a.opts.Logger.Printf("node heartbeat failed: %v", err)
+			a.opts.Flight.Record(flight.Event{Kind: flight.KindError, Node: a.id(), Reason: "heartbeat", Detail: err.Error()})
 			continue
 		}
 		if !resp.Known {
@@ -314,11 +308,10 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	// Phase 2: upload. Keyed by lease ID so transport retries replay safely —
 	// uploads are idempotent by content on the coordinator.
 	t0 = time.Now()
-	var uresp cluster.UploadResponse
 	body, err := wire.EncodeUpload(hdr, results)
 	if err == nil {
 		err = a.cl.DoBytes(ctx, http.MethodPost, "/v1/cluster/upload", wire.ContentType,
-			body, "upload-"+lease.ID, &uresp)
+			body, "upload-"+lease.ID, nil)
 	}
 	if err != nil {
 		if reason(err) == cluster.ReasonUnknownNode {
@@ -335,9 +328,6 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	for _, sp := range append(hdr.Spans, wire.SpanMS{Name: cluster.SpanUpload, DurMS: msSince(t0)}) {
 		record(flight.KindSpan, "", sp.Name, sp.DurMS)
 	}
-	a.opts.Logger.Printf("node lease %s done job=%s range=[%d,%d) %s accepted=%d duplicate=%d upload_ms=%.1f",
-		lease.ID, lease.JobID, lease.Start, lease.End, outcome(),
-		uresp.Accepted, uresp.Duplicate, msSince(t0))
 	record(flight.KindLeaseDone, "", outcome(), 0)
 	return nil
 }

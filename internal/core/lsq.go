@@ -51,9 +51,6 @@ func newLSQ(cfg config.Config) *lsqState {
 // word returns the 8-byte-word address used for dependence comparison.
 func word(addr uint64) uint64 { return addr >> 3 }
 
-// partial returns the LS comparison bits of an address.
-func (l *lsqState) partial(addr uint64) uint64 { return word(addr) & l.lsMask }
-
 // depth returns the number of in-flight stores resident in the queue.
 func (l *lsqState) depth() int { return len(l.commitAt) }
 

@@ -462,11 +462,7 @@ func (p *Processor) resetStats() {
 	p.mem.ResetStats()
 	p.bp.ResetStats()
 	p.np.ResetStats()
-	p.fvt.Hits, p.fvt.Lookups = 0, 0
 }
-
-// FrequentValueHitRate exposes the frequent-value table's lookup hit rate.
-func (p *Processor) FrequentValueHitRate() float64 { return p.fvt.HitRate() }
 
 // finalize fills the derived statistics after a run.
 func (p *Processor) finalize() {

@@ -121,23 +121,18 @@ type FrequentValueTable struct {
 	entries [8]uint64
 	counts  [8]uint32
 	valid   [8]bool
-
-	Hits    uint64
-	Lookups uint64
 }
 
 // NewFrequentValueTable returns an empty 8-entry table.
 func NewFrequentValueTable() *FrequentValueTable { return &FrequentValueTable{} }
 
-// Reset empties the table and zeroes its statistics.
+// Reset empties the table.
 func (f *FrequentValueTable) Reset() { *f = FrequentValueTable{} }
 
 // Contains reports whether the value is currently encodable.
 func (f *FrequentValueTable) Contains(v uint64) bool {
-	f.Lookups++
 	for i, e := range f.entries {
 		if f.valid[i] && e == v {
-			f.Hits++
 			return true
 		}
 	}
@@ -175,12 +170,4 @@ func (f *FrequentValueTable) Observe(v uint64) {
 		f.counts[weakest] = 1
 		f.valid[weakest] = true
 	}
-}
-
-// HitRate returns the fraction of lookups that found an encodable value.
-func (f *FrequentValueTable) HitRate() float64 {
-	if f.Lookups == 0 {
-		return 0
-	}
-	return float64(f.Hits) / float64(f.Lookups)
 }

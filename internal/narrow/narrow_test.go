@@ -148,9 +148,6 @@ func TestFrequentValueTableLearnsHotValues(t *testing.T) {
 	if f.Contains(0xF000_0005) {
 		t.Error("one-off noise value occupies the table")
 	}
-	if f.HitRate() == 0 {
-		t.Error("hit rate not tracked")
-	}
 }
 
 // TestFrequentValueTableAdapts: when the hot set changes, the table follows.

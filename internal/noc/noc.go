@@ -99,15 +99,6 @@ func newLink(spec config.LinkSpec) *link {
 	return l
 }
 
-// reserve books a slot of the class at the earliest cycle >= at.
-func (l *link) reserve(c wires.Class, at uint64) uint64 {
-	cal := l.cal[classIdx(c)]
-	if cal == nil {
-		panic(fmt.Sprintf("noc: link has no %v plane", c))
-	}
-	return cal.Reserve(at)
-}
-
 func (l *link) has(c wires.Class) bool { return l.cal[classIdx(c)] != nil }
 
 // fallbackClass returns c if the link carries it, else the link's wide
@@ -226,11 +217,6 @@ func (n *Network) nodeAt(i int) Node {
 		return Cache
 	}
 	return Cluster(i)
-}
-
-// HasClass reports whether the interconnect provides the class.
-func (n *Network) HasClass(c wires.Class) bool {
-	return n.cfg.Model.Link.Has(c)
 }
 
 // quadOf returns the crossbar group of a cluster in the 16-cluster system.

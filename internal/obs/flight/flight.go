@@ -1,10 +1,12 @@
 // Package flight is the hetwired flight recorder: an always-on, bounded,
 // lock-light ring buffer of typed operational events (admission verdicts,
-// scheduler dispatch decisions, lease lifecycle, cache outcomes, load-shed
-// transitions). It answers "what did the daemon just decide, in order?"
-// after an incident — the ring holds the most recent window and is dumped
-// on demand (GET /v1/debug/flight) or automatically on worker panic and
-// watchdog stall.
+// scheduler dispatch decisions, job outcomes, node membership, lease
+// lifecycle, cache outcomes, load-shed transitions, errors). It is each
+// hetwired process's only event stream: it answers "what did this process
+// just decide, in order?" after an incident — the ring holds the most
+// recent window and is dumped on demand (GET /v1/debug/flight) or
+// automatically on worker panic and watchdog stall, and an optional sink
+// (hetwired -flight-log) streams every event as it is recorded.
 //
 // Contract, mirroring the package obs probes:
 //
@@ -16,11 +18,12 @@
 //     Ordering is seq order, so two identical runs dump identically and
 //     dumps are golden-testable. Measured quantities (virtual time,
 //     durations) are the only nondeterministic fields, and canonical dumps
-//     elide them (see Canonical).
-//   - Recording never blocks on I/O and never allocates beyond the ring:
-//     one atomic increment claims a slot, one per-slot mutex guards the
-//     write. Contention is spread across the ring, not funneled through a
-//     global lock.
+//     elide them (see Canonical); Detail never carries one.
+//   - Without a sink, recording never blocks on I/O and never allocates
+//     beyond the ring: one atomic increment claims a slot, one per-slot
+//     mutex guards the write. Contention is spread across the ring, not
+//     funneled through a global lock. With a sink, each event is also
+//     written to it under the sink's own mutex.
 package flight
 
 import (
@@ -85,6 +88,18 @@ const (
 	KindPanic = "panic"
 	// KindStall: the forward-progress watchdog aborted a run.
 	KindStall = "stall"
+	// KindJobDone: a job reached its terminal state, named by Reason (done,
+	// failed or cancelled). DurMS is the wall time since submission.
+	KindJobDone = "job_done"
+	// KindNodeJoin: a node registered (coordinator side) or was registered
+	// (node side). Node is the assigned ID, Detail the node's name.
+	KindNodeJoin = "node_join"
+	// KindNodeDead: the coordinator declared a silent node dead; its leases
+	// expire with reason "node dead". Node and Detail as for KindNodeJoin.
+	KindNodeDead = "node_dead"
+	// KindError: an operation failed and the process carried on. Reason
+	// names the operation, Detail holds the error.
+	KindError = "error"
 )
 
 // Event is one recorded decision. All fields except Seq and Kind are
@@ -149,7 +164,7 @@ func New(capacity int) *Recorder {
 
 // SetSink attaches an optional streaming sink: every recorded event is also
 // appended to w as one JSONL line (after the schema header line). Used by
-// node agents' -flight-log.
+// hetwired's -flight-log.
 func (r *Recorder) SetSink(w io.Writer, source string) error {
 	if r == nil || w == nil {
 		return nil

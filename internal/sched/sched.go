@@ -34,8 +34,6 @@ type Calendar struct {
 	// so the counter is structurally zero — matching the invariant the
 	// integration tests always asserted.
 	Clamped uint64
-	// Reservations is the total number of successful bookings.
-	Reservations uint64
 }
 
 // DefaultWindow is the calendar ring size in cycles. Two cycles that are
@@ -114,7 +112,6 @@ func (c *Calendar) Reserve(at uint64) uint64 {
 	}
 	if cell&0xFF < uint32(c.capacity) {
 		c.cells[i] = cell + 1
-		c.Reservations++
 		if at > c.hiCycle {
 			c.hiCycle = at
 		}
@@ -133,7 +130,6 @@ func (c *Calendar) reserveSlow(at uint64) uint64 {
 		}
 		if cell&0xFF < uint32(c.capacity) {
 			c.cells[i] = cell + 1
-			c.Reservations++
 			if at > c.hiCycle {
 				c.hiCycle = at
 			}
@@ -143,55 +139,20 @@ func (c *Calendar) reserveSlow(at uint64) uint64 {
 	}
 }
 
-// ReserveSpan books one unit of capacity in each of n consecutive cycles
-// starting at the earliest feasible cycle >= at where the whole span fits,
-// and returns the start cycle. Used for multi-cycle resource occupancy
-// (e.g. unpipelined dividers).
-func (c *Calendar) ReserveSpan(at uint64, n int) uint64 {
-	if n <= 1 {
-		return c.Reserve(at)
-	}
-outer:
-	for {
-		for k := 0; k < n; k++ {
-			if c.Load(at+uint64(k)) >= int(c.capacity) {
-				at += uint64(k) + 1
-				continue outer
-			}
-		}
-		for k := 0; k < n; k++ {
-			cy := at + uint64(k)
-			i := cy & c.mask
-			key := uint32(cy>>c.log2W) << 8
-			cell := c.cells[i]
-			if cell&^uint32(0xFF) != key {
-				cell = key
-			}
-			c.cells[i] = cell + 1
-		}
-		if last := at + uint64(n-1); last > c.hiCycle {
-			c.hiCycle = last
-		}
-		c.Reservations++
-		return at
-	}
-}
-
 // Reset restores the calendar to its just-constructed state, keeping the
 // ring storage. Booked cycles all map to ring indexes at or below the
 // watermark (cycles 0..hiCycle cover ring prefix 0..min(hiCycle, mask)),
 // so only that prefix needs clearing; for the many lightly-used calendars
-// in a machine this is a handful of cells instead of the whole ring. Cells
-// beyond the prefix keep their stale stamps and read as empty.
+// in a machine this is a handful of cells instead of the whole ring (one
+// for an unused calendar). Cells beyond the prefix keep their stale stamps
+// and read as empty.
 func (c *Calendar) Reset() {
-	if c.Reservations != 0 {
-		n := c.hiCycle + 1
-		if n > uint64(len(c.cells)) {
-			n = uint64(len(c.cells))
-		}
-		clear(c.cells[:n])
+	n := c.hiCycle + 1
+	if n > uint64(len(c.cells)) {
+		n = uint64(len(c.cells))
 	}
-	c.hiCycle, c.Clamped, c.Reservations = 0, 0, 0
+	clear(c.cells[:n])
+	c.hiCycle, c.Clamped = 0, 0
 }
 
 // Peek returns the cycle Reserve(at) would grant, without booking it.

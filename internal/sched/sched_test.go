@@ -81,21 +81,6 @@ func TestCalendarFarJump(t *testing.T) {
 	}
 }
 
-func TestReserveSpan(t *testing.T) {
-	c := NewCalendar(1, 0)
-	if x := c.ReserveSpan(10, 4); x != 10 {
-		t.Fatalf("span start = %d, want 10", x)
-	}
-	// Cycles 10..13 are booked; the next span of 2 must start at 14.
-	if x := c.ReserveSpan(10, 2); x != 14 {
-		t.Errorf("second span start = %d, want 14", x)
-	}
-	// A single reservation also lands at/after 16 because 14,15 are taken.
-	if x := c.Reserve(13); x != 16 {
-		t.Errorf("single after spans = %d, want 16", x)
-	}
-}
-
 // TestCalendarNeverExceedsCapacity is the core property: for any request
 // sequence within the window, the per-cycle booking count never exceeds
 // capacity.

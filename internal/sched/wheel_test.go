@@ -98,7 +98,7 @@ func TestWheelResetReplay(t *testing.T) {
 }
 
 // TestCalendarResetReplay proves the watermark-based Calendar.Reset restores
-// a just-constructed state, including after window slides and span bookings.
+// a just-constructed state, including after window slides.
 func TestCalendarResetReplay(t *testing.T) {
 	run := func(c *Calendar, seed uint64) []uint64 {
 		src := xrand.New(seed)
@@ -106,16 +106,13 @@ func TestCalendarResetReplay(t *testing.T) {
 		at := uint64(0)
 		for op := 0; op < 4000; op++ {
 			at += src.Uint64n(40)
-			switch src.Intn(3) {
-			case 0:
+			if src.Intn(2) == 0 {
 				out = append(out, c.Reserve(at))
-			case 1:
-				out = append(out, c.ReserveSpan(at, 1+src.Intn(4)))
-			default:
+			} else {
 				out = append(out, c.Peek(at), uint64(c.Load(at)))
 			}
 		}
-		return append(out, c.Clamped, c.Reservations)
+		return append(out, c.Clamped)
 	}
 	c := NewCalendar(2, 1024)
 	run(c, 7)

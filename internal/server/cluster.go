@@ -45,7 +45,6 @@ func (s *Server) initCluster(co *ClusterOptions) {
 		DeadAfter: co.DeadAfter,
 		Cache:     s.cache,
 		Flight:    s.flight,
-		Logger:    s.opts.Logger,
 	})
 	s.clusterToken = co.Token
 	s.metrics.SetClusterStats(s.coord.Stats)

@@ -240,6 +240,43 @@ func TestIdempotentSubmitReplay(t *testing.T) {
 	waitTerminal(t, ts.URL, st3.ID, 30*time.Second)
 }
 
+// TestIdempotentReplayKeepsJobRecord: a replay hands back a retained job
+// that the replayer is about to poll, so the job moves to the back of the
+// retention order. With maxJobs terminal records retained and the replayed
+// job the oldest, the next submission must prune another record.
+func TestIdempotentReplayKeepsJobRecord(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	run := map[string]any{"benchmark": "gzip", "n": 2000}
+	_, raw := postAs(t, ts.URL+"/v1/jobs", "", "replay-me", run)
+	var first JobStatus
+	mustDecode(t, raw, &first)
+	waitTerminal(t, ts.URL, first.ID, 30*time.Second)
+	for i := 1; i < maxJobs; i++ { // synchronous runs: each ends terminal
+		if resp, body := postJSON(t, ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+			t.Fatalf("filler run %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+
+	resp, raw := postAs(t, ts.URL+"/v1/jobs", "", "replay-me", run)
+	var replay JobStatus
+	mustDecode(t, raw, &replay)
+	if resp.Header.Get("X-Hetwired-Idempotent") != "replay" || replay.ID != first.ID {
+		t.Fatalf("replay answered job %s (%q), want a replay of %s",
+			replay.ID, resp.Header.Get("X-Hetwired-Idempotent"), first.ID)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after replay: %d %s", resp.StatusCode, body)
+	}
+	got, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Body.Close()
+	if got.StatusCode != http.StatusOK {
+		t.Fatalf("GET replayed job %s after one more submission: %d, want 200", first.ID, got.StatusCode)
+	}
+}
+
 // TestZeroFaultInjectorDeterminism: a configured injector whose rates are
 // all zero must be exactly inert — a daemon wired with it serves bodies
 // byte-identical to a daemon with no injector at all. This is the guard

@@ -162,6 +162,118 @@ func TestFlightAutoDumpOnPanic(t *testing.T) {
 	}
 }
 
+// TestFlightAutoDumpFailureIsRecorded: an auto-dump that cannot be written
+// (FlightDir is a regular file) is recorded as an error event naming the
+// dump, and the daemon keeps serving.
+func TestFlightAutoDumpFailureIsRecorded(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := mustInjector(t, "seed=5,panic=1,panic.max=1")
+	s, ts := newTestServer(t, Options{Workers: 1, Faults: in, FlightDir: notDir})
+
+	_, raw := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"benchmark": "gcc", "n": 4000})
+	var victim JobStatus
+	mustDecode(t, raw, &victim)
+	if st := waitTerminal(t, ts.URL, victim.ID, 30*time.Second); st.State != StateFailed {
+		t.Fatalf("panicked job state = %s", st.State)
+	}
+	// The dump follows the job's end; wait for its outcome.
+	var dumpErr *flight.Event
+	for deadline := time.Now().Add(10 * time.Second); dumpErr == nil && time.Now().Before(deadline); {
+		for _, ev := range s.flight.Snapshot() {
+			if ev.Kind == flight.KindError {
+				dumpErr = &ev
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if dumpErr == nil {
+		t.Fatal("failed auto-dump left no error event")
+	}
+	if dumpErr.Reason != "dump" || !strings.Contains(dumpErr.Detail, "not-a-dir") {
+		t.Errorf("error event = %+v, want reason dump naming the flight dir", *dumpErr)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"benchmark": "gzip", "n": 4000}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after a failed dump: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestJobDoneOnEveryTerminalPath: a job that completes, a job whose worker
+// panics and a job cancelled while still queued each leave exactly one
+// job_done event carrying the job's trace, tenant and lane, with the
+// terminal state as its reason.
+func TestJobDoneOnEveryTerminalPath(t *testing.T) {
+	cfg := &tenant.Config{Tenants: []tenant.Spec{{Name: "acme", Key: "key-acme", Weight: 1}}}
+	// One worker, every job slowed by 300 ms: the first job to run panics,
+	// and the batch submitted third is still queued when it is cancelled.
+	in := mustInjector(t, "seed=5,panic=1,panic.max=1,slow=1,slowms=300")
+	s, ts := newTestServer(t, Options{Workers: 1, Faults: in, Tenants: cfg})
+	submit := func(trace string, body any) JobStatus {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(raw))
+		req.Header.Set(TenantHeader, "key-acme")
+		req.Header.Set(TraceHeader, trace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st JobStatus
+		decodeBody(t, resp, &st)
+		return st
+	}
+	panicked := submit("jd-panic", map[string]any{"benchmark": "gcc", "n": 4000})
+	done := submit("jd-done", map[string]any{"benchmark": "gzip", "n": 4000})
+	queued := submit("jd-cancel", map[string]any{"batch": map[string]any{
+		"sweep": map[string]any{"models": []string{"I"}, "benchmarks": []string{"mcf"}, "ns": []int{4000}}}})
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	want := map[string]struct {
+		trace, lane string
+		state       JobState
+	}{
+		panicked.ID: {"jd-panic", "interactive", StateFailed},
+		done.ID:     {"jd-done", "interactive", StateDone},
+		queued.ID:   {"jd-cancel", "bulk", StateCancelled},
+	}
+	for id, w := range want {
+		if st := waitTerminal(t, ts.URL, id, 30*time.Second); st.State != w.state {
+			t.Fatalf("job %s ended %s, want %s", id, st.State, w.state)
+		}
+	}
+	seen := map[string]int{}
+	for _, ev := range s.flight.Snapshot() {
+		if ev.Kind != flight.KindJobDone {
+			continue
+		}
+		seen[ev.Job]++
+		w, ok := want[ev.Job]
+		if !ok {
+			t.Errorf("job_done for unexpected job: %+v", ev)
+			continue
+		}
+		if ev.Trace != w.trace || ev.Tenant != "acme" || ev.Lane != w.lane || ev.Reason != string(w.state) {
+			t.Errorf("job_done = %+v, want trace %s tenant acme lane %s reason %s", ev, w.trace, w.lane, w.state)
+		}
+		if w.state != StateCancelled && ev.DurMS < 300 {
+			t.Errorf("job_done for %s: dur_ms %.1f, want the wall time since submission (>= 300)", ev.Job, ev.DurMS)
+		}
+	}
+	for id := range want {
+		if seen[id] != 1 {
+			t.Errorf("job %s left %d job_done events, want 1", id, seen[id])
+		}
+	}
+}
+
 // TestSchedExpvarAndLaneGauges checks satellite (a): the fair queue's
 // internals are visible through the hetwired_sched expvar and the lane-depth
 // gauges on /metrics.

@@ -11,6 +11,7 @@ import (
 
 	"hetwire"
 	"hetwire/internal/batch"
+	"hetwire/internal/obs/flight"
 	"hetwire/internal/tenant"
 	"hetwire/internal/wire"
 )
@@ -51,6 +52,8 @@ type Job struct {
 	// dispatchedBulk marks a job occupying one of the scheduler's bounded
 	// bulk-dispatch slots; owned by the fairQueue (mutated under its lock).
 	dispatchedBulk bool
+	// flight receives the job's job_done event (see endLocked).
+	flight *flight.Recorder
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -77,8 +80,9 @@ type Job struct {
 // newJob builds a queued job whose context descends from parent; a non-zero
 // deadline bounds the job's total wall clock (queue wait included) via
 // context.WithTimeout. The trace ID is carried both on the record (status,
-// logs) and in the job context (hetwire.TraceIDFrom), so code running under
-// the worker can label its output without reaching back to the server.
+// flight events) and in the job context (hetwire.TraceIDFrom), so code
+// running under the worker can label its output without reaching back to
+// the server.
 // Interactive-lane jobs additionally mark their context for the CPU-token
 // pool's fast lane, so a run job preempts bulk batches at scenario
 // granularity once a worker picks it up.
@@ -137,25 +141,23 @@ func (j *Job) finish(body []byte, cacheHit bool, ipc float64, err error, now tim
 	if j.state.Terminal() {
 		return
 	}
-	j.finished = now
+	state := StateFailed
 	switch {
 	case err != nil && errors.Is(err, context.DeadlineExceeded):
-		j.state = StateFailed
 		j.errMsg = fmt.Sprintf("deadline exceeded (budget %s, wall %s)",
 			j.deadline, now.Sub(j.submitted).Round(time.Millisecond))
 	case err != nil && errors.Is(err, context.Canceled):
-		j.state = StateCancelled
+		state = StateCancelled
 		j.errMsg = "cancelled"
 	case err != nil:
-		j.state = StateFailed
 		j.errMsg = err.Error()
 	default:
-		j.state = StateDone
+		state = StateDone
 		j.body = body
 		j.cacheHit = cacheHit
 		j.ipc = ipc
 	}
-	close(j.done)
+	j.endLocked(state, now)
 }
 
 // finishPanic resolves the job after a worker panic: failed, with the panic
@@ -166,11 +168,9 @@ func (j *Job) finishPanic(panicVal any, stack []byte, now time.Time) {
 	if j.state.Terminal() {
 		return
 	}
-	j.finished = now
-	j.state = StateFailed
 	j.errMsg = fmt.Sprintf("worker panic: %v", panicVal)
 	j.failureLog = string(stack)
-	close(j.done)
+	j.endLocked(StateFailed, now)
 }
 
 // markCancelled resolves a still-queued job without running it.
@@ -180,11 +180,28 @@ func (j *Job) markCancelled(now time.Time) bool {
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateCancelled
 	j.errMsg = "cancelled"
-	j.finished = now
-	close(j.done)
+	j.endLocked(StateCancelled, now)
 	return true
+}
+
+// endLocked moves the job to its terminal state and records the job's one
+// job_done event. A poller or waiter sees the state only through j.mu or
+// j.done, so the event is in the ring before anyone can observe the end.
+// Called with j.mu held.
+func (j *Job) endLocked(state JobState, now time.Time) {
+	j.state = state
+	j.finished = now
+	j.flight.Record(flight.Event{
+		Kind:   flight.KindJobDone,
+		Trace:  j.TraceID,
+		Tenant: j.tenant.Name(),
+		Job:    j.ID,
+		Lane:   j.lane.String(),
+		Reason: string(state),
+		DurMS:  float64(now.Sub(j.submitted)) / float64(time.Millisecond),
+	})
+	close(j.done)
 }
 
 // State returns the current state.
@@ -215,7 +232,8 @@ type JobStatus struct {
 	WallMS     float64   `json:"wall_ms,omitempty"`
 	QueueMS    float64   `json:"queue_ms,omitempty"`
 	// TraceID is the request-trace identifier the job runs under; pass it as
-	// X-Hetwire-Trace on related requests to correlate daemon logs.
+	// X-Hetwire-Trace on related requests to correlate the daemon's flight
+	// events.
 	TraceID string `json:"trace_id,omitempty"`
 	// Spans is the per-phase timing breakdown (queue_wait, cpu_wait,
 	// cache_lookup, sim_run, result_encode), milliseconds relative to

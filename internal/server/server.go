@@ -28,11 +28,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,10 +76,10 @@ type Options struct {
 	// Faults optionally wires the deterministic fault-injection harness into
 	// the worker path (chaos tests, HETWIRE_FAULTS). Nil injects nothing.
 	Faults *faultinject.Injector
-	// FlightEvents sizes the always-on flight recorder's event ring
-	// (rounded up to a power of two). Zero or below selects
-	// flight.DefaultEvents.
-	FlightEvents int
+	// Flight is the daemon's flight recorder, its one event stream: every
+	// component (scheduler, cache, coordinator, worker pool) records into
+	// it. Nil selects a flight.DefaultEvents ring.
+	Flight *flight.Recorder
 	// FlightDir, when set, is where the recorder auto-dumps on worker panic
 	// or watchdog stall (flight-<reason>-<seq>.jsonl). Empty disables
 	// auto-dumps; GET /v1/debug/flight still works.
@@ -89,8 +89,6 @@ type Options struct {
 	// worker nodes instead of the local CPU pool. Nil keeps the daemon
 	// single-box.
 	Cluster *ClusterOptions
-	// Logger receives structured request and job logs (default: discard).
-	Logger *log.Logger
 
 	// shedInterval is the overload watchdog's sampling period (default
 	// 100ms). Tests set it far out to hold a forced load-shed latch.
@@ -126,15 +124,11 @@ func (o Options) withDefaults() Options {
 	if o.shedInterval <= 0 {
 		o.shedInterval = 100 * time.Millisecond
 	}
-	if o.Logger == nil {
-		o.Logger = log.New(discard{}, "", 0)
+	if o.Flight == nil {
+		o.Flight = flight.New(flight.DefaultEvents)
 	}
 	return o
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Server is the hetwired daemon core. Create with New, serve its Handler,
 // and stop with Shutdown.
@@ -170,7 +164,7 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	fr := flight.New(opts.FlightEvents)
+	fr := opts.Flight
 	s := &Server{
 		opts:    opts,
 		queue:   newFairQueue(opts.QueueDepth, opts.Workers, fr),
@@ -209,12 +203,9 @@ func New(opts Options) *Server {
 	// for wrong URLs show up in /metrics instead of vanishing.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		tid := ensureTraceID(w, r)
+		ensureTraceID(w, r)
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown endpoint %s %s", r.Method, r.URL.Path))
-		elapsed := time.Since(start)
-		s.metrics.ObserveRequest(NormalizeRoute(r.Method, r.URL.Path), http.StatusNotFound, elapsed)
-		s.opts.Logger.Printf("http method=%s path=%s status=404 trace=%s dur=%s",
-			r.Method, r.URL.Path, tid, elapsed.Round(time.Microsecond))
+		s.metrics.ObserveRequest(NormalizeRoute(r.Method, r.URL.Path), http.StatusNotFound, time.Since(start))
 	})
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -229,47 +220,37 @@ func New(opts Options) *Server {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the result cache (tests and the daemon's summary log).
+// Cache exposes the result cache (tests and the daemon's drain summary).
 func (s *Server) Cache() *Cache { return s.cache }
 
 // Metrics exposes the metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// route registers a handler with request logging and latency metrics keyed
-// by the route pattern (not the raw URL, which would explode cardinality).
-// Every request gets a trace ID here — taken from X-Hetwire-Trace when the
-// client sent a valid one, minted otherwise — echoed on the response, stamped
-// into the request log, and carried to the handler via the request context.
+// route registers a handler with request metrics keyed by the route pattern
+// (not the raw URL, which would explode cardinality). Every request gets a
+// trace ID here — taken from X-Hetwire-Trace when the client sent a valid
+// one, minted otherwise — echoed on the response and carried to the handler
+// via the request context, which stamps it on the flight events the request
+// causes.
 func (s *Server) route(method, pattern string, h http.HandlerFunc) {
 	label := method + " " + pattern
 	s.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		tid := ensureTraceID(w, r)
-		r = r.WithContext(hetwire.WithTraceID(r.Context(), tid))
+		r = r.WithContext(hetwire.WithTraceID(r.Context(), ensureTraceID(w, r)))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
-		elapsed := time.Since(start)
-		s.metrics.ObserveRequest(label, rec.status, elapsed)
-		s.opts.Logger.Printf("http method=%s path=%s status=%d bytes=%d trace=%s dur=%s",
-			r.Method, r.URL.Path, rec.status, rec.bytes, tid, elapsed.Round(time.Microsecond))
+		s.metrics.ObserveRequest(label, rec.status, time.Since(start))
 	})
 }
 
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
-	bytes  int
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += n
-	return n, err
 }
 
 // Flush forwards to the wrapped writer so streaming handlers can push
@@ -333,11 +314,8 @@ func (s *Server) worker(slot int) {
 				s.metrics.jobsFailed.Add(1)
 				s.metrics.ObserveJobWall(now.Sub(current.Status(false).Submitted))
 				s.metrics.AddWorkerBusy(slot, now.Sub(busyStart))
-				s.opts.Logger.Printf("job id=%s kind=%s tenant=%s state=failed trace=%s panic=%q (worker respawning)",
-					current.ID, current.Kind, current.tenant.Name(), current.TraceID, fmt.Sprint(r))
 			} else {
 				s.flight.Record(flight.Event{Kind: flight.KindPanic, Detail: fmt.Sprint(r)})
-				s.opts.Logger.Printf("worker panic outside a job: %v (respawning)", r)
 			}
 			s.autoDumpFlight("panic")
 			s.metrics.jobsPanicked.Add(1)
@@ -376,7 +354,6 @@ func (s *Server) runJob(job *Job) {
 		s.metrics.workersBusy.Add(-1)
 		job.tenant.DecInFlight()
 	}()
-	start := time.Now()
 
 	// Fault-injection points (no-ops without an injector): spurious
 	// cancellation, artificial slowness, and a worker panic.
@@ -451,9 +428,6 @@ func (s *Server) runJob(job *Job) {
 		s.metrics.ObserveSLO(job.tenant.Name(), sloTarget, good, e2e,
 			time.Duration(st.QueueMS*float64(time.Millisecond)), now)
 	}
-	s.opts.Logger.Printf("job id=%s kind=%s tenant=%s lane=%s state=%s trace=%s cache_hit=%t wall_ms=%.1f sim_cpu_ms=%.1f ipc=%.3f err=%q",
-		job.ID, job.Kind, job.tenant.Name(), job.lane, state, job.TraceID, st.CacheHit,
-		float64(now.Sub(start))/float64(time.Millisecond), float64(simCPU)/float64(time.Millisecond), st.IPC, st.Error)
 }
 
 // sleepCtx sleeps for d or until ctx is cancelled, whichever comes first —
@@ -766,6 +740,15 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	if idemKey != "" {
 		if id, ok := s.idem[idemKey]; ok {
 			if j, ok := s.jobs[id]; ok {
+				// The replayer is about to poll this record: retain it as the
+				// newest, so the next submission cannot prune it. Hot keys
+				// replay often, so the search from the back is short.
+				for i := len(s.order) - 1; i >= 0; i-- {
+					if s.order[i] == id {
+						s.order = append(slices.Delete(s.order, i, i+1), id)
+						break
+					}
+				}
 				s.mu.Unlock()
 				return j, true, nil
 			}
@@ -775,6 +758,7 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	job = newJob(s.baseCtx, fmt.Sprintf("j-%06d", s.nextID), kind, traceID, tn, s.deadlineFor(sub), time.Now())
 	job.Req = sub.RunRequest
 	job.Batch = sub.Batch
+	job.flight = s.flight
 	if batchReqs != nil {
 		job.progress = newBatchProgress(batchReqs)
 	}
@@ -1095,24 +1079,38 @@ func (s *Server) handleTenantsUsage(w http.ResponseWriter, _ *http.Request) {
 }
 
 // autoDumpFlight preserves the recorder ring on disk after an incident
-// (worker panic, watchdog stall). Best-effort: dump failures are logged,
-// never propagated — the incident path must not gain new failure modes.
+// (worker panic, watchdog stall) as flight-<reason>-<seq>.jsonl. The dump is
+// written under a dot-prefixed temporary name and renamed into place, so a
+// reader never sees a partial file under the final name. Best-effort: a
+// failure is recorded as an error event, never propagated — the incident
+// path must not gain new failure modes.
 func (s *Server) autoDumpFlight(reason string) {
 	if s.opts.FlightDir == "" {
 		return
 	}
 	name := filepath.Join(s.opts.FlightDir, fmt.Sprintf("flight-%s-%d.jsonl", reason, s.flight.Seq()))
-	f, err := os.Create(name)
+	tmp := filepath.Join(s.opts.FlightDir, "."+filepath.Base(name)+".tmp")
+	err := writeDumpFile(tmp, s.flight.Snapshot())
+	if err == nil {
+		err = os.Rename(tmp, name)
+	}
 	if err != nil {
-		s.opts.Logger.Printf("flight: auto-dump %s: %v", name, err)
-		return
+		os.Remove(tmp)
+		s.flight.Record(flight.Event{Kind: flight.KindError, Reason: "dump", Detail: err.Error()})
 	}
-	defer f.Close()
-	if err := flight.WriteDump(f, "hetwired", s.flight.Snapshot()); err != nil {
-		s.opts.Logger.Printf("flight: auto-dump %s: %v", name, err)
-		return
+}
+
+// writeDumpFile writes events as a complete JSONL flight dump at path.
+func writeDumpFile(path string, events []flight.Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	s.opts.Logger.Printf("flight: dumped recorder to %s (reason=%s)", name, reason)
+	if err := flight.WriteDump(f, "hetwired", events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -104,7 +104,6 @@ func (s *Server) shedMonitor() {
 				hot = 0
 				s.flight.Record(flight.Event{Kind: flight.KindShedRelease,
 					Detail: fmt.Sprintf("depth=%d low_water=%d", depth, low)})
-				s.opts.Logger.Printf("load-shed cleared depth=%d low_water=%d", depth, low)
 			}
 		case depth >= high:
 			hot++
@@ -113,8 +112,6 @@ func (s *Server) shedMonitor() {
 				s.metrics.loadShedTotal.Add(1)
 				s.flight.Record(flight.Event{Kind: flight.KindShedEngage,
 					Detail: fmt.Sprintf("depth=%d high_water=%d", depth, high)})
-				s.opts.Logger.Printf("load-shed engaged depth=%d high_water=%d window=%s (bulk lane rejected until depth<=%d)",
-					depth, high, shedWindow, low)
 			}
 		default:
 			hot = 0

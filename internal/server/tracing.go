@@ -11,13 +11,13 @@ import (
 
 // TraceHeader is the request-tracing header: clients mint an ID per logical
 // operation and send it on every request for that operation; the daemon
-// echoes it on the response, stamps it into logs and job status, and carries
-// it into the worker's job context (hetwire.WithTraceID). Requests without
-// one get a daemon-minted ID so every job is traceable.
+// echoes it on the response, stamps it on flight events and job status, and
+// carries it into the worker's job context (hetwire.WithTraceID). Requests
+// without one get a daemon-minted ID so every job is traceable.
 const TraceHeader = "X-Hetwire-Trace"
 
 // maxTraceIDLen bounds accepted trace IDs; longer (or malformed) IDs are
-// replaced rather than propagated, so log lines and labels stay bounded.
+// replaced rather than propagated, so flight events and labels stay bounded.
 const maxTraceIDLen = 64
 
 // validTraceID accepts hex-ish tokens: letters, digits, '.', '_', '-'.

@@ -1,83 +1,20 @@
-// Package stats provides the lightweight counters, histograms, and summary
-// helpers shared by the simulator and the experiment harness.
+// Package stats provides the lightweight histograms and summary helpers
+// shared by the simulator and the experiment harness.
 package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Set is an ordered collection of named counters. The zero value is ready to
-// use. Lookup is by name; iteration order is insertion order so reports are
-// stable.
-type Set struct {
-	order []string
-	byKey map[string]*Counter
-}
-
-// Get returns the counter with the given name, creating it if necessary.
-func (s *Set) Get(name string) *Counter {
-	if s.byKey == nil {
-		s.byKey = make(map[string]*Counter)
-	}
-	if c, ok := s.byKey[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.byKey[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Value returns the current value of the named counter (0 if absent).
-func (s *Set) Value(name string) uint64 {
-	if s.byKey == nil {
-		return 0
-	}
-	if c, ok := s.byKey[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Names returns the counter names in insertion order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// String renders the set as "name=value" lines sorted by insertion order.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, name := range s.order {
-		fmt.Fprintf(&b, "%s=%d\n", name, s.byKey[name].Value)
-	}
-	return b.String()
-}
-
 // Histogram buckets integer samples. Buckets are fixed-width starting at 0;
-// samples beyond the last bucket land in an overflow bucket.
+// samples beyond the last bucket are counted only in Count (they fall in
+// the +Inf bucket of the cumulative export).
 type Histogram struct {
 	Width   uint64
 	Buckets []uint64
-	Over    uint64
 	Count   uint64
 	Sum     uint64
-	MaxSeen uint64
 }
 
 // NewHistogram creates a histogram with n buckets of the given width.
@@ -92,40 +29,9 @@ func NewHistogram(n int, width uint64) *Histogram {
 func (h *Histogram) Observe(v uint64) {
 	h.Count++
 	h.Sum += v
-	if v > h.MaxSeen {
-		h.MaxSeen = v
+	if idx := v / h.Width; idx < uint64(len(h.Buckets)) {
+		h.Buckets[idx]++
 	}
-	idx := v / h.Width
-	if idx >= uint64(len(h.Buckets)) {
-		h.Over++
-		return
-	}
-	h.Buckets[idx]++
-}
-
-// Mean returns the mean of the observed samples (0 if none).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Quantile returns an approximate q-quantile (q in [0,1]) using bucket lower
-// bounds; overflow samples report the max seen.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.Count))
-	var cum uint64
-	for i, b := range h.Buckets {
-		cum += b
-		if cum > target {
-			return uint64(i) * h.Width
-		}
-	}
-	return h.MaxSeen
 }
 
 // CumBucket is one cumulative histogram bucket in export form: Count is the
@@ -138,18 +44,12 @@ type CumBucket struct {
 	Count      uint64
 }
 
-// Cumulative exports the histogram as cumulative buckets. Bucket i covers
-// samples < (i+1)*Width, i.e. its upper bound is inclusive at
-// (i+1)*Width-1; the trailing +Inf bucket absorbs the overflow samples.
-// Together with Sum and Count this is everything a Prometheus histogram
-// exposition needs.
-func (h *Histogram) Cumulative() []CumBucket {
-	return h.AppendCumulative(make([]CumBucket, 0, len(h.Buckets)+1))
-}
-
-// AppendCumulative appends the cumulative buckets to dst and returns the
-// extended slice, so periodic exporters (metrics scrapes) can reuse one
-// buffer instead of allocating per call.
+// AppendCumulative appends the histogram's cumulative buckets to dst and
+// returns the extended slice, so periodic exporters (metrics scrapes) can
+// reuse one buffer instead of allocating per call. Bucket i covers samples
+// < (i+1)*Width, i.e. its upper bound is inclusive at (i+1)*Width-1; the
+// trailing +Inf bucket absorbs the overflow samples. Together with Sum and
+// Count this is everything a Prometheus histogram exposition needs.
 func (h *Histogram) AppendCumulative(dst []CumBucket) []CumBucket {
 	var cum uint64
 	for i, b := range h.Buckets {
@@ -157,24 +57,6 @@ func (h *Histogram) AppendCumulative(dst []CumBucket) []CumBucket {
 		dst = append(dst, CumBucket{UpperBound: uint64(i+1)*h.Width - 1, Count: cum})
 	}
 	return append(dst, CumBucket{Inf: true, Count: h.Count})
-}
-
-// Merge adds the samples of other into h. The histograms must have the same
-// bucket geometry; Merge panics otherwise, since silently re-bucketing
-// would corrupt quantiles.
-func (h *Histogram) Merge(other *Histogram) {
-	if h.Width != other.Width || len(h.Buckets) != len(other.Buckets) {
-		panic("stats: merging histograms with different geometry")
-	}
-	for i, b := range other.Buckets {
-		h.Buckets[i] += b
-	}
-	h.Over += other.Over
-	h.Count += other.Count
-	h.Sum += other.Sum
-	if other.MaxSeen > h.MaxSeen {
-		h.MaxSeen = other.MaxSeen
-	}
 }
 
 // ArithmeticMean averages a slice of float64 values. The paper reports the
@@ -189,45 +71,6 @@ func ArithmeticMean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeometricMean returns the geometric mean of strictly positive values.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		prod *= x
-	}
-	// nth root via repeated sqrt would be lossy; use log-free Newton steps.
-	return nthRoot(prod, len(xs))
-}
-
-func nthRoot(x float64, n int) float64 {
-	if x <= 0 || n <= 0 {
-		return 0
-	}
-	// Newton iteration on f(r) = r^n - x.
-	r := x
-	if r > 1 {
-		r = 1 + (x-1)/float64(n) // reasonable start
-	}
-	for i := 0; i < 128; i++ {
-		rn := 1.0
-		for j := 0; j < n-1; j++ {
-			rn *= r
-		}
-		next := ((float64(n)-1)*r + x/rn) / float64(n)
-		if diff := next - r; diff < 1e-12 && diff > -1e-12 {
-			return next
-		}
-		r = next
-	}
-	return r
 }
 
 // Table formats aligned columns for terminal reports.
@@ -286,15 +129,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map; handy for stable
-// report iteration.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

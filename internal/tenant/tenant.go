@@ -49,7 +49,7 @@ const (
 // Spec is one tenant's declared identity and resource policy, as written in
 // the -tenants config file.
 type Spec struct {
-	// Name labels the tenant in job status, logs, lease records, and metrics.
+	// Name labels the tenant in job status, flight events, leases, and metrics.
 	// Lowercase [a-z0-9._-], at most MaxNameLen bytes. "anonymous" and
 	// "other" are reserved.
 	Name string `json:"name"`

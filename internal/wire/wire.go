@@ -236,25 +236,6 @@ func Split(buf []byte) ([][]byte, error) {
 	return frames, nil
 }
 
-// Walk iterates buf's frames with payload CRCs verified, calling fn with
-// each header and complete frame slice. fn returning an error stops the walk.
-func Walk(buf []byte, fn func(h Header, frame []byte) error) error {
-	frames, err := Split(buf)
-	if err != nil {
-		return err
-	}
-	for _, fr := range frames {
-		h, _, err := checkFrame(fr)
-		if err != nil {
-			return err
-		}
-		if err := fn(h, fr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Reader reads frames from a stream, validating each completely (header +
 // CRC). Next returns io.EOF at a clean frame boundary and an error for
 // anything torn or corrupt.
