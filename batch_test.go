@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hetwire/internal/trace"
 	"hetwire/internal/workload"
 )
 
@@ -87,7 +88,7 @@ func TestWorkloadMemoCachedRunBitIdentical(t *testing.T) {
 	}
 	const n = 8_000
 
-	run := func(gen *workload.Generator) string {
+	run := func(gen trace.Stream) string {
 		sim, err := NewSimulator(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -292,7 +292,7 @@ func BenchmarkBranchPredictor(b *testing.B) {
 // BenchmarkCacheLookup measures the L1D array model.
 func BenchmarkCacheLookup(b *testing.B) {
 	b.ReportAllocs()
-	c := cache.New(cache.Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6, Banks: 4, Ports: 1})
+	c := cache.New(cache.Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6, Banks: 4, Ports: 1}, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(uint64(i*64) % (256 * 1024))
@@ -302,7 +302,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 // BenchmarkNoCTransfer measures one heterogeneous-link reservation.
 func BenchmarkNoCTransfer(b *testing.B) {
 	b.ReportAllocs()
-	n := noc.New(config.Default().WithModel(config.ModelX))
+	n := noc.New(config.Default().WithModel(config.ModelX), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Transfer(noc.Cluster(i%4), noc.Cache, wires.B, 72, uint64(i/2))

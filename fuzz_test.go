@@ -26,7 +26,7 @@ func FuzzConfigFromJSON(f *testing.F) {
 	f.Add([]byte(`{"model":"XI"}`))
 	f.Add([]byte(`{"model":"I","clusters":7}`))
 	// Past the bounds: the first three once ran the daemon out of memory,
-	// the fourth aliased two in-flight cycles in the calendar ring.
+	// the fourth is over the single-access span bound.
 	f.Add([]byte(`{"model":"I","core_overrides":{"rob":2000000000}}`))
 	f.Add([]byte(`{"model":"I","core_overrides":{"memory_latency":2000000000}}`))
 	f.Add([]byte(`{"model":"I","latency_scale":1000000000}`))

@@ -132,9 +132,6 @@ func TestGoldenCorpus(t *testing.T) {
 								"If this change is intended, refresh with: go test -run TestGoldenCorpus -update-golden .",
 								got, wantHash)
 						}
-						if res.CalendarClamps != 0 {
-							t.Errorf("calendar clamps = %d, timing was approximated", res.CalendarClamps)
-						}
 					})
 				}
 			}

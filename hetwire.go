@@ -102,7 +102,9 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 // Run simulates n instructions from the stream. When the stream knows its
 // workload's name (workload generators implement Name), the result is
 // labeled with it; anonymous streams such as trace-file replays leave
-// Result.Benchmark empty.
+// Result.Benchmark empty. Run panics if the engine cannot keep the run's
+// timing exact or making progress, a broken invariant; RunRequest's
+// ExecuteContext reports the same failures as errors.
 func (s *Simulator) Run(src trace.Stream, n uint64) Result {
 	st := s.proc.Run(src, n)
 	res := Result{Stats: st, Config: s.cfg}

@@ -30,14 +30,20 @@ type Cache struct {
 	tags     []uint64 // 0 = invalid
 	lru      []uint32 // larger = more recent
 	lruClock uint32
-	banks    []*sched.Calendar
+	// setGen stamps each set with the generation its ways belong to. Reset
+	// bumps gen instead of clearing the arrays; a set with an older stamp
+	// is empty, and is cleared the first time Lookup touches it.
+	setGen []uint32
+	gen    uint32
+	banks  []*sched.Calendar
 
 	Accesses uint64
 	Misses   uint64
 }
 
-// New builds a cache. Sizes must give a power-of-two number of sets.
-func New(cfg Config) *Cache {
+// New builds a cache. Sizes must give a power-of-two number of sets. The
+// bank-port calendars live on the given timeline (see sched.Calendar).
+func New(cfg Config, tl *sched.Timeline) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.LineBytes <= 0 || cfg.Assoc <= 0 {
 		panic("cache: bad geometry")
 	}
@@ -54,9 +60,10 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, sets: sets}
 	c.tags = make([]uint64, sets*cfg.Assoc)
 	c.lru = make([]uint32, sets*cfg.Assoc)
+	c.setGen = make([]uint32, sets)
 	c.banks = make([]*sched.Calendar, cfg.Banks)
 	for i := range c.banks {
-		c.banks[i] = sched.NewCalendar(cfg.Ports, sched.DefaultWindow)
+		c.banks[i] = sched.NewCalendar(cfg.Ports, tl)
 	}
 	return c
 }
@@ -73,6 +80,11 @@ func (c *Cache) Lookup(addr uint64) bool {
 	c.Accesses++
 	set, tag := c.index(addr)
 	base := set * c.cfg.Assoc
+	if c.setGen[set] != c.gen {
+		clear(c.tags[base : base+c.cfg.Assoc])
+		clear(c.lru[base : base+c.cfg.Assoc])
+		c.setGen[set] = c.gen
+	}
 	c.lruClock++
 	for w := 0; w < c.cfg.Assoc; w++ {
 		if c.tags[base+w] == tag {
@@ -95,6 +107,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Probe checks for presence without changing any state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
+	if c.setGen[set] != c.gen {
+		return false
+	}
 	base := set * c.cfg.Assoc
 	for w := 0; w < c.cfg.Assoc; w++ {
 		if c.tags[base+w] == tag {
@@ -117,24 +132,21 @@ func (c *Cache) ReservePort(addr uint64, at uint64) uint64 {
 	return c.banks[c.bankOf(addr)].Reserve(at)
 }
 
-// CalendarClamps returns port-calendar clamp events (see sched.Calendar).
-func (c *Cache) CalendarClamps() uint64 {
-	var sum uint64
-	for _, b := range c.banks {
-		sum += b.Clamped
-	}
-	return sum
-}
-
 // ResetStats zeroes the hit/miss counters, keeping cache contents.
 func (c *Cache) ResetStats() { c.Accesses, c.Misses = 0, 0 }
 
 // Reset restores the cache to its just-constructed state — cold arrays, idle
 // bank ports, zero counters — reusing all storage. A reset cache behaves
-// bit-identically to a freshly built one.
+// bit-identically to a freshly built one. It costs O(1): bumping the
+// generation empties every set at once, and only when the generation wraps
+// around to stamps that may still be in the arrays are they cleared.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.lru)
+	c.gen++
+	if c.gen == 0 {
+		clear(c.tags)
+		clear(c.lru)
+		clear(c.setGen)
+	}
 	c.lruClock = 0
 	for _, b := range c.banks {
 		b.Reset()
@@ -265,16 +277,17 @@ type Hierarchy struct {
 	TLB *TLB
 }
 
-// NewHierarchy builds the full memory system.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+// NewHierarchy builds the full memory system; its port calendars live on
+// the given timeline (see sched.Calendar).
+func NewHierarchy(cfg HierarchyConfig, tl *sched.Timeline) *Hierarchy {
 	if cfg.TLBPenalty <= 0 {
 		cfg.TLBPenalty = 30
 	}
 	return &Hierarchy{
 		cfg: cfg,
-		L1I: New(cfg.L1I),
-		L1D: New(cfg.L1D),
-		L2:  New(cfg.L2),
+		L1I: New(cfg.L1I, tl),
+		L1D: New(cfg.L1D, tl),
+		L2:  New(cfg.L2, tl),
 		TLB: NewTLB(cfg.TLBEntries, cfg.PageBytes),
 	}
 }

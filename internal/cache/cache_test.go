@@ -8,7 +8,7 @@ import (
 )
 
 func smallCache() *Cache {
-	return New(Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2, Latency: 6, Banks: 4, Ports: 1})
+	return New(Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2, Latency: 6, Banks: 4, Ports: 1}, nil)
 }
 
 func TestLookupMissThenHit(t *testing.T) {
@@ -63,7 +63,7 @@ func TestProbeDoesNotDisturbState(t *testing.T) {
 // TestWorkingSetFitsCacheHasLowMissRate: property-style check of the
 // locality behaviour the workload generator relies on.
 func TestWorkingSetFitsCacheHasLowMissRate(t *testing.T) {
-	c := New(Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6})
+	c := New(Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6}, nil)
 	src := xrand.New(1)
 	for i := 0; i < 100000; i++ {
 		addr := uint64(src.Intn(16 * 1024)) // 16KB working set in 32KB cache
@@ -73,7 +73,7 @@ func TestWorkingSetFitsCacheHasLowMissRate(t *testing.T) {
 		t.Errorf("fitting working set has miss rate %.3f, want < 0.02", mr)
 	}
 
-	big := New(Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6})
+	big := New(Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6}, nil)
 	for i := 0; i < 100000; i++ {
 		addr := uint64(src.Intn(64 * 1024 * 1024)) // 64MB stream
 		big.Lookup(addr)
@@ -84,7 +84,7 @@ func TestWorkingSetFitsCacheHasLowMissRate(t *testing.T) {
 }
 
 func TestBankPortContention(t *testing.T) {
-	c := New(Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2, Latency: 6, Banks: 4, Ports: 1})
+	c := New(Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2, Latency: 6, Banks: 4, Ports: 1}, nil)
 	// Same bank (same word offset pattern): three requests at cycle 10.
 	addr := uint64(0x40) // bank = (0x40>>3)%4 = 0
 	if got := c.ReservePort(addr, 10); got != 10 {
@@ -127,7 +127,7 @@ func newTestHierarchy() *Hierarchy {
 		PageBytes:  8192,
 		TLBPenalty: 30,
 		MemLatency: 300,
-	})
+	}, nil)
 }
 
 // TestDataAccessLatencies: an L1 hit (after warming TLB and cache) takes the
@@ -244,7 +244,7 @@ func TestConstructorValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("non-power-of-two sets", func() {
-		New(Config{SizeBytes: 3000, LineBytes: 64, Assoc: 2, Latency: 1})
+		New(Config{SizeBytes: 3000, LineBytes: 64, Assoc: 2, Latency: 1}, nil)
 	})
 	mustPanic("zero-size TLB", func() { NewTLB(0, 8192) })
 	mustPanic("non-power-of-two page", func() { NewTLB(16, 5000) })

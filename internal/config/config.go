@@ -482,8 +482,8 @@ func (c Config) RingLatency(class wires.Class) int {
 
 // MaxROBSize caps Core.ROBSize. The engine allocates one commit time per
 // ROB entry, and a larger window lets dependent chains book further ahead
-// of the front end than the calendar ring has been checked to hold (see
-// sched.MaxAccessSpan).
+// of the front end, growing calendar rings toward their cap (see
+// sched.MaxCells).
 const MaxROBSize = 8192
 
 // Validate checks internal consistency and returns a descriptive error for
@@ -504,6 +504,10 @@ func (c Config) Validate() error {
 		{"DispatchWidth", k.DispatchWidth, 1, sched.MaxCalendarCapacity},
 		{"CommitWidth", k.CommitWidth, 1, sched.MaxCalendarCapacity},
 		{"L1DPorts", k.L1DPorts, 1, sched.MaxCalendarCapacity},
+		{"IntALUs", k.IntALUs, 1, sched.MaxCalendarCapacity},
+		{"IntMulDiv", k.IntMulDiv, 1, sched.MaxCalendarCapacity},
+		{"FPALUs", k.FPALUs, 1, sched.MaxCalendarCapacity},
+		{"FPMulDiv", k.FPMulDiv, 1, sched.MaxCalendarCapacity},
 		{"FetchQueueSize", k.FetchQueueSize, 1, sched.MaxWheelSlots},
 		{"IssueQPerClust", k.IssueQPerClust, 1, sched.MaxWheelSlots},
 		{"RegsPerClust", k.RegsPerClust, 1, sched.MaxWheelSlots},
@@ -526,7 +530,7 @@ func (c Config) Validate() error {
 		route += 2 * c.RingLatency(wires.PW)
 	}
 	if span := 2*route + k.L1DLatency + k.L2Latency + k.MemLatency; span > sched.MaxAccessSpan {
-		return fmt.Errorf("config: worst memory access spans %d cycles, over the calendar ring's bound of %d",
+		return fmt.Errorf("config: worst memory access spans %d cycles, over the bound of %d",
 			span, sched.MaxAccessSpan)
 	}
 	if c.Model.Link == (LinkSpec{}) {

@@ -205,6 +205,28 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsFUCounts: each functional-unit count sizes a calendar's
+// per-cycle capacity, so it must lie in [1, sched.MaxCalendarCapacity].
+func TestValidateBoundsFUCounts(t *testing.T) {
+	for _, field := range []struct {
+		name string
+		set  func(*Core, int)
+	}{
+		{"IntALUs", func(k *Core, v int) { k.IntALUs = v }},
+		{"IntMulDiv", func(k *Core, v int) { k.IntMulDiv = v }},
+		{"FPALUs", func(k *Core, v int) { k.FPALUs = v }},
+		{"FPMulDiv", func(k *Core, v int) { k.FPMulDiv = v }},
+	} {
+		for v, ok := range map[int]bool{0: false, 1: true, 2: true, 255: true, 256: false} {
+			c := Default()
+			field.set(&c.Core, v)
+			if err := c.Validate(); (err == nil) != ok {
+				t.Errorf("%s = %d: Validate() = %v, want accepted %v", field.name, v, err, ok)
+			}
+		}
+	}
+}
+
 // TestTopologyHelpers covers the topology enum.
 func TestTopologyHelpers(t *testing.T) {
 	if Crossbar4.Clusters() != 4 || HierRing16.Clusters() != 16 {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hetwire/internal/config"
+	"hetwire/internal/sched"
 	"hetwire/internal/trace"
 	"hetwire/internal/wires"
 	"hetwire/internal/workload"
@@ -17,7 +19,11 @@ func runBench(t *testing.T, cfg config.Config, bench string, n uint64) Stats {
 	if !ok {
 		t.Fatalf("unknown benchmark %s", bench)
 	}
-	return New(cfg).Run(workload.NewGenerator(prof), n)
+	st, err := New(cfg).RunContext(context.Background(), workload.NewGenerator(prof), n)
+	if err != nil {
+		t.Fatalf("%v on %s: %v", cfg.Model.ID, bench, err)
+	}
+	return st
 }
 
 // TestDeterminism: identical configuration and workload give bit-identical
@@ -295,24 +301,24 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestNoCalendarClamps: the sliding calendar windows must be large enough
-// that no reservation is ever clamped — i.e. all resource timing is exact —
-// across representative configurations.
-func TestNoCalendarClamps(t *testing.T) {
-	configs := []config.Config{
-		config.Default(),
-		config.Default().WithModel(config.ModelX),
-	}
-	c16 := config.Default()
-	c16.Topology = config.HierRing16
-	configs = append(configs, c16)
-	for _, cfg := range configs {
-		for _, bench := range []string{"mcf", "gzip"} {
-			st := runBench(t, cfg, bench, testInstrs)
-			if st.CalendarClamps != 0 {
-				t.Errorf("%v/%s: %d calendar clamps; timing approximated", cfg.Model.ID, bench, st.CalendarClamps)
-			}
+// TestFUCountsAreModelled: each cluster's functional-unit calendars take
+// their configured counts, so a second integer ALU per cluster shortens the
+// issue wait of an ALU-bound kernel.
+func TestFUCountsAreModelled(t *testing.T) {
+	prof, _ := workload.KernelByName("alu")
+	run := func(cfg config.Config) Stats {
+		st, err := New(cfg).RunContext(context.Background(), workload.NewGenerator(prof), 30_000)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return st
+	}
+	one := run(config.Default())
+	cfg := config.Default()
+	cfg.Core.IntALUs = 2
+	two := run(cfg)
+	if one.SumFUWait == 0 || two.SumFUWait >= one.SumFUWait {
+		t.Errorf("FU wait with 2 int ALUs = %d, with 1 = %d; want it lower", two.SumFUWait, one.SumFUWait)
 	}
 }
 
@@ -483,6 +489,26 @@ func TestObserverTimelineInvariants(t *testing.T) {
 	}
 }
 
+// TestMultiprogramFabricFloor: the shared fabric's calendars take the lowest
+// fetch frontier among running threads as their floor, so bookings behind
+// it die and the rings stay small over a run much longer than a ring's cap.
+// With the floor left at zero every booking would stay live, and the run
+// would fail with a CalendarError once two cycles MaxCells apart collided.
+func TestMultiprogramFabricFloor(t *testing.T) {
+	mcf, _ := workload.ByName("mcf")
+	gcc, _ := workload.ByName("gcc")
+	res, err := RunMultiprogramContext(context.Background(), config.Default(), []trace.Stream{
+		workload.NewGenerator(mcf),
+		workload.NewGenerator(gcc),
+	}, 60_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycles := res[0].Stats.Cycles; cycles < 2*sched.MaxCells {
+		t.Fatalf("the run spans %d cycles, too few to outgrow a ring with floor zero", cycles)
+	}
+}
+
 // TestMultiprogramTwoThreads: two threads on the 16-cluster machine, each
 // committing its full stream on disjoint cluster sets over a shared fabric.
 func TestMultiprogramTwoThreads(t *testing.T) {
@@ -605,9 +631,6 @@ func TestRandomConfigurationsHoldInvariants(t *testing.T) {
 		}
 		if ipc := st.IPC(); ipc <= 0.01 || ipc > 8 {
 			t.Fatalf("trial %d (%v): IPC %.3f out of range", trial, cfg.Model.ID, ipc)
-		}
-		if st.CalendarClamps != 0 {
-			t.Fatalf("trial %d (%v): %d calendar clamps", trial, cfg.Model.ID, st.CalendarClamps)
 		}
 	}
 }

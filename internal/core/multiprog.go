@@ -7,6 +7,7 @@ import (
 	"hetwire/internal/cache"
 	"hetwire/internal/config"
 	"hetwire/internal/noc"
+	"hetwire/internal/sched"
 	"hetwire/internal/trace"
 )
 
@@ -19,13 +20,22 @@ import (
 type SharedFabric struct {
 	net *noc.Network
 	mem *cache.Hierarchy
+	// tl is the shared calendars' timeline. Its floor is the lowest fetch
+	// frontier among the threads still running, kept by
+	// RunMultiprogramContext.
+	tl sched.Timeline
 }
 
 // NewSharedFabric builds the shared interconnect and memory for a
 // configuration.
 func NewSharedFabric(cfg config.Config) *SharedFabric {
-	p := New(cfg) // reuse the construction logic, keep only the shared parts
-	return &SharedFabric{net: p.net, mem: p.mem}
+	if err := cfg.Validate(); err != nil {
+		panic("core: " + err.Error())
+	}
+	fab := &SharedFabric{}
+	fab.net = noc.New(cfg, &fab.tl)
+	fab.mem = newHierarchy(cfg, &fab.tl)
+	return fab
 }
 
 // NewOnFabric builds a processor context (front end, clusters, LSQ
@@ -40,7 +50,8 @@ func NewOnFabric(cfg config.Config, fab *SharedFabric, clusters []int) *Processo
 			panic(fmt.Sprintf("core: cluster %d outside topology", c))
 		}
 	}
-	p := New(cfg)
+	p := newCore(cfg)
+	p.fabric = &fab.tl
 	p.net = fab.net
 	p.mem = fab.mem
 	p.allowed = append([]int(nil), clusters...)
@@ -76,8 +87,12 @@ type ThreadResult struct {
 // see time-aligned contention. Per-thread Stats carry private pipeline
 // statistics; the network counters in each Stats describe the whole shared
 // fabric and are therefore identical across threads.
-// It is RunMultiprogramContext with a background context (see Run).
+// It is RunMultiprogramContext with a background context, and like Run it
+// panics with any error, which only a broken engine invariant can cause.
 func RunMultiprogram(cfg config.Config, streams []trace.Stream, n uint64) []ThreadResult {
-	out, _ := RunMultiprogramContext(context.Background(), cfg, streams, n)
+	out, err := RunMultiprogramContext(context.Background(), cfg, streams, n)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }

@@ -27,7 +27,7 @@ func (p *Processor) step(ins *trace.Instr) {
 	myCfg := &p.cfg
 
 	// ---------------- Fetch ----------------
-	fetchReq := maxU(p.lastFetch, p.redirectAt)
+	fetchReq := maxU(p.tl.Floor, p.redirectAt)
 
 	// Instruction-cache access on crossing into a new line (or after a
 	// redirect, which clears curFetchLine).
@@ -59,7 +59,7 @@ func (p *Processor) step(ins *trace.Instr) {
 		}
 		p.pendingBlockStart = false
 	}
-	p.lastFetch = fetchAt
+	p.tl.Floor = fetchAt // the fetch frontier is the calendars' floor
 
 	// Branch prediction happens at fetch.
 	mispredict := false

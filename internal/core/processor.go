@@ -103,7 +103,12 @@ type Processor struct {
 	rob         []uint64        // ring of commit times, ROBSize entries
 	robPos      int
 
-	lastFetch    uint64 // monotone fetch frontier (in-order fetch)
+	// tl is the timeline of the processor's own calendars: tl.Floor is the
+	// monotone fetch frontier (in-order fetch). fabric is the timeline of
+	// the network's and memory's calendars: &tl, or a shared fabric's.
+	tl     sched.Timeline
+	fabric *sched.Timeline
+
 	lastDispatch uint64
 	lastCommit   uint64
 	redirectAt   uint64 // earliest fetch cycle after a mispredict redirect
@@ -240,8 +245,10 @@ type Stats struct {
 	WaitCycles    uint64
 	LinkInventory map[wires.Class]float64
 
-	// CalendarClamps counts sliding-window violations across every cycle
-	// calendar in the machine; zero means all timing was exact.
+	// CalendarClamps is always zero. Calendars are exact by construction
+	// (a run that cannot stay exact fails with CalendarError instead); the
+	// field stays because it is part of every ResultHash and of the wire
+	// format.
 	CalendarClamps uint64
 
 	// Latency breakdown diagnostics (cycle sums; divide by Instructions).
@@ -264,6 +271,19 @@ func (s Stats) IPC() float64 {
 
 // New builds a processor for the configuration.
 func New(cfg config.Config) *Processor {
+	p := newCore(cfg)
+	p.fabric = &p.tl
+	p.net = noc.New(cfg, p.fabric)
+	p.mem = newHierarchy(cfg, p.fabric)
+	return p
+}
+
+// newCore builds everything but the network and the memory hierarchy, which
+// a processor either owns (New) or shares with sibling threads
+// (NewOnFabric). Every private calendar lives on the processor's timeline,
+// whose floor is its fetch frontier: each booking step makes is at or after
+// the instruction's fetch request, which is at or after the previous fetch.
+func newCore(cfg config.Config) *Processor {
 	if err := cfg.Validate(); err != nil {
 		panic("core: " + err.Error())
 	}
@@ -273,7 +293,6 @@ func New(cfg config.Config) *Processor {
 	c := cfg.Core
 	p := &Processor{
 		cfg:       cfg,
-		net:       noc.New(cfg),
 		nClusters: cfg.Topology.Clusters(),
 		bp: bpred.New(bpred.Config{
 			BimodalSize: c.BimodalSize,
@@ -285,23 +304,16 @@ func New(cfg config.Config) *Processor {
 			BTBAssoc:    c.BTBAssoc,
 			RASEntries:  c.RASEntries,
 		}),
-		np:  narrow.NewPredictor(c.NarrowPredSz),
-		fvt: narrow.NewFrequentValueTable(),
-		mem: cache.NewHierarchy(cache.HierarchyConfig{
-			L1I:        cache.Config{SizeBytes: c.L1ISizeKB * 1024, LineBytes: c.LineBytes, Assoc: c.L1IAssoc, Latency: c.L1ILatency},
-			L1D:        cache.Config{SizeBytes: c.L1DSizeKB * 1024, LineBytes: c.LineBytes, Assoc: c.L1DAssoc, Latency: c.L1DLatency, Banks: c.L1DBanks, Ports: c.L1DPorts},
-			L2:         cache.Config{SizeBytes: c.L2SizeMB * 1024 * 1024, LineBytes: c.LineBytes, Assoc: c.L2Assoc, Latency: c.L2Latency},
-			TLBEntries: c.TLBEntries,
-			PageBytes:  c.PageBytes,
-			MemLatency: c.MemLatency,
-		}),
-		fetchCal:    sched.NewCalendar(c.FetchWidth, sched.DefaultWindow),
-		fetchQ:      sched.NewWheel(c.FetchQueueSize),
-		dispatchCal: sched.NewCalendar(c.DispatchWidth, sched.DefaultWindow),
-		commitCal:   sched.NewCalendar(c.CommitWidth, sched.DefaultWindow),
-		rob:         make([]uint64, c.ROBSize),
-		lsq:         newLSQ(cfg),
+		np:     narrow.NewPredictor(c.NarrowPredSz),
+		fvt:    narrow.NewFrequentValueTable(),
+		fetchQ: sched.NewWheel(c.FetchQueueSize),
+		rob:    make([]uint64, c.ROBSize),
+		lsq:    newLSQ(cfg),
 	}
+	p.fetchCal = sched.NewCalendar(c.FetchWidth, &p.tl)
+	p.dispatchCal = sched.NewCalendar(c.DispatchWidth, &p.tl)
+	p.commitCal = sched.NewCalendar(c.CommitWidth, &p.tl)
+	fuCount := [numFUKinds]int{fuIntALU: c.IntALUs, fuIntMul: c.IntMulDiv, fuFPALU: c.FPALUs, fuFPMul: c.FPMulDiv}
 	p.clusters = make([]cluster, p.nClusters)
 	for i := range p.clusters {
 		cl := &p.clusters[i]
@@ -310,7 +322,7 @@ func New(cfg config.Config) *Processor {
 		cl.intRegs = sched.NewWheel(c.RegsPerClust)
 		cl.fpRegs = sched.NewWheel(c.RegsPerClust)
 		for k := range cl.fus {
-			cl.fus[k] = sched.NewCalendar(1, sched.DefaultWindow)
+			cl.fus[k] = sched.NewCalendar(fuCount[k], &p.tl)
 		}
 	}
 	for r := range p.regCluster {
@@ -321,6 +333,20 @@ func New(cfg config.Config) *Processor {
 	p.freeRegsAt = p.freeIQAt
 	p.initDerived()
 	return p
+}
+
+// newHierarchy builds the configuration's memory hierarchy, its port
+// calendars on the given timeline.
+func newHierarchy(cfg config.Config, tl *sched.Timeline) *cache.Hierarchy {
+	c := cfg.Core
+	return cache.NewHierarchy(cache.HierarchyConfig{
+		L1I:        cache.Config{SizeBytes: c.L1ISizeKB * 1024, LineBytes: c.LineBytes, Assoc: c.L1IAssoc, Latency: c.L1ILatency},
+		L1D:        cache.Config{SizeBytes: c.L1DSizeKB * 1024, LineBytes: c.LineBytes, Assoc: c.L1DAssoc, Latency: c.L1DLatency, Banks: c.L1DBanks, Ports: c.L1DPorts},
+		L2:         cache.Config{SizeBytes: c.L2SizeMB * 1024 * 1024, LineBytes: c.LineBytes, Assoc: c.L2Assoc, Latency: c.L2Latency},
+		TLBEntries: c.TLBEntries,
+		PageBytes:  c.PageBytes,
+		MemLatency: c.MemLatency,
+	}, tl)
 }
 
 // initDerived hoists every configuration-static decision of the transfer
@@ -397,7 +423,8 @@ func (p *Processor) Reset() {
 		}
 	}
 
-	p.lastFetch, p.lastDispatch, p.lastCommit = 0, 0, 0
+	p.tl = sched.Timeline{}
+	p.lastDispatch, p.lastCommit = 0, 0
 	p.redirectAt, p.curFetchLine = 0, 0
 	p.pendingBlockStart, p.blkCycle, p.blkCount = false, 0, 0
 	p.pendingStore, p.havePendingStore = lsqStore{}, false
@@ -430,11 +457,16 @@ func (p *Processor) Reset() {
 const frontDepth = 9
 
 // Run simulates n instructions from the stream and returns the statistics.
-// It is RunContext with a background context: never cancelled, and the
-// forward-progress watchdog's abort is unreachable on a well-formed machine
-// (the error is discarded because it cannot occur without state corruption).
+// It is RunContext with a background context, which is never cancelled, so
+// an error means an engine invariant broke: the run stopped making progress
+// (NoProgressError) or its timing stopped being exact (CalendarError). Run
+// panics with that error rather than return the statistics of a truncated
+// or inexact run; callers that must survive it use RunContext.
 func (p *Processor) Run(src trace.Stream, n uint64) Stats {
-	st, _ := p.RunContext(context.Background(), src, n)
+	st, err := p.RunContext(context.Background(), src, n)
+	if err != nil {
+		panic(err)
+	}
 	return st
 }
 
@@ -477,14 +509,6 @@ func (p *Processor) finalize() {
 	}
 	p.s.WaitCycles = p.net.TotalWaitCycles()
 	p.s.LinkInventory = p.net.LinkInventory()
-	clamps := p.net.CalendarClamps() + p.mem.L1D.CalendarClamps()
-	clamps += p.fetchCal.Clamped + p.dispatchCal.Clamped + p.commitCal.Clamped
-	for i := range p.clusters {
-		for _, fu := range p.clusters[i].fus {
-			clamps += fu.Clamped
-		}
-	}
-	p.s.CalendarClamps = clamps
 }
 
 // NarrowCoverage exposes the narrow predictor's coverage for the claims

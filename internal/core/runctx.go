@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hetwire/internal/config"
+	"hetwire/internal/sched"
 	"hetwire/internal/trace"
 )
 
@@ -48,21 +49,55 @@ func (p *Processor) checkProgress(prevFrontier, committed uint64) error {
 	return nil
 }
 
+// CalendarError reports a run whose timing stopped being exact: one of the
+// machine's calendars recorded a sched.Fault, either a live collision in a
+// ring already at sched.MaxCells cells or a query below the calendar's
+// floor (a broken engine invariant). The run's statistics cannot be trusted,
+// so it fails instead of reporting them as a result.
+type CalendarError struct {
+	// Committed is how many instructions the run had retired when the fault
+	// was found (it happened within the preceding check window).
+	Committed uint64
+	sched.Fault
+}
+
+func (e *CalendarError) Error() string {
+	return fmt.Sprintf("core: calendar fault found after %d instructions: %v", e.Committed, e.Fault)
+}
+
+// checkCalendars returns a CalendarError for the first fault recorded on
+// the processor's timeline or its fabric's (network and memory).
+func (p *Processor) checkCalendars(committed uint64) error {
+	f := p.tl.Fault
+	if f == nil {
+		f = p.fabric.Fault
+	}
+	if f == nil {
+		return nil
+	}
+	return &CalendarError{Committed: committed, Fault: *f}
+}
+
 // RunContext simulates up to n instructions from the stream, polling ctx
 // every CtxCheckInterval committed instructions and running the
-// forward-progress watchdog at the same cadence. On cancellation or watchdog
-// abort it finalizes and returns the partial statistics together with the
-// error; a nil error means the run completed (or the stream ended). The
-// simulated behaviour is bit-identical to Run for any run that completes.
+// forward-progress watchdog and the calendar check at the same cadence and
+// at the end. On cancellation or abort it finalizes and returns the partial
+// statistics together with the error; a nil error means the run completed
+// (or the stream ended). The simulated behaviour is bit-identical to Run for
+// any run that completes.
 func (p *Processor) RunContext(ctx context.Context, src trace.Stream, n uint64) (Stats, error) {
 	var ins trace.Instr
 	prevFrontier := p.lastCommit
-	for i := uint64(0); i < n; i++ {
+	var i uint64
+	for ; i < n; i++ {
 		if i&(CtxCheckInterval-1) == 0 && i != 0 {
 			if err := ctx.Err(); err != nil {
 				return p.finish(err)
 			}
 			if err := p.checkProgress(prevFrontier, i); err != nil {
+				return p.finish(err)
+			}
+			if err := p.checkCalendars(i); err != nil {
 				return p.finish(err)
 			}
 			prevFrontier = p.lastCommit
@@ -75,7 +110,7 @@ func (p *Processor) RunContext(ctx context.Context, src trace.Stream, n uint64) 
 		}
 		p.step(&ins)
 	}
-	return p.finish(nil)
+	return p.finish(p.checkCalendars(i))
 }
 
 // finish finalizes the run, emits the probe's final sample (partial counts
@@ -122,6 +157,14 @@ func RunMultiprogramContext(ctx context.Context, cfg config.Config, streams []tr
 		}
 		return out, err
 	}
+	checkCalendars := func(committed uint64) error {
+		for _, p := range procs {
+			if err := p.checkCalendars(committed); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	remaining := make([]uint64, len(streams))
 	for i := range remaining {
@@ -141,19 +184,28 @@ func RunMultiprogramContext(ctx context.Context, cfg config.Config, streams []tr
 			if havePrev && frontier == prevFrontier {
 				return finish(&NoProgressError{Committed: stepped, Cycle: frontier})
 			}
+			if err := checkCalendars(stepped); err != nil {
+				return finish(err)
+			}
 			prevFrontier, havePrev = frontier, true
 		}
 		// Step the thread whose commit frontier is furthest behind, keeping
-		// the shared calendars time-aligned across threads.
+		// the shared calendars time-aligned across threads. The shared
+		// calendars' floor is the lowest fetch frontier among the threads
+		// still running: every thread books at or after its own frontier,
+		// each frontier only advances, and a finished thread books nothing.
 		pick := -1
+		floor := ^uint64(0)
 		for i, p := range procs {
 			if remaining[i] == 0 {
 				continue
 			}
+			floor = min(floor, p.tl.Floor)
 			if pick == -1 || p.lastCommit < procs[pick].lastCommit {
 				pick = i
 			}
 		}
+		fab.tl.Floor = floor
 		if !streams[pick].Next(&ins) {
 			remaining[pick] = 0
 			active--
@@ -166,7 +218,7 @@ func RunMultiprogramContext(ctx context.Context, cfg config.Config, streams []tr
 			active--
 		}
 	}
-	return finish(nil)
+	return finish(checkCalendars(stepped))
 }
 
 // minFrontier returns the lowest commit frontier among threads that still

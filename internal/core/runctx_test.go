@@ -109,6 +109,27 @@ func TestWatchdogPredicate(t *testing.T) {
 	}
 }
 
+// TestRunPanicsOnCalendarFault: a calendar fault reaches a caller of Run as
+// a panic carrying the CalendarError, not as the statistics of a run whose
+// timing stopped being exact.
+func TestRunPanicsOnCalendarFault(t *testing.T) {
+	p := New(config.Default())
+	p.tl.Floor = 100
+	p.commitCal.Reserve(5) // below the floor: a broken engine invariant
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		p.Run(genFor(t, "gzip"), 2*CtxCheckInterval)
+		return nil
+	}()
+	var ce *CalendarError
+	if err, _ := got.(error); !errors.As(err, &ce) || !ce.BelowFloor || ce.Cycle != 5 {
+		t.Fatalf("Run panicked with %v, want a CalendarError below the floor at cycle 5", got)
+	}
+	if ce.Committed != CtxCheckInterval {
+		t.Errorf("fault found after %d instructions, want the first check at %d", ce.Committed, CtxCheckInterval)
+	}
+}
+
 // TestWatchdogQuietOnRealRuns: a long legitimate run must never trip the
 // watchdog (commit width is finite, so every window advances the frontier).
 func TestWatchdogQuietOnRealRuns(t *testing.T) {

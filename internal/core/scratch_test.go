@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"hetwire/internal/config"
+	"hetwire/internal/trace"
 	"hetwire/internal/workload"
 )
 
@@ -74,5 +76,67 @@ func TestAcquireScratchReuse(t *testing.T) {
 	ReleaseScratch(p2)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Errorf("pooled rerun diverged:\nfirst:  %+v\nsecond: %+v", r1, r2)
+	}
+}
+
+// maxPrivateCells is the largest ring among the processor's own calendars.
+func maxPrivateCells(p *Processor) int {
+	n := max(p.fetchCal.Cells(), p.dispatchCal.Cells(), p.commitCal.Cells())
+	for _, cl := range p.clusters {
+		for _, fu := range cl.fus {
+			n = max(n, fu.Cells())
+		}
+	}
+	return n
+}
+
+// TestHistoryIndependence: a run's statistics depend only on its
+// configuration and program, not on what ran before. The same scenarios
+// give equal results on a fresh machine streaming from a cold build and on
+// a pooled machine whose calendar rings grew in an earlier run, replaying
+// from a memo that is cold, warm, or over budget.
+func TestHistoryIndependence(t *testing.T) {
+	ring16 := config.Default().WithModel(config.ModelX)
+	ring16.Topology = config.HierRing16
+	grower, _ := workload.KernelByName("pchase")
+	var progs []workload.Profile
+	for _, name := range []string{"gcc", "mcf", "swim"} {
+		prof, _ := workload.ByName(name)
+		progs = append(progs, prof)
+	}
+	const n = 20_000
+	for _, cfg := range []config.Config{config.Default(), ring16} {
+		want := make([]Stats, len(progs))
+		for i, prof := range progs {
+			want[i] = New(cfg).Run(workload.NewGeneratorUncached(prof), n)
+		}
+		p := New(cfg)
+		p.Run(workload.NewGeneratorUncached(grower), 60_000)
+		if cells := maxPrivateCells(p); cells <= 512 {
+			t.Fatalf("%v: the grower run left every ring at %d cells", cfg.Model.ID, cells)
+		}
+		warm := workload.NewCache(1<<30, 1<<30)
+		for _, prof := range progs {
+			warm.Generator(prof).Next(new(trace.Instr))
+		}
+		for _, memo := range []struct {
+			name  string
+			cache func() *workload.Cache
+		}{
+			{"cold", func() *workload.Cache { return workload.NewCache(1<<30, 1<<30) }},
+			{"warm", func() *workload.Cache { return warm }},
+			{"over-budget", func() *workload.Cache { return workload.NewCache(1<<30, 1<<19) }},
+		} {
+			for i, prof := range progs {
+				p.Reset()
+				got, err := p.RunContext(context.Background(), memo.cache().Generator(prof), n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%v %s, memo %s: pooled run diverged from a fresh machine", cfg.Model.ID, prof.Name, memo.name)
+				}
+			}
+		}
 	}
 }

@@ -88,12 +88,12 @@ func linkOnlySpec(spec config.LinkSpec, idx int) config.LinkSpec {
 	return out
 }
 
-func newLink(spec config.LinkSpec) *link {
+func newLink(spec config.LinkSpec, tl *sched.Timeline) *link {
 	l := &link{spec: spec}
 	for _, c := range []wires.Class{wires.B, wires.PW, wires.L} {
 		bw := spec.Bandwidth(c)
 		if bw > 0 {
-			l.cal[classIdx(c)] = sched.NewCalendar(bw, sched.DefaultWindow)
+			l.cal[classIdx(c)] = sched.NewCalendar(bw, tl)
 		}
 	}
 	return l
@@ -155,15 +155,17 @@ type Network struct {
 	// slices off the per-Transfer hot path.
 	routes [][]route
 
-	// allLinks lists every link once, for whole-network sweeps
-	// (CalendarClamps, LinkInventory).
+	// allLinks lists every link once, for whole-network sweeps (Reset,
+	// LinkInventory).
 	allLinks []*link
 
 	Stats [3]ClassStats // indexed by classIdx
 }
 
-// New builds the network for the configuration's topology and model.
-func New(cfg config.Config) *Network {
+// New builds the network for the configuration's topology and model. Every
+// link calendar lives on the given timeline (see sched.Calendar): no later
+// Transfer or PeekTransfer may be ready before its floor.
+func New(cfg config.Config, tl *sched.Timeline) *Network {
 	n := &Network{cfg: cfg, clusters: cfg.Topology.Clusters()}
 	spec := cfg.Model.Link
 	n.clusterOut = make([]*link, n.clusters)
@@ -173,17 +175,17 @@ func New(cfg config.Config) *Network {
 		if cfg.LinkHeterogeneous {
 			s = linkOnlySpec(spec, i)
 		}
-		n.clusterOut[i] = newLink(s)
-		n.clusterIn[i] = newLink(s)
+		n.clusterOut[i] = newLink(s, tl)
+		n.clusterIn[i] = newLink(s, tl)
 	}
-	n.cacheOut = newLink(spec.Double())
-	n.cacheIn = newLink(spec.Double())
+	n.cacheOut = newLink(spec.Double(), tl)
+	n.cacheIn = newLink(spec.Double(), tl)
 	if cfg.Topology == config.HierRing16 {
 		n.ringCW = make([]*link, 4)
 		n.ringCCW = make([]*link, 4)
 		for i := 0; i < 4; i++ {
-			n.ringCW[i] = newLink(spec)
-			n.ringCCW[i] = newLink(spec)
+			n.ringCW[i] = newLink(spec, tl)
+			n.ringCCW[i] = newLink(spec, tl)
 		}
 	}
 	n.routes = make([][]route, n.clusters+1)
@@ -470,22 +472,6 @@ func (n *Network) PreferPW(now uint64) bool {
 	n.recentB = pruneRecent(n.recentB, cutoff)
 	n.recentPW = pruneRecent(n.recentPW, cutoff)
 	return len(n.recentB)-len(n.recentPW) > t.BalanceThreshold
-}
-
-// CalendarClamps returns the number of reservations that fell behind the
-// sliding calendar windows across all links. A nonzero value means the
-// window is too small for the run's in-flight span and timing is slightly
-// approximated; integration tests assert it stays zero.
-func (n *Network) CalendarClamps() uint64 {
-	var sum uint64
-	for _, l := range n.allLinks {
-		for _, cal := range l.cal {
-			if cal != nil {
-				sum += cal.Clamped
-			}
-		}
-	}
-	return sum
 }
 
 // PreferB is the symmetric arm of the imbalance detector: it reports true

@@ -10,13 +10,13 @@ import (
 
 func net4(model config.ModelID) *Network {
 	cfg := config.Default().WithModel(model)
-	return New(cfg)
+	return New(cfg, nil)
 }
 
 func net16(model config.ModelID) *Network {
 	cfg := config.Default().WithModel(model)
 	cfg.Topology = config.HierRing16
-	return New(cfg)
+	return New(cfg, nil)
 }
 
 func TestCrossbarLatenciesPerClass(t *testing.T) {
@@ -163,7 +163,7 @@ func TestRingSegmentContention(t *testing.T) {
 // injection difference inside the window exceeds the threshold.
 func TestImbalanceDetector(t *testing.T) {
 	cfg := config.Default().WithModel(config.ModelV) // B + PW
-	n := New(cfg)
+	n := New(cfg, nil)
 	if n.PreferPW(100) {
 		t.Fatal("detector fired with no traffic")
 	}
@@ -250,7 +250,7 @@ func TestNodeString(t *testing.T) {
 // PW injections dominate.
 func TestPreferBSymmetry(t *testing.T) {
 	cfg := config.Default().WithModel(config.ModelV)
-	n := New(cfg)
+	n := New(cfg, nil)
 	for i := 0; i < 11; i++ {
 		n.Transfer(Cluster(0), Cluster(1), wires.PW, 72, 100)
 	}
@@ -302,7 +302,7 @@ func TestResetStatsKeepsReservations(t *testing.T) {
 func TestLinkHeterogeneousAlternative(t *testing.T) {
 	cfg := config.Default().WithModel(config.ModelV) // 72 B + 144 PW per direction
 	cfg.LinkHeterogeneous = true
-	n := New(cfg)
+	n := New(cfg, nil)
 
 	// Cluster 0 (even): B-only link. Area 2*72+144 = 288 PW units -> 144
 	// B-unit halves -> 144 B wires = 2 transfers/cycle.
@@ -329,7 +329,7 @@ func TestLinkHeterogeneousAlternative(t *testing.T) {
 func TestLinkHeterogeneousKeepsLWires(t *testing.T) {
 	cfg := config.Default().WithModel(config.ModelX)
 	cfg.LinkHeterogeneous = true
-	n := New(cfg)
+	n := New(cfg, nil)
 	a := n.Transfer(Cluster(1), Cluster(0), wires.L, 18, 5)
 	if a != 6 {
 		t.Errorf("L transfer on an odd link arrived %d, want 6", a)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCalendarSerializesOverCapacity(t *testing.T) {
-	c := NewCalendar(1, 0)
+	c := NewCalendar(1, nil)
 	got := []uint64{c.Reserve(10), c.Reserve(10), c.Reserve(10)}
 	want := []uint64{10, 11, 12}
 	for i := range want {
@@ -19,7 +19,7 @@ func TestCalendarSerializesOverCapacity(t *testing.T) {
 }
 
 func TestCalendarCapacityTwo(t *testing.T) {
-	c := NewCalendar(2, 0)
+	c := NewCalendar(2, nil)
 	if a, b := c.Reserve(5), c.Reserve(5); a != 5 || b != 5 {
 		t.Errorf("two reservations should share cycle 5, got %d and %d", a, b)
 	}
@@ -29,7 +29,7 @@ func TestCalendarCapacityTwo(t *testing.T) {
 }
 
 func TestCalendarOutOfOrderRequests(t *testing.T) {
-	c := NewCalendar(1, 0)
+	c := NewCalendar(1, nil)
 	if x := c.Reserve(100); x != 100 {
 		t.Fatalf("got %d", x)
 	}
@@ -40,66 +40,82 @@ func TestCalendarOutOfOrderRequests(t *testing.T) {
 }
 
 func TestCalendarSlidesWithoutLosingCapacityInvariant(t *testing.T) {
-	c := NewCalendar(1, 1024)
+	tl := new(Timeline)
+	c := NewCalendar(1, tl)
 	src := xrand.New(42)
 	seen := make(map[uint64]int)
 	cycle := uint64(0)
 	for i := 0; i < 50000; i++ {
 		cycle += uint64(src.Intn(3))
+		tl.Floor = cycle
 		got := c.Reserve(cycle)
 		seen[got]++
 		if seen[got] > 1 {
 			t.Fatalf("cycle %d double-booked on a capacity-1 calendar", got)
 		}
 	}
-	if c.Clamped != 0 {
-		t.Errorf("window clamped %d times; window too small for this access pattern", c.Clamped)
+	if f := tl.Fault; f != nil {
+		t.Errorf("calendar fault on a floor-respecting pattern: %v", f)
+	}
+	if c.Cells() != minCells {
+		t.Errorf("ring grew to %d cells; the live span never exceeds %d cycles", c.Cells(), minCells)
 	}
 }
 
+// TestCalendarFarJump: a booking far ahead of the floor reuses a dead cell
+// in place, while one that collides with a live cycle doubles the ring
+// rather than merging the two.
 func TestCalendarFarJump(t *testing.T) {
-	c := NewCalendar(1, 1024)
+	tl := new(Timeline)
+	c := NewCalendar(1, tl)
 	c.Reserve(0)
+	tl.Floor = 1 << 30 // cycle 0 is dead from here on
 	if x := c.Reserve(1 << 30); x != 1<<30 {
 		t.Errorf("far-future reservation: got %d", x)
 	}
-	// Era-stamped cells have no sliding window to fall behind: an earlier
-	// free cycle is still granted after a far-future jump, and nothing is
-	// ever clamped. (The former sliding-window implementation clamped such
-	// requests to the window base; that was an artifact the engine never
-	// exercised — integration tests assert Clamped == 0.)
-	if x := c.Reserve(5); x != 5 {
-		t.Errorf("earlier free cycle after far jump: got %d, want 5", x)
+	if c.Cells() != minCells {
+		t.Errorf("booking over a dead cell grew the ring to %d cells", c.Cells())
 	}
-	if c.Clamped != 0 {
-		t.Errorf("Clamped = %d, want 0", c.Clamped)
+	// 1<<30 + minCells shares a cell with the live 1<<30: the ring grows and
+	// both cycles keep their bookings.
+	if x := c.Reserve(1<<30 + minCells); x != 1<<30+minCells {
+		t.Errorf("booking on a live cell's twin: got %d", x)
 	}
-	// The far-future cycle shares a ring cell with 1<<30 + k*1024 cycles;
-	// a fresh era reinterprets it as empty.
-	if x := c.Reserve(1<<30 + 1024); x != 1<<30+1024 {
-		t.Errorf("next-era reservation on a stale cell: got %d", x)
+	if c.Cells() != 2*minCells {
+		t.Errorf("ring has %d cells after one live collision, want %d", c.Cells(), 2*minCells)
+	}
+	if c.Load(1<<30) != 1 || c.Load(1<<30+minCells) != 1 {
+		t.Errorf("loads after growth: %d and %d, want 1 and 1", c.Load(1<<30), c.Load(1<<30+minCells))
+	}
+	if x := c.Reserve(1 << 30); x != 1<<30+1 {
+		t.Errorf("full cycle after growth: got %d, want %d", x, 1<<30+1)
+	}
+	if f := tl.Fault; f != nil {
+		t.Errorf("unexpected fault: %v", f)
 	}
 }
 
 // TestCalendarNeverExceedsCapacity is the core property: for any request
-// sequence within the window, the per-cycle booking count never exceeds
-// capacity.
+// sequence whose live span fits the largest ring, the per-cycle booking
+// count never exceeds capacity.
 func TestCalendarNeverExceedsCapacity(t *testing.T) {
 	f := func(capRaw uint8, reqs []uint16) bool {
 		capacity := int(capRaw%4) + 1
-		c := NewCalendar(capacity, 4096)
+		tl := new(Timeline)
+		c := NewCalendar(capacity, tl)
 		counts := make(map[uint64]int)
 		for _, r := range reqs {
-			got := c.Reserve(uint64(r))
+			at := uint64(r) % (MaxCells / 2) // floor 0: every booking stays live
+			got := c.Reserve(at)
 			counts[got]++
 			if counts[got] > capacity {
 				return false
 			}
-			if got < uint64(r) {
+			if got < at {
 				return false // must never schedule before the request
 			}
 		}
-		return true
+		return tl.Fault == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -250,12 +266,12 @@ func TestConstructorsPanicOnBadInput(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("NewCalendar(0)", func() { NewCalendar(0, 0) })
+	mustPanic("NewCalendar(0)", func() { NewCalendar(0, nil) })
 	mustPanic("NewHeap(0)", func() { NewHeap(0) })
 }
 
 func TestPeekDoesNotBook(t *testing.T) {
-	c := NewCalendar(1, 0)
+	c := NewCalendar(1, nil)
 	if c.Peek(10) != 10 {
 		t.Fatal("peek on empty calendar")
 	}
@@ -268,5 +284,128 @@ func TestPeekDoesNotBook(t *testing.T) {
 	}
 	if got := c.Reserve(10); got != 11 {
 		t.Fatalf("reserve after peek = %d, want 11", got)
+	}
+}
+
+// calendarOracle is the exact model a Calendar must match: an unbounded map
+// from cycle to booking count.
+type calendarOracle struct {
+	capacity int
+	count    map[uint64]int
+}
+
+func (o *calendarOracle) peek(at uint64) uint64 {
+	for o.count[at] >= o.capacity {
+		at++
+	}
+	return at
+}
+
+func (o *calendarOracle) reserve(at uint64) uint64 {
+	at = o.peek(at)
+	o.count[at]++
+	return at
+}
+
+// TestCalendarMatchesMapOracle is the differential property test for the
+// floor contract: random bookings, peeks and loads at or above a random
+// monotone floor must answer exactly like the map oracle, through forced
+// ring growth, replay after Reset, and an era rebase.
+func TestCalendarMatchesMapOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		start    uint64 // initial floor
+		step     uint64 // max floor advance per operation
+		spread   uint64 // max query distance above the floor
+		resetAt  int    // Reset both every resetAt operations (0: never)
+	}{
+		{"tight", 1, 0, 3, 40, 0},
+		{"forces-growth", 2, 0, 4, 6000, 0},
+		{"wide-capacity", 8, 0, 2, 300, 0},
+		{"replay-after-reset", 2, 0, 5, 3000, 7000},
+		{"era-rebase", 2, maxEra<<minLog2 - 30_000, 3, 200, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := &Timeline{Floor: tc.start}
+			c := NewCalendar(tc.capacity, tl)
+			o := &calendarOracle{tc.capacity, map[uint64]int{}}
+			src := xrand.New(0xCA1 + uint64(tc.capacity) + tc.spread)
+			maxCells := 0
+			for op := 0; op < 40_000; op++ {
+				if tc.resetAt > 0 && op%tc.resetAt == tc.resetAt-1 {
+					c.Reset()
+					o = &calendarOracle{tc.capacity, map[uint64]int{}}
+					tl.Floor = 0
+				}
+				tl.Floor += src.Uint64n(tc.step + 1)
+				at := tl.Floor + src.Uint64n(tc.spread+1)
+				switch src.Intn(4) {
+				case 0, 1:
+					if got, want := c.Reserve(at), o.reserve(at); got != want {
+						t.Fatalf("op %d: Reserve(%d) = %d, oracle %d", op, at, got, want)
+					}
+				case 2:
+					if got, want := c.Peek(at), o.peek(at); got != want {
+						t.Fatalf("op %d: Peek(%d) = %d, oracle %d", op, at, got, want)
+					}
+				default:
+					if got, want := c.Load(at), o.count[at]; got != want {
+						t.Fatalf("op %d: Load(%d) = %d, oracle %d", op, at, got, want)
+					}
+				}
+				maxCells = max(maxCells, c.Cells())
+			}
+			if f := tl.Fault; f != nil {
+				t.Fatalf("fault on a floor-respecting sequence: %v", f)
+			}
+			switch tc.name {
+			case "forces-growth", "replay-after-reset":
+				if maxCells < 4*minCells {
+					t.Errorf("ring peaked at %d cells; the case should force growth", maxCells)
+				}
+			case "era-rebase":
+				if c.end >= tc.start {
+					t.Errorf("ring cycles end at %d, not rebased below %d", c.end, tc.start)
+				}
+			}
+		})
+	}
+}
+
+// TestCalendarFaults: a live collision in a full ring and a query below the
+// floor are both recorded on the timeline, which keeps the first fault.
+func TestCalendarFaults(t *testing.T) {
+	tl := new(Timeline)
+	c := NewCalendar(1, tl)
+	c.Reserve(0)
+	c.Reserve(MaxCells) // floor 0 keeps cycle 0 live: the cap is reached
+	if f := tl.Fault; f == nil || f.BelowFloor || f.Cycle != MaxCells {
+		t.Errorf("cap collision: fault %+v, want a collision at cycle %d", f, MaxCells)
+	}
+	if c.Cells() != MaxCells {
+		t.Errorf("ring has %d cells, want the cap %d", c.Cells(), MaxCells)
+	}
+	// A later fault on the timeline, from any of its calendars, keeps the
+	// first.
+	tl.Floor = 10
+	NewCalendar(1, tl).Reserve(5)
+	if f := tl.Fault; f == nil || f.BelowFloor || f.Cycle != MaxCells {
+		t.Errorf("a later fault replaced the first: %+v", f)
+	}
+
+	tl = new(Timeline)
+	c = NewCalendar(1, tl)
+	c.Reserve(600)
+	tl.Floor = 1000
+	c.Reserve(600 + minCells) // reuses the dead cell of cycle 600
+	if n := c.Load(600); n != 0 {
+		t.Errorf("Load below the floor = %d", n)
+	}
+	if f := tl.Fault; f == nil || !f.BelowFloor || f.Cycle != 600 || f.Floor != 1000 {
+		t.Errorf("below-floor query: fault %+v, want cycle 600 below floor 1000", f)
+	}
+	if c.Cells() != minCells {
+		t.Errorf("ring grew to %d cells over a dead cell", c.Cells())
 	}
 }

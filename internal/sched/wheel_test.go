@@ -97,32 +97,42 @@ func TestWheelResetReplay(t *testing.T) {
 	}
 }
 
-// TestCalendarResetReplay proves the watermark-based Calendar.Reset restores
-// a just-constructed state, including after window slides.
+// TestCalendarResetReplay proves the O(1) Calendar.Reset restores a
+// just-constructed state, including after the ring has grown.
 func TestCalendarResetReplay(t *testing.T) {
+	tl := new(Timeline)
 	run := func(c *Calendar, seed uint64) []uint64 {
 		src := xrand.New(seed)
 		var out []uint64
+		tl.Floor = 0
 		at := uint64(0)
 		for op := 0; op < 4000; op++ {
 			at += src.Uint64n(40)
+			tl.Floor = at - min(at, 1000)
 			if src.Intn(2) == 0 {
-				out = append(out, c.Reserve(at))
+				out = append(out, c.Reserve(at+src.Uint64n(1500)))
 			} else {
 				out = append(out, c.Peek(at), uint64(c.Load(at)))
 			}
 		}
-		return append(out, c.Clamped)
+		return out
 	}
-	c := NewCalendar(2, 1024)
+	c := NewCalendar(2, tl)
 	run(c, 7)
+	grown := c.Cells()
 	c.Reset()
 	got := run(c, 8)
-	want := run(NewCalendar(2, 1024), 8)
+	want := run(NewCalendar(2, tl), 8)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("replay diverged at step %d: reset calendar %d, fresh calendar %d", i, got[i], want[i])
 		}
+	}
+	if grown == minCells || c.Cells() < grown {
+		t.Errorf("ring sizes: %d after the first run, %d after reset and replay; want growth that Reset keeps", grown, c.Cells())
+	}
+	if tl.Fault != nil {
+		t.Errorf("fault on a floor-respecting sequence: %v", tl.Fault)
 	}
 }
 

@@ -648,8 +648,8 @@ func TestValidationErrors(t *testing.T) {
 
 // TestOutOfBoundsConfigIsBadConfig: a config document whose core overrides
 // exceed what the engine's calendars and wheels can hold, whose latency is
-// negative, or whose worst memory access spans more than the calendar ring
-// allows, is refused by ConfigFromJSON and by POST /v1/run as 400
+// negative, or whose worst memory access spans more than
+// sched.MaxAccessSpan, is refused by ConfigFromJSON and by POST /v1/run as 400
 // bad_config, before any job exists or any worker could panic or run out of
 // memory. Table 1 and the largest in-bounds values stay accepted.
 func TestOutOfBoundsConfigIsBadConfig(t *testing.T) {

@@ -3,6 +3,8 @@ package workload
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"sync"
 	"testing"
 
 	"hetwire/internal/trace"
@@ -17,9 +19,9 @@ func profileNamed(t *testing.T, name string) Profile {
 	return p
 }
 
-// streamPrefix drives a generator for n instructions and returns the emitted
+// streamPrefix drives a stream for n instructions and returns the emitted
 // records.
-func streamPrefix(g *Generator, n int) []trace.Instr {
+func streamPrefix(g trace.Stream, n int) []trace.Instr {
 	out := make([]trace.Instr, n)
 	for i := 0; i < n; i++ {
 		g.Next(&out[i])
@@ -33,14 +35,14 @@ func streamPrefix(g *Generator, n int) []trace.Instr {
 func TestMemoCachedStreamIdentical(t *testing.T) {
 	for _, name := range []string{"gcc", "mcf", "swim"} {
 		p := profileNamed(t, name)
-		c := NewCache(1 << 30)
+		c := NewCache(1<<30, 1<<30)
 		miss := c.Generator(p) // builds and caches
 		hit := c.Generator(p)  // served from the memo
 		cold := NewGeneratorUncached(p)
 
 		const n = 20_000
 		wantStream := streamPrefix(cold, n)
-		for which, g := range map[string]*Generator{"miss": miss, "hit": hit} {
+		for which, g := range map[string]trace.Stream{"miss": miss, "hit": hit} {
 			got := streamPrefix(g, n)
 			for i := range got {
 				if got[i] != wantStream[i] {
@@ -57,7 +59,7 @@ func TestMemoCachedStreamIdentical(t *testing.T) {
 
 // TestMemoCacheCounters: hits and misses count exactly, per profile.
 func TestMemoCacheCounters(t *testing.T) {
-	c := NewCache(1 << 30)
+	c := NewCache(1<<30, 1<<30)
 	gcc := profileNamed(t, "gcc")
 	mcf := profileNamed(t, "mcf")
 
@@ -82,7 +84,7 @@ func TestMemoCacheEviction(t *testing.T) {
 	mcf := profileNamed(t, "mcf")
 
 	// Learn the two programs' retained sizes with an unbounded cache.
-	probe := NewCache(1 << 30)
+	probe := NewCache(1<<30, 0)
 	probe.Generator(gcc)
 	gccBytes := probe.Stats().Bytes
 	probe.Generator(mcf)
@@ -93,7 +95,7 @@ func TestMemoCacheEviction(t *testing.T) {
 
 	// A budget one byte short of both forces LRU eviction of gcc when mcf
 	// arrives.
-	c := NewCache(bothBytes - 1)
+	c := NewCache(bothBytes-1, 0)
 	c.Generator(gcc)
 	c.Generator(mcf)
 	st := c.Stats()
@@ -111,7 +113,7 @@ func TestMemoCacheEviction(t *testing.T) {
 	// MRU protection: the entry just inserted is never evicted, even when it
 	// alone exceeds the budget (it is returned but not retained... unless it
 	// fits exactly at the front).
-	tiny := NewCache(1)
+	tiny := NewCache(1, 0)
 	tiny.Generator(gcc)
 	if st := tiny.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("over-budget program was retained: %+v", st)
@@ -127,7 +129,7 @@ func TestMemoCacheLRUOrder(t *testing.T) {
 
 	gzip := profileNamed(t, "gzip")
 	size := func(p Profile) int64 {
-		probe := NewCache(1 << 30)
+		probe := NewCache(1<<30, 0)
 		probe.Generator(p)
 		return probe.Stats().Bytes
 	}
@@ -139,7 +141,7 @@ func TestMemoCacheLRUOrder(t *testing.T) {
 	if alt := bGcc + bSwim + bGzip; alt > budget {
 		budget = alt
 	}
-	c := NewCache(budget)
+	c := NewCache(budget, 0)
 	c.Generator(gcc)
 	c.Generator(mcf)
 	c.Generator(gcc)  // touch gcc -> mcf is now LRU
@@ -170,9 +172,132 @@ func TestMemoExpvarPublished(t *testing.T) {
 	if err := json.Unmarshal([]byte(v.String()), &out); err != nil {
 		t.Fatalf("expvar payload not JSON: %v", err)
 	}
-	for _, k := range []string{"hits", "misses", "evictions", "bytes", "entries"} {
+	for _, k := range []string{"hits", "misses", "evictions", "bytes", "prefix_bytes", "entries"} {
 		if _, ok := out[k]; !ok {
 			t.Errorf("expvar payload missing %q: %v", k, out)
+		}
+	}
+}
+
+// sameStream fails the test at the first instruction where got and want
+// differ.
+func sameStream(t *testing.T, what string, got, want []trace.Instr) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d instructions, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s diverges from the uncached stream at instr %d:\n got %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// programBytes is the budget charge of a profile's program.
+func programBytes(p Profile) int64 {
+	c := NewCache(1<<30, 0)
+	c.Generator(p)
+	return c.Stats().Bytes
+}
+
+// TestReplayMatchesUncached: cursors replaying a memoized prefix emit the
+// uncached generator's stream across chunk boundaries, whether they extend
+// the prefix or replay what another cursor materialised.
+func TestReplayMatchesUncached(t *testing.T) {
+	p := profileNamed(t, "gcc")
+	const n = 3*chunkInstrs + 17
+	want := streamPrefix(NewGeneratorUncached(p), n+chunkInstrs)
+	c := NewCache(1<<30, 1<<30)
+	sameStream(t, "first cursor", streamPrefix(c.Generator(p), n), want[:n])
+	if st := c.Stats(); st.PrefixBytes != 4*chunkBytes {
+		t.Errorf("prefix holds %d bytes after %d instructions, want 4 chunks (%d)", st.PrefixBytes, n, 4*chunkBytes)
+	}
+	sameStream(t, "second cursor", streamPrefix(c.Generator(p), n+chunkInstrs), want)
+	if st := c.Stats(); st.PrefixBytes != 5*chunkBytes || st.Bytes != programBytes(p) {
+		t.Errorf("stats = %+v, want 5 chunks of prefix", st)
+	}
+}
+
+// TestReplayAcrossBudgetBoundary: a prefix stops growing when the prefix
+// budget is full, and every cursor continues past it on a private
+// generator.
+func TestReplayAcrossBudgetBoundary(t *testing.T) {
+	p := profileNamed(t, "mcf")
+	const n = 5*chunkInstrs + 3
+	want := streamPrefix(NewGeneratorUncached(p), n)
+	for _, chunks := range []int64{0, 2} {
+		c := NewCache(programBytes(p), chunks*chunkBytes)
+		sameStream(t, "extending cursor", streamPrefix(c.Generator(p), n), want)
+		sameStream(t, "replaying cursor", streamPrefix(c.Generator(p), n), want)
+		if st := c.Stats(); st.Entries != 1 || st.PrefixBytes != chunks*chunkBytes {
+			t.Errorf("budget for %d chunks: stats = %+v", chunks, st)
+		}
+	}
+	// No retention at all: the cursor streams from its own generator.
+	sameStream(t, "unretained cursor", streamPrefix(NewCache(0, 0).Generator(p), n), want)
+}
+
+// TestReplayAfterEviction: a cursor whose entry is evicted mid-stream
+// continues on a private generator without a seam.
+func TestReplayAfterEviction(t *testing.T) {
+	gcc := profileNamed(t, "gcc")
+	mcf := profileNamed(t, "mcf")
+	const n = 3 * chunkInstrs
+	want := streamPrefix(NewGeneratorUncached(gcc), n)
+	c := NewCache(max(programBytes(gcc), programBytes(mcf)), 1<<30)
+	cur := c.Generator(gcc)
+	got := streamPrefix(cur, chunkInstrs+5) // two chunks charged
+	c.Generator(mcf)                        // evicts gcc, the LRU entry
+	if st := c.Stats(); st.Evictions != 1 || st.PrefixBytes != 0 {
+		t.Fatalf("stats after the evicting insert = %+v", st)
+	}
+	got = append(got, streamPrefix(cur, n-len(got))...)
+	sameStream(t, "evicted cursor", got, want)
+}
+
+// TestPrefixesNeverEvictPrograms: a full prefix budget stops prefixes from
+// growing but evicts no program, so a suite whose streams outgrow the
+// budget keeps every program and replays the prefixes already held.
+func TestPrefixesNeverEvictPrograms(t *testing.T) {
+	gcc := profileNamed(t, "gcc")
+	mcf := profileNamed(t, "mcf")
+	const n = 4 * chunkInstrs
+	c := NewCache(programBytes(gcc)+programBytes(mcf), 2*chunkBytes)
+	for round := 0; round < 2; round++ {
+		for _, p := range []Profile{gcc, mcf} {
+			sameStream(t, p.Name, streamPrefix(c.Generator(p), n), streamPrefix(NewGeneratorUncached(p), n))
+		}
+	}
+	st := c.Stats()
+	if st.Evictions != 0 || st.Entries != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want both programs kept: no eviction, 2 misses", st)
+	}
+	if st.PrefixBytes != 2*chunkBytes {
+		t.Errorf("prefixes hold %d bytes, want the full budget of %d", st.PrefixBytes, 2*chunkBytes)
+	}
+}
+
+// TestReplayConcurrentCursors: cursors on one entry, extending and
+// replaying at once, each see the uncached stream (run under -race, this
+// also checks the prefix is published safely).
+func TestReplayConcurrentCursors(t *testing.T) {
+	p := profileNamed(t, "swim")
+	const n = 4*chunkInstrs + 100
+	want := streamPrefix(NewGeneratorUncached(p), n)
+	for _, budget := range []int64{1 << 30, 2 * chunkBytes} {
+		c := NewCache(1<<30, budget)
+		var wg sync.WaitGroup
+		got := make([][]trace.Instr, 4)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = streamPrefix(c.Generator(p), n)
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			sameStream(t, fmt.Sprintf("budget %d, cursor %d", budget, g), got[g], want)
 		}
 	}
 }

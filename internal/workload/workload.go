@@ -168,17 +168,16 @@ func (p Profile) normalized() Profile {
 	return p
 }
 
-// NewGenerator returns a deterministic stream over the profile's static
-// program. The expensive static-program construction is memoized in the
-// process-wide Shared cache: repeated generators for the same profile reuse
-// the immutable build artifacts (basic blocks, memory-pattern templates,
-// Zipf table) and are bit-identical to a cold build — see NewGeneratorUncached
-// and the memo-cache contract in memo.go.
-func NewGenerator(p Profile) *Generator { return Shared.Generator(p) }
+// NewGenerator returns a cursor over the profile's deterministic stream,
+// memoized in the process-wide Shared cache: the static program is built
+// once, and the dynamic stream is drawn once and replayed by every later
+// run of the profile. The stream is bit-identical to a cold build's — see
+// NewGeneratorUncached and the memo contract in memo.go.
+func NewGenerator(p Profile) *Cursor { return Shared.Generator(p) }
 
-// NewGeneratorUncached builds the static program from scratch, bypassing the
-// memo cache. It exists so tests can prove the cached path equivalent; the
-// two constructors must be behaviourally indistinguishable.
+// NewGeneratorUncached builds the static program from scratch and streams
+// from it directly, bypassing the memo. It exists so tests can prove the
+// memoized path equivalent; the two must be behaviourally indistinguishable.
 func NewGeneratorUncached(p Profile) *Generator {
 	p = p.normalized()
 	return newFromProgram(p, buildProgram(p))
@@ -257,6 +256,15 @@ func newFromProgram(p Profile, pr *program) *Generator {
 // Name returns the profile name of the workload being generated, so
 // consumers can label results produced from this stream.
 func (g *Generator) Name() string { return g.prof.Name }
+
+// clone returns an independent generator at the same stream position.
+func (g *Generator) clone() *Generator {
+	c := *g
+	c.src = xrand.FromState(g.src.State())
+	c.mems = append([]memPattern(nil), g.mems...)
+	c.zipf = g.zipf.Reseat(c.src)
+	return &c
+}
 
 const codeBase = uint64(0x0040_0000)
 const dataBase = uint64(0x1000_0000)

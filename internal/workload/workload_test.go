@@ -103,7 +103,7 @@ func TestBranchStreamIsPredictable(t *testing.T) {
 func TestMemoryStreamMissRates(t *testing.T) {
 	missRate := func(name string) float64 {
 		p, _ := ByName(name)
-		c := cache.New(cache.Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6})
+		c := cache.New(cache.Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6}, nil)
 		g := NewGenerator(p)
 		var ins trace.Instr
 		for i := 0; i < 300000; i++ {
@@ -201,7 +201,7 @@ func TestDependenceDistanceKnob(t *testing.T) {
 // PCs advance by 4 within a block.
 func TestPCsAndTargetsConsistent(t *testing.T) {
 	p, _ := ByName("crafty")
-	g := NewGenerator(p)
+	g := NewGeneratorUncached(p)
 	starts := map[uint64]bool{}
 	for _, b := range g.blocks {
 		starts[b.pc] = true
@@ -276,7 +276,7 @@ func TestStoresHaveAddressesLoadsHaveValues(t *testing.T) {
 // behaviour it is named for.
 func TestKernelCharacteristics(t *testing.T) {
 	missRateOf := func(p Profile) float64 {
-		c := cache.New(cache.Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6})
+		c := cache.New(cache.Config{SizeBytes: 32 * 1024, LineBytes: 64, Assoc: 4, Latency: 6}, nil)
 		g := NewGenerator(p)
 		var ins trace.Instr
 		for i := 0; i < 200000; i++ {

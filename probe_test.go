@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"testing"
 
 	"hetwire/internal/config"
+	"hetwire/internal/core"
 	"hetwire/internal/obs"
 	"hetwire/internal/workload"
 )
@@ -175,6 +177,11 @@ func TestValidateReasonCodes(t *testing.T) {
 	// Arbitrary errors fold to the bounded fallback code.
 	if got := ReasonCode(io.ErrUnexpectedEOF); got != ReasonInvalidRequest {
 		t.Errorf("fallback reason = %q, want %q", got, ReasonInvalidRequest)
+	}
+	// A run that could not stay exact has its own code, wrapped or not.
+	calErr := fmt.Errorf("scenario 3: %w", &core.CalendarError{Committed: 8192})
+	if got := ReasonCode(calErr); got != ReasonCalendarFault {
+		t.Errorf("calendar fault reason = %q, want %q", got, ReasonCalendarFault)
 	}
 }
 

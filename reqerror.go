@@ -1,6 +1,10 @@
 package hetwire
 
-import "errors"
+import (
+	"errors"
+
+	"hetwire/internal/core"
+)
 
 // Machine-readable reason codes for admission-validation failures. The
 // hetwired daemon returns the code alongside the human-readable message and
@@ -44,6 +48,10 @@ const (
 	// ReasonLoadShed: the daemon is shedding bulk-lane work under sustained
 	// queue saturation; interactive submissions are still admitted.
 	ReasonLoadShed = "load_shed"
+	// ReasonCalendarFault: the run failed because its timing could not stay
+	// exact (core.CalendarError): the machine's live cycles outgrew a
+	// calendar's largest ring.
+	ReasonCalendarFault = "calendar_fault"
 )
 
 // RequestError is a validation failure with a machine-readable reason code.
@@ -58,13 +66,18 @@ type RequestError struct {
 func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
 
-// ReasonCode extracts the machine-readable reason from a validation error.
-// Errors that are not RequestError (or carry an empty code) fold to
-// ReasonInvalidRequest so metric label sets stay bounded.
+// ReasonCode extracts the machine-readable reason from a validation or run
+// error. A core.CalendarError is ReasonCalendarFault; other errors that are
+// not RequestError (or carry an empty code) fold to ReasonInvalidRequest so
+// metric label sets stay bounded.
 func ReasonCode(err error) string {
 	var re *RequestError
 	if errors.As(err, &re) && re.Code != "" {
 		return re.Code
+	}
+	var ce *core.CalendarError
+	if errors.As(err, &ce) {
+		return ReasonCalendarFault
 	}
 	return ReasonInvalidRequest
 }
