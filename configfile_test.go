@@ -200,7 +200,7 @@ func TestConfigHashCoversEveryField(t *testing.T) {
 	if hetwire.ConfigHash(base) != h0 {
 		t.Fatal("the walk did not restore the config")
 	}
-	if n < 60 {
+	if n < 58 {
 		t.Errorf("visited %d leaf fields; the walk missed part of Config", n)
 	}
 }

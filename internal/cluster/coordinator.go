@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -75,20 +76,30 @@ const (
 	slotCancelled
 )
 
-// slot is one scenario's state inside a cluster job.
+// slot is one scenario's state inside a cluster job. Its outcome lives in
+// the TypeScenario frame published when it resolves; the slot keeps only
+// what the lease protocol still needs.
 type slot struct {
-	state  int
-	req    hetwire.RunRequest
-	key    string // content-addressed request identity (CacheKey)
-	body   []byte // the result frame
-	cached bool   // filled from the federated cache at submit
-	errMsg string
-	reason string
+	state int
+	req   hetwire.RunRequest
+	key   string // content-addressed request identity (CacheKey)
+	body  []byte // the accepted result frame, compared against duplicates
 	// redispatched marks an index whose lease ended unresolved at least
 	// once; the next lease containing it counts toward the re-dispatch
 	// metric.
 	redispatched bool
 }
+
+// Publish receives one scenario's outcome the moment its slot resolves: its
+// TypeScenario frame, and the number of result-frame bytes that resolution
+// inserted into the federated cache (non-zero only for a freshly uploaded
+// result). The coordinator calls it at most once per slot: for a cache hit
+// inside Submit, and for an accepted result or owned scenario error inside
+// Upload. Upload calls it with the coordinator's lock held, so every
+// publication lands before the job's done channel closes and before a
+// Cancel; it must therefore not call back into the Coordinator. Slots a
+// cancellation resolves are never published.
+type Publish func(index int, frame []byte, inserted int)
 
 // jobState is one batch flowing through the cluster.
 type jobState struct {
@@ -104,10 +115,26 @@ type jobState struct {
 	open    int   // slots not yet in a terminal state
 	done    chan struct{}
 	// spanDur accumulates node-reported per-lease phase durations (ms) by
-	// name; the server merges them into the job's span breakdown.
+	// name; AwaitJob hands them to the server for the job's span breakdown.
 	spanDur map[string]float64
 	// fedHits counts slots filled from the federated cache.
 	fedHits int
+	publish Publish // nil publishes nothing
+}
+
+// resolve publishes slot i's outcome as its TypeScenario frame. Result
+// frames are validated before they reach a slot and indices are bounded by
+// hetwire.MaxSweepPoints, so encoding cannot fail.
+func (j *jobState) resolve(i int, sc wire.Scenario, inserted int) {
+	if j.publish == nil {
+		return
+	}
+	sc.Index, sc.Request = i, j.slots[i].req
+	fr, err := wire.AppendScenario(nil, &sc)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: encoding scenario %d: %v", i, err))
+	}
+	j.publish(i, fr, inserted)
 }
 
 // nodeState tracks one registered node.
@@ -386,7 +413,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 	}
 	j, ok := c.jobs[hdr.JobID]
 	if !ok {
-		// Unknown or already collected job: nothing is left to fill.
+		// Unknown job, or one AwaitJob already dropped: nothing is left to fill.
 		if own != nil {
 			c.releaseLeaseLocked(own)
 		}
@@ -435,14 +462,20 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 			continue
 		case r.Error != "":
 			sl.state = slotFailed
-			sl.errMsg = r.Error
-			sl.reason = r.Reason
+			reason := r.Reason
+			if reason == "" {
+				reason = hetwire.ReasonInvalidRequest
+			}
+			j.resolve(r.Index, wire.Scenario{Error: r.Error, Reason: reason}, 0)
 		default:
 			sl.state = slotDone
 			sl.body = append([]byte(nil), r.Frame...)
+			inserted := 0
 			if c.opts.Cache != nil {
 				c.opts.Cache.Put(sl.key, sl.body)
+				inserted = len(sl.body)
 			}
+			j.resolve(r.Index, wire.Scenario{Result: sl.body}, inserted)
 		}
 		// A straggler result can land while its index sits in the pending
 		// queue (lease expired, index not yet re-leased). Accepting it must
@@ -487,12 +520,13 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 
 // Submit expands and registers a batch as a cluster job on behalf of the
 // named tenant ("" for pre-tenancy callers and open mode). Every scenario
-// whose valid result frame is already in the federated cache is filled at
-// once; only the rest are queued for leasing, and a job with nothing left
-// to simulate completes before Submit returns. The returned channel closes
-// when every scenario reaches a terminal state (or the job is cancelled);
-// collect the outcome with TakeFrames.
-func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string) (jobID string, done <-chan struct{}, err error) {
+// whose valid result frame is already in the federated cache is filled and
+// published at once; only the rest are queued for leasing, and a job with
+// nothing left to simulate completes before Submit returns. Each later slot
+// is published as its upload resolves it. The returned channel closes when
+// every scenario reaches a terminal state (or the job is cancelled); wait on
+// it with AwaitJob.
+func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string, publish Publish) (jobID string, done <-chan struct{}, err error) {
 	if err := batch.Validate(); err != nil {
 		return "", nil, err
 	}
@@ -506,9 +540,10 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 		slots:   make([]slot, len(reqs)),
 		done:    make(chan struct{}),
 		spanDur: make(map[string]float64),
+		publish: publish,
 	}
 	// The job is private until it is registered below, so its slots are
-	// filled without c.mu; the cache has its own lock.
+	// filled and published without c.mu; the cache has its own lock.
 	for i := range reqs {
 		key, err := reqs[i].CacheKey()
 		if err != nil {
@@ -520,8 +555,9 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 			// A cached entry that is not a valid result frame (corrupt, or a
 			// foreign value under our key) is simulated again, never served.
 			if body, ok := c.opts.Cache.Get(key); ok && wire.ValidateResultFrame(body) == nil {
-				sl.state, sl.body, sl.cached = slotDone, body, true
+				sl.state, sl.body = slotDone, body
 				j.fedHits++
+				j.resolve(i, wire.Scenario{Result: body, Cached: true}, 0)
 				continue
 			}
 		}
@@ -544,9 +580,9 @@ func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string
 	return j.id, j.done, nil
 }
 
-// Cancel resolves a job's unfinished scenarios as cancelled and closes its
-// done channel. Already-recorded results are kept (TakeFrames still
-// returns them).
+// Cancel resolves a job's unfinished scenarios as cancelled, without
+// publishing them, and closes its done channel. Uploads for its slots then
+// count as duplicates, so nothing is published for the job afterwards.
 func (c *Coordinator) Cancel(jobID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -577,99 +613,39 @@ func (c *Coordinator) completeLocked(j *jobState) {
 	close(j.done)
 }
 
-// takeJob removes a job record from the coordinator and returns it.
-func (c *Coordinator) takeJob(jobID string) (*jobState, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[jobID]
-	if !ok {
-		return nil, false
-	}
-	delete(c.jobs, jobID)
-	for i, id := range c.jobOrder {
-		if id == jobID {
-			c.jobOrder = append(c.jobOrder[:i], c.jobOrder[i+1:]...)
-			break
-		}
-	}
-	return j, true
-}
-
-// FrameOutcome summarises one scenario's terminal state for progress
-// reporting next to its wire frame, derived from the slot table and the
-// frame header alone — no result payload is decoded.
-type FrameOutcome struct {
-	IPC    float64
-	Cached bool
-	Error  string
-}
-
-// TakeFrames collects a finished (or cancelled) job as per-scenario wire
-// frames and removes the job from the coordinator. Scenario results land at
-// their expansion index and carry no node identity; recorded result frames
-// are embedded verbatim — this path never decodes a result — so the batch
-// stream assembled from these frames is bit-identical to local batch
-// execution. Frames come back in expansion order with one outcome summary
-// each, plus the node-reported span durations.
-func (c *Coordinator) TakeFrames(jobID string) ([][]byte, []FrameOutcome, map[string]float64, error) {
-	j, ok := c.takeJob(jobID)
-	if !ok {
-		return nil, nil, nil, reqErr(hetwire.ReasonBadRequest, "unknown cluster job %q", jobID)
-	}
-	frames := make([][]byte, len(j.slots))
-	outcomes := make([]FrameOutcome, len(j.slots))
-	for i := range j.slots {
-		sl := &j.slots[i]
-		sc := &wire.Scenario{Index: i, Request: sl.req}
-		switch sl.state {
-		case slotDone:
-			h, err := wire.PeekHeader(sl.body)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("cluster: scenario %d result frame: %w", i, err)
-			}
-			sc.Result = sl.body
-			sc.Cached = sl.cached
-			outcomes[i] = FrameOutcome{IPC: h.SummaryFloat(), Cached: sl.cached}
-		case slotFailed:
-			sc.Error = sl.errMsg
-			sc.Reason = sl.reason
-			if sc.Reason == "" {
-				sc.Reason = hetwire.ReasonInvalidRequest
-			}
-			outcomes[i] = FrameOutcome{Error: sc.Error}
-		default: // cancelled (or, impossibly, still open)
-			sc.Error = "cancelled"
-			sc.Reason = "cancelled"
-			outcomes[i] = FrameOutcome{Error: "cancelled"}
-		}
-		fr, err := wire.AppendScenario(nil, sc)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("cluster: encoding scenario %d frame: %w", i, err)
-		}
-		frames[i] = fr
-	}
-	return frames, outcomes, j.spanDur, nil
-}
-
 // AwaitJob blocks until the job completes, ctx ends, or — because lease
 // expiry and node death are only detected when the clock is consulted — a
-// periodic sweep tick fires. Cancelling ctx cancels the job and drops its
-// record: nobody is left to collect the finished results.
-func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan struct{}) error {
+// periodic sweep tick fires. Ending ctx cancels the job first. Either way
+// every slot that will ever be published has been by the time AwaitJob
+// returns: it drops the job record and returns the node-reported span
+// totals (milliseconds by span name).
+func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan struct{}) (map[string]float64, error) {
 	tick := time.NewTicker(c.sweepInterval())
 	defer tick.Stop()
 	for {
 		select {
 		case <-done:
-			return nil
+			return c.dropJob(jobID), nil
 		case <-ctx.Done():
 			c.Cancel(jobID)
-			c.takeJob(jobID)
-			return ctx.Err()
+			return c.dropJob(jobID), ctx.Err()
 		case <-tick.C:
 			c.Sweep()
 		}
 	}
+}
+
+// dropJob removes a job record and returns its span totals.
+func (c *Coordinator) dropJob(jobID string) map[string]float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j, ok := c.jobs[jobID]
+	if !ok {
+		return nil
+	}
+	delete(c.jobs, jobID)
+	c.jobOrder = slices.DeleteFunc(c.jobOrder, func(id string) bool { return id == jobID })
+	return j.spanDur
 }
 
 // sweepInterval is how often AwaitJob forces a sweep: often enough to catch

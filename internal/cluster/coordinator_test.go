@@ -113,19 +113,63 @@ func upload(c *Coordinator, nodeID string, lease *Lease, results ...wire.UploadR
 	return c.Upload(&wire.UploadHeader{NodeID: nodeID, LeaseID: lease.ID, JobID: lease.JobID}, results)
 }
 
-// take collects a finished job through TakeFrames and decodes the frames
-// into the BatchResponse view the tests assert on.
-func take(t *testing.T, c *Coordinator, jobID string) *hetwire.BatchResponse {
-	t.Helper()
-	frames, _, _, err := c.TakeFrames(jobID)
-	if err != nil {
-		t.Fatalf("take %s: %v", jobID, err)
+// sink collects what a job publishes: its frames by index, the result
+// bytes the publications report inserting into the federated cache, and any
+// index published twice. Uploads publish under the coordinator's lock, so
+// the sink has its own.
+type sink struct {
+	mu       sync.Mutex
+	frames   map[int][]byte
+	inserted int
+	repeats  int
+}
+
+func newSink() *sink { return &sink{frames: make(map[int][]byte)} }
+
+func (s *sink) publish(i int, frame []byte, inserted int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.frames[i]; ok {
+		s.repeats++
 	}
-	out := &hetwire.BatchResponse{Scenarios: make([]hetwire.BatchScenario, len(frames))}
-	for i, fr := range frames {
+	s.frames[i] = frame
+	s.inserted += inserted
+}
+
+// published returns how many indices have been published.
+func (s *sink) published() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.frames)
+}
+
+// take awaits a job through AwaitJob, which drops its record, and decodes
+// the frames the job published into the BatchResponse view the tests assert
+// on. An index never published stays a zero scenario with no response.
+func take(t *testing.T, c *Coordinator, jobID string, done <-chan struct{}, s *sink, total int) *hetwire.BatchResponse {
+	t.Helper()
+	if _, err := c.AwaitJob(context.Background(), jobID, done); err != nil {
+		t.Fatalf("await %s: %v", jobID, err)
+	}
+	c.mu.Lock()
+	_, kept := c.jobs[jobID]
+	c.mu.Unlock()
+	if kept {
+		t.Fatalf("AwaitJob kept the record of %s", jobID)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.repeats != 0 {
+		t.Fatalf("job %s published %d indices more than once", jobID, s.repeats)
+	}
+	out := &hetwire.BatchResponse{Scenarios: make([]hetwire.BatchScenario, total)}
+	for i, fr := range s.frames {
 		sc, err := wire.DecodeScenario(fr)
 		if err != nil {
 			t.Fatalf("take %s: scenario %d: %v", jobID, i, err)
+		}
+		if sc.Index != i {
+			t.Fatalf("take %s: frame published for %d carries index %d", jobID, i, sc.Index)
 		}
 		bs := &out.Scenarios[i]
 		bs.Index, bs.Request, bs.Error, bs.Reason, bs.Cached = sc.Index, sc.Request, sc.Error, sc.Reason, sc.Cached
@@ -207,7 +251,7 @@ func TestLeaseShardsInCanonicalOrder(t *testing.T) {
 	clk := newFakeClock()
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "a")
-	if _, done, err := c.Submit(testBatch(10), "t1", ""); err != nil || done == nil {
+	if _, done, err := c.Submit(testBatch(10), "t1", "", nil); err != nil || done == nil {
 		t.Fatalf("submit: %v", err)
 	}
 	l1 := mustLease(t, c, n1, 0)
@@ -273,7 +317,7 @@ func TestHeldLeaseWakesOnSubmit(t *testing.T) {
 	n1 := register(t, c, "a")
 	n2 := register(t, c, "b")
 	held1, held2 := heldLease(t, c, n1), heldLease(t, c, n2)
-	jobID, _, err := c.Submit(testBatch(8), "", "")
+	jobID, _, err := c.Submit(testBatch(8), "", "", nil)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -294,7 +338,7 @@ func TestHeldLeaseWakesOnExpiry(t *testing.T) {
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "sick")
 	n2 := register(t, c, "healthy")
-	if _, _, err := c.Submit(testBatch(4), "", ""); err != nil {
+	if _, _, err := c.Submit(testBatch(4), "", "", nil); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	l1 := mustLease(t, c, n1, 0)
@@ -337,7 +381,8 @@ func TestLeaseExpiryRedispatchesToAnotherNode(t *testing.T) {
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "sick")
 	n2 := register(t, c, "healthy")
-	_, done, err := c.Submit(testBatch(4), "t2", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(4), "t2", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -386,7 +431,7 @@ func TestLeaseExpiryRedispatchesToAnotherNode(t *testing.T) {
 	if st := c.Stats(); st.UploadConflicts != 1 {
 		t.Fatalf("differing duplicate not counted as conflict: %+v", st)
 	}
-	if out := take(t, c, l1.JobID); out.Scenarios[0].Response.IPC != 1.0 {
+	if out := take(t, c, l1.JobID, done, pub, 4); out.Scenarios[0].Response.IPC != 1.0 {
 		t.Fatalf("conflict replaced the first result: IPC %v", out.Scenarios[0].Response.IPC)
 	}
 }
@@ -404,7 +449,7 @@ func TestDeadNodeLeasesExpireImmediately(t *testing.T) {
 	})
 	n1 := register(t, c, "doomed")
 	n2 := register(t, c, "survivor")
-	if _, _, err := c.Submit(testBatch(4), "", ""); err != nil {
+	if _, _, err := c.Submit(testBatch(4), "", "", nil); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	mustLease(t, c, n1, 0)
@@ -454,12 +499,16 @@ func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
 	body1 := resultFor(1).Frame
 	cache.Put(keys[1], body1)
 
-	_, done, err := c.Submit(testBatch(2), "", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(2), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	if st := c.Stats(); st.FederatedHits != 1 {
 		t.Fatalf("federated hits after submit = %d, want 1", st.FederatedHits)
+	}
+	if pub.published() != 1 {
+		t.Fatalf("Submit published %d frames, want the one cache hit", pub.published())
 	}
 	lease := mustLease(t, c, n1, 0)
 	if lease.Start != 0 || lease.End != 1 {
@@ -475,19 +524,20 @@ func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
 	if _, ok := cache.Get(keys[0]); !ok {
 		t.Fatal("fresh upload did not populate the federated cache")
 	}
-	<-done
-	frames, _, _, err := c.TakeFrames(lease.JobID)
-	if err != nil {
-		t.Fatalf("take: %v", err)
+	// Only the fresh upload inserted bytes, and it inserted the result frame.
+	if pub.inserted != len(resultFor(0).Frame) {
+		t.Fatalf("publications report %d inserted bytes, want the %d of the uploaded result frame",
+			pub.inserted, len(resultFor(0).Frame))
 	}
-	sc, err := wire.DecodeScenario(frames[1])
+	take(t, c, lease.JobID, done, pub, 2)
+	sc, err := wire.DecodeScenario(pub.frames[1])
 	if err != nil {
 		t.Fatalf("scenario 1: %v", err)
 	}
 	if !sc.Cached || !bytes.Equal(sc.Result, body1) {
 		t.Fatalf("cached slot: cached=%v, result equals the cached bytes: %v", sc.Cached, bytes.Equal(sc.Result, body1))
 	}
-	if sc, err := wire.DecodeScenario(frames[0]); err != nil || sc.Cached {
+	if sc, err := wire.DecodeScenario(pub.frames[0]); err != nil || sc.Cached {
 		t.Fatalf("simulated slot: %+v err %v, want a fresh result", sc, err)
 	}
 	if st := c.Stats(); st.FederatedHits != 1 || st.JobsCompleted != 1 {
@@ -503,7 +553,8 @@ func TestInvalidCachedEntryIsSimulated(t *testing.T) {
 	n1 := register(t, c, "a")
 	keys := cacheKeys(t, testBatch(1))
 	cache.Put(keys[0], []byte(`{"ipc":1}`))
-	_, done, err := c.Submit(testBatch(1), "", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(1), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -512,8 +563,7 @@ func TestInvalidCachedEntryIsSimulated(t *testing.T) {
 		t.Fatalf("lease covers [%d,%d), want [0,1)", lease.Start, lease.End)
 	}
 	uploadRange(t, c, n1, lease)
-	<-done
-	out := take(t, c, lease.JobID)
+	out := take(t, c, lease.JobID, done, pub, 1)
 	if out.Completed != 1 || out.CacheHits != 0 || out.Scenarios[0].Response.IPC != 1 {
 		t.Fatalf("completed=%d hits=%d ipc=%v, want the simulated result", out.Completed, out.CacheHits, out.Scenarios[0].Response.IPC)
 	}
@@ -531,7 +581,8 @@ func TestFullyCachedBatchCompletesInSubmit(t *testing.T) {
 	for i, key := range cacheKeys(t, testBatch(3)) {
 		cache.Put(key, resultFor(i).Frame)
 	}
-	jobID, done, err := c.Submit(testBatch(3), "", "")
+	pub := newSink()
+	jobID, done, err := c.Submit(testBatch(3), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -540,7 +591,10 @@ func TestFullyCachedBatchCompletesInSubmit(t *testing.T) {
 	default:
 		t.Fatal("fully cached job still open after Submit")
 	}
-	out := take(t, c, jobID)
+	if pub.published() != 3 || pub.inserted != 0 {
+		t.Fatalf("Submit published %d frames inserting %d bytes, want 3 cache hits inserting nothing", pub.published(), pub.inserted)
+	}
+	out := take(t, c, jobID, done, pub, 3)
 	if out.Completed != 3 || out.CacheHits != 3 {
 		t.Fatalf("completed=%d hits=%d, want 3/3", out.Completed, out.CacheHits)
 	}
@@ -559,7 +613,8 @@ func TestUploadRejectsMalformedResults(t *testing.T) {
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "a")
 	n2 := register(t, c, "b")
-	_, done, err := c.Submit(testBatch(4), "", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(4), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -580,8 +635,9 @@ func TestUploadRejectsMalformedResults(t *testing.T) {
 		if _, err := upload(c, n1, lease, tc.results...); hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
 			t.Fatalf("%s: reason %q err %v", tc.name, hetwire.ReasonCode(err), err)
 		}
-		if st := c.Stats(); st.LeasesOutstanding != 1 || st.UploadsAccepted != 0 {
-			t.Fatalf("%s: stats %+v, want the lease outstanding and nothing accepted", tc.name, st)
+		if st := c.Stats(); st.LeasesOutstanding != 1 || st.UploadsAccepted != 0 || pub.published() != 0 {
+			t.Fatalf("%s: stats %+v and %d frames published, want the lease outstanding and nothing accepted",
+				tc.name, st, pub.published())
 		}
 	}
 
@@ -614,7 +670,8 @@ func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 	clk := newFakeClock()
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "a")
-	_, done, err := c.Submit(testBatch(2), "", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(2), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -624,8 +681,7 @@ func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
-	<-done
-	out := take(t, c, lease.JobID)
+	out := take(t, c, lease.JobID, done, pub, 2)
 	if out.Completed != 1 || out.Failed != 1 {
 		t.Fatalf("completed=%d failed=%d, want 1/1", out.Completed, out.Failed)
 	}
@@ -638,7 +694,8 @@ func TestCancelResolvesOpenSlots(t *testing.T) {
 	clk := newFakeClock()
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "a")
-	jobID, done, err := c.Submit(testBatch(3), "", "")
+	pub := newSink()
+	jobID, done, err := c.Submit(testBatch(3), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -653,14 +710,15 @@ func TestCancelResolvesOpenSlots(t *testing.T) {
 	default:
 		t.Fatal("done channel not closed by cancel")
 	}
-	out := take(t, c, jobID)
-	if out.Completed != 1 || out.Failed != 2 {
-		t.Fatalf("after cancel: completed=%d failed=%d, want 1/2", out.Completed, out.Failed)
+	// The lease's late result for a cancelled slot is a duplicate: cancelled
+	// slots are never published (the job's owner fills them).
+	if resp, err := upload(c, n1, lease, resultFor(1)); err != nil || resp.Duplicate != 1 {
+		t.Fatalf("upload after cancel: %+v err %v, want a duplicate", resp, err)
 	}
-	for _, i := range []int{1, 2} {
-		if out.Scenarios[i].Reason != "cancelled" {
-			t.Fatalf("slot %d reason %q, want cancelled", i, out.Scenarios[i].Reason)
-		}
+	out := take(t, c, jobID, done, pub, 3)
+	if out.Completed != 1 || out.Failed != 0 || pub.published() != 1 {
+		t.Fatalf("after cancel: completed=%d failed=%d published=%d, want only index 0",
+			out.Completed, out.Failed, pub.published())
 	}
 	if st := c.Stats(); st.JobsCancelled != 1 {
 		t.Fatalf("cancel not accounted: %+v", st)
@@ -671,11 +729,11 @@ func TestOldestJobLeasesFirst(t *testing.T) {
 	clk := newFakeClock()
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "a")
-	j1, _, err := c.Submit(testBatch(2), "", "")
+	j1, _, err := c.Submit(testBatch(2), "", "", nil)
 	if err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
-	j2, _, err := c.Submit(testBatch(2), "", "")
+	j2, _, err := c.Submit(testBatch(2), "", "", nil)
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
@@ -709,7 +767,8 @@ func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "slow")
 	n2 := register(t, c, "healthy")
-	_, done, err := c.Submit(testBatch(4), "", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(4), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -742,7 +801,7 @@ func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 	default:
 		t.Fatal("job not complete after all four indices resolved")
 	}
-	out := take(t, c, l1.JobID)
+	out := take(t, c, l1.JobID, done, pub, 4)
 	if out.Completed != 4 || out.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 4/0", out.Completed, out.Failed)
 	}
@@ -761,7 +820,8 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	c := testCoordinator(t, clk, nil)
 	n1 := register(t, c, "flaky")
 	n2 := register(t, c, "healthy")
-	_, done, err := c.Submit(testBatch(2), "", "")
+	pub := newSink()
+	_, done, err := c.Submit(testBatch(2), "", "", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -781,8 +841,8 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	if resp.Accepted != 0 || resp.Duplicate != 2 {
 		t.Fatalf("stale errors not dropped: %+v", resp)
 	}
-	if st := c.Stats(); st.UploadsStale != 2 {
-		t.Fatalf("stale uploads not accounted: %+v", st)
+	if st := c.Stats(); st.UploadsStale != 2 || pub.published() != 0 {
+		t.Fatalf("stale uploads not accounted: %+v, %d frames published", st, pub.published())
 	}
 
 	// The healthy node's bodies land and the batch completes clean.
@@ -792,7 +852,7 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	default:
 		t.Fatal("job not complete after healthy upload")
 	}
-	out := take(t, c, l1.JobID)
+	out := take(t, c, l1.JobID, done, pub, 2)
 	if out.Completed != 2 || out.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 2/0 (stale error leaked)", out.Completed, out.Failed)
 	}

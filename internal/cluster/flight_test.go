@@ -33,7 +33,7 @@ func TestCoordinatorFlightLeaseLifecycle(t *testing.T) {
 	c := testFlightCoordinator(t, clk, fr)
 	n1 := register(t, c, "slow")
 	n2 := register(t, c, "healthy")
-	if _, _, err := c.Submit(testBatch(2), "tr-life", "acme"); err != nil {
+	if _, _, err := c.Submit(testBatch(2), "tr-life", "acme", nil); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	l1 := mustLease(t, c, n1, 0)
@@ -88,7 +88,7 @@ func TestCoordinatorFlightNodeMembership(t *testing.T) {
 	})
 	doomed := register(t, c, "doomed")
 	survivor := register(t, c, "survivor")
-	if _, _, err := c.Submit(testBatch(4), "tr-dead", "acme"); err != nil {
+	if _, _, err := c.Submit(testBatch(4), "tr-dead", "acme", nil); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	l1 := mustLease(t, c, doomed, 0)
@@ -133,7 +133,8 @@ func runTwoNodeScript(t *testing.T) string {
 	coordFR := flight.New(64)
 	c := testFlightCoordinator(t, clk, coordFR)
 	nodes := []string{register(t, c, "alpha"), register(t, c, "beta")}
-	jobID, done, err := c.Submit(testBatch(4), "tr-merge", "acme")
+	pub := newSink()
+	jobID, done, err := c.Submit(testBatch(4), "tr-merge", "acme", pub.publish)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -156,8 +157,7 @@ func runTwoNodeScript(t *testing.T) string {
 			Detail: fmt.Sprintf("simulated=%d failed=0", lease.End-lease.Start),
 		})
 	}
-	<-done
-	take(t, c, jobID)
+	take(t, c, jobID, done, pub, 4)
 
 	return flight.MergeTimeline([]flight.Source{
 		{Name: "coordinator", Events: flight.Canonical(coordFR.Snapshot())},

@@ -306,8 +306,6 @@ type Core struct {
 	FPALUs         int // 1 per cluster
 	FPMulDiv       int // 1 per cluster
 
-	MinMispredictPenalty int // at least 12 cycles
-
 	// Branch predictor (combination of bimodal and 2-level).
 	BimodalSize   int // 16K
 	L1PredSize    int // 16K entries
@@ -321,68 +319,63 @@ type Core struct {
 	NarrowMaxBits int // results in [0, 2^NarrowMaxBits) ride L-wires (10)
 
 	// Memory hierarchy.
-	L1ISizeKB    int // 32
-	L1IAssoc     int // 2
-	L1ILatency   int
-	L1DSizeKB    int // 32
-	L1DAssoc     int // 4
-	L1DLatency   int // 6
-	L1DBanks     int // 4-way word interleaved
-	L1DPorts     int // ports per bank
-	LineBytes    int // 64
-	L2SizeMB     int // 8
-	L2Assoc      int // 8
-	L2Latency    int // 30
-	MemLatency   int // 300 for the first block
-	TLBEntries   int // 128
-	PageBytes    int // 8KB
-	TLBAssocBase int // TLB associativity in the baseline pipeline
-	L1DAssocBase int
+	L1ISizeKB  int // 32
+	L1IAssoc   int // 2
+	L1ILatency int
+	L1DSizeKB  int // 32
+	L1DAssoc   int // 4
+	L1DLatency int // 6
+	L1DBanks   int // 4-way word interleaved
+	L1DPorts   int // ports per bank
+	LineBytes  int // 64
+	L2SizeMB   int // 8
+	L2Assoc    int // 8
+	L2Latency  int // 30
+	MemLatency int // 300 for the first block
+	TLBEntries int // 128
+	PageBytes  int // 8KB
 }
 
 // DefaultCore returns the paper's Table 1 configuration.
 func DefaultCore() Core {
 	return Core{
-		FetchQueueSize:       64,
-		FetchWidth:           8,
-		MaxBlocksFetch:       2,
-		DispatchWidth:        8,
-		CommitWidth:          8,
-		ROBSize:              480,
-		IssueQPerClust:       15,
-		RegsPerClust:         32,
-		IntALUs:              1,
-		IntMulDiv:            1,
-		FPALUs:               1,
-		FPMulDiv:             1,
-		MinMispredictPenalty: 12,
-		BimodalSize:          16 * 1024,
-		L1PredSize:           16 * 1024,
-		HistoryBits:          12,
-		L2PredSize:           16 * 1024,
-		ChooserSize:          16 * 1024,
-		BTBSets:              16 * 1024,
-		BTBAssoc:             2,
-		RASEntries:           32,
-		NarrowPredSz:         8 * 1024,
-		NarrowMaxBits:        10,
-		L1ISizeKB:            32,
-		L1IAssoc:             2,
-		L1ILatency:           1,
-		L1DSizeKB:            32,
-		L1DAssoc:             4,
-		L1DLatency:           6,
-		L1DBanks:             4,
-		L1DPorts:             1,
-		LineBytes:            64,
-		L2SizeMB:             8,
-		L2Assoc:              8,
-		L2Latency:            30,
-		MemLatency:           300,
-		TLBEntries:           128,
-		PageBytes:            8 * 1024,
-		TLBAssocBase:         8,
-		L1DAssocBase:         4,
+		FetchQueueSize: 64,
+		FetchWidth:     8,
+		MaxBlocksFetch: 2,
+		DispatchWidth:  8,
+		CommitWidth:    8,
+		ROBSize:        480,
+		IssueQPerClust: 15,
+		RegsPerClust:   32,
+		IntALUs:        1,
+		IntMulDiv:      1,
+		FPALUs:         1,
+		FPMulDiv:       1,
+		BimodalSize:    16 * 1024,
+		L1PredSize:     16 * 1024,
+		HistoryBits:    12,
+		L2PredSize:     16 * 1024,
+		ChooserSize:    16 * 1024,
+		BTBSets:        16 * 1024,
+		BTBAssoc:       2,
+		RASEntries:     32,
+		NarrowPredSz:   8 * 1024,
+		NarrowMaxBits:  10,
+		L1ISizeKB:      32,
+		L1IAssoc:       2,
+		L1ILatency:     1,
+		L1DSizeKB:      32,
+		L1DAssoc:       4,
+		L1DLatency:     6,
+		L1DBanks:       4,
+		L1DPorts:       1,
+		LineBytes:      64,
+		L2SizeMB:       8,
+		L2Assoc:        8,
+		L2Latency:      30,
+		MemLatency:     300,
+		TLBEntries:     128,
+		PageBytes:      8 * 1024,
 	}
 }
 

@@ -24,7 +24,6 @@ func TestDefaultMatchesTable1(t *testing.T) {
 		{"level-2 predictor", c.L2PredSize, 16384},
 		{"BTB sets", c.BTBSets, 16384},
 		{"BTB assoc", c.BTBAssoc, 2},
-		{"min mispredict penalty", c.MinMispredictPenalty, 12},
 		{"issue queue per cluster", c.IssueQPerClust, 15},
 		{"registers per cluster", c.RegsPerClust, 32},
 		{"int ALUs", c.IntALUs, 1},

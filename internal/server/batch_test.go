@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"sync"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"hetwire"
+	"hetwire/internal/wire"
 )
 
 // batchBody builds a small batch submission over the sweep axes.
@@ -252,4 +256,106 @@ func TestBatchSubmitCancelStress(t *testing.T) {
 	wg.Wait()
 	close(ids)
 	cwg.Wait()
+}
+
+// TestBatchProgressConcurrentPublish drives one batch record from every side
+// at once: publishers race on the same indices, streamers wait for every
+// frame, status snapshots read the points, and the terminal fill resolves
+// the indices nobody published. The first frame published for an index is
+// the one every reader sees, each index is counted once, and the fill
+// leaves published frames alone.
+func TestBatchProgressConcurrentPublish(t *testing.T) {
+	const n = 64
+	reqs := make([]hetwire.RunRequest, n)
+	for i := range reqs {
+		reqs[i] = hetwire.RunRequest{Benchmark: "gzip", Model: "I", N: uint64(1000 + i)}
+	}
+	p := newBatchProgress(reqs)
+	result, err := wire.EncodeRunResult(&hetwire.RunResponse{IPC: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var streamers, poller sync.WaitGroup
+	streamed := make([][][]byte, 2)
+	for r := range streamed {
+		streamers.Add(1)
+		go func(r int) {
+			defer streamers.Done()
+			for i := 0; i < n; i++ {
+				streamed[r] = append(streamed[r], p.await(context.Background(), i))
+			}
+		}(r)
+	}
+	stop := make(chan struct{})
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := p.snapshot(true)
+			if st.Completed+st.Failed > st.Total || len(st.Points) != n {
+				t.Errorf("snapshot out of bounds: %+v", st)
+				return
+			}
+		}
+	}()
+
+	// Every even index is published twice, once as a result and once as an
+	// error, by racing publishers; odd indices are left to the fill.
+	var publishers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		publishers.Add(1)
+		go func(w int) {
+			defer publishers.Done()
+			for i := 2 * (w % 2); i < n; i += 4 {
+				if w < 2 {
+					p.publish(i, result, w == 0, nil)
+				} else {
+					p.publish(i, nil, false, errors.New("lost the race"))
+				}
+			}
+		}(w)
+	}
+	publishers.Wait()
+	p.resolveRest()
+	streamers.Wait()
+	close(stop)
+	poller.Wait()
+
+	st := p.snapshot(true)
+	if st.Total != n || st.Completed+st.Failed != n || st.Failed < n/2 {
+		t.Fatalf("counts %+v, want every index resolved once and every odd index failed", st)
+	}
+	for i := 0; i < n; i++ {
+		fr := p.await(context.Background(), i)
+		for r := range streamed {
+			if !bytes.Equal(streamed[r][i], fr) {
+				t.Fatalf("streamer %d saw another frame for index %d than the one kept", r, i)
+			}
+		}
+		sc, err := wire.DecodeScenario(fr)
+		if err != nil || sc.Index != i {
+			t.Fatalf("index %d: frame for %d, err %v", i, sc.Index, err)
+		}
+		pt := st.Points[i]
+		switch {
+		case i%2 == 1:
+			if sc.Reason != "cancelled" || pt.State != "failed" || pt.Error != context.Canceled.Error() {
+				t.Errorf("unpublished index %d: frame reason %q, point %+v; want the cancelled fill", i, sc.Reason, pt)
+			}
+		case sc.Error != "":
+			if pt.State != "failed" || pt.Error != "lost the race" {
+				t.Errorf("index %d: point %+v disagrees with its error frame", i, pt)
+			}
+		default:
+			if pt.State != "done" || pt.IPC != 1.5 || pt.Cached != sc.Cached {
+				t.Errorf("index %d: point %+v disagrees with its result frame (cached %v)", i, pt, sc.Cached)
+			}
+		}
+	}
 }

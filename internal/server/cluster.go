@@ -185,25 +185,26 @@ func (s *Server) handleClusterNodes(w http.ResponseWriter, _ *http.Request) {
 }
 
 // runClusterBatch executes a batch job through the cluster fabric instead of
-// the local CPU pool: submit to the coordinator (which answers cached
-// scenarios at once), wait for nodes to lease and upload the rest, then
-// collect the per-scenario wire frames and assemble the batch stream by pure
-// byte copy. The stream is bit-identical to local batch execution —
-// scenarios land at their expansion index, carry no node identity, and embed
-// the uploaded result frames verbatim — so the golden corpus reproduces
-// exactly through either path.
-func (s *Server) runClusterBatch(job *Job) ([]byte, bool, error) {
-	jobID, done, err := s.coord.Submit(job.Batch, job.TraceID, job.tenant.Name())
+// the local CPU pool: submit to the coordinator, which publishes each
+// scenario's frame into the job as its slot resolves (cached scenarios at
+// once, the rest as nodes upload them), then wait for the last one. The
+// frames are bit-identical to local batch execution — scenarios land at
+// their expansion index, carry no node identity, and embed the uploaded
+// result frames verbatim — so the golden corpus reproduces exactly through
+// either path.
+func (s *Server) runClusterBatch(job *Job) error {
+	jobID, done, err := s.coord.Submit(job.Batch, job.TraceID, job.tenant.Name(),
+		func(i int, frame []byte, inserted int) {
+			// A fresh result entered the federated cache via node upload rather
+			// than the local fill path, so its insert is billed here, by the
+			// bytes the cache stores.
+			job.tenant.AddCacheBytes(int64(inserted))
+			job.progress.publishFrame(i, frame)
+		})
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	if err := s.coord.AwaitJob(job.ctx, jobID, done); err != nil {
-		return nil, false, err
-	}
-	frames, outcomes, spanDur, err := s.coord.TakeFrames(jobID)
-	if err != nil {
-		return nil, false, err
-	}
+	spanDur, err := s.coord.AwaitJob(job.ctx, jobID, done)
 	// Merge node-reported lease phases into the job's span breakdown. Only
 	// the fixed protocol span names are admitted so a misbehaving node cannot
 	// grow the span list (or the phase-metric label set) without bound.
@@ -212,22 +213,7 @@ func (s *Server) runClusterBatch(job *Job) ([]byte, bool, error) {
 			job.spans.observe(name, time.Now(), time.Duration(ms*float64(time.Millisecond)))
 		}
 	}
-	for i, out := range outcomes {
-		var ptErr error
-		if out.Error != "" {
-			ptErr = errors.New(out.Error)
-		}
-		// Freshly simulated scenarios entered the federated cache via node
-		// upload rather than the local fill path, so insert attribution
-		// happens here: cached outcomes were already resident (someone else
-		// paid for them).
-		if ptErr == nil && !out.Cached {
-			job.tenant.AddCacheBytes(int64(len(frames[i])))
-		}
-		job.progress.finishPoint(i, out.IPC, out.Cached, ptErr, 0)
-		job.progress.publishFrame(i, frames[i])
-	}
-	return assembleBatch(frames)
+	return err
 }
 
 // renderCluster emits the coordinator metrics; a nil hook (non-coordinator
@@ -237,25 +223,19 @@ func (m *Metrics) renderCluster(w io.Writer) {
 		return
 	}
 	cs := m.clusterStats()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("hetwired_cluster_nodes", "Worker nodes currently registered and alive.", float64(cs.NodesAlive))
-	counter("hetwired_cluster_nodes_registered_total", "Lifetime node registrations.", cs.NodesRegistered)
-	counter("hetwired_cluster_nodes_dead_total", "Nodes declared dead on missed heartbeats.", cs.NodesDead)
-	gauge("hetwired_cluster_leases_outstanding", "Work leases currently held by nodes.", float64(cs.LeasesOutstanding))
-	counter("hetwired_cluster_leases_issued_total", "Work leases handed to nodes.", cs.LeasesIssued)
-	counter("hetwired_cluster_leases_expired_total", "Leases whose deadline passed before upload.", cs.LeasesExpired)
-	counter("hetwired_cluster_scenarios_redispatched_total", "Scenario indices re-leased after an expiry.", cs.ScenariosRedispatched)
+	writeGauge(w, "hetwired_cluster_nodes", "Worker nodes currently registered and alive.", float64(cs.NodesAlive))
+	writeCounter(w, "hetwired_cluster_nodes_registered_total", "Lifetime node registrations.", cs.NodesRegistered)
+	writeCounter(w, "hetwired_cluster_nodes_dead_total", "Nodes declared dead on missed heartbeats.", cs.NodesDead)
+	writeGauge(w, "hetwired_cluster_leases_outstanding", "Work leases currently held by nodes.", float64(cs.LeasesOutstanding))
+	writeCounter(w, "hetwired_cluster_leases_issued_total", "Work leases handed to nodes.", cs.LeasesIssued)
+	writeCounter(w, "hetwired_cluster_leases_expired_total", "Leases whose deadline passed before upload.", cs.LeasesExpired)
+	writeCounter(w, "hetwired_cluster_scenarios_redispatched_total", "Scenario indices re-leased after an expiry.", cs.ScenariosRedispatched)
 	fmt.Fprintf(w, "# HELP hetwired_cluster_uploads_total Node uploads by outcome.\n# TYPE hetwired_cluster_uploads_total counter\n")
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"accepted\"} %d\n", cs.UploadsAccepted)
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"duplicate\"} %d\n", cs.UploadsDuplicate)
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"stale\"} %d\n", cs.UploadsStale)
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"conflict\"} %d\n", cs.UploadConflicts)
-	counter("hetwired_cluster_federated_cache_hits_total", "Scenarios answered by the federated result cache instead of a node simulation.", cs.FederatedHits)
+	writeCounter(w, "hetwired_cluster_federated_cache_hits_total", "Scenarios answered by the federated result cache instead of a node simulation.", cs.FederatedHits)
 	fmt.Fprintf(w, "# HELP hetwired_cluster_jobs_total Cluster jobs by lifecycle event.\n# TYPE hetwired_cluster_jobs_total counter\n")
 	fmt.Fprintf(w, "hetwired_cluster_jobs_total{event=\"submitted\"} %d\n", cs.JobsSubmitted)
 	fmt.Fprintf(w, "hetwired_cluster_jobs_total{event=\"completed\"} %d\n", cs.JobsCompleted)

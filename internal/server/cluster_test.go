@@ -21,6 +21,7 @@ import (
 	"hetwire/internal/cluster"
 	"hetwire/internal/cluster/node"
 	"hetwire/internal/server"
+	"hetwire/internal/tenant"
 	"hetwire/internal/wire"
 )
 
@@ -459,5 +460,205 @@ func TestClusterAuth(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cluster endpoint on a plain daemon: %d, want 404", resp.StatusCode)
+	}
+}
+
+// handNode drives the cluster protocol by hand for tests that need to stop
+// between leases: it registers one node and can take and upload leases.
+type handNode struct {
+	h  *clusterHarness
+	cl *client.Client
+	id string
+}
+
+func (h *clusterHarness) registerHand(ctx context.Context, name string) *handNode {
+	h.t.Helper()
+	cl := client.New(client.Options{BaseURL: h.ts.URL, AuthToken: testClusterToken})
+	var resp cluster.RegisterResponse
+	if err := cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/register", &cluster.RegisterRequest{
+		Name: name, Protocol: cluster.ProtocolVersion, CompatHash: cluster.CompatHash(),
+	}, "", &resp); err != nil {
+		h.t.Fatalf("registering %s: %v", name, err)
+	}
+	return &handNode{h: h, cl: cl, id: resp.NodeID}
+}
+
+// lease asks until the coordinator grants a lease; an idle hold answers
+// empty after its wait, so a job still queued on a worker is picked up on a
+// later ask.
+func (n *handNode) lease(ctx context.Context) *cluster.Lease {
+	n.h.t.Helper()
+	for ctx.Err() == nil {
+		var resp cluster.LeaseResponse
+		if err := n.cl.DoJSON(ctx, http.MethodPost, "/v1/cluster/lease",
+			&cluster.LeaseRequest{NodeID: n.id}, "", &resp); err != nil {
+			n.h.t.Fatalf("leasing: %v", err)
+		}
+		if resp.Lease != nil {
+			return resp.Lease
+		}
+	}
+	n.h.t.Fatal("no lease granted")
+	return nil
+}
+
+// simulate runs a lease's scenarios in-process and uploads their results.
+func (n *handNode) simulate(ctx context.Context, l *cluster.Lease) {
+	n.h.t.Helper()
+	results := make([]wire.UploadResult, len(l.Scenarios))
+	for k := range l.Scenarios {
+		resp, err := l.Scenarios[k].ExecuteContext(ctx)
+		if err != nil {
+			n.h.t.Fatalf("simulating scenario %d: %v", l.Start+k, err)
+		}
+		frame, err := wire.EncodeRunResult(resp)
+		if err != nil {
+			n.h.t.Fatal(err)
+		}
+		results[k] = wire.UploadResult{Index: l.Start + k, Frame: frame}
+	}
+	body, err := wire.EncodeUpload(&wire.UploadHeader{NodeID: n.id, LeaseID: l.ID, JobID: l.JobID}, results)
+	if err != nil {
+		n.h.t.Fatal(err)
+	}
+	var resp cluster.UploadResponse
+	if err := n.cl.DoBytes(ctx, http.MethodPost, "/v1/cluster/upload", wire.ContentType, body, "", &resp); err != nil {
+		n.h.t.Fatalf("uploading lease %s: %v", l.ID, err)
+	}
+	if resp.Accepted != len(results) {
+		n.h.t.Fatalf("upload of lease %s: %+v, want %d accepted", l.ID, resp, len(results))
+	}
+}
+
+// TestClusterBatchPublishesAsScenariosResolve: on a coordinator, a batch
+// job's status and stream show each scenario as soon as its upload lands,
+// not when the job ends. No node agent runs: a hand-driven node takes the
+// first of two leases over a four-scenario batch and uploads it. The job is
+// then still running with two scenarios completed, and its stream has
+// delivered frames 0 and 1. Cancelling the job fills indices 2 and 3 with
+// cancelled frames, which close the stream.
+func TestClusterBatchPublishesAsScenariosResolve(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	h := startCoordinator(t, server.ClusterOptions{LeaseSize: 2})
+	hand := h.registerHand(ctx, "hand")
+	cl := client.New(client.Options{BaseURL: h.ts.URL})
+	st, err := cl.SubmitBatch(ctx, &hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{
+		Models:     []string{"I"},
+		Benchmarks: []string{"gzip"},
+		Ns:         []uint64{1_000, 2_000, 3_000, 4_000},
+	}}, 0)
+	if err != nil {
+		t.Fatalf("submitting batch: %v", err)
+	}
+
+	frames := make(chan *wire.Scenario, 4)
+	streamErr := make(chan error, 1)
+	var tr *wire.BatchTrailer
+	go func() {
+		var err error
+		tr, err = cl.StreamBatch(ctx, st.ID, func(sc *wire.Scenario) error {
+			frames <- sc
+			return nil
+		})
+		streamErr <- err
+	}()
+	next := func() *wire.Scenario {
+		t.Helper()
+		select {
+		case sc := <-frames:
+			return sc
+		case <-ctx.Done():
+			t.Fatal("stream delivered no frame")
+			return nil
+		}
+	}
+
+	l1 := hand.lease(ctx)
+	if l1.Start != 0 || l1.End != 2 {
+		t.Fatalf("first lease covers [%d,%d), want [0,2)", l1.Start, l1.End)
+	}
+	hand.simulate(ctx, l1)
+	for i := 0; i < 2; i++ {
+		if sc := next(); sc.Index != i || sc.Error != "" || sc.Result == nil {
+			t.Fatalf("stream frame %d: index %d error %q", i, sc.Index, sc.Error)
+		}
+	}
+	got, err := cl.Job(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != server.StateRunning || got.Batch == nil || got.Batch.Completed != 2 || got.Batch.Failed != 0 {
+		t.Fatalf("after the first upload: state %s batch %+v, want running with 2 completed", got.State, got.Batch)
+	}
+	for i, pt := range got.Batch.Points {
+		want := "pending"
+		if i < 2 {
+			want = "done"
+		}
+		if pt.State != want || (want == "done" && pt.IPC <= 0) {
+			t.Errorf("point %d = %+v, want %s", i, pt, want)
+		}
+	}
+
+	if _, err := cl.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < 4; i++ {
+		if sc := next(); sc.Index != i || sc.Reason != "cancelled" || sc.Error != context.Canceled.Error() {
+			t.Fatalf("stream frame %d after cancel: index %d reason %q error %q", i, sc.Index, sc.Reason, sc.Error)
+		}
+	}
+	if err := <-streamErr; err != nil || tr.Completed != 2 || tr.Failed != 2 {
+		t.Fatalf("stream ended with trailer %+v, err %v; want 2 completed and 2 cancelled", tr, err)
+	}
+	final, err := cl.Job(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != server.StateCancelled || final.Batch.Completed != 2 || final.Batch.Failed != 2 {
+		t.Fatalf("after cancel: state %s batch %+v", final.State, final.Batch)
+	}
+}
+
+// TestClusterBillsInsertedResultBytes: a tenant's cache-bytes ledger counts
+// the result frames its batch inserts into the result cache, so the same
+// batch bills the same bytes whether it runs locally or through a
+// coordinator with one node.
+func TestClusterBillsInsertedResultBytes(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	tenants := &tenant.Config{Tenants: []tenant.Spec{{Name: "acme", Key: "key-acme", Weight: 1}}}
+	sweep := &hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{
+		Models:     []string{"I", "V"},
+		Benchmarks: []string{"gzip", "mcf"},
+		Ns:         []uint64{4_000},
+	}}
+	billed := func(h *clusterHarness) int64 {
+		t.Helper()
+		h.runBatchAs(ctx, "", "key-acme", sweep)
+		var usage struct {
+			Tenants []tenant.Snapshot `json:"tenants"`
+		}
+		if err := client.New(client.Options{BaseURL: h.ts.URL}).DoJSON(ctx, http.MethodGet, "/v1/tenants/usage", nil, "", &usage); err != nil {
+			t.Fatal(err)
+		}
+		for _, sn := range usage.Tenants {
+			if sn.Name == "acme" {
+				return sn.CacheBytes
+			}
+		}
+		t.Fatalf("usage lists no tenant acme: %+v", usage.Tenants)
+		return 0
+	}
+
+	local := startDaemon(t, server.Options{Workers: 2, Tenants: tenants})
+	coord := startCoordinator(t, server.ClusterOptions{}, func(o *server.Options) { o.Tenants = tenants })
+	nodeCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	coord.startNode(nodeCtx, "solo", nil)
+	want, got := billed(local), billed(coord)
+	if want <= 0 || got != want {
+		t.Fatalf("coordinator billed %d cache bytes, local execution %d", got, want)
 	}
 }

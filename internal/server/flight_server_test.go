@@ -404,3 +404,48 @@ func TestSLOBurnRateWindows(t *testing.T) {
 		t.Errorf("1h burn after aging = %g, want 10", got)
 	}
 }
+
+// TestPanickedJobSettlesLikeAnyOther: a job whose worker panics goes through
+// the same terminal accounting as one that returns. Its SLO tenant counts a
+// bad verdict, its queue_wait phase lands in the phase histogram, and its
+// tenant ledger counts the failure.
+func TestPanickedJobSettlesLikeAnyOther(t *testing.T) {
+	cfg := &tenant.Config{Tenants: []tenant.Spec{
+		{Name: "gold", Key: "key-gold", Weight: 1, SLOMS: 60_000, SLOTargetPct: 99},
+	}}
+	in := mustInjector(t, "seed=1,panic=1,panic.max=1")
+	_, ts := newTestServer(t, Options{Workers: 1, Faults: in, Tenants: cfg})
+
+	_, raw := postAs(t, ts.URL+"/v1/jobs", "key-gold", "", map[string]any{"benchmark": "gzip", "n": 4000})
+	var st JobStatus
+	mustDecode(t, raw, &st)
+	if final := waitTerminal(t, ts.URL, st.ID, 30*time.Second); final.State != StateFailed {
+		t.Fatalf("panicked job ended %s, want failed", final.State)
+	}
+	// The accounting follows the terminal transition, so poll for it.
+	want := []string{
+		`hetwired_slo_requests_total{tenant="gold",verdict="good"} 0`,
+		`hetwired_slo_requests_total{tenant="gold",verdict="bad"} 1`,
+		`hetwired_job_phase_duration_seconds_count{phase="queue_wait"} 1`,
+		`hetwired_jobs_total{state="failed"} 1`,
+		`hetwired_tenant_jobs_total{tenant="gold",state="failed"} 1`,
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		text := scrapeMetrics(t, ts.URL)
+		missing := ""
+		for _, line := range want {
+			if !strings.Contains(text, line+"\n") {
+				missing = line
+				break
+			}
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("exposition missing %q:\n%s", missing, text)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

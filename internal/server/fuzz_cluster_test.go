@@ -31,7 +31,7 @@ var fuzzClusterHandler = sync.OnceValue(func() http.Handler {
 	}
 	if _, _, err := s.coord.Submit(&hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{
 		Benchmarks: []string{"gzip"}, Models: []string{"I"}, Ns: []uint64{1000, 2000, 3000, 4000},
-	}}, "", ""); err != nil {
+	}}, "", "", nil); err != nil {
 		panic(err)
 	}
 	if _, err := s.coord.Lease(fuzzDone, &cluster.LeaseRequest{NodeID: "n-0001"}); err != nil {

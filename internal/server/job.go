@@ -61,11 +61,11 @@ type Job struct {
 	idemKey  string         // tenant-scoped idempotency key, if any
 	deadline time.Duration  // wall-clock budget from submission
 	spans    *spanRecorder  // per-phase timings, base = submission time
-	progress *batchProgress // per-scenario progress, batch jobs only
+	progress *batchProgress // the scenario frames, batch jobs only
 
 	mu         sync.Mutex
 	state      JobState
-	body       []byte // encoded result wire frames, valid when state == StateDone
+	body       []byte // a run job's result frame, valid when state == StateDone
 	jsonBody   []byte // memoized JSON view of body, built on first demand
 	jsonErr    error
 	errMsg     string
@@ -161,16 +161,18 @@ func (j *Job) finish(body []byte, cacheHit bool, ipc float64, err error, now tim
 }
 
 // finishPanic resolves the job after a worker panic: failed, with the panic
-// value as the error and the stack trace preserved in failure_log.
-func (j *Job) finishPanic(panicVal any, stack []byte, now time.Time) {
+// value as the error and the stack trace preserved in failure_log. It
+// reports false when the job had already ended.
+func (j *Job) finishPanic(panicVal any, stack []byte, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	j.errMsg = fmt.Sprintf("worker panic: %v", panicVal)
 	j.failureLog = string(stack)
 	j.endLocked(StateFailed, now)
+	return true
 }
 
 // markCancelled resolves a still-queued job without running it.
@@ -185,11 +187,13 @@ func (j *Job) markCancelled(now time.Time) bool {
 	return true
 }
 
-// endLocked moves the job to its terminal state and records the job's one
-// job_done event. A poller or waiter sees the state only through j.mu or
-// j.done, so the event is in the ring before anyone can observe the end.
-// Called with j.mu held.
+// endLocked moves the job to its terminal state, fills a batch job's
+// unresolved scenarios with cancelled frames, and records the job's one
+// job_done event. A poller, streamer or waiter sees the state only through
+// j.mu, the published frames or j.done, so all of it is in place before
+// anyone can observe the end. Called with j.mu held.
 func (j *Job) endLocked(state JobState, now time.Time) {
+	j.progress.resolveRest()
 	j.state = state
 	j.finished = now
 	j.flight.Record(flight.Event{
@@ -278,16 +282,18 @@ func (j *Job) Status(withResult bool) JobStatus {
 	if withResult && j.state == StateDone {
 		st.Result = j.resultJSONLocked()
 	}
-	// Batch progress is read outside j.mu (it has its own lock) but the
-	// pointer itself is immutable after submission.
-	st.Batch = j.progress.snapshot(withResult)
+	// The progress pointer is immutable after submission and has its own
+	// lock. A done batch job is a cache hit when every scenario was.
+	if st.Batch = j.progress.snapshot(withResult); st.Batch != nil {
+		st.CacheHit = j.state == StateDone && st.Batch.CacheHits == st.Batch.Total
+	}
 	return st
 }
 
-// RawResult returns the stored result body exactly as the worker produced
-// it — the run-result frame or the batch stream — without any conversion.
-// This is the zero-copy serving path: a binary-negotiating client gets the
-// cached frame bytes with no decode.
+// RawResult returns a run job's stored result frame exactly as the worker
+// produced it, without any conversion. This is the zero-copy serving path: a
+// binary-negotiating client gets the cached frame bytes with no decode.
+// Batch jobs keep no body beside their frames; they stream.
 func (j *Job) RawResult() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -297,33 +303,34 @@ func (j *Job) RawResult() []byte {
 	return j.body
 }
 
-// resultJSONLocked returns the JSON view of the result body, converting
-// the wire-framed body on first demand and memoizing it (polling clients
-// that want JSON pay the decode once per job, not per poll). Called with
-// j.mu held.
+// resultJSONLocked returns the JSON view of the result — a run job's frame,
+// or a batch job's frames assembled into the batch stream — converting it on
+// first demand and memoizing it (polling clients that want JSON pay the
+// decode once per job, not per poll). Called with j.mu held.
 func (j *Job) resultJSONLocked() json.RawMessage {
 	if j.jsonBody == nil && j.jsonErr == nil {
-		j.jsonBody, j.jsonErr = wireBodyJSON(j.Kind, j.body)
+		j.jsonBody, j.jsonErr = j.decodeResultLocked()
 	}
 	return j.jsonBody
 }
 
-// wireBodyJSON converts a stored wire body into the JSON debug view.
-func wireBodyJSON(kind string, body []byte) ([]byte, error) {
-	switch kind {
-	case "batch":
-		resp, err := wire.DecodeBatch(body)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
-	default:
-		resp, err := wire.DecodeRunResult(body)
+func (j *Job) decodeResultLocked() ([]byte, error) {
+	if j.progress == nil {
+		resp, err := wire.DecodeRunResult(j.body)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(resp)
 	}
+	body, err := j.progress.stream()
+	if err != nil {
+		return nil, err
+	}
+	resp, err := wire.DecodeBatch(body)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(resp)
 }
 
 // Errors the queue reports to submitters.
@@ -332,7 +339,8 @@ var (
 	ErrDraining  = errors.New("server: draining, not accepting jobs")
 )
 
-// BatchPointStatus is one scenario's live state within a batch job.
+// BatchPointStatus is one scenario's live state within a batch job, derived
+// from its published frame.
 type BatchPointStatus struct {
 	Index     int     `json:"index"`
 	Benchmark string  `json:"benchmark,omitempty"`
@@ -343,7 +351,6 @@ type BatchPointStatus struct {
 	IPC       float64 `json:"ipc,omitempty"`
 	Cached    bool    `json:"cached,omitempty"`
 	Error     string  `json:"error,omitempty"`
-	WallMS    float64 `json:"wall_ms,omitempty"`
 }
 
 // BatchStatus summarises a batch job's progress; Points carries the
@@ -356,110 +363,140 @@ type BatchStatus struct {
 	Points    []BatchPointStatus `json:"points,omitempty"`
 }
 
-// batchProgress is the mutable progress record behind BatchStatus. Scenario
-// workers update their own point under the progress lock; status polls
-// snapshot concurrently, which is what makes partial batch results visible
-// while the job is still running. It also carries the per-scenario wire
-// frames as they are produced, which is what the streaming endpoint reads:
-// a frame is published exactly once, and every publication closes the
-// current notify channel so blocked streamers re-check.
+// batchProgress is a batch job's one record of its scenarios: the expanded
+// requests, one published TypeScenario frame per index, and the running
+// trailer counts those frames add up to. A frame is published once, as its
+// scenario resolves — by a local scenario run, or by the coordinator on a
+// cache hit or an upload — and the job's terminal transition fills every
+// index still unresolved with a cancelled frame. Status polls, the
+// streaming endpoint and the JSON result all read the frames, which is what
+// makes partial batch results visible while the job is still running. Every
+// publication closes the current notify channel so blocked streamers
+// re-check.
 type batchProgress struct {
-	mu     sync.Mutex
-	reqs   []hetwire.RunRequest
-	points []BatchPointStatus
-	frames [][]byte
-	notify chan struct{}
-	done   int
-	failed int
-	hits   int
+	mu      sync.Mutex
+	reqs    []hetwire.RunRequest // immutable after construction
+	frames  [][]byte
+	trailer wire.BatchTrailer
+	notify  chan struct{}
 }
 
-// newBatchProgress pre-populates one pending point per expanded scenario.
 func newBatchProgress(reqs []hetwire.RunRequest) *batchProgress {
-	p := &batchProgress{
-		reqs:   reqs,
-		points: make([]BatchPointStatus, len(reqs)),
-		frames: make([][]byte, len(reqs)),
-		notify: make(chan struct{}),
-	}
-	for i := range reqs {
-		bench := reqs[i].Benchmark
-		if bench == "" && len(reqs[i].Benchmarks) > 0 {
-			bench = strings.Join(reqs[i].Benchmarks, "+")
-		}
-		p.points[i] = BatchPointStatus{
-			Index:     i,
-			Benchmark: bench,
-			Model:     reqs[i].Model,
-			Clusters:  reqs[i].Clusters,
-			N:         reqs[i].Instructions(),
-			State:     "pending",
-		}
-	}
-	return p
-}
-
-// finishPoint records one scenario's outcome.
-func (p *batchProgress) finishPoint(i int, ipc float64, cached bool, err error, wall time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pt := &p.points[i]
-	pt.WallMS = float64(wall) / float64(time.Millisecond)
-	if err != nil {
-		pt.State = "failed"
-		pt.Error = err.Error()
-		p.failed++
-		return
-	}
-	pt.State = "done"
-	pt.IPC = ipc
-	pt.Cached = cached
-	p.done++
-	if cached {
-		p.hits++
+	return &batchProgress{
+		reqs:    reqs,
+		frames:  make([][]byte, len(reqs)),
+		trailer: wire.BatchTrailer{Total: len(reqs)},
+		notify:  make(chan struct{}),
 	}
 }
 
-// publishFrame records scenario i's wire frame and wakes streamers. Frames
-// arrive in completion order; streamers serialise them back into canonical
-// index order.
+// publish publishes scenario i's outcome. A result frame that cannot be
+// embedded publishes that failure instead.
+func (p *batchProgress) publish(i int, body []byte, hit bool, err error) {
+	fr, encErr := scenarioFrame(i, p.reqs[i], body, hit, err)
+	if encErr != nil {
+		fr = errorFrame(i, p.reqs[i], encErr)
+	}
+	p.publishFrame(i, fr)
+}
+
+// publishFrame records scenario i's frame, folds its header flags into the
+// trailer and wakes streamers. The first frame for an index wins; later
+// ones are dropped. Frames arrive in completion order; streamers serialise
+// them back into canonical index order.
 func (p *batchProgress) publishFrame(i int, frame []byte) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.setLocked(i, frame)
+}
+
+// setLocked is publishFrame with p.mu held.
+func (p *batchProgress) setLocked(i int, frame []byte) {
+	if p.frames[i] != nil {
+		return
+	}
+	h, _ := wire.PeekHeader(frame) // every frame was encoded by wire.AppendScenario
 	p.frames[i] = frame
-	ch := p.notify
+	switch {
+	case h.Flags&wire.FlagError != 0:
+		p.trailer.Failed++
+	case h.Flags&wire.FlagCached != 0:
+		p.trailer.CacheHits++
+		fallthrough
+	default:
+		p.trailer.Completed++
+	}
+	close(p.notify)
 	p.notify = make(chan struct{})
-	p.mu.Unlock()
-	close(ch)
 }
 
-// frameAt returns scenario i's published frame, or nil if it has not
-// resolved yet.
-func (p *batchProgress) frameAt(i int) []byte {
+// resolveRest fills every unresolved index with a cancelled frame. The job's
+// terminal transition calls it once, so a finished job — cancelled while
+// queued, past its deadline, or killed by a worker panic — still carries
+// every expansion index exactly once. A nil receiver is a non-batch job.
+func (p *batchProgress) resolveRest() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.frames[i]
+	for i, fr := range p.frames {
+		if fr != nil {
+			continue
+		}
+		p.setLocked(i, errorFrame(i, p.reqs[i], context.Canceled))
+	}
 }
 
-// changed returns a channel closed at the next frame publication. Acquire
-// it BEFORE re-checking frameAt: publications between the check and the
-// wait then close exactly this channel, so a streamer can never sleep
-// through the frame it is waiting for.
-func (p *batchProgress) changed() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.notify
-}
-
-// request returns scenario i's expanded request (streamers synthesising
-// cancelled-scenario frames need the exact request bytes).
-func (p *batchProgress) request(i int) hetwire.RunRequest {
-	return p.reqs[i] // immutable after construction
+// await blocks until scenario i's frame is published and returns it, or
+// returns nil when ctx ends first. The notify channel is taken under the
+// same lock as the frame check, so a publication in between closes exactly
+// the channel waited on.
+func (p *batchProgress) await(ctx context.Context, i int) []byte {
+	for {
+		p.mu.Lock()
+		fr, ch := p.frames[i], p.notify
+		p.mu.Unlock()
+		if fr != nil {
+			return fr
+		}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return nil
+		}
+	}
 }
 
 // total returns the expanded scenario count.
 func (p *batchProgress) total() int { return len(p.reqs) }
 
+// counts returns the running trailer.
+func (p *batchProgress) counts() wire.BatchTrailer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.trailer
+}
+
+// stream assembles the canonical batch stream — header, every frame in
+// index order, trailer — by byte copy. Only a terminal job has every frame.
+func (p *batchProgress) stream() ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out, err := wire.AppendBatchHeader(nil, len(p.frames))
+	if err != nil {
+		return nil, err
+	}
+	for _, fr := range p.frames {
+		out = append(out, fr...)
+	}
+	return wire.AppendBatchTrailer(out, p.trailer)
+}
+
 // snapshot renders the progress; nil receiver (non-batch jobs) yields nil.
+// Points come from the frames: header flags for the state, the summary word
+// for the IPC, and the error text from wire.DecodeScenario, which never
+// decodes a result payload.
 func (p *batchProgress) snapshot(withPoints bool) *BatchStatus {
 	if p == nil {
 		return nil
@@ -467,14 +504,35 @@ func (p *batchProgress) snapshot(withPoints bool) *BatchStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := &BatchStatus{
-		Total:     len(p.points),
-		Completed: p.done,
-		Failed:    p.failed,
-		CacheHits: p.hits,
+		Total:     p.trailer.Total,
+		Completed: p.trailer.Completed,
+		Failed:    p.trailer.Failed,
+		CacheHits: p.trailer.CacheHits,
 	}
-	if withPoints {
-		st.Points = make([]BatchPointStatus, len(p.points))
-		copy(st.Points, p.points)
+	if !withPoints {
+		return st
+	}
+	st.Points = make([]BatchPointStatus, len(p.reqs))
+	for i := range p.reqs {
+		req := &p.reqs[i]
+		pt := &st.Points[i]
+		*pt = BatchPointStatus{Index: i, Benchmark: req.Benchmark, Model: req.Model,
+			Clusters: req.Clusters, N: req.Instructions(), State: "pending"}
+		if pt.Benchmark == "" && len(req.Benchmarks) > 0 {
+			pt.Benchmark = strings.Join(req.Benchmarks, "+")
+		}
+		if p.frames[i] == nil {
+			continue
+		}
+		h, _ := wire.PeekHeader(p.frames[i])
+		if h.Flags&wire.FlagError != 0 {
+			pt.State = "failed"
+			if sc, err := wire.DecodeScenario(p.frames[i]); err == nil {
+				pt.Error = sc.Error
+			}
+			continue
+		}
+		pt.State, pt.IPC, pt.Cached = "done", h.SummaryFloat(), h.Flags&wire.FlagCached != 0
 	}
 	return st
 }

@@ -52,7 +52,9 @@ type Metrics struct {
 	jobsDone      atomic.Uint64
 	jobsFailed    atomic.Uint64
 	jobsCancelled atomic.Uint64
-	jobsRunning   atomic.Int64
+	// running counts jobs executing on a worker, which is also the number of
+	// busy workers; both gauges render from it.
+	running atomic.Int64
 	// jobsPanicked counts jobs that died to a contained worker panic (a
 	// subset of jobsFailed); workersRespawned counts the replacement workers
 	// started afterwards.
@@ -64,8 +66,7 @@ type Metrics struct {
 	jobWallNanos atomic.Int64
 	jobWallCount atomic.Uint64
 
-	workers     int
-	workersBusy atomic.Int64
+	workers int
 	// workerBusyNanos accumulates per-worker busy time (index = worker slot;
 	// a respawned worker keeps its predecessor's slot), exposing skew between
 	// workers that the pool-level gauge averages away.
@@ -288,40 +289,33 @@ func (m *Metrics) ObserveRequest(route string, status int, elapsed time.Duration
 // render writes the Prometheus text exposition. Gauges that live outside
 // the registry (queue depth, cache counters) are passed in by the server.
 func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheStats, now time.Time) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
 	up := 1.0
 	if draining {
 		up = 0
 	}
-	gauge("hetwired_up", "1 while serving, 0 while draining.", up)
-	gauge("hetwired_uptime_seconds", "Seconds since the daemon started.", now.Sub(m.start).Seconds())
+	writeGauge(w, "hetwired_up", "1 while serving, 0 while draining.", up)
+	writeGauge(w, "hetwired_uptime_seconds", "Seconds since the daemon started.", now.Sub(m.start).Seconds())
 
 	fmt.Fprintf(w, "# HELP hetwired_jobs_total Jobs by terminal state.\n# TYPE hetwired_jobs_total counter\n")
 	fmt.Fprintf(w, "hetwired_jobs_total{state=\"done\"} %d\n", m.jobsDone.Load())
 	fmt.Fprintf(w, "hetwired_jobs_total{state=\"failed\"} %d\n", m.jobsFailed.Load())
 	fmt.Fprintf(w, "hetwired_jobs_total{state=\"cancelled\"} %d\n", m.jobsCancelled.Load())
-	counter("hetwired_jobs_submitted_total", "Jobs accepted into the queue.", m.jobsSubmitted.Load())
-	counter("hetwired_jobs_panicked_total", "Jobs failed by a contained worker panic.", m.jobsPanicked.Load())
+	writeCounter(w, "hetwired_jobs_submitted_total", "Jobs accepted into the queue.", m.jobsSubmitted.Load())
+	writeCounter(w, "hetwired_jobs_panicked_total", "Jobs failed by a contained worker panic.", m.jobsPanicked.Load())
 	m.renderRejections(w)
-	counter("hetwired_workers_respawned_total", "Workers respawned after a panic escaped a job.", m.workersRespawned.Load())
-	counter("hetwired_load_shed_engaged_total", "Times the overload watchdog engaged load-shed mode.", m.loadShedTotal.Load())
+	writeCounter(w, "hetwired_workers_respawned_total", "Workers respawned after a panic escaped a job.", m.workersRespawned.Load())
+	writeCounter(w, "hetwired_load_shed_engaged_total", "Times the overload watchdog engaged load-shed mode.", m.loadShedTotal.Load())
 
 	fmt.Fprintf(w, "# HELP hetwired_jobs Jobs currently in a live state.\n# TYPE hetwired_jobs gauge\n")
 	fmt.Fprintf(w, "hetwired_jobs{state=\"queued\"} %d\n", queueDepth)
-	fmt.Fprintf(w, "hetwired_jobs{state=\"running\"} %d\n", m.jobsRunning.Load())
+	running := m.running.Load()
+	fmt.Fprintf(w, "hetwired_jobs{state=\"running\"} %d\n", running)
 
-	gauge("hetwired_queue_depth", "Jobs waiting in the weighted-fair queue.", float64(queueDepth))
-	gauge("hetwired_workers", "Size of the worker pool.", float64(m.workers))
-	gauge("hetwired_workers_busy", "Workers currently executing a job.", float64(m.workersBusy.Load()))
+	writeGauge(w, "hetwired_queue_depth", "Jobs waiting in the weighted-fair queue.", float64(queueDepth))
+	writeGauge(w, "hetwired_workers", "Size of the worker pool.", float64(m.workers))
+	writeGauge(w, "hetwired_workers_busy", "Workers currently executing a job.", float64(running))
 	if m.workers > 0 {
-		gauge("hetwired_worker_utilization", "Fraction of workers busy.",
-			float64(m.workersBusy.Load())/float64(m.workers))
+		writeGauge(w, "hetwired_worker_utilization", "Fraction of workers busy.", float64(running)/float64(m.workers))
 	}
 	if len(m.workerBusyNanos) > 0 {
 		fmt.Fprintf(w, "# HELP hetwired_worker_busy_seconds_total Cumulative busy time per worker slot.\n# TYPE hetwired_worker_busy_seconds_total counter\n")
@@ -331,20 +325,20 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 		}
 	}
 
-	counter("hetwired_cache_hits_total", "Result-cache hits served from stored entries.", cs.Hits)
-	counter("hetwired_cache_coalesced_total", "Requests deduplicated onto an in-flight computation.", cs.Coalesced)
-	counter("hetwired_cache_misses_total", "Result-cache misses (fresh simulations).", cs.Misses)
-	counter("hetwired_cache_evictions_total", "Entries evicted to stay within the byte budget.", cs.Evictions)
-	counter("hetwired_cache_corrupt_dropped_total", "Entries dropped on checksum mismatch and recomputed.", cs.Corrupt)
-	gauge("hetwired_cache_entries", "Entries resident in the result cache.", float64(cs.Entries))
-	gauge("hetwired_cache_bytes", "Bytes resident in the result cache.", float64(cs.Bytes))
-	gauge("hetwired_cache_budget_bytes", "Byte budget of the result cache.", float64(cs.Budget))
-	gauge("hetwired_cache_hit_ratio", "Lifetime hit ratio including coalesced requests.", cs.HitRatio())
+	writeCounter(w, "hetwired_cache_hits_total", "Result-cache hits served from stored entries.", cs.Hits)
+	writeCounter(w, "hetwired_cache_coalesced_total", "Requests deduplicated onto an in-flight computation.", cs.Coalesced)
+	writeCounter(w, "hetwired_cache_misses_total", "Result-cache misses (fresh simulations).", cs.Misses)
+	writeCounter(w, "hetwired_cache_evictions_total", "Entries evicted to stay within the byte budget.", cs.Evictions)
+	writeCounter(w, "hetwired_cache_corrupt_dropped_total", "Entries dropped on checksum mismatch and recomputed.", cs.Corrupt)
+	writeGauge(w, "hetwired_cache_entries", "Entries resident in the result cache.", float64(cs.Entries))
+	writeGauge(w, "hetwired_cache_bytes", "Bytes resident in the result cache.", float64(cs.Bytes))
+	writeGauge(w, "hetwired_cache_budget_bytes", "Byte budget of the result cache.", float64(cs.Budget))
+	writeGauge(w, "hetwired_cache_hit_ratio", "Lifetime hit ratio including coalesced requests.", cs.HitRatio())
 
 	instr := m.instructions.Load()
-	counter("hetwired_simulated_instructions_total", "Instructions simulated (cache hits excluded).", instr)
+	writeCounter(w, "hetwired_simulated_instructions_total", "Instructions simulated (cache hits excluded).", instr)
 	if busy := m.simBusy.Load(); busy > 0 {
-		gauge("hetwired_simulated_instructions_per_second",
+		writeGauge(w, "hetwired_simulated_instructions_per_second",
 			"Lifetime simulation throughput over busy time.",
 			float64(instr)/(float64(busy)/float64(time.Second)))
 	}
@@ -475,20 +469,8 @@ func (m *Metrics) renderSLO(w io.Writer, now time.Time) {
 			func(st *sloState) *stats.Histogram { return st.qwait }},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", series.name, series.help, series.name)
-		cumBuf := make([]stats.CumBucket, 0, latBuckets+1)
 		for _, n := range names {
-			h := series.hist(m.tenantSLO[n])
-			cumBuf = h.AppendCumulative(cumBuf[:0])
-			for _, b := range cumBuf {
-				if b.Inf {
-					fmt.Fprintf(w, "%s_bucket{tenant=%q,le=\"+Inf\"} %d\n", series.name, n, b.Count)
-					continue
-				}
-				le := float64(b.UpperBound+1) / 1e6
-				fmt.Fprintf(w, "%s_bucket{tenant=%q,le=\"%g\"} %d\n", series.name, n, le, b.Count)
-			}
-			fmt.Fprintf(w, "%s_sum{tenant=%q} %g\n", series.name, n, float64(h.Sum)/1e6)
-			fmt.Fprintf(w, "%s_count{tenant=%q} %d\n", series.name, n, h.Count)
+			writeHistogram(w, series.name, "tenant", n, series.hist(m.tenantSLO[n]))
 		}
 	}
 }
@@ -594,20 +576,8 @@ func (m *Metrics) renderPhases(w io.Writer) {
 	}
 	sort.Strings(names)
 	fmt.Fprintf(w, "# HELP hetwired_job_phase_duration_seconds Time spent per job phase.\n# TYPE hetwired_job_phase_duration_seconds histogram\n")
-	cumBuf := make([]stats.CumBucket, 0, latBuckets+1)
 	for _, n := range names {
-		h := m.phases[n]
-		cumBuf = h.AppendCumulative(cumBuf[:0])
-		for _, b := range cumBuf {
-			if b.Inf {
-				fmt.Fprintf(w, "hetwired_job_phase_duration_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", n, b.Count)
-				continue
-			}
-			le := float64(b.UpperBound+1) / 1e6
-			fmt.Fprintf(w, "hetwired_job_phase_duration_seconds_bucket{phase=%q,le=\"%g\"} %d\n", n, le, b.Count)
-		}
-		fmt.Fprintf(w, "hetwired_job_phase_duration_seconds_sum{phase=%q} %g\n", n, float64(h.Sum)/1e6)
-		fmt.Fprintf(w, "hetwired_job_phase_duration_seconds_count{phase=%q} %d\n", n, h.Count)
+		writeHistogram(w, "hetwired_job_phase_duration_seconds", "phase", n, m.phases[n])
 	}
 }
 
@@ -636,19 +606,32 @@ func (m *Metrics) renderEndpoints(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "# HELP hetwired_http_request_duration_seconds Request latency, by route.\n# TYPE hetwired_http_request_duration_seconds histogram\n")
-	cumBuf := make([]stats.CumBucket, 0, latBuckets+1)
 	for _, r := range routes {
-		ep := m.endpoints[r]
-		cumBuf = ep.latency.AppendCumulative(cumBuf[:0])
-		for _, b := range cumBuf {
-			if b.Inf {
-				fmt.Fprintf(w, "hetwired_http_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", r, b.Count)
-				continue
-			}
-			le := float64(b.UpperBound+1) / 1e6
-			fmt.Fprintf(w, "hetwired_http_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d\n", r, le, b.Count)
-		}
-		fmt.Fprintf(w, "hetwired_http_request_duration_seconds_sum{route=%q} %g\n", r, float64(ep.latency.Sum)/1e6)
-		fmt.Fprintf(w, "hetwired_http_request_duration_seconds_count{route=%q} %d\n", r, ep.latency.Count)
+		writeHistogram(w, "hetwired_http_request_duration_seconds", "route", r, m.endpoints[r].latency)
 	}
+}
+
+// writeCounter emits one unlabelled counter with its HELP and TYPE lines.
+func writeCounter(w io.Writer, name, help string, v uint64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+// writeGauge emits one unlabelled gauge with its HELP and TYPE lines.
+func writeGauge(w io.Writer, name, help string, v float64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+}
+
+// writeHistogram emits one labelled series of a microsecond histogram in
+// seconds: the cumulative buckets, then sum and count. The caller writes the
+// HELP and TYPE lines once per metric name.
+func writeHistogram(w io.Writer, name, label, value string, h *stats.Histogram) {
+	for _, b := range h.AppendCumulative(nil) {
+		if b.Inf {
+			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, b.Count)
+			continue
+		}
+		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"%g\"} %d\n", name, label, value, float64(b.UpperBound+1)/1e6, b.Count)
+	}
+	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, float64(h.Sum)/1e6)
+	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.Count)
 }

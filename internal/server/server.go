@@ -299,7 +299,6 @@ func (s *Server) worker(slot int) {
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
-			now := time.Now()
 			if current != nil {
 				s.flight.Record(flight.Event{
 					Kind:   flight.KindPanic,
@@ -308,12 +307,12 @@ func (s *Server) worker(slot int) {
 					Job:    current.ID,
 					Detail: fmt.Sprint(r),
 				})
-				current.finishPanic(r, stack, now)
+				ended := current.finishPanic(r, stack, time.Now())
 				s.queue.finished(current) // release the bulk-dispatch slot
-				current.tenant.CountTerminal(string(StateFailed))
-				s.metrics.jobsFailed.Add(1)
-				s.metrics.ObserveJobWall(now.Sub(current.Status(false).Submitted))
-				s.metrics.AddWorkerBusy(slot, now.Sub(busyStart))
+				if ended {
+					s.settle(current)
+				}
+				s.metrics.AddWorkerBusy(slot, time.Since(busyStart))
 			} else {
 				s.flight.Record(flight.Event{Kind: flight.KindPanic, Detail: fmt.Sprint(r)})
 			}
@@ -339,19 +338,17 @@ func (s *Server) worker(slot int) {
 	}
 }
 
-// runJob executes one claimed job and records its outcome. The running/busy
-// gauges are restored by defer so they stay correct even when a panic
+// runJob executes one claimed job and records its outcome. The running
+// gauge is restored by defer so it stays correct even when a panic
 // propagates to the worker's containment handler.
 func (s *Server) runJob(job *Job) {
 	if !job.claim(time.Now()) {
 		return // cancelled while queued
 	}
-	s.metrics.jobsRunning.Add(1)
-	s.metrics.workersBusy.Add(1)
+	s.metrics.running.Add(1)
 	job.tenant.IncInFlight()
 	defer func() {
-		s.metrics.jobsRunning.Add(-1)
-		s.metrics.workersBusy.Add(-1)
+		s.metrics.running.Add(-1)
 		job.tenant.DecInFlight()
 	}()
 
@@ -370,18 +367,15 @@ func (s *Server) runJob(job *Job) {
 	var body []byte
 	var hit bool
 	var err error
-	switch job.Kind {
-	case "batch":
-		if s.coord != nil {
-			body, hit, err = s.runClusterBatch(job)
-		} else {
-			body, hit, err = s.runBatch(job)
-		}
-	default:
+	switch {
+	case job.progress == nil:
 		body, hit, err = s.runCached(job.ctx, &job.Req, job.spans)
+	case s.coord != nil:
+		err = s.runClusterBatch(job)
+	default:
+		err = s.runBatch(job)
 	}
-	now := time.Now()
-	job.finish(body, hit, ipcOf(body), err, now)
+	job.finish(body, hit, ipcOf(body), err, time.Now())
 
 	// A forward-progress watchdog abort is the "stall" incident class: record
 	// it and preserve the ring on disk, exactly like a panic.
@@ -396,8 +390,19 @@ func (s *Server) runJob(job *Job) {
 		})
 		s.autoDumpFlight("stall")
 	}
+	s.settle(job)
+}
 
-	state := job.State()
+// settle does a terminal job's accounting, once, on whichever path ended it:
+// the end of runJob, a contained worker panic, or a cancel while queued.
+// Every job counts its terminal state. A job that ran also feeds the phase
+// histograms, bills its tenant's sim CPU and the fair queue's virtual time,
+// adds its wall time to the Retry-After estimate, and gets its SLO verdict;
+// a job cancelled while queued does none of these.
+func (s *Server) settle(job *Job) {
+	job.mu.Lock()
+	state, submitted, started, finished := job.state, job.submitted, job.started, job.finished
+	job.mu.Unlock()
 	switch state {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
@@ -405,6 +410,10 @@ func (s *Server) runJob(job *Job) {
 		s.metrics.jobsFailed.Add(1)
 	case StateCancelled:
 		s.metrics.jobsCancelled.Add(1)
+	}
+	job.tenant.CountTerminal(string(state))
+	if started.IsZero() {
+		return
 	}
 	for _, sp := range job.spans.snapshot() {
 		s.metrics.ObservePhase(sp.Name, time.Duration(sp.DurMS*float64(time.Millisecond)))
@@ -414,19 +423,16 @@ func (s *Server) runJob(job *Job) {
 	// fold the same charge into the fair scheduler's virtual time.
 	simCPU := job.spans.totalDur(spanSimRun, cluster.SpanSim)
 	job.tenant.AddSimCPU(simCPU)
-	job.tenant.CountTerminal(string(state))
 	s.queue.charge(job, simCPU)
-	st := job.Status(false)
-	s.metrics.ObserveJobWall(now.Sub(st.Submitted))
+	e2e := finished.Sub(submitted)
+	s.metrics.ObserveJobWall(e2e)
 	// SLO accounting: a job counts good when it finished Done within the
 	// tenant's latency objective, measured end-to-end (queue wait included —
 	// that is what the client experiences). Cancelled jobs are the client's
 	// own doing and count neither way.
 	if sloMS, sloTarget := job.tenant.SLO(); sloMS > 0 && state != StateCancelled {
-		e2e := now.Sub(st.Submitted)
 		good := state == StateDone && float64(e2e)/float64(time.Millisecond) <= sloMS
-		s.metrics.ObserveSLO(job.tenant.Name(), sloTarget, good, e2e,
-			time.Duration(st.QueueMS*float64(time.Millisecond)), now)
+		s.metrics.ObserveSLO(job.tenant.Name(), sloTarget, good, e2e, started.Sub(submitted), finished)
 	}
 }
 
@@ -527,58 +533,29 @@ func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, spans *
 // runBatch executes a batch job on the shared engine: scenarios run in
 // parallel under the process CPU-token budget, each going through the result
 // cache individually, with per-scenario spans merged into the job's recorder
-// and per-scenario progress published as each one finishes (a status poll
-// mid-run sees the completed prefix, and the streaming endpoint relays each
-// scenario frame as it lands). The job body is the binary batch stream —
-// header, one TypeScenario frame per expansion index, trailer — assembled by
-// concatenating the already-published frames; a cached scenario's stored
-// result frame is embedded verbatim, so the batch path never decodes or
-// re-encodes a result. Scenario failures are isolated into their slot rather
-// than failing the job; only cancellation or a deadline ends the job early.
-func (s *Server) runBatch(job *Job) ([]byte, bool, error) {
-	ctx := job.ctx
-	reqs, err := job.Batch.Expand()
-	if err != nil {
-		return nil, false, err
-	}
-	frames := make([][]byte, len(reqs))
-	errs := batch.Run(ctx, len(reqs), job.Batch.Parallelism, func(ctx context.Context, i int) error {
-		start := time.Now()
-		body, hit, err := s.runCached(ctx, &reqs[i], job.spans)
-		job.progress.finishPoint(i, ipcOf(body), hit, err, time.Since(start))
-		fr, encErr := scenarioFrame(i, reqs[i], body, hit, err)
-		if encErr != nil {
-			return encErr
-		}
-		frames[i] = fr
-		job.progress.publishFrame(i, fr)
+// and each scenario's frame published as it finishes (a status poll mid-run
+// sees the completed scenarios, and the streaming endpoint relays each frame
+// as it lands). A cached scenario's stored result frame is embedded
+// verbatim, so the batch path never decodes or re-encodes a result.
+// Scenario failures are isolated into their frame rather than failing the
+// job; only cancellation or a deadline ends the job early, and the job's
+// terminal transition resolves the scenarios that never started.
+func (s *Server) runBatch(job *Job) error {
+	p := job.progress
+	errs := batch.Run(job.ctx, p.total(), job.Batch.Parallelism, func(ctx context.Context, i int) error {
+		body, hit, err := s.runCached(ctx, &p.reqs[i], job.spans)
+		p.publish(i, body, hit, err)
 		return err
 	})
-	// Scenarios the run never started (cancellation) or whose frame failed to
-	// encode still occupy their index: synthesize an error frame so both the
-	// stream and the merged body carry every expansion slot.
-	for i := range frames {
-		if frames[i] != nil {
-			continue
+	// A scenario that panicked never reached its publish: its frame carries
+	// the contained panic. A context error here belongs to a scenario that
+	// never started.
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			p.publish(i, nil, false, err)
 		}
-		cause := errs[i]
-		if cause == nil {
-			cause = errors.New("scenario did not run")
-		}
-		fr, encErr := scenarioFrame(i, reqs[i], nil, false, cause)
-		if encErr != nil {
-			return nil, false, encErr
-		}
-		frames[i] = fr
-		job.progress.publishFrame(i, fr)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	encStart := time.Now()
-	body, hit, err := assembleBatch(frames)
-	job.spans.observe(spanResultEncode, encStart, time.Since(encStart))
-	return body, hit, err
+	return job.ctx.Err()
 }
 
 // scenarioFrame encodes one resolved batch scenario into its wire frame. A
@@ -596,6 +573,16 @@ func scenarioFrame(i int, req hetwire.RunRequest, body []byte, hit bool, err err
 	return wire.AppendScenario(nil, sc)
 }
 
+// errorFrame encodes a failed scenario's frame. With no result to embed and
+// indices bounded by hetwire.MaxSweepPoints, encoding cannot fail.
+func errorFrame(i int, req hetwire.RunRequest, err error) []byte {
+	fr, encErr := scenarioFrame(i, req, nil, false, err)
+	if encErr != nil {
+		panic(fmt.Sprintf("server: encoding scenario %d: %v", i, encErr))
+	}
+	return fr
+}
+
 // scenarioReason maps a scenario error to its machine-readable reason code.
 func scenarioReason(err error) string {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -604,57 +591,11 @@ func scenarioReason(err error) string {
 	return hetwire.ReasonCode(err)
 }
 
-// assembleBatch concatenates published scenario frames into the canonical
-// batch stream, deriving the trailer counts from the frame headers alone.
-// The bool result reports whether every scenario was a cache hit.
-func assembleBatch(frames [][]byte) ([]byte, bool, error) {
-	out, err := wire.AppendBatchHeader(nil, len(frames))
-	if err != nil {
-		return nil, false, err
-	}
-	var tr wire.BatchTrailer
-	for i, fr := range frames {
-		if err := countScenario(&tr, fr); err != nil {
-			return nil, false, fmt.Errorf("batch scenario %d: %w", i, err)
-		}
-		out = append(out, fr...)
-	}
-	out, err = wire.AppendBatchTrailer(out, tr)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, tr.CacheHits == len(frames), nil
-}
-
-// countScenario folds one scenario frame into a batch trailer's counts,
-// reading only the frame header's flags. The stored batch body and the
-// progressive stream both build their trailer this way, so the two carry
-// the same bytes.
-func countScenario(tr *wire.BatchTrailer, frame []byte) error {
-	h, err := wire.PeekHeader(frame)
-	if err != nil {
-		return err
-	}
-	tr.Total++
-	if h.Flags&wire.FlagError != 0 {
-		tr.Failed++
-		return nil
-	}
-	tr.Completed++
-	if h.Flags&wire.FlagCached != 0 {
-		tr.CacheHits++
-	}
-	return nil
-}
-
 // ipcOf extracts the summary IPC from a run-result frame's header, so the
-// path reads 28 bytes and never decodes the payload. Any other body (a
-// batch stream, or none) has no single IPC and yields 0.
+// path reads 28 bytes and never decodes the payload. No frame (a batch job,
+// or a failed run) yields 0.
 func ipcOf(body []byte) float64 {
-	h, err := wire.PeekHeader(body)
-	if err != nil || h.Type != wire.TypeRunResult {
-		return 0
-	}
+	h, _ := wire.PeekHeader(body)
 	return h.SummaryFloat()
 }
 
@@ -1026,8 +967,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if job.markCancelled(time.Now()) {
 		s.queue.remove(job)
-		s.metrics.jobsCancelled.Add(1)
-		job.tenant.CountTerminal(string(StateCancelled))
+		s.settle(job)
 	} else {
 		job.cancel() // running: the simulation sees its context end; terminal: no-op
 	}
