@@ -219,14 +219,17 @@ func (c *Client) Await(ctx context.Context, id string, poll time.Duration) (serv
 // Run submits the request, awaits the job, and decodes the result: the
 // whole submit/poll loop with every retry policy applied. A job that ends
 // failed or cancelled is reported as an error carrying the job's message.
+// A submit answered terminal — a cache hit, or a replay of a finished job —
+// already carries the result and is not polled.
 func (c *Client) Run(ctx context.Context, req *hetwire.RunRequest, deadlineMS int64) (*hetwire.RunResponse, server.JobStatus, error) {
 	st, err := c.SubmitRun(ctx, req, deadlineMS)
 	if err != nil {
 		return nil, st, err
 	}
-	st, err = c.Await(ctx, st.ID, 0)
-	if err != nil {
-		return nil, st, err
+	if !st.State.Terminal() {
+		if st, err = c.Await(ctx, st.ID, 0); err != nil {
+			return nil, st, err
+		}
 	}
 	if st.State != server.StateDone {
 		return nil, st, fmt.Errorf("client: job %s ended %s: %s", st.ID, st.State, st.Error)

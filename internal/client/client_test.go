@@ -210,6 +210,29 @@ func TestAwaitPollsToTerminal(t *testing.T) {
 	}
 }
 
+// TestRunSkipsAwaitOnTerminalSubmit: a submit answered done — a cache hit
+// answered at submission — carries its result, and Run does not poll.
+func TestRunSkipsAwaitOnTerminalSubmit(t *testing.T) {
+	var polls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			polls.Add(1)
+		}
+		okStatus(w, http.StatusAccepted, server.JobStatus{ID: "j-4", State: server.StateDone,
+			CacheHit: true, Result: json.RawMessage(`{"benchmark":"gzip","ipc":1.5}`)})
+	}))
+	defer ts.Close()
+
+	c, _ := newFastClient(t, ts.URL, Options{})
+	resp, st, err := c.Run(context.Background(), &hetwire.RunRequest{Benchmark: "gzip", N: 5000}, 0)
+	if err != nil || resp.IPC != 1.5 || !st.CacheHit {
+		t.Fatalf("Run = %+v, %+v, %v", resp, st, err)
+	}
+	if n := polls.Load(); n != 0 {
+		t.Errorf("Run polled a job its submit answered done %d times", n)
+	}
+}
+
 // TestClientServerIntegration is the acceptance scenario: a saturated daemon
 // (one slowed worker, queue depth one) sheds the client's submit with 429s,
 // and the client retries with backoff until capacity frees, then awaits the

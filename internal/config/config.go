@@ -479,40 +479,107 @@ func (c Config) RingLatency(class wires.Class) int {
 // sched.MaxCells).
 const MaxROBSize = 8192
 
+// Caps on the Core fields that size predictor tables: at most 4 MiB per
+// table (the level-1 history entries are 4 bytes) and 17 MiB for the BTB.
+const (
+	maxTableEntries = 1 << 20
+	maxBTBSets      = 1 << 16
+	maxBTBAssoc     = 16
+)
+
+// coreField is one Core field's value and the range Validate accepts for
+// it; pow2 adds that the structure it sizes is indexed by masking, so its
+// constructor needs a power of two.
+type coreField struct {
+	name     string
+	v        int
+	min, max int
+	pow2     bool
+}
+
+// coreFields lists every int field of Core with the range Validate accepts.
+// Widths and pool sizes size a sched.Calendar or sched.Wheel, whose 8-bit
+// per-cycle counts cap them; the constructors panic past the cap. A negative
+// latency turns into a release cycle near 2^64, and the wheel grows its ring
+// toward it until memory runs out; no latency may alone exceed the access
+// span, which also keeps the span's sum in Validate from overflowing. Every
+// other maximum bounds what a constructor allocates from the field: 4 MiB
+// per predictor table, 17 MiB for the BTB, 32 MiB of L2 data in 16-byte
+// lines (24 MiB of tags and LRU stamps), 1,024 TLB entries. A minimum of
+// one keeps the RAS, the fetch-block limit, the narrow-width limit and the
+// L1D banks inside the machines Table 1 describes, which the engine would
+// otherwise run with a silent substitute (one entry, one block, no narrow
+// operands, one bank).
+func coreFields(k *Core) [37]coreField {
+	return [...]coreField{
+		{"FetchQueueSize", k.FetchQueueSize, 1, sched.MaxWheelSlots, false},
+		{"FetchWidth", k.FetchWidth, 1, sched.MaxCalendarCapacity, false},
+		{"MaxBlocksFetch", k.MaxBlocksFetch, 1, sched.MaxCalendarCapacity, false},
+		{"DispatchWidth", k.DispatchWidth, 1, sched.MaxCalendarCapacity, false},
+		{"CommitWidth", k.CommitWidth, 1, sched.MaxCalendarCapacity, false},
+		{"ROBSize", k.ROBSize, 1, MaxROBSize, false},
+		{"IssueQPerClust", k.IssueQPerClust, 1, sched.MaxWheelSlots, false},
+		{"RegsPerClust", k.RegsPerClust, 1, sched.MaxWheelSlots, false},
+		{"IntALUs", k.IntALUs, 1, sched.MaxCalendarCapacity, false},
+		{"IntMulDiv", k.IntMulDiv, 1, sched.MaxCalendarCapacity, false},
+		{"FPALUs", k.FPALUs, 1, sched.MaxCalendarCapacity, false},
+		{"FPMulDiv", k.FPMulDiv, 1, sched.MaxCalendarCapacity, false},
+		{"BimodalSize", k.BimodalSize, 1, maxTableEntries, true},
+		{"L1PredSize", k.L1PredSize, 1, maxTableEntries, true},
+		{"HistoryBits", k.HistoryBits, 1, 30, false}, // a uint32 history register
+		{"L2PredSize", k.L2PredSize, 1, maxTableEntries, true},
+		{"ChooserSize", k.ChooserSize, 1, maxTableEntries, true},
+		{"BTBSets", k.BTBSets, 1, maxBTBSets, true},
+		{"BTBAssoc", k.BTBAssoc, 1, maxBTBAssoc, false},
+		{"RASEntries", k.RASEntries, 1, 4096, false},
+		{"NarrowPredSz", k.NarrowPredSz, 1, maxTableEntries, true},
+		{"NarrowMaxBits", k.NarrowMaxBits, 1, 64, false},
+		{"L1ISizeKB", k.L1ISizeKB, 1, 1024, false},
+		{"L1IAssoc", k.L1IAssoc, 1, 64, false},
+		{"L1ILatency", k.L1ILatency, 0, sched.MaxAccessSpan, false},
+		{"L1DSizeKB", k.L1DSizeKB, 1, 1024, false},
+		{"L1DAssoc", k.L1DAssoc, 1, 64, false},
+		{"L1DLatency", k.L1DLatency, 0, sched.MaxAccessSpan, false},
+		{"L1DBanks", k.L1DBanks, 1, 64, false},
+		{"L1DPorts", k.L1DPorts, 1, sched.MaxCalendarCapacity, false},
+		{"LineBytes", k.LineBytes, 16, 1024, true},
+		{"L2SizeMB", k.L2SizeMB, 1, 32, false},
+		{"L2Assoc", k.L2Assoc, 1, 64, false},
+		{"L2Latency", k.L2Latency, 0, sched.MaxAccessSpan, false},
+		{"MemLatency", k.MemLatency, 0, sched.MaxAccessSpan, false},
+		{"TLBEntries", k.TLBEntries, 1, 1024, false},
+		{"PageBytes", k.PageBytes, 1 << 10, 1 << 30, true},
+	}
+}
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c Config) Validate() error {
 	k := &c.Core
-	// Widths and pool sizes size a sched.Calendar or sched.Wheel, whose
-	// 8-bit per-cycle counts cap them; the constructors panic past the cap.
-	// A negative latency turns into a release cycle near 2^64, and the
-	// wheel grows its ring toward it until memory runs out. No latency or
-	// scale may alone exceed the access span, which also keeps the span's
-	// sum below from overflowing.
-	for _, f := range []struct {
-		name        string
-		v, min, max int
-	}{
-		{"FetchWidth", k.FetchWidth, 1, sched.MaxCalendarCapacity},
-		{"DispatchWidth", k.DispatchWidth, 1, sched.MaxCalendarCapacity},
-		{"CommitWidth", k.CommitWidth, 1, sched.MaxCalendarCapacity},
-		{"L1DPorts", k.L1DPorts, 1, sched.MaxCalendarCapacity},
-		{"IntALUs", k.IntALUs, 1, sched.MaxCalendarCapacity},
-		{"IntMulDiv", k.IntMulDiv, 1, sched.MaxCalendarCapacity},
-		{"FPALUs", k.FPALUs, 1, sched.MaxCalendarCapacity},
-		{"FPMulDiv", k.FPMulDiv, 1, sched.MaxCalendarCapacity},
-		{"FetchQueueSize", k.FetchQueueSize, 1, sched.MaxWheelSlots},
-		{"IssueQPerClust", k.IssueQPerClust, 1, sched.MaxWheelSlots},
-		{"RegsPerClust", k.RegsPerClust, 1, sched.MaxWheelSlots},
-		{"ROBSize", k.ROBSize, 1, MaxROBSize},
-		{"L1ILatency", k.L1ILatency, 0, sched.MaxAccessSpan},
-		{"L1DLatency", k.L1DLatency, 0, sched.MaxAccessSpan},
-		{"L2Latency", k.L2Latency, 0, sched.MaxAccessSpan},
-		{"MemLatency", k.MemLatency, 0, sched.MaxAccessSpan},
-		{"LatencyScale", c.LatencyScale, 1, sched.MaxAccessSpan},
-	} {
+	for _, f := range coreFields(k) {
 		if f.v < f.min || f.v > f.max {
 			return fmt.Errorf("config: %s = %d out of range [%d,%d]", f.name, f.v, f.min, f.max)
+		}
+		if f.pow2 && f.v&(f.v-1) != 0 {
+			return fmt.Errorf("config: %s = %d is not a power of two", f.name, f.v)
+		}
+	}
+	if c.LatencyScale < 1 || c.LatencyScale > sched.MaxAccessSpan {
+		return fmt.Errorf("config: LatencyScale = %d out of range [1,%d]", c.LatencyScale, sched.MaxAccessSpan)
+	}
+	// A cache is indexed by masking the line address, so its set count —
+	// size over line size times associativity — must be a power of two.
+	for _, g := range [...]struct {
+		name        string
+		size, assoc int
+	}{
+		{"L1I", k.L1ISizeKB << 10, k.L1IAssoc},
+		{"L1D", k.L1DSizeKB << 10, k.L1DAssoc},
+		{"L2", k.L2SizeMB << 20, k.L2Assoc},
+	} {
+		if sets := g.size / (k.LineBytes * g.assoc); sets < 1 || sets&(sets-1) != 0 {
+			return fmt.Errorf("config: %s of %d bytes, %d-way, with %d-byte lines has %d sets, not a power of two",
+				g.name, g.size, g.assoc, k.LineBytes, sets)
 		}
 	}
 	// The worst single access (see sched.MaxAccessSpan): a round trip over

@@ -4,11 +4,13 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 
 	"hetwire/internal/obs/flight"
+	"hetwire/internal/wire"
 )
 
 // Cache is a content-addressed result cache with LRU eviction under a byte
@@ -21,7 +23,9 @@ import (
 // Entries carry a SHA-256 of their body taken at insert time; every hit is
 // verified against it, and an entry whose bytes no longer match (bit-rot, or
 // the fault-injection harness) is silently dropped and recomputed — the
-// cache self-heals rather than serving corrupt results.
+// cache self-heals rather than serving corrupt results. An entry may also
+// hold the JSON view of its result frame (see View), charged to the same
+// budget and evicted with it.
 type Cache struct {
 	mu       sync.Mutex
 	budget   int64
@@ -45,6 +49,7 @@ type cacheEntry struct {
 	key  string
 	body []byte
 	sum  [sha256.Size]byte
+	view []byte // the JSON view of body, once View has rendered it
 }
 
 // inflightCall is one in-progress computation; waiters block on done.
@@ -151,8 +156,15 @@ func isContextError(err error) bool {
 }
 
 // Get looks the key up without computing on miss; corrupt entries are
-// dropped and reported as a miss.
+// dropped and reported as a miss. A found entry is not counted as a hit:
+// the coordinator counts its own federated hits.
 func (c *Cache) Get(key string) ([]byte, bool) {
+	return c.lookup(key, false)
+}
+
+// lookup is Get; count makes a found entry count as a stored-entry hit, as
+// it does for a request the daemon answers from the cache at submission.
+func (c *Cache) lookup(key string, count bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -167,7 +179,51 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
+	if count {
+		c.hits++
+	}
 	return ent.body, true
+}
+
+// View returns the JSON view of frame, the run-result frame stored under
+// key. The first call for an entry renders the view and keeps it with the
+// entry, charged to the byte budget and evicted with it; later calls copy
+// no bytes and decode nothing. rendered reports whether this call did the
+// decode. A frame whose entry is gone (evicted, or never stored) is
+// rendered and not kept.
+func (c *Cache) View(key string, frame []byte) (view []byte, rendered bool, err error) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		if v := el.Value.(*cacheEntry).view; v != nil {
+			c.mu.Unlock()
+			return v, false, nil
+		}
+	}
+	c.mu.Unlock()
+	if view, err = runJSON(frame); err != nil {
+		return nil, true, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		ent := el.Value.(*cacheEntry)
+		if ent.view != nil { // a concurrent render got there first
+			return ent.view, true, nil
+		}
+		ent.view = view
+		c.bytes += int64(len(view))
+		c.evictLocked()
+	}
+	return view, true, nil
+}
+
+// runJSON renders a run-result frame as the JSON RunResponse.
+func runJSON(frame []byte) ([]byte, error) {
+	resp, err := wire.DecodeRunResult(frame)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(resp)
 }
 
 // Put stores a body under key without running a computation — the
@@ -219,6 +275,12 @@ func (c *Cache) insert(key string, body []byte) {
 	ent := &cacheEntry{key: key, body: body, sum: sha256.Sum256(body)}
 	c.entries[key] = c.ll.PushFront(ent)
 	c.bytes += size
+	c.evictLocked()
+}
+
+// evictLocked evicts least-recently-used entries until the cache fits its
+// budget. Called with c.mu held.
+func (c *Cache) evictLocked() {
 	for c.bytes > c.budget {
 		back := c.ll.Back()
 		if back == nil {
@@ -229,13 +291,13 @@ func (c *Cache) insert(key string, body []byte) {
 	}
 }
 
-// removeLocked unlinks one entry and releases its bytes. Called with c.mu
-// held.
+// removeLocked unlinks one entry and releases its bytes, view included.
+// Called with c.mu held.
 func (c *Cache) removeLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.entries, ent.key)
-	c.bytes -= int64(len(ent.body))
+	c.bytes -= int64(len(ent.body) + len(ent.view))
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

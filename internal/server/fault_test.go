@@ -251,8 +251,8 @@ func TestIdempotentReplayKeepsJobRecord(t *testing.T) {
 	var first JobStatus
 	mustDecode(t, raw, &first)
 	waitTerminal(t, ts.URL, first.ID, 30*time.Second)
-	for i := 1; i < maxJobs; i++ { // synchronous runs: each ends terminal
-		if resp, body := postJSON(t, ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+	for i := 1; i < maxJobs; i++ { // cached runs: each record is born done
+		if resp, body := postJSON(t, ts.URL+"/v1/jobs", run); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("filler run %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
@@ -264,7 +264,7 @@ func TestIdempotentReplayKeepsJobRecord(t *testing.T) {
 		t.Fatalf("replay answered job %s (%q), want a replay of %s",
 			replay.ID, resp.Header.Get("X-Hetwired-Idempotent"), first.ID)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/jobs", run); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("run after replay: %d %s", resp.StatusCode, body)
 	}
 	got, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)

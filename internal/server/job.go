@@ -62,6 +62,10 @@ type Job struct {
 	deadline time.Duration  // wall-clock budget from submission
 	spans    *spanRecorder  // per-phase timings, base = submission time
 	progress *batchProgress // the scenario frames, batch jobs only
+	// key is a run job's result-cache key, computed once at submission, and
+	// cache the result cache whose entry holds the JSON view of the result.
+	key   string
+	cache *Cache
 
 	mu         sync.Mutex
 	state      JobState
@@ -77,43 +81,56 @@ type Job struct {
 	finished   time.Time
 }
 
-// newJob builds a queued job whose context descends from parent; a non-zero
-// deadline bounds the job's total wall clock (queue wait included) via
-// context.WithTimeout. The trace ID is carried both on the record (status,
-// flight events) and in the job context (hetwire.TraceIDFrom), so code
-// running under the worker can label its output without reaching back to
-// the server.
-// Interactive-lane jobs additionally mark their context for the CPU-token
-// pool's fast lane, so a run job preempts bulk batches at scenario
-// granularity once a worker picks it up.
-func newJob(parent context.Context, id, kind, traceID string, tn *tenant.Tenant, deadline time.Duration, now time.Time) *Job {
-	parent = hetwire.WithTraceID(parent, traceID)
-	parent = tenant.NewContext(parent, tn)
-	lane := laneOf(kind)
-	if lane == laneInteractive {
-		parent = batch.WithInteractive(parent)
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(parent, deadline)
-	} else {
-		ctx, cancel = context.WithCancel(parent)
-	}
+// newJob builds a queued job record. It has no context until arm gives it
+// one; a job that never runs (a cache hit, born done) keeps a no-op cancel.
+func newJob(id, kind, traceID string, tn *tenant.Tenant, now time.Time) *Job {
 	return &Job{
 		ID:        id,
 		Kind:      kind,
 		TraceID:   traceID,
 		tenant:    tn,
-		lane:      lane,
-		ctx:       ctx,
-		cancel:    cancel,
+		lane:      laneOf(kind),
+		cancel:    func() {},
 		done:      make(chan struct{}),
-		deadline:  deadline,
 		spans:     newSpanRecorder(now),
 		state:     StateQueued,
 		submitted: now,
 	}
+}
+
+// arm gives a job that will run its context, descending from parent; a
+// non-zero deadline bounds the job's total wall clock (queue wait included)
+// via context.WithTimeout. The trace ID is carried both on the record
+// (status, flight events) and in the job context (hetwire.TraceIDFrom), so
+// code running under the worker can label its output without reaching back
+// to the server.
+// Interactive-lane jobs additionally mark their context for the CPU-token
+// pool's fast lane, so a run job preempts bulk batches at scenario
+// granularity once a worker picks it up.
+func (j *Job) arm(parent context.Context, deadline time.Duration) {
+	parent = hetwire.WithTraceID(parent, j.TraceID)
+	parent = tenant.NewContext(parent, j.tenant)
+	if j.lane == laneInteractive {
+		parent = batch.WithInteractive(parent)
+	}
+	j.deadline = deadline
+	if deadline > 0 {
+		j.ctx, j.cancel = context.WithTimeout(parent, deadline)
+	} else {
+		j.ctx, j.cancel = context.WithCancel(parent)
+	}
+}
+
+// hit ends a run job at submission with the result frame found in the
+// cache: done, a cache hit, no queue_wait, and one span, the cache lookup
+// that started at lookupStart.
+func (j *Job) hit(frame []byte, lookupStart, now time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.started = j.submitted
+	j.spans.observe(spanCacheLookup, lookupStart, now.Sub(lookupStart))
+	j.body, j.cacheHit, j.ipc = frame, true, ipcOf(frame)
+	j.endLocked(StateDone, now)
 }
 
 // claim transitions queued -> running; it returns false when the job was
@@ -306,7 +323,9 @@ func (j *Job) RawResult() []byte {
 // resultJSONLocked returns the JSON view of the result — a run job's frame,
 // or a batch job's frames assembled into the batch stream — converting it on
 // first demand and memoizing it (polling clients that want JSON pay the
-// decode once per job, not per poll). Called with j.mu held.
+// decode once per job, not per poll). A run job's view comes from its cache
+// entry, which renders it once for every job and request that shares the
+// entry. Called with j.mu held.
 func (j *Job) resultJSONLocked() json.RawMessage {
 	if j.jsonBody == nil && j.jsonErr == nil {
 		j.jsonBody, j.jsonErr = j.decodeResultLocked()
@@ -316,11 +335,8 @@ func (j *Job) resultJSONLocked() json.RawMessage {
 
 func (j *Job) decodeResultLocked() ([]byte, error) {
 	if j.progress == nil {
-		resp, err := wire.DecodeRunResult(j.body)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
+		view, _, err := j.cache.View(j.key, j.body)
+		return view, err
 	}
 	body, err := j.progress.stream()
 	if err != nil {
@@ -331,6 +347,22 @@ func (j *Job) decodeResultLocked() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(resp)
+}
+
+// release ends a finished job's context, so its deadline timer does not
+// outlive it, and snapshots what settle accounts.
+func (j *Job) release() outcome {
+	j.cancel()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return outcome{
+		tenant:    j.tenant,
+		state:     j.state,
+		submitted: j.submitted,
+		started:   j.started,
+		finished:  j.finished,
+		spans:     j.spans.snapshot(),
+	}
 }
 
 // Errors the queue reports to submitters.

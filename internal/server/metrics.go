@@ -300,7 +300,7 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 	fmt.Fprintf(w, "hetwired_jobs_total{state=\"done\"} %d\n", m.jobsDone.Load())
 	fmt.Fprintf(w, "hetwired_jobs_total{state=\"failed\"} %d\n", m.jobsFailed.Load())
 	fmt.Fprintf(w, "hetwired_jobs_total{state=\"cancelled\"} %d\n", m.jobsCancelled.Load())
-	writeCounter(w, "hetwired_jobs_submitted_total", "Jobs accepted into the queue.", m.jobsSubmitted.Load())
+	writeCounter(w, "hetwired_jobs_submitted_total", "Submissions accepted: jobs queued, and runs answered from the cache at submission.", m.jobsSubmitted.Load())
 	writeCounter(w, "hetwired_jobs_panicked_total", "Jobs failed by a contained worker panic.", m.jobsPanicked.Load())
 	m.renderRejections(w)
 	writeCounter(w, "hetwired_workers_respawned_total", "Workers respawned after a panic escaped a job.", m.workersRespawned.Load())

@@ -100,7 +100,7 @@ func TestFairQueueWeightedShares(t *testing.T) {
 		}
 		dispatches[j.tenant.Name()]++
 		charged[j.tenant.Name()] += perJob
-		q.charge(j, perJob)
+		q.charge(j.tenant, perJob)
 		q.finished(j)
 		// Refill so the tenant stays backlogged: fairness is only defined
 		// while both tenants are saturating.

@@ -273,14 +273,14 @@ func (q *fairQueue) finished(j *Job) {
 // charge folds a finished job's measured simulation CPU into its tenant's
 // virtual time: vtime += cpuSeconds / weight. Charging on completion (not
 // dispatch) means the schedule reacts to real usage — a tenant of cheap
-// cache-hit jobs is not billed like one running fresh 16k-instruction
+// cache hits is not billed like one running fresh 16k-instruction
 // simulations.
-func (q *fairQueue) charge(j *Job, cpu time.Duration) {
+func (q *fairQueue) charge(tn *tenant.Tenant, cpu time.Duration) {
 	if cpu <= 0 {
 		return
 	}
 	q.mu.Lock()
-	q.tenantLocked(j.tenant).vtime += cpu.Seconds() / float64(j.tenant.Weight())
+	q.tenantLocked(tn).vtime += cpu.Seconds() / float64(tn.Weight())
 	q.mu.Unlock()
 }
 

@@ -4,12 +4,14 @@
 // lane for single runs; see sched.go), a fixed worker pool, a
 // content-addressed result cache, and Prometheus-format metrics.
 // Simulations are deterministic, so identical requests are served from the
-// cache (or coalesced onto an in-flight run) instead of re-simulating.
+// cache (or coalesced onto an in-flight run) instead of re-simulating; a
+// cached run is answered at submission and never becomes queued work.
 //
 // Endpoints:
 //
 //	POST   /v1/run        synchronous run; X-Hetwired-Cache: hit|miss
-//	POST   /v1/jobs       submit a run or batch job; returns its id
+//	POST   /v1/jobs       submit a run or batch job; returns its status (a
+//	                      cached run's is done, with its result)
 //	GET    /v1/jobs       list job statuses (?state= filters)
 //	GET    /v1/jobs/{id}  poll one job; result body included when done
 //	DELETE /v1/jobs/{id}  cancel a queued or running job
@@ -310,7 +312,7 @@ func (s *Server) worker(slot int) {
 				ended := current.finishPanic(r, stack, time.Now())
 				s.queue.finished(current) // release the bulk-dispatch slot
 				if ended {
-					s.settle(current)
+					s.settle(current.release())
 				}
 				s.metrics.AddWorkerBusy(slot, time.Since(busyStart))
 			} else {
@@ -369,7 +371,7 @@ func (s *Server) runJob(job *Job) {
 	var err error
 	switch {
 	case job.progress == nil:
-		body, hit, err = s.runCached(job.ctx, &job.Req, job.spans)
+		body, hit, err = s.runCached(job.ctx, &job.Req, job.key, job.spans)
 	case s.coord != nil:
 		err = s.runClusterBatch(job)
 	default:
@@ -390,20 +392,28 @@ func (s *Server) runJob(job *Job) {
 		})
 		s.autoDumpFlight("stall")
 	}
-	s.settle(job)
+	s.settle(job.release())
 }
 
-// settle does a terminal job's accounting, once, on whichever path ended it:
-// the end of runJob, a contained worker panic, or a cancel while queued.
-// Every job counts its terminal state. A job that ran also feeds the phase
-// histograms, bills its tenant's sim CPU and the fair queue's virtual time,
-// adds its wall time to the Retry-After estimate, and gets its SLO verdict;
-// a job cancelled while queued does none of these.
-func (s *Server) settle(job *Job) {
-	job.mu.Lock()
-	state, submitted, started, finished := job.state, job.submitted, job.started, job.finished
-	job.mu.Unlock()
-	switch state {
+// outcome is what settle accounts for one answered request: a job's
+// terminal record (Job.release), or a synchronous run answered from the
+// cache at submission, which has no record.
+type outcome struct {
+	tenant                       *tenant.Tenant
+	state                        JobState
+	submitted, started, finished time.Time
+	spans                        []Span
+}
+
+// settle does an answered request's terminal accounting, once, on whichever
+// path ended it: the end of runJob, a contained worker panic, a cancel while
+// queued, or a cache hit answered at submission. Every request counts its
+// terminal state. One that ran or hit also feeds the phase histograms, bills
+// its tenant's sim CPU and the fair queue's virtual time, adds its wall time
+// to the Retry-After estimate, and gets its SLO verdict; a job cancelled
+// while queued does none of these.
+func (s *Server) settle(o outcome) {
+	switch o.state {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
 	case StateFailed:
@@ -411,28 +421,32 @@ func (s *Server) settle(job *Job) {
 	case StateCancelled:
 		s.metrics.jobsCancelled.Add(1)
 	}
-	job.tenant.CountTerminal(string(state))
-	if started.IsZero() {
+	o.tenant.CountTerminal(string(o.state))
+	if o.started.IsZero() {
 		return
 	}
-	for _, sp := range job.spans.snapshot() {
-		s.metrics.ObservePhase(sp.Name, time.Duration(sp.DurMS*float64(time.Millisecond)))
+	// Bill the tenant for the measured simulation time — sim_run for local
+	// execution, node_sim for scenarios that ran on cluster nodes — and fold
+	// the same charge into the fair scheduler's virtual time.
+	var simCPU time.Duration
+	for _, sp := range o.spans {
+		d := time.Duration(sp.DurMS * float64(time.Millisecond))
+		s.metrics.ObservePhase(sp.Name, d)
+		if sp.Name == spanSimRun || sp.Name == cluster.SpanSim {
+			simCPU += d
+		}
 	}
-	// Bill the tenant for the job's measured simulation time — sim_run for
-	// local execution, node_sim for scenarios that ran on cluster nodes — and
-	// fold the same charge into the fair scheduler's virtual time.
-	simCPU := job.spans.totalDur(spanSimRun, cluster.SpanSim)
-	job.tenant.AddSimCPU(simCPU)
-	s.queue.charge(job, simCPU)
-	e2e := finished.Sub(submitted)
+	o.tenant.AddSimCPU(simCPU)
+	s.queue.charge(o.tenant, simCPU)
+	e2e := o.finished.Sub(o.submitted)
 	s.metrics.ObserveJobWall(e2e)
-	// SLO accounting: a job counts good when it finished Done within the
+	// SLO accounting: a request counts good when it finished Done within the
 	// tenant's latency objective, measured end-to-end (queue wait included —
 	// that is what the client experiences). Cancelled jobs are the client's
 	// own doing and count neither way.
-	if sloMS, sloTarget := job.tenant.SLO(); sloMS > 0 && state != StateCancelled {
-		good := state == StateDone && float64(e2e)/float64(time.Millisecond) <= sloMS
-		s.metrics.ObserveSLO(job.tenant.Name(), sloTarget, good, e2e, started.Sub(submitted), finished)
+	if sloMS, sloTarget := o.tenant.SLO(); sloMS > 0 && o.state != StateCancelled {
+		good := o.state == StateDone && float64(e2e)/float64(time.Millisecond) <= sloMS
+		s.metrics.ObserveSLO(o.tenant.Name(), sloTarget, good, e2e, o.started.Sub(o.submitted), o.finished)
 	}
 }
 
@@ -456,7 +470,7 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 // Phase spans land on the recorder: sim_run and result_encode inside the
 // fill (only when this call actually simulates), cache_lookup as the Do time
 // net of the fill — for hits and coalesced waits that is the whole wait.
-func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, spans *spanRecorder) ([]byte, bool, error) {
+func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, key string, spans *spanRecorder) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -472,10 +486,6 @@ func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, spans *
 		defer batch.CPU.Release()
 		spans.observe(spanCPUWait, waitStart, time.Since(waitStart))
 		ctx = batch.WithToken(ctx)
-	}
-	key, err := req.CacheKey()
-	if err != nil {
-		return nil, false, err
 	}
 	lookupStart := time.Now()
 	var fillDur time.Duration
@@ -543,7 +553,12 @@ func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, spans *
 func (s *Server) runBatch(job *Job) error {
 	p := job.progress
 	errs := batch.Run(job.ctx, p.total(), job.Batch.Parallelism, func(ctx context.Context, i int) error {
-		body, hit, err := s.runCached(ctx, &p.reqs[i], job.spans)
+		key, err := p.reqs[i].CacheKey()
+		var body []byte
+		var hit bool
+		if err == nil {
+			body, hit, err = s.runCached(ctx, &p.reqs[i], key, job.spans)
+		}
 		p.publish(i, body, hit, err)
 		return err
 	})
@@ -622,31 +637,49 @@ func (s *Server) deadlineFor(sub *submitRequest) time.Duration {
 	return d
 }
 
-// submit validates, registers, and enqueues a job on behalf of tn (never
-// nil; the anonymous tenant in open mode). A non-empty idemKey makes the
+// admission is what submit decided for an accepted request.
+type admission struct {
+	// job is the request's record: a new one (queued, or born done on a
+	// cache hit) or, when replayed is set, the one an earlier submission
+	// under the same Idempotency-Key created. Nil for a synchronous hit.
+	job      *Job
+	replayed bool
+	// key and frame are a synchronous hit's cache key and stored result
+	// frame.
+	key   string
+	frame []byte
+}
+
+// submit validates a request on behalf of tn (never nil; the anonymous
+// tenant in open mode) and answers it from the result cache or registers
+// and enqueues a job. A run whose result is cached never becomes work: a
+// synchronous one (sync set) is answered with the stored frame and leaves no
+// record, an asynchronous one gets a record born done. A hit takes no queue
+// slot, so validation, the tenant rate limit and draining refuse it, and
+// queue_full and tenant_queue_share never do. A non-empty idemKey makes the
 // submission idempotent within the tenant: a retry carrying the same key
 // returns the job the first attempt created instead of enqueueing a
 // duplicate — but the same key from a different tenant is a different
 // submission. Every rejection is counted by machine-readable reason, on
 // both the global and the tenant's counters, before it returns.
-func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID string) (job *Job, replayed bool, err error) {
+func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID string, sync bool) (admission, error) {
 	kind := "run"
 	var batchReqs []hetwire.RunRequest
 	if sub.Batch != nil {
 		kind = "batch"
 		if err := sub.Batch.Validate(); err != nil {
 			s.reject(tn, hetwire.ReasonCode(err))
-			return nil, false, err
+			return admission{}, err
 		}
 		reqs, err := sub.Batch.Expand()
 		if err != nil { // unreachable after Validate, but don't trust it
 			s.reject(tn, hetwire.ReasonCode(err))
-			return nil, false, err
+			return admission{}, err
 		}
 		batchReqs = reqs
 	} else if err := sub.RunRequest.Validate(); err != nil {
 		s.reject(tn, hetwire.ReasonCode(err))
-		return nil, false, err
+		return admission{}, err
 	}
 
 	// Overload protection, after validation (malformed requests stay 400)
@@ -657,13 +690,13 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 		err := &hetwire.RequestError{Code: hetwire.ReasonLoadShed,
 			Err: fmt.Errorf("server: shedding load, bulk submissions are rejected until the queue drains")}
 		s.reject(tn, hetwire.ReasonLoadShed)
-		return nil, false, err
+		return admission{}, err
 	}
 	if !tn.Allow(time.Now()) {
 		err := &hetwire.RequestError{Code: hetwire.ReasonTenantRateLimited,
 			Err: fmt.Errorf("server: tenant %q submission rate limit exceeded", tn.Name())}
 		s.reject(tn, hetwire.ReasonTenantRateLimited)
-		return nil, false, err
+		return admission{}, err
 	}
 
 	// Idempotency keys are scoped per tenant: tenant A replaying key K must
@@ -676,7 +709,7 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	if s.draining {
 		s.mu.Unlock()
 		s.reject(tn, "draining")
-		return nil, false, ErrDraining
+		return admission{}, ErrDraining
 	}
 	if idemKey != "" {
 		if id, ok := s.idem[idemKey]; ok {
@@ -691,17 +724,52 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 					}
 				}
 				s.mu.Unlock()
-				return j, true, nil
+				return admission{job: j, replayed: true}, nil
 			}
 		}
 	}
+	// A run's cache key is computed once: the lookup here uses it, and so
+	// does the worker if the lookup misses. The lookup verifies the entry's
+	// checksum, so a corrupt entry is dropped and the run becomes a miss.
+	now := time.Now()
+	var key string
+	var frame []byte
+	var hit bool
+	if sub.Batch == nil {
+		k, err := sub.RunRequest.CacheKey()
+		if err != nil { // unreachable after Validate, but don't trust it
+			s.mu.Unlock()
+			s.reject(tn, hetwire.ReasonCode(err))
+			return admission{}, err
+		}
+		key = k
+		frame, hit = s.cache.lookup(key, true)
+	}
+	if hit && sync {
+		s.mu.Unlock()
+		end := time.Now()
+		s.recordHit(traceID, tn, "")
+		s.metrics.jobsSubmitted.Add(1)
+		tn.CountSubmitted()
+		s.settle(outcome{tenant: tn, state: StateDone, submitted: now, started: now, finished: end,
+			spans: []Span{{Name: spanCacheLookup, DurMS: float64(end.Sub(now)) / float64(time.Millisecond)}}})
+		return admission{key: key, frame: frame}, nil
+	}
 	s.nextID++
-	job = newJob(s.baseCtx, fmt.Sprintf("j-%06d", s.nextID), kind, traceID, tn, s.deadlineFor(sub), time.Now())
+	job := newJob(fmt.Sprintf("j-%06d", s.nextID), kind, traceID, tn, now)
 	job.Req = sub.RunRequest
 	job.Batch = sub.Batch
 	job.flight = s.flight
+	job.key = key
+	job.cache = s.cache
 	if batchReqs != nil {
 		job.progress = newBatchProgress(batchReqs)
+	}
+	if hit {
+		s.recordHit(traceID, tn, job.ID)
+		job.hit(frame, now, time.Now())
+	} else {
+		job.arm(s.baseCtx, s.deadlineFor(sub))
 	}
 	job.idemKey = idemKey
 	s.jobs[job.ID] = job
@@ -712,25 +780,31 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	s.pruneLocked()
 	s.mu.Unlock()
 
-	if err := s.queue.push(job); err != nil {
-		s.mu.Lock()
-		s.dropLocked(job)
-		s.mu.Unlock()
-		// Reason order matters: errTenantQueueShare wraps ErrQueueFull, so
-		// the typed code is consulted before the errors.Is fallbacks.
-		var re *hetwire.RequestError
-		switch {
-		case errors.As(err, &re):
-			s.reject(tn, re.Code)
-		case errors.Is(err, ErrQueueFull):
-			s.reject(tn, "queue_full")
-		default:
-			s.reject(tn, "draining")
+	if !hit {
+		if err := s.queue.push(job); err != nil {
+			s.mu.Lock()
+			s.dropLocked(job)
+			s.mu.Unlock()
+			// Reason order matters: errTenantQueueShare wraps ErrQueueFull, so
+			// the typed code is consulted before the errors.Is fallbacks.
+			var re *hetwire.RequestError
+			switch {
+			case errors.As(err, &re):
+				s.reject(tn, re.Code)
+			case errors.Is(err, ErrQueueFull):
+				s.reject(tn, "queue_full")
+			default:
+				s.reject(tn, "draining")
+			}
+			return admission{}, err
 		}
-		return nil, false, err
 	}
 	s.metrics.jobsSubmitted.Add(1)
 	tn.CountSubmitted()
+	if hit {
+		s.settle(job.release())
+		return admission{job: job}, nil
+	}
 	s.flight.Record(flight.Event{
 		Kind:   flight.KindAdmit,
 		Trace:  job.TraceID,
@@ -738,7 +812,13 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 		Job:    job.ID,
 		Lane:   job.lane.String(),
 	})
-	return job, false, nil
+	return admission{job: job}, nil
+}
+
+// recordHit records the cache_hit event of a run answered at submission;
+// job is empty for a synchronous hit, which has no record.
+func (s *Server) recordHit(traceID string, tn *tenant.Tenant, job string) {
+	s.flight.Record(flight.Event{Kind: flight.KindCacheHit, Trace: traceID, Tenant: tn.Name(), Job: job})
 }
 
 // dropLocked removes a job record that never made it into the queue.
@@ -815,18 +895,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	job, replayed, err := s.submit(&sub, tn, r.Header.Get("Idempotency-Key"), hetwire.TraceIDFrom(r.Context()))
+	adm, err := s.submit(&sub, tn, r.Header.Get("Idempotency-Key"), hetwire.TraceIDFrom(r.Context()), false)
 	if err != nil {
 		s.submitError(w, err, tn)
 		return
 	}
-	if replayed {
+	if adm.replayed {
 		w.Header().Set("X-Hetwired-Idempotent", "replay")
 		w.WriteHeader(http.StatusOK)
 	} else {
 		w.WriteHeader(http.StatusAccepted)
 	}
-	writeJSON(w, job.Status(false))
+	// A run job's result rides along once it is done: a cache hit is born
+	// done, and a replay may find its job finished. The client then has
+	// nothing to poll.
+	writeJSON(w, adm.job.Status(adm.job.Kind == "run"))
 }
 
 // submitError maps a submission failure to its HTTP response. Overload
@@ -863,7 +946,8 @@ func (s *Server) submitError(w http.ResponseWriter, err error, tn *tenant.Tenant
 }
 
 // handleRunSync submits a run and blocks until it completes, returning the
-// result body directly; the X-Hetwired-Cache header reports hit or miss.
+// result body directly; the X-Hetwired-Cache header reports hit or miss. A
+// cache hit is answered here, at submission, without a job.
 func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 	tn, err := s.resolveTenant(r)
 	if err != nil {
@@ -877,9 +961,16 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	job, _, err := s.submit(&submitRequest{RunRequest: req}, tn, r.Header.Get("Idempotency-Key"), hetwire.TraceIDFrom(r.Context()))
+	traceID := hetwire.TraceIDFrom(r.Context())
+	adm, err := s.submit(&submitRequest{RunRequest: req}, tn, r.Header.Get("Idempotency-Key"), traceID, true)
 	if err != nil {
 		s.submitError(w, err, tn)
+		return
+	}
+	job := adm.job
+	if job == nil {
+		w.Header().Set("X-Hetwired-Cache", "hit")
+		s.writeResult(w, r, flight.Event{Trace: traceID, Tenant: tn.Name()}, adm.key, adm.frame)
 		return
 	}
 	select {
@@ -897,29 +988,39 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		} else {
 			w.Header().Set("X-Hetwired-Cache", "miss")
 		}
-		// Content negotiation: a client accepting the binary wire format gets
-		// the stored frame copied straight out of the cache — zero decode, zero
-		// re-encode. Everyone else gets the JSON debug view, rendered lazily.
-		if acceptsWire(r) {
-			s.flight.Record(flight.Event{
-				Kind: flight.KindZeroDecode, Trace: job.TraceID,
-				Tenant: tn.Name(), Job: job.ID,
-			})
-			w.Header().Set("Content-Type", wire.ContentType)
-			w.Write(job.RawResult())
-			return
-		}
-		s.flight.Record(flight.Event{
-			Kind: flight.KindWireDecode, Trace: job.TraceID,
-			Tenant: tn.Name(), Job: job.ID,
-		})
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(job.Status(true).Result)
+		s.writeResult(w, r, flight.Event{Trace: job.TraceID, Tenant: tn.Name(), Job: job.ID}, job.key, job.RawResult())
 	case StateCancelled:
 		httpError(w, http.StatusConflict, fmt.Errorf("job %s cancelled", job.ID))
 	default:
 		httpError(w, http.StatusInternalServerError, errors.New(st.Error))
 	}
+}
+
+// writeResult answers a synchronous run with its result frame. Content
+// negotiation: a client accepting the binary wire format gets the stored
+// frame as it is — zero decode, zero re-encode; everyone else gets the JSON
+// view kept with the frame's cache entry, rendered the first time any
+// request asks for it. ev labels the flight event that records whether this
+// answer decoded the frame.
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, ev flight.Event, key string, frame []byte) {
+	ev.Kind = flight.KindZeroDecode
+	if acceptsWire(r) {
+		s.flight.Record(ev)
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.Write(frame)
+		return
+	}
+	view, rendered, err := s.cache.View(key, frame)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if rendered {
+		ev.Kind = flight.KindWireDecode
+	}
+	s.flight.Record(ev)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(view)
 }
 
 // acceptsWire reports whether the request opted into the binary wire format.
@@ -967,7 +1068,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if job.markCancelled(time.Now()) {
 		s.queue.remove(job)
-		s.settle(job)
+		s.settle(job.release())
 	} else {
 		job.cancel() // running: the simulation sees its context end; terminal: no-op
 	}
@@ -1081,9 +1182,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if w.Header().Get("Content-Type") == "" {
 		w.Header().Set("Content-Type", "application/json")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

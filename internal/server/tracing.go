@@ -119,27 +119,6 @@ func (sr *spanRecorder) observe(name string, start time.Time, d time.Duration) {
 	sr.spans = append(sr.spans, Span{Name: name, StartMS: startMS, DurMS: durMS})
 }
 
-// totalDur sums the recorded duration of the named spans — how the scheduler
-// and tenant accounting read back "sim CPU spent" after a job finishes
-// (sim_run locally, node_sim when scenarios ran on cluster nodes).
-func (sr *spanRecorder) totalDur(names ...string) time.Duration {
-	if sr == nil {
-		return 0
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	var ms float64
-	for i := range sr.spans {
-		for _, n := range names {
-			if sr.spans[i].Name == n {
-				ms += sr.spans[i].DurMS
-				break
-			}
-		}
-	}
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
 // snapshot copies the spans in recording order.
 func (sr *spanRecorder) snapshot() []Span {
 	if sr == nil {
