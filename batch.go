@@ -93,26 +93,33 @@ func (b *BatchRequest) Expand() ([]RunRequest, error) {
 // rejection keeps its specific reason code, prefixed with the scenario
 // index so callers can locate the offender in a thousand-point sweep.
 func (b *BatchRequest) Validate() error {
+	_, err := b.ValidExpansion()
+	return err
+}
+
+// ValidExpansion validates the batch as Validate does and returns the
+// expansion it checked, so a caller that runs the batch expands it once.
+func (b *BatchRequest) ValidExpansion() ([]RunRequest, error) {
 	if b.Parallelism < 0 {
-		return &RequestError{Code: ReasonBadRequest,
+		return nil, &RequestError{Code: ReasonBadRequest,
 			Err: fmt.Errorf("hetwire: batch parallelism must be >= 0, got %d", b.Parallelism)}
 	}
 	reqs, err := b.Expand()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(reqs) > MaxSweepPoints {
-		return &RequestError{Code: ReasonBatchTooLarge,
+		return nil, &RequestError{Code: ReasonBatchTooLarge,
 			Err: fmt.Errorf("hetwire: batch expands to %d scenarios, limit is %d (split the study)",
 				len(reqs), MaxSweepPoints)}
 	}
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
-			return &RequestError{Code: ReasonCode(err),
+			return nil, &RequestError{Code: ReasonCode(err),
 				Err: fmt.Errorf("hetwire: batch scenario %d: %w", i, err)}
 		}
 	}
-	return nil
+	return reqs, nil
 }
 
 // BatchScenario is one scenario's slot in a batch response, at the index its
@@ -153,10 +160,7 @@ func (b *BatchRequest) Execute() (*BatchResponse, error) {
 // error alongside the partial response. Completed scenarios are bit-identical
 // to running their RunRequest.Execute sequentially, at every parallelism.
 func (b *BatchRequest) ExecuteContext(ctx context.Context) (*BatchResponse, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	reqs, err := b.Expand()
+	reqs, err := b.ValidExpansion()
 	if err != nil {
 		return nil, err
 	}

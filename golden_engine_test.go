@@ -72,7 +72,7 @@ func runEngineScenarios(t *testing.T, scs []engineScenario) map[string]string {
 	t.Helper()
 	hashes := make([]string, len(scs))
 	errs := batch.Run(context.Background(), len(scs), 0, func(ctx context.Context, i int) error {
-		res, err := runAnyContext(ctx, scs[i].cfg, scs[i].prog, scs[i].n)
+		res, err := runAnyContext(ctx, scs[i].cfg, scs[i].prog, scs[i].n, nil)
 		if err != nil {
 			return err
 		}
@@ -183,7 +183,7 @@ func TestGoldenAtBound(t *testing.T) {
 		if err := past.Validate(); err == nil {
 			t.Errorf("%s: one cycle past it still validates; the scenario is no longer at the bound", tc.name)
 		}
-		res, err := runAnyContext(context.Background(), tc.cfg, "pchase", 20_000)
+		res, err := runAnyContext(context.Background(), tc.cfg, "pchase", 20_000, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

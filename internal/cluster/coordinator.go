@@ -384,8 +384,10 @@ func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 }
 
 // Upload records a lease's decoded upload stream (wire.DecodeUpload). It
-// validates every result before changing any state, so a rejected upload
-// leaves the slot table and its lease as they were. It is deliberately
+// validates every scenario before changing any state, so a rejected upload
+// leaves the slot table, its lease and the federated cache as they were: a
+// scenario must answer its slot's request (same CacheKey), must not claim
+// to be cached, and a result must be a valid result frame. It is deliberately
 // forgiving about result *frames*: a frame for an expired or unknown lease
 // is still accepted (the work is correct whoever did it — results are
 // content-addressed), and already-filled slots count as duplicates and
@@ -394,7 +396,7 @@ func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 // overriding a healthy re-dispatch would make the batch outcome depend on
 // interleaving. An upload from the lease's owner ends the lease; indices
 // it left unresolved return to the pending queue at once.
-func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult) (*UploadResponse, error) {
+func (c *Coordinator) Upload(hdr *wire.UploadHeader, scenarios []wire.Scenario) (*UploadResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.Now()
@@ -419,34 +421,43 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 		}
 		return &UploadResponse{}, nil
 	}
-	for i := range results {
-		r := &results[i]
-		if r.Index < 0 || r.Index >= len(j.slots) {
+	for i := range scenarios {
+		sc := &scenarios[i]
+		if sc.Index < 0 || sc.Index >= len(j.slots) {
 			return nil, reqErr(hetwire.ReasonBadRequest,
-				"result index %d out of range for job %s (%d scenarios)", r.Index, j.id, len(j.slots))
+				"scenario index %d out of range for job %s (%d scenarios)", sc.Index, j.id, len(j.slots))
+		}
+		// The result is stored under the slot's key, so it must answer the
+		// slot's request: a node's request bytes may differ from the
+		// daemon's (the lease JSON compacts a config document), its identity
+		// may not.
+		if key, err := sc.Request.CacheKey(); err != nil || key != j.slots[sc.Index].key {
+			return nil, reqErr(hetwire.ReasonBadRequest,
+				"scenario %d does not carry the request it was leased for", sc.Index)
+		}
+		if sc.Cached {
+			return nil, reqErr(hetwire.ReasonBadRequest,
+				"scenario %d is flagged cached; a node uploads only what it simulated", sc.Index)
 		}
 		// Validate the frame (CRC, strict payload decode, summary agreement)
 		// before any comparison or store: the slot table and the federated
 		// cache hold exactly the bytes the node's simulation produced.
-		if len(r.Frame) > 0 {
-			if err := wire.ValidateResultFrame(r.Frame); err != nil {
-				return nil, reqErr(hetwire.ReasonBadRequest, "result index %d frame rejected: %v", r.Index, err)
+		if sc.Error == "" {
+			if err := wire.ValidateResultFrame(sc.Result); err != nil {
+				return nil, reqErr(hetwire.ReasonBadRequest, "scenario %d result rejected: %v", sc.Index, err)
 			}
-		} else if r.Error == "" {
-			return nil, reqErr(hetwire.ReasonBadRequest,
-				"result index %d carries neither frame nor error", r.Index)
 		}
 	}
 	owned := func(idx int) bool { return own != nil && idx >= own.start && idx < own.end }
 	resp := &UploadResponse{}
 	conflicts := 0
-	for i := range results {
-		r := &results[i]
-		sl := &j.slots[r.Index]
+	for i := range scenarios {
+		sc := &scenarios[i]
+		sl := &j.slots[sc.Index]
 		switch {
 		case sl.state == slotDone || sl.state == slotFailed || sl.state == slotCancelled:
 			// Straggler after re-dispatch: verify the duplicate agrees.
-			if len(r.Frame) > 0 && sl.state == slotDone && !bytes.Equal(r.Frame, sl.body) {
+			if sc.Error == "" && sl.state == slotDone && !bytes.Equal(sc.Result, sl.body) {
 				c.stats.UploadConflicts++
 				conflicts++
 			} else {
@@ -454,34 +465,34 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 			}
 			resp.Duplicate++
 			continue
-		case r.Error != "" && !owned(r.Index):
+		case sc.Error != "" && !owned(sc.Index):
 			// Stale error from an expired lease: the slot is pending or
 			// re-leased, and a healthy node's result must win. Drop it.
 			c.stats.UploadsStale++
 			resp.Duplicate++
 			continue
-		case r.Error != "":
+		case sc.Error != "":
 			sl.state = slotFailed
-			reason := r.Reason
+			reason := sc.Reason
 			if reason == "" {
 				reason = hetwire.ReasonInvalidRequest
 			}
-			j.resolve(r.Index, wire.Scenario{Error: r.Error, Reason: reason}, 0)
+			j.resolve(sc.Index, wire.Scenario{Error: sc.Error, Reason: reason}, 0)
 		default:
 			sl.state = slotDone
-			sl.body = append([]byte(nil), r.Frame...)
+			sl.body = append([]byte(nil), sc.Result...)
 			inserted := 0
 			if c.opts.Cache != nil {
 				c.opts.Cache.Put(sl.key, sl.body)
 				inserted = len(sl.body)
 			}
-			j.resolve(r.Index, wire.Scenario{Result: sl.body}, inserted)
+			j.resolve(sc.Index, wire.Scenario{Result: sl.body}, inserted)
 		}
 		// A straggler result can land while its index sits in the pending
 		// queue (lease expired, index not yet re-leased). Accepting it must
 		// also retire the queue entry, or the index would be re-leased over
 		// the recorded result and resolve — decrementing j.open — twice.
-		j.pending = removeSorted(j.pending, r.Index)
+		j.pending = removeSorted(j.pending, sc.Index)
 		j.open--
 		c.stats.UploadsAccepted++
 		resp.Accepted++
@@ -518,22 +529,16 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, results []wire.UploadResult
 	return resp, nil
 }
 
-// Submit expands and registers a batch as a cluster job on behalf of the
-// named tenant ("" for pre-tenancy callers and open mode). Every scenario
-// whose valid result frame is already in the federated cache is filled and
-// published at once; only the rest are queued for leasing, and a job with
-// nothing left to simulate completes before Submit returns. Each later slot
-// is published as its upload resolves it. The returned channel closes when
-// every scenario reaches a terminal state (or the job is cancelled); wait on
-// it with AwaitJob.
-func (c *Coordinator) Submit(batch *hetwire.BatchRequest, traceID, tenant string, publish Publish) (jobID string, done <-chan struct{}, err error) {
-	if err := batch.Validate(); err != nil {
-		return "", nil, err
-	}
-	reqs, err := batch.Expand()
-	if err != nil {
-		return "", nil, err
-	}
+// Submit registers a batch as a cluster job on behalf of the named tenant
+// ("" for pre-tenancy callers and open mode). reqs is the batch's
+// expansion, validated by the caller (the daemon's admission); index i of
+// reqs is slot i. Every scenario whose valid result frame is already in the
+// federated cache is filled and published at once; only the rest are queued
+// for leasing, and a job with nothing left to simulate completes before
+// Submit returns. Each later slot is published as its upload resolves it.
+// The returned channel closes when every scenario reaches a terminal state
+// (or the job is cancelled); wait on it with AwaitJob.
+func (c *Coordinator) Submit(reqs []hetwire.RunRequest, traceID, tenant string, publish Publish) (jobID string, done <-chan struct{}, err error) {
 	j := &jobState{
 		traceID: traceID,
 		tenant:  tenant,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -83,34 +84,41 @@ func register(t *testing.T, c *Coordinator, name string) string {
 	return resp.NodeID
 }
 
-func testBatch(scenarios int) *hetwire.BatchRequest {
-	// One scenario per benchmark x n pair; vary n to get distinct scenarios.
-	ns := make([]uint64, scenarios)
-	for i := range ns {
-		ns[i] = uint64(1000 * (i + 1))
-	}
-	return &hetwire.BatchRequest{
-		Sweep: &hetwire.BatchSweep{
-			Benchmarks: []string{"gzip"},
-			Models:     []string{"I"},
-			Ns:         ns,
-		},
-	}
+// testRequest is the scenario testBatch expands to at index i: one
+// benchmark and model, with n varied so every index is a distinct request.
+func testRequest(i int) hetwire.RunRequest {
+	return hetwire.RunRequest{Benchmark: "gzip", Model: "I", N: uint64(1000 * (i + 1))}
 }
 
-// resultFor fabricates a deterministic result frame for an index. The IPC
-// varies by index so distinct scenarios carry distinct frames.
-func resultFor(idx int) wire.UploadResult {
+// testBatch is the expansion of a batch of the given size, as the daemon
+// hands it to Submit.
+func testBatch(scenarios int) []hetwire.RunRequest {
+	reqs := make([]hetwire.RunRequest, scenarios)
+	for i := range reqs {
+		reqs[i] = testRequest(i)
+	}
+	return reqs
+}
+
+// resultFor fabricates a deterministic result for an index, answering the
+// request testBatch puts there. The IPC varies by index so distinct
+// scenarios carry distinct frames.
+func resultFor(idx int) wire.Scenario {
 	frame, err := wire.EncodeRunResult(&hetwire.RunResponse{IPC: 1.0 + float64(idx)})
 	if err != nil {
 		panic(err)
 	}
-	return wire.UploadResult{Index: idx, Frame: frame}
+	return wire.Scenario{Index: idx, Request: testRequest(idx), Result: frame}
 }
 
-// upload sends results for a lease as nodeID.
-func upload(c *Coordinator, nodeID string, lease *Lease, results ...wire.UploadResult) (*UploadResponse, error) {
-	return c.Upload(&wire.UploadHeader{NodeID: nodeID, LeaseID: lease.ID, JobID: lease.JobID}, results)
+// errorFor is a scenario error for an index, as a node reports one.
+func errorFor(idx int, msg, reason string) wire.Scenario {
+	return wire.Scenario{Index: idx, Request: testRequest(idx), Error: msg, Reason: reason}
+}
+
+// upload sends scenario outcomes for a lease as nodeID.
+func upload(c *Coordinator, nodeID string, lease *Lease, scenarios ...wire.Scenario) (*UploadResponse, error) {
+	return c.Upload(&wire.UploadHeader{NodeID: nodeID, LeaseID: lease.ID, JobID: lease.JobID}, scenarios)
 }
 
 // sink collects what a job publishes: its frames by index, the result
@@ -191,7 +199,7 @@ func take(t *testing.T, c *Coordinator, jobID string, done <-chan struct{}, s *s
 // uploadRange uploads fabricated results for [start, end).
 func uploadRange(t *testing.T, c *Coordinator, nodeID string, lease *Lease) *UploadResponse {
 	t.Helper()
-	results := make([]wire.UploadResult, 0, lease.End-lease.Start)
+	results := make([]wire.Scenario, 0, lease.End-lease.Start)
 	for idx := lease.Start; idx < lease.End; idx++ {
 		results = append(results, resultFor(idx))
 	}
@@ -423,8 +431,8 @@ func TestLeaseExpiryRedispatchesToAnotherNode(t *testing.T) {
 	if _, err := upload(c, n1, l1, resultFor(1)); err != nil {
 		t.Fatalf("conflicting upload: %v", err)
 	}
-	swapped := resultFor(1)
-	swapped.Index = 0
+	swapped := resultFor(0)
+	swapped.Result = resultFor(1).Result
 	if resp, err := upload(c, n1, l1, swapped); err != nil || resp.Duplicate != 1 {
 		t.Fatalf("conflicting upload: %+v err %v", resp, err)
 	}
@@ -470,16 +478,13 @@ func TestDeadNodeLeasesExpireImmediately(t *testing.T) {
 	}
 }
 
-// cacheKeys expands a batch the way Submit does and returns each scenario's
-// federated cache key.
-func cacheKeys(t *testing.T, b *hetwire.BatchRequest) []string {
+// cacheKeys returns each scenario's federated cache key, as Submit
+// computes it.
+func cacheKeys(t *testing.T, reqs []hetwire.RunRequest) []string {
 	t.Helper()
-	reqs, err := b.Expand()
-	if err != nil {
-		t.Fatalf("expand: %v", err)
-	}
 	keys := make([]string, len(reqs))
 	for i := range reqs {
+		var err error
 		if keys[i], err = reqs[i].CacheKey(); err != nil {
 			t.Fatalf("cache key %d: %v", i, err)
 		}
@@ -496,7 +501,7 @@ func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
 	keys := cacheKeys(t, testBatch(2))
 	// Pre-load index 1's result, as if another sweep had computed it. The
 	// federated store holds wire frames, so the preload must be one too.
-	body1 := resultFor(1).Frame
+	body1 := resultFor(1).Result
 	cache.Put(keys[1], body1)
 
 	pub := newSink()
@@ -525,9 +530,9 @@ func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
 		t.Fatal("fresh upload did not populate the federated cache")
 	}
 	// Only the fresh upload inserted bytes, and it inserted the result frame.
-	if pub.inserted != len(resultFor(0).Frame) {
+	if pub.inserted != len(resultFor(0).Result) {
 		t.Fatalf("publications report %d inserted bytes, want the %d of the uploaded result frame",
-			pub.inserted, len(resultFor(0).Frame))
+			pub.inserted, len(resultFor(0).Result))
 	}
 	take(t, c, lease.JobID, done, pub, 2)
 	sc, err := wire.DecodeScenario(pub.frames[1])
@@ -579,7 +584,7 @@ func TestFullyCachedBatchCompletesInSubmit(t *testing.T) {
 	cache := newMemCache()
 	c := testCoordinator(t, newFakeClock(), cache)
 	for i, key := range cacheKeys(t, testBatch(3)) {
-		cache.Put(key, resultFor(i).Frame)
+		cache.Put(key, resultFor(i).Result)
 	}
 	pub := newSink()
 	jobID, done, err := c.Submit(testBatch(3), "", "", pub.publish)
@@ -623,14 +628,14 @@ func TestUploadRejectsMalformedResults(t *testing.T) {
 	outOfRange := resultFor(1)
 	outOfRange.Index = 99
 	corrupt := resultFor(1)
-	corrupt.Frame[len(corrupt.Frame)-1] ^= 0xff
+	corrupt.Result[len(corrupt.Result)-1] ^= 0xff
 	for _, tc := range []struct {
 		name    string
-		results []wire.UploadResult
+		results []wire.Scenario
 	}{
-		{"out-of-range index", []wire.UploadResult{resultFor(0), outOfRange}},
-		{"corrupt frame", []wire.UploadResult{resultFor(0), corrupt}},
-		{"empty result", []wire.UploadResult{resultFor(0), {Index: 1}}},
+		{"out-of-range index", []wire.Scenario{resultFor(0), outOfRange}},
+		{"corrupt frame", []wire.Scenario{resultFor(0), corrupt}},
+		{"empty result", []wire.Scenario{resultFor(0), {Index: 1, Request: testRequest(1)}}},
 	} {
 		if _, err := upload(c, n1, lease, tc.results...); hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
 			t.Fatalf("%s: reason %q err %v", tc.name, hetwire.ReasonCode(err), err)
@@ -666,6 +671,76 @@ func TestUploadRejectsMalformedResults(t *testing.T) {
 	}
 }
 
+// TestUploadMustAnswerItsSlot: an upload is stored under its slot's cache
+// key, so a scenario that carries another slot's request, or that claims to
+// be a cache hit, is rejected whole with bad_request. Nothing changes: no
+// slot resolves, nothing is published, the lease stays outstanding and the
+// federated cache stays empty. A request that differs from the leased one
+// only in its bytes (the lease JSON compacts a config document) answers the
+// slot, and the published frame carries the daemon's request bytes.
+func TestUploadMustAnswerItsSlot(t *testing.T) {
+	cache := newMemCache()
+	c := testCoordinator(t, newFakeClock(), cache)
+	n1 := register(t, c, "a")
+	reqs := testBatch(2)
+	reqs[1].Config = json.RawMessage(`{ "model": "I",  "clusters": 4 }`)
+	pub := newSink()
+	jobID, done, err := c.Submit(reqs, "", "", pub.publish)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	lease := mustLease(t, c, n1, 0)
+
+	mismatched := resultFor(1)
+	mismatched.Request = testRequest(0)
+	mismatchedErr := errorFor(1, "boom", "internal")
+	mismatchedErr.Request.N++
+	cached := resultFor(1)
+	cached.Request = reqs[1]
+	cached.Cached = true
+	for name, bad := range map[string]wire.Scenario{
+		"another slot's request":       mismatched,
+		"an error for another request": mismatchedErr,
+		"cached flag":                  cached,
+	} {
+		if _, err := upload(c, n1, lease, resultFor(0), bad); hetwire.ReasonCode(err) != hetwire.ReasonBadRequest {
+			t.Fatalf("%s: reason %q err %v, want bad_request", name, hetwire.ReasonCode(err), err)
+		}
+		c.mu.Lock()
+		states := []int{c.jobs[jobID].slots[0].state, c.jobs[jobID].slots[1].state}
+		c.mu.Unlock()
+		if states[0] != slotLeased || states[1] != slotLeased {
+			t.Fatalf("%s: slot states %v, want both still leased", name, states)
+		}
+		if st := c.Stats(); st.LeasesOutstanding != 1 || st.UploadsAccepted != 0 || pub.published() != 0 {
+			t.Fatalf("%s: stats %+v and %d frames published, want the lease outstanding and nothing accepted",
+				name, st, pub.published())
+		}
+		if len(cache.m) != 0 {
+			t.Fatalf("%s: the federated cache holds %d entries", name, len(cache.m))
+		}
+	}
+
+	// A node reads its lease from JSON, which compacts the document.
+	var got Lease
+	if raw, err := json.Marshal(lease); err != nil || json.Unmarshal(raw, &got) != nil {
+		t.Fatalf("lease JSON round trip: %v", err)
+	}
+	compacted := resultFor(1)
+	compacted.Request = got.Scenarios[1]
+	if !bytes.Equal(compacted.Request.Config, []byte(`{"model":"I","clusters":4}`)) {
+		t.Fatalf("node reads config %s, want the compacted document", compacted.Request.Config)
+	}
+	if resp, err := upload(c, n1, lease, resultFor(0), compacted); err != nil || resp.Accepted != 2 {
+		t.Fatalf("upload with the leased requests: %+v err %v", resp, err)
+	}
+	out := take(t, c, jobID, done, pub, 2)
+	if out.Completed != 2 || !bytes.Equal(out.Scenarios[1].Request.Config, reqs[1].Config) {
+		t.Fatalf("completed=%d, published config %s, want 2 and the submitted %s",
+			out.Completed, out.Scenarios[1].Request.Config, reqs[1].Config)
+	}
+}
+
 func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 	clk := newFakeClock()
 	c := testCoordinator(t, clk, nil)
@@ -677,7 +752,7 @@ func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 	}
 	lease := mustLease(t, c, n1, 0)
 	r0 := resultFor(0)
-	_, err = upload(c, n1, lease, r0, wire.UploadResult{Index: 1, Error: "simulated node failure", Reason: "bad_config"})
+	_, err = upload(c, n1, lease, r0, errorFor(1, "simulated node failure", "bad_config"))
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
@@ -833,8 +908,8 @@ func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 
 	// The straggler reports a transient failure for the re-leased slots.
 	resp, err := upload(c, n1, l1,
-		wire.UploadResult{Index: 0, Error: "context deadline exceeded", Reason: "internal"},
-		wire.UploadResult{Index: 1, Error: "context deadline exceeded", Reason: "internal"})
+		errorFor(0, "context deadline exceeded", "internal"),
+		errorFor(1, "context deadline exceeded", "internal"))
 	if err != nil {
 		t.Fatalf("stale error upload: %v", err)
 	}

@@ -98,8 +98,8 @@ func TestCoordinatorFlightNodeMembership(t *testing.T) {
 	c.Sweep()
 	l2 := mustLease(t, c, survivor, 0)
 	uploadRange(t, c, survivor, l2)
-	swapped := resultFor(1)
-	swapped.Index = 0 // a duplicate for index 0 whose bytes differ
+	swapped := resultFor(0)
+	swapped.Result = resultFor(1).Result // a duplicate for index 0 whose bytes differ
 	if _, err := upload(c, survivor, l1, swapped); err != nil {
 		t.Fatalf("conflicting upload: %v", err)
 	}

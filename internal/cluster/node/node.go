@@ -256,26 +256,28 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	// Phase 1: simulate every scenario through the shared batch engine, so
 	// lease execution draws from the same process-wide CPU budget as local
 	// surfaces. Scenario failures are isolated to their slots; only context
-	// cancellation aborts the lease. Each result is encoded as a wire frame:
-	// the frame CRC plus the coordinator's full validation guard transport,
-	// and the coordinator stores the frame bytes without re-encoding.
-	results := make([]wire.UploadResult, count)
+	// cancellation aborts the lease. Each outcome is the TypeScenario frame
+	// a local batch would publish, carrying the leased request: the frame
+	// CRC plus the coordinator's full validation guard transport, and the
+	// coordinator stores the result frame bytes without re-encoding.
+	scenarios := make([]wire.Scenario, count)
+	for i := range scenarios {
+		scenarios[i] = wire.Scenario{Index: lease.Start + i, Request: lease.Scenarios[i]}
+	}
 	simCtx := hetwire.WithTraceID(ctx, lease.TraceID)
 	t0 := time.Now()
 	errs := batch.RunRange(simCtx, lease.Start, lease.End, a.opts.Parallelism, func(ctx context.Context, idx int) error {
-		i := idx - lease.Start
-		res := &results[i]
-		res.Index = idx
-		resp, err := lease.Scenarios[i].ExecuteContext(ctx)
+		sc := &scenarios[idx-lease.Start]
+		resp, err := sc.Request.ExecuteContext(ctx)
 		if err == nil {
-			res.Frame, err = wire.EncodeRunResult(resp)
+			sc.Result, err = wire.EncodeRunResult(resp)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			res.Error = err.Error()
-			res.Reason = hetwire.ReasonCode(err)
+			sc.Error = err.Error()
+			sc.Reason = hetwire.ReasonCode(err)
 		}
 		return nil
 	})
@@ -289,18 +291,18 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 		record(flight.KindLeaseDone, "aborted", outcome(), 0)
 		return err
 	}
-	for i := range results {
+	for i := range scenarios {
+		sc := &scenarios[i]
 		switch {
-		case results[i].Error != "":
+		case sc.Error != "":
 			failed++
-		case len(results[i].Frame) > 0:
+		case len(sc.Result) > 0:
 			simulated++
 		case errs[i] != nil:
 			// Engine-level failure (token acquisition, contained panic) with no
 			// scenario-level record: report it so the slot resolves.
-			results[i].Index = lease.Start + i
-			results[i].Error = errs[i].Error()
-			results[i].Reason = hetwire.ReasonCode(errs[i])
+			sc.Error = errs[i].Error()
+			sc.Reason = hetwire.ReasonCode(errs[i])
 			failed++
 		}
 	}
@@ -308,7 +310,7 @@ func (a *agent) runLease(ctx context.Context, lease *cluster.Lease) error {
 	// Phase 2: upload. Keyed by lease ID so transport retries replay safely —
 	// uploads are idempotent by content on the coordinator.
 	t0 = time.Now()
-	body, err := wire.EncodeUpload(hdr, results)
+	body, err := wire.EncodeUpload(hdr, scenarios)
 	if err == nil {
 		err = a.cl.DoBytes(ctx, http.MethodPost, "/v1/cluster/upload", wire.ContentType,
 			body, "upload-"+lease.ID, nil)

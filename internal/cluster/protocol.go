@@ -6,8 +6,9 @@
 //
 // One encoding per message: control messages (register, heartbeat, lease,
 // and the upload acknowledgement) are JSON; results travel only as
-// hetwire-bin/v1 upload streams (wire.EncodeUpload), so the coordinator
-// stores exactly the frame bytes a node's simulation produced.
+// hetwire-bin/v1 upload streams (wire.EncodeUpload) of TypeScenario frames,
+// the same frames a local batch publishes, so the coordinator stores exactly
+// the result bytes a node's simulation produced.
 //
 // Dispatch is push-on-arrival over a pull protocol: a lease request that
 // finds nothing pending is held open (the daemon bounds the hold at 200
@@ -17,11 +18,13 @@
 // right after every answer, so queued work reaches an idle node at once
 // rather than at its next poll.
 //
-// Determinism contract: the coordinator expands each batch exactly once
-// (hetwire.BatchRequest.Expand) and every scenario result is addressed by
-// its expansion index. A scenario's result frame is a pure function of its
-// RunRequest (simulations are deterministic and the wire encoding is
-// canonical), so the assembled batch stream is bit-identical regardless of
+// Determinism contract: the daemon validates and expands each batch once,
+// at admission, and the coordinator takes that expansion as it is; every
+// scenario result is addressed by its expansion index, and an upload must
+// carry the request its index was leased for. A scenario's result frame is
+// a pure function of its RunRequest (simulations are deterministic and the
+// wire encoding is canonical), so the assembled batch stream is
+// bit-identical regardless of
 // node count, lease size, which node ran which range, or how lease expiry
 // and re-dispatch interleaved. Duplicate uploads — a straggler finishing
 // after its lease was re-dispatched — are no-ops by construction: the slot
@@ -52,7 +55,10 @@ import (
 // register and lease responses: the coordinator, not the node, now paces an
 // idle node. Version 4 answers cached scenarios at submit, so the remote
 // cache check, skip markers, heartbeat events and unread fields are gone.
-const ProtocolVersion = 4
+// Version 5 uploads each scenario as a TypeScenario frame carrying its
+// request, checked against the leased slot; the 0x07 upload-result frame
+// and its reserved cache-key slot are gone.
+const ProtocolVersion = 5
 
 // Machine-readable reason codes specific to the cluster protocol. They ride
 // hetwire.RequestError, so hetwire.ReasonCode extracts them uniformly and

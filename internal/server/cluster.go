@@ -153,23 +153,24 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleClusterUpload accepts a lease's results as a hetwire-bin/v1 upload
-// stream (wire.EncodeUpload); any other body is rejected as bad_wire. The
-// embedded result frames reach the coordinator verbatim, so an accepted
-// result's bytes are exactly what the node's simulation produced.
+// handleClusterUpload accepts a lease's outcomes as a hetwire-bin/v1 upload
+// stream of scenario frames (wire.EncodeUpload); any other body is rejected
+// as bad_wire. The embedded result frames reach the coordinator verbatim,
+// so an accepted result's bytes are exactly what the node's simulation
+// produced.
 func (s *Server) handleClusterUpload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, clusterUploadBodyLimit))
 	var hdr *wire.UploadHeader
-	var results []wire.UploadResult
+	var scenarios []wire.Scenario
 	if err == nil {
-		hdr, results, err = wire.DecodeUpload(body)
+		hdr, scenarios, err = wire.DecodeUpload(body)
 	}
 	if err != nil {
 		httpErrorReason(w, http.StatusBadRequest, "bad_wire",
 			fmt.Errorf("decoding cluster upload: %w", err))
 		return
 	}
-	resp, err := s.coord.Upload(hdr, results)
+	resp, err := s.coord.Upload(hdr, scenarios)
 	if err != nil {
 		clusterError(w, err)
 		return
@@ -185,15 +186,15 @@ func (s *Server) handleClusterNodes(w http.ResponseWriter, _ *http.Request) {
 }
 
 // runClusterBatch executes a batch job through the cluster fabric instead of
-// the local CPU pool: submit to the coordinator, which publishes each
-// scenario's frame into the job as its slot resolves (cached scenarios at
-// once, the rest as nodes upload them), then wait for the last one. The
-// frames are bit-identical to local batch execution — scenarios land at
-// their expansion index, carry no node identity, and embed the uploaded
-// result frames verbatim — so the golden corpus reproduces exactly through
-// either path.
+// the local CPU pool: submit the expansion made at admission to the
+// coordinator, which publishes each scenario's frame into the job as its
+// slot resolves (cached scenarios at once, the rest as nodes upload them),
+// then wait for the last one. The frames are bit-identical to local batch
+// execution — scenarios land at their expansion index, carry the daemon's
+// request and no node identity, and embed the uploaded result frames
+// verbatim — so the golden corpus reproduces exactly through either path.
 func (s *Server) runClusterBatch(job *Job) error {
-	jobID, done, err := s.coord.Submit(job.Batch, job.TraceID, job.tenant.Name(),
+	jobID, done, err := s.coord.Submit(job.progress.reqs, job.TraceID, job.tenant.Name(),
 		func(i int, frame []byte, inserted int) {
 			// A fresh result entered the federated cache via node upload rather
 			// than the local fill path, so its insert is billed here, by the

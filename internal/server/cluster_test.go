@@ -505,7 +505,7 @@ func (n *handNode) lease(ctx context.Context) *cluster.Lease {
 // simulate runs a lease's scenarios in-process and uploads their results.
 func (n *handNode) simulate(ctx context.Context, l *cluster.Lease) {
 	n.h.t.Helper()
-	results := make([]wire.UploadResult, len(l.Scenarios))
+	results := make([]wire.Scenario, len(l.Scenarios))
 	for k := range l.Scenarios {
 		resp, err := l.Scenarios[k].ExecuteContext(ctx)
 		if err != nil {
@@ -515,7 +515,7 @@ func (n *handNode) simulate(ctx context.Context, l *cluster.Lease) {
 		if err != nil {
 			n.h.t.Fatal(err)
 		}
-		results[k] = wire.UploadResult{Index: l.Start + k, Frame: frame}
+		results[k] = wire.Scenario{Index: l.Start + k, Request: l.Scenarios[k], Result: frame}
 	}
 	body, err := wire.EncodeUpload(&wire.UploadHeader{NodeID: n.id, LeaseID: l.ID, JobID: l.JobID}, results)
 	if err != nil {

@@ -29,9 +29,7 @@ var fuzzClusterHandler = sync.OnceValue(func() http.Handler {
 	}); err != nil {
 		panic(err)
 	}
-	if _, _, err := s.coord.Submit(&hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{
-		Benchmarks: []string{"gzip"}, Models: []string{"I"}, Ns: []uint64{1000, 2000, 3000, 4000},
-	}}, "", "", nil); err != nil {
+	if _, _, err := s.coord.Submit(fuzzJobScenarios, "", "", nil); err != nil {
 		panic(err)
 	}
 	if _, err := s.coord.Lease(fuzzDone, &cluster.LeaseRequest{NodeID: "n-0001"}); err != nil {
@@ -49,8 +47,16 @@ var fuzzDone = func() context.Context {
 	return ctx
 }()
 
+// fuzzJobScenarios is the expansion of job cj-000001.
+var fuzzJobScenarios = []hetwire.RunRequest{
+	{Benchmark: "gzip", Model: "I", N: 1000},
+	{Benchmark: "gzip", Model: "I", N: 2000},
+	{Benchmark: "gzip", Model: "I", N: 3000},
+	{Benchmark: "gzip", Model: "I", N: 4000},
+}
+
 // fuzzUploadStream is a valid upload for job cj-000001: a header, a result
-// frame, and a scenario error.
+// and a scenario error, each carrying its slot's request.
 func fuzzUploadStream(f *testing.F) []byte {
 	frame, err := wire.EncodeRunResult(&hetwire.RunResponse{Benchmark: "gzip", Model: "I", N: 1000, IPC: 1.25})
 	if err != nil {
@@ -59,9 +65,9 @@ func fuzzUploadStream(f *testing.F) []byte {
 	stream, err := wire.EncodeUpload(
 		&wire.UploadHeader{NodeID: "n-0001", LeaseID: "l-000001", JobID: "cj-000001",
 			Spans: []wire.SpanMS{{Name: cluster.SpanSim, DurMS: 2}}},
-		[]wire.UploadResult{
-			{Index: 0, Frame: frame},
-			{Index: 2, Error: "simulated failure", Reason: "internal"},
+		[]wire.Scenario{
+			{Index: 0, Request: fuzzJobScenarios[0], Result: frame},
+			{Index: 2, Request: fuzzJobScenarios[2], Error: "simulated failure", Reason: "internal"},
 		})
 	if err != nil {
 		f.Fatal(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -58,6 +59,7 @@ type Job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}  // closed on reaching a terminal state
+	elem     *list.Element  // the record's place in Server.order, under Server.mu
 	idemKey  string         // tenant-scoped idempotency key, if any
 	deadline time.Duration  // wall-clock budget from submission
 	spans    *spanRecorder  // per-phase timings, base = submission time

@@ -48,16 +48,9 @@ const (
 type Metrics struct {
 	start time.Time
 
-	jobsSubmitted atomic.Uint64
-	jobsDone      atomic.Uint64
-	jobsFailed    atomic.Uint64
-	jobsCancelled atomic.Uint64
-	// running counts jobs executing on a worker, which is also the number of
-	// busy workers; both gauges render from it.
-	running atomic.Int64
 	// jobsPanicked counts jobs that died to a contained worker panic (a
-	// subset of jobsFailed); workersRespawned counts the replacement workers
-	// started afterwards.
+	// subset of the failed jobs); workersRespawned counts the replacement
+	// workers started afterwards.
 	jobsPanicked     atomic.Uint64
 	workersRespawned atomic.Uint64
 
@@ -88,10 +81,13 @@ type Metrics struct {
 	// entirely, keeping non-coordinator expositions unchanged.
 	clusterStats func() cluster.Stats
 
-	// tenantStats, when set (a -tenants file was configured), supplies the
-	// per-tenant counter snapshots at render time; nil omits the
-	// hetwired_tenant_* section, keeping open-mode expositions unchanged.
+	// tenantStats supplies the tenant ledgers at render time (in open mode,
+	// the anonymous tenant's alone): the job totals and the running and
+	// busy-worker gauges are their sums. perTenant (a -tenants file was
+	// configured) also renders each ledger as the hetwired_tenant_* section,
+	// which open-mode expositions leave out.
 	tenantStats func() []tenant.Snapshot
+	perTenant   bool
 	// schedStats, when set, supplies the fair queue's snapshot at render
 	// time (per-lane depths); nil omits the hetwired_sched_* section.
 	schedStats func() SchedSnapshot
@@ -296,11 +292,16 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 	writeGauge(w, "hetwired_up", "1 while serving, 0 while draining.", up)
 	writeGauge(w, "hetwired_uptime_seconds", "Seconds since the daemon started.", now.Sub(m.start).Seconds())
 
+	var snaps []tenant.Snapshot
+	if m.tenantStats != nil {
+		snaps = m.tenantStats()
+	}
+	all := sumSnapshots("", snaps)
 	fmt.Fprintf(w, "# HELP hetwired_jobs_total Jobs by terminal state.\n# TYPE hetwired_jobs_total counter\n")
-	fmt.Fprintf(w, "hetwired_jobs_total{state=\"done\"} %d\n", m.jobsDone.Load())
-	fmt.Fprintf(w, "hetwired_jobs_total{state=\"failed\"} %d\n", m.jobsFailed.Load())
-	fmt.Fprintf(w, "hetwired_jobs_total{state=\"cancelled\"} %d\n", m.jobsCancelled.Load())
-	writeCounter(w, "hetwired_jobs_submitted_total", "Submissions accepted: jobs queued, and runs answered from the cache at submission.", m.jobsSubmitted.Load())
+	fmt.Fprintf(w, "hetwired_jobs_total{state=\"done\"} %d\n", all.Done)
+	fmt.Fprintf(w, "hetwired_jobs_total{state=\"failed\"} %d\n", all.Failed)
+	fmt.Fprintf(w, "hetwired_jobs_total{state=\"cancelled\"} %d\n", all.Cancelled)
+	writeCounter(w, "hetwired_jobs_submitted_total", "Submissions accepted: jobs queued, and runs answered from the cache at submission.", all.Submitted)
 	writeCounter(w, "hetwired_jobs_panicked_total", "Jobs failed by a contained worker panic.", m.jobsPanicked.Load())
 	m.renderRejections(w)
 	writeCounter(w, "hetwired_workers_respawned_total", "Workers respawned after a panic escaped a job.", m.workersRespawned.Load())
@@ -308,7 +309,7 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 
 	fmt.Fprintf(w, "# HELP hetwired_jobs Jobs currently in a live state.\n# TYPE hetwired_jobs gauge\n")
 	fmt.Fprintf(w, "hetwired_jobs{state=\"queued\"} %d\n", queueDepth)
-	running := m.running.Load()
+	running := all.InFlight
 	fmt.Fprintf(w, "hetwired_jobs{state=\"running\"} %d\n", running)
 
 	writeGauge(w, "hetwired_queue_depth", "Jobs waiting in the weighted-fair queue.", float64(queueDepth))
@@ -350,7 +351,9 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 
 	m.renderCluster(w)
 	m.renderSched(w)
-	m.renderTenants(w)
+	if m.perTenant {
+		m.renderTenants(w, snaps)
+	}
 	m.renderSLO(w, now)
 	m.renderPhases(w)
 	m.renderEndpoints(w)
@@ -362,10 +365,11 @@ func (m *Metrics) SetClusterStats(fn func() cluster.Stats) {
 	m.clusterStats = fn
 }
 
-// SetTenantStats wires the tenant registry's snapshot into the exposition.
-// Call once before serving (tenancy-configured mode only).
-func (m *Metrics) SetTenantStats(fn func() []tenant.Snapshot) {
-	m.tenantStats = fn
+// SetTenantStats wires the tenant registry's snapshot into the exposition;
+// perTenant renders each tenant's series too (tenancy-configured mode).
+// Call once before serving.
+func (m *Metrics) SetTenantStats(fn func() []tenant.Snapshot, perTenant bool) {
+	m.tenantStats, m.perTenant = fn, perTenant
 }
 
 // SetSchedStats wires the fair queue's snapshot into the exposition. Call
@@ -475,31 +479,33 @@ func (m *Metrics) renderSLO(w io.Writer, now time.Time) {
 	}
 }
 
+// sumSnapshots folds tenant ledgers into one snapshot under name.
+func sumSnapshots(name string, snaps []tenant.Snapshot) tenant.Snapshot {
+	sum := tenant.Snapshot{Name: name, Rejected: make(map[string]uint64)}
+	for _, sn := range snaps {
+		sum.SimCPU += sn.SimCPU
+		sum.Queued += sn.Queued
+		sum.InFlight += sn.InFlight
+		sum.CacheBytes += sn.CacheBytes
+		sum.Submitted += sn.Submitted
+		sum.Done += sn.Done
+		sum.Failed += sn.Failed
+		sum.Cancelled += sn.Cancelled
+		for r, n := range sn.Rejected {
+			sum.Rejected[r] += n
+		}
+	}
+	return sum
+}
+
 // renderTenants emits the hetwired_tenant_* series from the registry
 // snapshot. Snapshots arrive in name order; tenants past maxTenantLabels
 // are summed into the overflow label so the exposition stays bounded no
 // matter how many tenants are configured.
-func (m *Metrics) renderTenants(w io.Writer) {
-	if m.tenantStats == nil {
-		return
-	}
-	snaps := m.tenantStats()
+func (m *Metrics) renderTenants(w io.Writer, snaps []tenant.Snapshot) {
 	if len(snaps) > maxTenantLabels {
 		head := snaps[:maxTenantLabels-1]
-		over := tenant.Snapshot{Name: overflowLabel, Rejected: make(map[string]uint64)}
-		for _, sn := range snaps[maxTenantLabels-1:] {
-			over.SimCPU += sn.SimCPU
-			over.Queued += sn.Queued
-			over.InFlight += sn.InFlight
-			over.CacheBytes += sn.CacheBytes
-			over.Submitted += sn.Submitted
-			over.Done += sn.Done
-			over.Failed += sn.Failed
-			over.Cancelled += sn.Cancelled
-			for r, n := range sn.Rejected {
-				over.Rejected[r] += n
-			}
-		}
+		over := sumSnapshots(overflowLabel, snaps[maxTenantLabels-1:])
 		snaps = append(append(make([]tenant.Snapshot, 0, maxTenantLabels), head...), over)
 	}
 

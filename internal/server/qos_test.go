@@ -568,7 +568,7 @@ func TestTenantMetricsCardinalityFold(t *testing.T) {
 			Rejected:  map[string]uint64{"queue_full": 1},
 		}
 	}
-	m.SetTenantStats(func() []tenant.Snapshot { return snaps })
+	m.SetTenantStats(func() []tenant.Snapshot { return snaps }, true)
 	var buf bytes.Buffer
 	m.render(&buf, 0, false, CacheStats{}, time.Now())
 	text := buf.String()

@@ -26,6 +26,7 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,7 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,9 +154,12 @@ type Server struct {
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string          // submission order, for listing and pruning
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// order holds the job records oldest first, for listing and pruning; an
+	// idempotent replay moves its record to the back. Each record keeps its
+	// element (Job.elem).
+	order    *list.List
 	idem     map[string]string // Idempotency-Key -> job ID, pruned with jobs
 	nextID   uint64
 	draining bool
@@ -177,12 +180,11 @@ func New(opts Options) *Server {
 		baseCtx: ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*Job),
+		order:   list.New(),
 		idem:    make(map[string]string),
 	}
 	s.cache.setFlight(fr)
-	if opts.Tenants != nil {
-		s.metrics.SetTenantStats(s.tenants.Snapshots)
-	}
+	s.metrics.SetTenantStats(s.tenants.Snapshots, opts.Tenants != nil)
 	s.metrics.SetSchedStats(s.queue.snapshot)
 	publishSchedExpvar(s.queue)
 	s.mux = http.NewServeMux()
@@ -340,19 +342,16 @@ func (s *Server) worker(slot int) {
 	}
 }
 
-// runJob executes one claimed job and records its outcome. The running
-// gauge is restored by defer so it stays correct even when a panic
-// propagates to the worker's containment handler.
+// runJob executes one claimed job and records its outcome. The tenant's
+// in-flight gauge, which the running and busy-worker gauges sum, is
+// restored by defer so it stays correct even when a panic propagates to the
+// worker's containment handler.
 func (s *Server) runJob(job *Job) {
 	if !job.claim(time.Now()) {
 		return // cancelled while queued
 	}
-	s.metrics.running.Add(1)
 	job.tenant.IncInFlight()
-	defer func() {
-		s.metrics.running.Add(-1)
-		job.tenant.DecInFlight()
-	}()
+	defer job.tenant.DecInFlight()
 
 	// Fault-injection points (no-ops without an injector): spurious
 	// cancellation, artificial slowness, and a worker panic.
@@ -413,14 +412,6 @@ type outcome struct {
 // to the Retry-After estimate, and gets its SLO verdict; a job cancelled
 // while queued does none of these.
 func (s *Server) settle(o outcome) {
-	switch o.state {
-	case StateDone:
-		s.metrics.jobsDone.Add(1)
-	case StateFailed:
-		s.metrics.jobsFailed.Add(1)
-	case StateCancelled:
-		s.metrics.jobsCancelled.Add(1)
-	}
 	o.tenant.CountTerminal(string(o.state))
 	if o.started.IsZero() {
 		return
@@ -667,12 +658,8 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	var batchReqs []hetwire.RunRequest
 	if sub.Batch != nil {
 		kind = "batch"
-		if err := sub.Batch.Validate(); err != nil {
-			s.reject(tn, hetwire.ReasonCode(err))
-			return admission{}, err
-		}
-		reqs, err := sub.Batch.Expand()
-		if err != nil { // unreachable after Validate, but don't trust it
+		reqs, err := sub.Batch.ValidExpansion()
+		if err != nil {
 			s.reject(tn, hetwire.ReasonCode(err))
 			return admission{}, err
 		}
@@ -715,14 +702,8 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 		if id, ok := s.idem[idemKey]; ok {
 			if j, ok := s.jobs[id]; ok {
 				// The replayer is about to poll this record: retain it as the
-				// newest, so the next submission cannot prune it. Hot keys
-				// replay often, so the search from the back is short.
-				for i := len(s.order) - 1; i >= 0; i-- {
-					if s.order[i] == id {
-						s.order = append(slices.Delete(s.order, i, i+1), id)
-						break
-					}
-				}
+				// newest, so the next submission cannot prune it.
+				s.order.MoveToBack(j.elem)
 				s.mu.Unlock()
 				return admission{job: j, replayed: true}, nil
 			}
@@ -749,7 +730,6 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 		s.mu.Unlock()
 		end := time.Now()
 		s.recordHit(traceID, tn, "")
-		s.metrics.jobsSubmitted.Add(1)
 		tn.CountSubmitted()
 		s.settle(outcome{tenant: tn, state: StateDone, submitted: now, started: now, finished: end,
 			spans: []Span{{Name: spanCacheLookup, DurMS: float64(end.Sub(now)) / float64(time.Millisecond)}}})
@@ -773,7 +753,7 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	}
 	job.idemKey = idemKey
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
+	job.elem = s.order.PushBack(job)
 	if idemKey != "" {
 		s.idem[idemKey] = job.ID
 	}
@@ -799,7 +779,6 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 			return admission{}, err
 		}
 	}
-	s.metrics.jobsSubmitted.Add(1)
 	tn.CountSubmitted()
 	if hit {
 		s.settle(job.release())
@@ -821,40 +800,27 @@ func (s *Server) recordHit(traceID string, tn *tenant.Tenant, job string) {
 	s.flight.Record(flight.Event{Kind: flight.KindCacheHit, Trace: traceID, Tenant: tn.Name(), Job: job})
 }
 
-// dropLocked removes a job record that never made it into the queue.
-// Called with s.mu held.
+// dropLocked removes a job record — one that never made it into the queue,
+// or a pruned terminal one — with its idempotency key, and releases its
+// deadline timer. Called with s.mu held.
 func (s *Server) dropLocked(job *Job) {
 	delete(s.jobs, job.ID)
-	for i := len(s.order) - 1; i >= 0; i-- { // it is almost always last
-		if s.order[i] == job.ID {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.order.Remove(job.elem)
 	if job.idemKey != "" && s.idem[job.idemKey] == job.ID {
 		delete(s.idem, job.idemKey)
 	}
-	job.cancel() // release the deadline timer
+	job.cancel()
 }
 
-// pruneLocked drops the oldest terminal job records past maxJobs.
+// pruneLocked drops the oldest terminal job records past maxJobs, walking
+// from the oldest record past the live ones.
 func (s *Server) pruneLocked() {
-	for len(s.order) > maxJobs {
-		pruned := false
-		for i, id := range s.order {
-			if j, ok := s.jobs[id]; ok && j.State().Terminal() {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				if j.idemKey != "" && s.idem[j.idemKey] == id {
-					delete(s.idem, j.idemKey)
-				}
-				pruned = true
-				break
-			}
+	for e := s.order.Front(); e != nil && s.order.Len() > maxJobs; {
+		j, next := e.Value.(*Job), e.Next()
+		if j.State().Terminal() {
+			s.dropLocked(j)
 		}
-		if !pruned {
-			return // everything retained is still live
-		}
+		e = next
 	}
 }
 
@@ -1031,13 +997,9 @@ func acceptsWire(r *http.Request) bool {
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	filter := JobState(r.URL.Query().Get("state"))
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*Job, 0, s.order.Len())
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		jobs = append(jobs, e.Value.(*Job))
 	}
 	s.mu.Unlock()
 	out := make([]JobStatus, 0, len(jobs))

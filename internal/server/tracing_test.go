@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hetwire"
+	"hetwire/internal/tenant"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
@@ -263,10 +264,14 @@ func TestMetricsRenderGolden(t *testing.T) {
 	m := NewMetrics(2, t0)
 	m.SetBuildInfo("v1.2.3", "go1.22.0")
 
-	m.jobsSubmitted.Store(5)
-	m.jobsDone.Store(3)
-	m.jobsFailed.Store(1)
-	m.jobsCancelled.Store(1)
+	// The job totals are the sums of the tenant ledgers; without per-tenant
+	// series (open mode) none of the hetwired_tenant_* lines render.
+	m.SetTenantStats(func() []tenant.Snapshot {
+		return []tenant.Snapshot{
+			{Name: "acme", Submitted: 2, Done: 1, Cancelled: 1},
+			{Name: tenant.AnonymousName, Submitted: 3, Done: 2, Failed: 1},
+		}
+	}, false)
 	m.instructions.Store(120000)
 	m.simBusy.Store(int64(2 * time.Second))
 	m.AddWorkerBusy(0, 1500*time.Millisecond)

@@ -474,9 +474,9 @@ func DecodeBatch(buf []byte) (*hetwire.BatchResponse, error) {
 }
 
 // DecodeUpload decodes a complete upload stream: one TypeUploadHeader frame
-// followed by any number of TypeUploadResult frames. Embedded result frames
-// are validated structurally and returned verbatim, never decoded.
-func DecodeUpload(buf []byte) (*UploadHeader, []UploadResult, error) {
+// followed by any number of TypeScenario frames. Embedded result frames are
+// validated structurally and returned verbatim, never decoded.
+func DecodeUpload(buf []byte) (*UploadHeader, []Scenario, error) {
 	frames, err := Split(buf)
 	if err != nil {
 		return nil, nil, err
@@ -488,15 +488,15 @@ func DecodeUpload(buf []byte) (*UploadHeader, []UploadResult, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results := make([]UploadResult, len(frames)-1)
+	scenarios := make([]Scenario, len(frames)-1)
 	for i, fr := range frames[1:] {
-		r, err := DecodeUploadResult(fr)
+		sc, err := DecodeScenario(fr)
 		if err != nil {
 			return nil, nil, err
 		}
-		results[i] = *r
+		scenarios[i] = *sc
 	}
-	return h, results, nil
+	return h, scenarios, nil
 }
 
 // DecodeUploadHeader decodes a TypeUploadHeader frame.
@@ -530,65 +530,4 @@ func DecodeUploadHeader(frame []byte) (*UploadHeader, error) {
 		return nil, err
 	}
 	return uh, nil
-}
-
-// DecodeUploadResult decodes a TypeUploadResult frame. Like DecodeScenario
-// it validates the embedded result frame structurally without decoding its
-// payload.
-func DecodeUploadResult(frame []byte) (*UploadResult, error) {
-	h, payload, err := checkFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if h.Type != TypeUploadResult {
-		return nil, fmt.Errorf("wire: frame type %#02x is not an upload result", h.Type)
-	}
-	if h.Flags&^FlagError != 0 {
-		return nil, fmt.Errorf("wire: upload result frame has unknown flag bits %#04x", h.Flags)
-	}
-	d := &dec{b: payload}
-	ur := &UploadResult{}
-	idx := d.u32()
-	ur.Index = int(idx)
-	key := d.str()
-	ur.Error = d.str()
-	ur.Reason = d.str()
-	if d.presence() {
-		ur.Frame = d.blob()
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	if idx != h.Index {
-		return nil, fmt.Errorf("wire: upload result payload index %d disagrees with header %d", idx, h.Index)
-	}
-	if key != "" {
-		return nil, fmt.Errorf("wire: upload result %d has a non-empty retired cache-key slot", ur.Index)
-	}
-	if (ur.Frame != nil) == (ur.Error != "") {
-		return nil, fmt.Errorf("wire: upload result %d must carry exactly one of frame and error", ur.Index)
-	}
-	if ur.Reason != "" && ur.Error == "" {
-		return nil, fmt.Errorf("wire: upload result %d has a reason code without an error", ur.Index)
-	}
-	if (h.Flags&FlagError != 0) != (ur.Error != "") {
-		return nil, fmt.Errorf("wire: upload result %d error flag disagrees with payload", ur.Index)
-	}
-	if ur.Frame == nil {
-		if h.Summary != 0 {
-			return nil, fmt.Errorf("wire: upload result %d has a nonzero summary word without a frame", ur.Index)
-		}
-		return ur, nil
-	}
-	rh, _, err := checkFrame(ur.Frame)
-	if err != nil {
-		return nil, fmt.Errorf("wire: upload result %d embedded frame: %w", ur.Index, err)
-	}
-	if rh.Type != TypeRunResult || rh.Flags != 0 || rh.Index != 0 {
-		return nil, fmt.Errorf("wire: upload result %d embedded frame is not a plain run result", ur.Index)
-	}
-	if rh.Summary != h.Summary {
-		return nil, fmt.Errorf("wire: upload result %d summary word disagrees with embedded frame", ur.Index)
-	}
-	return ur, nil
 }

@@ -397,68 +397,13 @@ func AppendUploadHeader(dst []byte, h *UploadHeader) ([]byte, error) {
 	return e.seal(TypeUploadHeader, 0, 0, 0, dst)
 }
 
-// UploadResult is one scenario outcome inside a cluster upload, addressed
-// by its absolute expansion index. Exactly one of Frame and Error is set.
-type UploadResult struct {
-	Index int
-	// Frame is the embedded TypeRunResult frame for a completed scenario.
-	Frame []byte
-	// Error/Reason report a scenario that failed on the node, isolated to
-	// its slot like local batch execution.
-	Error  string
-	Reason string
-}
-
 // EncodeUpload assembles a complete upload stream: h as a TypeUploadHeader
-// frame, then one TypeUploadResult frame per result, each embedding its
-// result frame verbatim.
-func EncodeUpload(h *UploadHeader, results []UploadResult) ([]byte, error) {
+// frame, then one TypeScenario frame per scenario, each embedding its
+// result frame verbatim — the frames a local batch publishes.
+func EncodeUpload(h *UploadHeader, scenarios []Scenario) ([]byte, error) {
 	out, err := AppendUploadHeader(nil, h)
-	for i := 0; i < len(results) && err == nil; i++ {
-		out, err = AppendUploadResult(out, &results[i])
+	for i := 0; i < len(scenarios) && err == nil; i++ {
+		out, err = AppendScenario(out, &scenarios[i])
 	}
 	return out, err
-}
-
-// AppendUploadResult appends r as a TypeUploadResult frame.
-func AppendUploadResult(dst []byte, r *UploadResult) ([]byte, error) {
-	if r.Index < 0 || r.Index > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: upload result index %d out of range", r.Index)
-	}
-	frame := r.Frame
-	if len(frame) == 0 {
-		frame = nil
-	}
-	if (frame != nil) == (r.Error != "") {
-		return nil, fmt.Errorf("wire: upload result %d must carry exactly one of frame and error", r.Index)
-	}
-	if r.Reason != "" && r.Error == "" {
-		return nil, fmt.Errorf("wire: upload result %d has a reason code without an error", r.Index)
-	}
-	var flags uint16
-	var summary uint64
-	if r.Error != "" {
-		flags = FlagError
-	} else {
-		rh, _, err := checkFrame(frame)
-		if err != nil {
-			return nil, fmt.Errorf("wire: upload result %d embedded frame: %w", r.Index, err)
-		}
-		if rh.Type != TypeRunResult || rh.Flags != 0 || rh.Index != 0 {
-			return nil, fmt.Errorf("wire: upload result %d embedded frame is not a plain run result", r.Index)
-		}
-		summary = rh.Summary
-	}
-	e := &enc{}
-	e.u32(uint32(r.Index))
-	e.str("") // retired cache-key slot, kept so the layout does not change
-	e.str(r.Error)
-	e.str(r.Reason)
-	if frame == nil {
-		e.u8(0)
-	} else {
-		e.u8(1)
-		e.blob(frame)
-	}
-	return e.seal(TypeUploadResult, flags, uint32(r.Index), summary, dst)
 }

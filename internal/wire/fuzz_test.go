@@ -14,9 +14,11 @@ import (
 )
 
 // fuzzSeeds builds the seed corpus shared by both fuzz targets: valid
-// frames of every type, a complete batch stream, a stream of frames with a
-// retired type byte, and a few deliberately-broken variants so the fuzzer
-// starts on both sides of every validation.
+// frames of every type, a complete batch stream, two complete upload
+// streams, a stream of frames with a retired type byte, and a few
+// deliberately-broken variants so the fuzzer starts on both sides of every
+// validation. The committed corpus keeps its seed-08 and seed-09 from
+// before uploads carried scenario frames: they hold the retired 0x07 type.
 func fuzzSeeds(t testing.TB) [][]byte {
 	must := func(b []byte, err error) []byte {
 		if err != nil {
@@ -55,8 +57,12 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		NodeID: "n1", LeaseID: "l1", JobID: "j1",
 		Spans: []SpanMS{{Name: "node_sim", DurMS: 3.5}},
 	}))
-	uploadRes := must(AppendUploadResult(nil, &UploadResult{Index: 4, Frame: result}))
-	uploadErr := must(AppendUploadResult(nil, &UploadResult{Index: 5, Error: "boom", Reason: "internal"}))
+	uploadRes := must(EncodeUpload(&UploadHeader{NodeID: "n1", LeaseID: "l1", JobID: "j1"}, []Scenario{
+		{Index: 4, Request: hetwire.RunRequest{Benchmark: "gzip", Model: "I", N: 5000}, Result: result},
+	}))
+	uploadErr := must(EncodeUpload(&UploadHeader{NodeID: "n1", LeaseID: "l1", JobID: "j1"}, []Scenario{
+		{Index: 5, Request: hetwire.RunRequest{Benchmark: "gzip", Model: "I", N: 6000}, Error: "boom", Reason: "internal"},
+	}))
 	bhdr := must(AppendBatchHeader(nil, 3))
 	btrl := must(AppendBatchTrailer(nil, BatchTrailer{Total: 3, Completed: 2, Failed: 0, CacheHits: 1}))
 
@@ -113,14 +119,8 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("accepted upload header does not re-encode identically (%v)", err)
 			}
 		}
-		if ur, err := DecodeUploadResult(data); err == nil {
-			again, err := AppendUploadResult(nil, ur)
-			if err != nil || !bytes.Equal(again, data) {
-				t.Fatalf("accepted upload result does not re-encode identically (%v)", err)
-			}
-		}
-		if uh, results, err := DecodeUpload(data); err == nil {
-			again, err := EncodeUpload(uh, results)
+		if uh, scenarios, err := DecodeUpload(data); err == nil {
+			again, err := EncodeUpload(uh, scenarios)
 			if err != nil || !bytes.Equal(again, data) {
 				t.Fatalf("accepted upload stream does not re-encode identically (%v)", err)
 			}

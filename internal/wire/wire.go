@@ -65,25 +65,22 @@ const (
 	// TypeBatchTrailer closes a batch stream with the completed/failed/
 	// cache-hit counts.
 	TypeBatchTrailer byte = 0x04
-	// 0x05 and 0x08 are retired (they framed trace and flight JSONL lines);
-	// decoders reject them as unknown types and they must never be reused.
+	// 0x05 and 0x08 are retired (they framed trace and flight JSONL lines),
+	// and so is 0x07 (a cluster upload's per-scenario frame, now a
+	// TypeScenario frame); decoders reject them as unknown types and they
+	// must never be reused.
 	// TypeUploadHeader opens a cluster upload stream: node, lease, and job
-	// identity plus the node-side span timings.
+	// identity plus the node-side span timings. TypeScenario frames follow.
 	TypeUploadHeader byte = 0x06
-	// TypeUploadResult is one scenario outcome inside a cluster upload.
-	TypeUploadResult byte = 0x07
 )
 
 // Flag bits, meaningful per frame type; all other bits must be zero.
 const (
-	// FlagError (TypeScenario, TypeUploadResult): the Error string is set
-	// and no result frame is embedded.
+	// FlagError (TypeScenario): the Error string is set and no result frame
+	// is embedded.
 	FlagError uint16 = 1 << 0
 	// FlagCached (TypeScenario): the result was served from a result cache.
 	FlagCached uint16 = 1 << 1
-	// Bit 2 is retired (it marked a TypeUploadResult skip marker, filled
-	// from the coordinator's cache); decoders reject it and it must never
-	// be reused.
 	// FlagIncomplete (TypeBatchTrailer): the stream ended before every
 	// scenario resolved (job cancelled or deadline-exceeded mid-batch).
 	FlagIncomplete uint16 = 1 << 0

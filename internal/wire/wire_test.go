@@ -395,14 +395,15 @@ func TestNonCanonicalRejected(t *testing.T) {
 }
 
 // TestRetiredFrameTypesRejected pins that the retired type bytes 0x05 and
-// 0x08 (once trace and flight JSONL containers) are unknown to every
-// decoder, alone and inside an upload stream.
+// 0x08 (once trace and flight JSONL containers) and 0x07 (once a cluster
+// upload's per-scenario frame) are unknown to every decoder, alone and
+// inside an upload stream.
 func TestRetiredFrameTypesRejected(t *testing.T) {
 	hdr, err := AppendUploadHeader(nil, &UploadHeader{NodeID: "n", LeaseID: "l", JobID: "j"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, typ := range []byte{0x05, 0x08} {
+	for _, typ := range []byte{0x05, 0x07, 0x08} {
 		frame, err := appendFrame(nil, typ, 0, 0, 0, []byte(`{"seq":1}`))
 		if err != nil {
 			t.Fatal(err)
@@ -416,15 +417,15 @@ func TestRetiredFrameTypesRejected(t *testing.T) {
 		if _, err := DecodeUploadHeader(frame); err == nil {
 			t.Errorf("type %#02x decoded as an upload header", typ)
 		}
-		if _, err := DecodeUploadResult(frame); err == nil {
-			t.Errorf("type %#02x decoded as an upload result", typ)
-		}
 		if _, _, err := DecodeUpload(append(append([]byte(nil), hdr...), frame...)); err == nil {
 			t.Errorf("upload stream carrying type %#02x accepted", typ)
 		}
 	}
 }
 
+// TestUploadFramesRoundTrip: an upload stream is its header followed by the
+// scenario frames a local batch would publish, and both directions are the
+// identity on it.
 func TestUploadFramesRoundTrip(t *testing.T) {
 	result, err := EncodeRunResult(sampleResponse())
 	if err != nil {
@@ -451,100 +452,47 @@ func TestUploadFramesRoundTrip(t *testing.T) {
 		t.Fatal("upload header re-encode is not byte-identical")
 	}
 
-	cases := []*UploadResult{
-		{Index: 0, Frame: result},
-		{Index: 2, Error: "sim exploded", Reason: "internal"},
+	scenarios := []Scenario{
+		{Index: 0, Request: hetwire.RunRequest{Benchmark: "gcc", Model: "V", N: 4000}, Result: result},
+		{Index: 2, Request: hetwire.RunRequest{Benchmarks: []string{"gzip", "mcf"}}, Error: "sim exploded", Reason: "internal"},
 	}
-	for i, ur := range cases {
-		fr, err := AppendUploadResult(nil, ur)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		got, err := DecodeUploadResult(fr)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, ur) {
-			t.Fatalf("case %d: mismatch %+v vs %+v", i, got, ur)
-		}
-		if again, _ := AppendUploadResult(nil, got); !bytes.Equal(again, fr) {
-			t.Fatalf("case %d: re-encode is not byte-identical", i)
-		}
-	}
-	if _, err := AppendUploadResult(nil, &UploadResult{Index: 0, Frame: result, Error: "both"}); err == nil {
-		t.Fatal("frame+error upload result must not encode")
-	}
-	if _, err := AppendUploadResult(nil, &UploadResult{Index: 1}); err == nil {
-		t.Fatal("empty upload result must not encode")
-	}
-
-	// The whole stream round-trips through EncodeUpload/DecodeUpload.
-	results := []UploadResult{*cases[0], *cases[1]}
-	stream, err := EncodeUpload(uh, results)
+	stream, err := EncodeUpload(uh, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotH, gotR, err := DecodeUpload(stream)
+	// The stream is exactly the header frame plus each scenario's frame.
+	want := append([]byte(nil), hf...)
+	for i := range scenarios {
+		if want, err = AppendScenario(want, &scenarios[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(stream, want) {
+		t.Fatal("upload stream is not the header frame followed by the scenario frames")
+	}
+	gotH, gotS, err := DecodeUpload(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotH, uh) || !reflect.DeepEqual(gotR, results) {
-		t.Fatalf("upload stream mismatch: %+v %+v", gotH, gotR)
+	if !reflect.DeepEqual(gotH, uh) || !reflect.DeepEqual(gotS, scenarios) {
+		t.Fatalf("upload stream mismatch: %+v %+v", gotH, gotS)
+	}
+	if again, err := EncodeUpload(gotH, gotS); err != nil || !bytes.Equal(again, stream) {
+		t.Fatalf("upload stream re-encode is not byte-identical (%v)", err)
+	}
+	for name, sc := range map[string]Scenario{
+		"result and error": {Index: 0, Result: result, Error: "both"},
+		"neither":          {Index: 1},
+	} {
+		if _, err := EncodeUpload(uh, []Scenario{sc}); err == nil {
+			t.Errorf("%s: upload encoded", name)
+		}
 	}
 	if _, _, err := DecodeUpload(nil); err == nil {
 		t.Fatal("empty upload stream accepted")
 	}
 	if _, _, err := DecodeUpload(append(append([]byte(nil), stream...), hf...)); err == nil {
 		t.Fatal("upload stream with a second header accepted")
-	}
-}
-
-// TestRetiredUploadFieldsRejected: the skip-marker flag bit and the cache
-// key string a protocol-3 node wrote are refused. The key slot stays in the
-// layout, so a frame carrying a key differs from a valid one only there.
-func TestRetiredUploadFieldsRejected(t *testing.T) {
-	result, err := EncodeRunResult(sampleResponse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := PeekHeader(result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := func(flags uint16, key string, frame []byte, summary uint64) []byte {
-		t.Helper()
-		e := &enc{}
-		e.u32(3)
-		e.str(key)
-		e.str("")
-		e.str("")
-		if frame == nil {
-			e.u8(0)
-		} else {
-			e.u8(1)
-			e.blob(frame)
-		}
-		fr, err := e.seal(TypeUploadResult, flags, 3, summary, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
-	}
-	valid := legacy(0, "", result, h.Summary)
-	if ur, err := DecodeUploadResult(valid); err != nil || ur.Index != 3 || !bytes.Equal(ur.Frame, result) {
-		t.Fatalf("hand-built valid frame: %+v err %v", ur, err)
-	}
-	if again, err := AppendUploadResult(nil, &UploadResult{Index: 3, Frame: result}); err != nil || !bytes.Equal(again, valid) {
-		t.Fatalf("encoder does not write an empty key slot (%v)", err)
-	}
-	for name, fr := range map[string][]byte{
-		"skip marker":        legacy(1<<2, "k1", nil, 0),
-		"skip bit, no key":   legacy(1<<2, "", nil, 0),
-		"keyed result frame": legacy(0, "k0", result, h.Summary),
-	} {
-		if _, err := DecodeUploadResult(fr); err == nil {
-			t.Errorf("%s decoded", name)
-		}
 	}
 }
 

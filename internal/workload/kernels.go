@@ -64,12 +64,10 @@ func Kernels() []Profile {
 	}
 }
 
+// kernels is Kernels built once for KernelByName.
+var kernels = Kernels()
+
 // KernelByName returns a kernel profile by name.
 func KernelByName(name string) (Profile, bool) {
-	for _, p := range Kernels() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
+	return lookup(kernels, name)
 }

@@ -239,11 +239,21 @@ func SPEC2K() []Profile {
 	}
 }
 
+// spec2k is SPEC2K built once for the lookups; request validation looks a
+// program up on every request.
+var spec2k = SPEC2K()
+
 // ByName returns the profile with the given benchmark name.
 func ByName(name string) (Profile, bool) {
-	for _, p := range SPEC2K() {
-		if p.Name == name {
-			return p, true
+	return lookup(spec2k, name)
+}
+
+// lookup finds a profile by name in a built table without copying the
+// profiles it passes over.
+func lookup(table []Profile, name string) (Profile, bool) {
+	for i := range table {
+		if table[i].Name == name {
+			return table[i], true
 		}
 	}
 	return Profile{}, false

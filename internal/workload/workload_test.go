@@ -326,3 +326,27 @@ func TestKernelCharacteristics(t *testing.T) {
 		t.Error("KernelByName invented a kernel")
 	}
 }
+
+// TestLookupsAllocateNothing: ByName and KernelByName scan tables built
+// once, so looking a program up (every request validation does) allocates
+// nothing, and each returns the same profile its builder does.
+func TestLookupsAllocateNothing(t *testing.T) {
+	for _, p := range append(SPEC2K(), Kernels()...) {
+		got, ok := ByName(p.Name)
+		if !ok {
+			got, ok = KernelByName(p.Name)
+		}
+		if !ok || got != p {
+			t.Fatalf("lookup of %s = %+v, %v; want %+v", p.Name, got, ok, p)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { lookedUp, _ = ByName("vortex") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { lookedUp, _ = KernelByName("brstorm") }); n != 0 {
+		t.Errorf("KernelByName allocates %v times per call, want 0", n)
+	}
+}
+
+// lookedUp keeps the lookups' results live, as a caller's would be.
+var lookedUp Profile

@@ -7,8 +7,6 @@ import (
 
 	"hetwire/internal/core"
 	"hetwire/internal/obs"
-	"hetwire/internal/trace"
-	"hetwire/internal/workload"
 )
 
 // Probe re-exports the simulator's telemetry interface: an attached probe
@@ -30,8 +28,10 @@ func (s *Simulator) SetProbe(p Probe) { s.proc.SetProbe(p) }
 
 // ExecuteProbed is ExecuteContext with wire-class telemetry: the simulation
 // streams interval samples to w as a JSONL trace (schema obs.Schema,
-// currently hetwire-trace/v1) readable by the hetwiretrace CLI. The response
-// is bit-identical to an unprobed ExecuteContext run of the same request.
+// currently hetwire-trace/v1) readable by the hetwiretrace CLI. It runs on
+// the same pooled machine and assembles the same response as
+// ExecuteContext, so the response is bit-identical to an unprobed run of the
+// same request and the probe machinery is the only difference.
 //
 // Only single-program requests can be probed: a multiprogrammed run
 // interleaves several processors on one shared fabric and has no
@@ -51,49 +51,17 @@ func (r *RunRequest) ExecuteProbed(ctx context.Context, w io.Writer) (*RunRespon
 	if err != nil {
 		return nil, err
 	}
-	n := r.Instructions()
 	rec := obs.NewRecorder(w, obs.Header{
 		Benchmark:         r.Benchmark,
 		Model:             cfg.Model.ID.String(),
 		Clusters:          cfg.Topology.Clusters(),
-		N:                 n,
+		N:                 r.Instructions(),
 		ConfigHash:        ConfigHash(cfg),
 		TransmissionLineL: cfg.Tech.TransmissionLineL,
 	})
-
-	var src trace.Stream
-	if prof, ok := workload.ByName(r.Benchmark); ok {
-		src = workload.NewGenerator(prof)
-	} else if prof, ok := workload.KernelByName(r.Benchmark); ok {
-		src = workload.NewGenerator(prof)
-	} else {
-		// Unreachable after Validate, but fail closed.
-		return nil, &RequestError{Code: ReasonUnknownBenchmark,
-			Err: fmt.Errorf("hetwire: unknown benchmark %q", r.Benchmark)}
+	resp, err := r.run(ctx, cfg, rec)
+	if ferr := rec.Flush(); ferr != nil && err == nil {
+		return nil, fmt.Errorf("hetwire: writing telemetry trace: %w", ferr)
 	}
-
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sim.SetProbe(rec)
-	res, runErr := sim.RunContext(ctx, src, n)
-	if err := rec.Flush(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("hetwire: writing telemetry trace: %w", err)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	res.Benchmark = r.Benchmark
-	st := res.Stats
-	return &RunResponse{
-		Model:        cfg.Model.ID.String(),
-		Clusters:     cfg.Topology.Clusters(),
-		N:            n,
-		Benchmark:    res.Benchmark,
-		IPC:          st.IPC(),
-		Instructions: st.Instructions,
-		Cycles:       st.Cycles,
-		Stats:        &st,
-	}, nil
+	return resp, err
 }

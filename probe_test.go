@@ -223,3 +223,47 @@ func BenchmarkProbeOn(b *testing.B) {
 	rec := obs.NewRecorder(io.Discard, obs.Header{Benchmark: "gcc", Model: "Model-V"})
 	probeBenchRun(b, rec)
 }
+
+// sealedWriter records what is written to it and counts writes that arrive
+// after it is sealed.
+type sealedWriter struct {
+	bytes.Buffer
+	sealed bool
+	late   int
+}
+
+func (w *sealedWriter) Write(p []byte) (int, error) {
+	if w.sealed {
+		w.late++
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestExecuteProbedOnPooledMachine: ExecuteProbed runs on the pooled
+// machine ExecuteContext uses and detaches its probe before returning the
+// machine, so an unprobed run right after it on the same goroutine — which
+// revives that machine — answers identically and streams nothing into the
+// probed run's trace.
+func TestExecuteProbedOnPooledMachine(t *testing.T) {
+	req := &RunRequest{Benchmark: "mcf", Model: "VII", Clusters: 16, N: 64_000}
+	var w sealedWriter
+	probed, err := req.ExecuteProbed(context.Background(), &w)
+	if err != nil {
+		t.Fatalf("ExecuteProbed: %v", err)
+	}
+	traced := w.Len()
+	w.sealed = true
+	plain, err := req.ExecuteContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(probed, plain) {
+		t.Error("probed and unprobed responses differ")
+	}
+	if w.late != 0 || w.Len() != traced {
+		t.Errorf("the trace received %d writes (%d bytes) after ExecuteProbed returned", w.late, w.Len()-traced)
+	}
+	if _, samples, err := obs.ReadTrace(bytes.NewReader(w.Bytes())); err != nil || len(samples) < 2 {
+		t.Fatalf("trace of %d bytes: %d samples, err %v", traced, len(samples), err)
+	}
+}

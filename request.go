@@ -229,6 +229,12 @@ func (r *RunRequest) ExecuteContext(ctx context.Context) (*RunResponse, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.run(ctx, cfg, nil)
+}
+
+// run simulates the validated request on its resolved configuration and
+// assembles the response. A non-nil probe observes a single-program run.
+func (r *RunRequest) run(ctx context.Context, cfg Config, probe Probe) (*RunResponse, error) {
 	n := r.Instructions()
 	resp := &RunResponse{
 		Model:    cfg.Model.ID.String(),
@@ -236,7 +242,7 @@ func (r *RunRequest) ExecuteContext(ctx context.Context) (*RunResponse, error) {
 		N:        n,
 	}
 	if r.Benchmark != "" {
-		res, err := runAnyContext(ctx, cfg, r.Benchmark, n)
+		res, err := runAnyContext(ctx, cfg, r.Benchmark, n, probe)
 		if err != nil {
 			return nil, err
 		}

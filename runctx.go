@@ -38,7 +38,7 @@ func RunBenchmarkContext(ctx context.Context, cfg Config, benchmark string, n ui
 	if !ok {
 		return Result{}, fmt.Errorf("hetwire: unknown benchmark %q (see Benchmarks())", benchmark)
 	}
-	return runPooled(ctx, cfg, benchmark, prof, n)
+	return runPooled(ctx, cfg, benchmark, prof, n, nil)
 }
 
 // RunKernelContext is RunKernel with cooperative cancellation (see
@@ -48,7 +48,7 @@ func RunKernelContext(ctx context.Context, cfg Config, kernel string, n uint64) 
 	if !ok {
 		return Result{}, fmt.Errorf("hetwire: unknown kernel %q (see Kernels())", kernel)
 	}
-	return runPooled(ctx, cfg, kernel, prof, n)
+	return runPooled(ctx, cfg, kernel, prof, n, nil)
 }
 
 // runPooled executes one named workload on a pooled processor
@@ -57,13 +57,16 @@ func RunKernelContext(ctx context.Context, cfg Config, kernel string, n uint64) 
 // the same configuration — batch sweeps, server workers, the golden corpus
 // — skip the tens of megabytes of construction a fresh machine costs.
 // Results are bit-identical to a fresh build (core.Processor.Reset's
-// contract).
-func runPooled(ctx context.Context, cfg Config, name string, prof workload.Profile, n uint64) (Result, error) {
+// contract). A non-nil probe is attached for this run only: it is detached
+// before the processor returns to the pool.
+func runPooled(ctx context.Context, cfg Config, name string, prof workload.Profile, n uint64, probe Probe) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	p := core.AcquireScratch(cfg)
+	p.SetProbe(probe)
 	st, runErr := p.RunContext(ctx, workload.NewGenerator(prof), n)
+	p.SetProbe(nil)
 	core.ReleaseScratch(p)
 	return Result{Stats: st, Config: cfg, Benchmark: name}, runErr
 }
@@ -97,10 +100,14 @@ func RunMultiprogrammedContext(ctx context.Context, cfg Config, benchmarks []str
 }
 
 // runAnyContext is runAny with cancellation, accepting both benchmark and
-// kernel names.
-func runAnyContext(ctx context.Context, cfg Config, name string, n uint64) (Result, error) {
-	if _, ok := workload.ByName(name); ok {
-		return RunBenchmarkContext(ctx, cfg, name, n)
+// kernel names; probe, when non-nil, observes the run.
+func runAnyContext(ctx context.Context, cfg Config, name string, n uint64, probe Probe) (Result, error) {
+	if prof, ok := workload.ByName(name); ok {
+		return runPooled(ctx, cfg, name, prof, n, probe)
 	}
-	return RunKernelContext(ctx, cfg, name, n)
+	prof, ok := workload.KernelByName(name)
+	if !ok {
+		return Result{}, fmt.Errorf("hetwire: unknown kernel %q (see Kernels())", name)
+	}
+	return runPooled(ctx, cfg, name, prof, n, probe)
 }
