@@ -31,11 +31,11 @@
 //	hetwired -coordinator -cluster-token s3cret -addr :8677
 //	hetwired -join http://coordinator:8677 -cluster-token s3cret
 //
-// Batch jobs submitted to the coordinator are sharded into work leases and
-// executed by the nodes; results are content-addressed and flow through the
-// coordinator's federated result cache, which answers known scenarios at
-// submit, so a repeated sweep leases nothing. See internal/cluster for the
-// protocol.
+// The uncached scenarios of batch jobs submitted to the coordinator are
+// sharded into work leases and executed by the nodes. Results are
+// content-addressed and stored in the coordinator's result cache, which
+// admission consults as on any daemon, so a repeated sweep is answered at
+// submission and leases nothing. See internal/cluster for the protocol.
 //
 // Each process has one event stream, its flight recorder (-flight-events
 // sizes it). A daemon serves it at /v1/debug/flight; -flight-log streams it

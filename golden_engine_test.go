@@ -23,11 +23,13 @@ import (
 //	go test -run TestGoldenAllModels -update-golden-all-models .
 //	go test -run TestGoldenMultiprogram -update-golden-multiprogram .
 //	go test -run TestGoldenLong -golden-long -update-golden-long .
+//	go test -run TestGoldenExtensions -update-golden-extensions .
 var (
 	updateGoldenAllModels    = flag.Bool("update-golden-all-models", false, "rewrite testdata/golden/all_models.json")
 	updateGoldenMultiprogram = flag.Bool("update-golden-multiprogram", false, "rewrite testdata/golden/multiprogram.json")
 	goldenLong               = flag.Bool("golden-long", false, "check testdata/golden/long.json (every program and model at n=100k)")
 	updateGoldenLong         = flag.Bool("update-golden-long", false, "rewrite testdata/golden/long.json (needs -golden-long)")
+	updateGoldenExtensions   = flag.Bool("update-golden-extensions", false, "rewrite testdata/golden/extensions.json")
 )
 
 var allModelIDs = []config.ModelID{
@@ -138,6 +140,37 @@ func TestGoldenAllModels(t *testing.T) {
 	}
 	checkGoldenFile(t, filepath.Join("testdata", "golden", "all_models.json"), got,
 		*updateGoldenAllModels, "update-golden-all-models")
+}
+
+// TestGoldenExtensions pins the L-wire extensions that change timing:
+// frequent-value encoding, critical-word returns on L, and both, on models
+// VII and X, both topologies and all 28 programs at n=4,000: 336
+// scenarios. Transmission-line L changes only energy, which ResultHash does
+// not cover.
+func TestGoldenExtensions(t *testing.T) {
+	exts := []struct {
+		name    string
+		fv, cwl bool
+	}{{"fv", true, false}, {"cwl", false, true}, {"fv+cwl", true, true}}
+	var scs []engineScenario
+	for _, sc := range engineScenarios(4_000) {
+		id := sc.cfg.Model.ID
+		if id != ModelVII && id != ModelX {
+			continue
+		}
+		for _, ext := range exts {
+			v := sc
+			v.cfg.Tech.FrequentValueEnc, v.cfg.Tech.CriticalWordOnL = ext.fv, ext.cwl
+			v.key = ext.name + "/" + sc.key
+			scs = append(scs, v)
+		}
+	}
+	got := runEngineScenarios(t, scs)
+	if len(got) != 336 {
+		t.Fatalf("corpus has %d scenarios, want 336", len(got))
+	}
+	checkGoldenFile(t, filepath.Join("testdata", "golden", "extensions.json"), got,
+		*updateGoldenExtensions, "update-golden-extensions")
 }
 
 // TestGoldenLong pins the same 560 scenarios at n=100,000, where calendar

@@ -225,7 +225,7 @@ func TestVerifyReproduction(t *testing.T) {
 		Instructions: 60_000,
 		Benchmarks:   []string{"gzip", "mesa", "twolf", "swim", "mcf", "vortex", "galgel", "gcc"},
 	})
-	if len(findings) < 15 {
+	if len(findings) < 20 {
 		t.Fatalf("only %d checks ran", len(findings))
 	}
 	for _, f := range findings {

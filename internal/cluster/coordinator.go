@@ -27,12 +27,6 @@ type Options struct {
 	// request, or upload — before it is declared dead and its leases expire
 	// immediately (default 3×Heartbeat).
 	DeadAfter time.Duration
-	// Cache is the federated content-addressed result store: Submit fills
-	// every scenario it holds, and uploads populate it. The hetwired
-	// coordinator passes its own LRU result cache, so cluster results and
-	// single-box results share one store. Nil disables federation (every
-	// scenario simulates).
-	Cache ResultCache
 	// Flight, when set, receives the coordinator's events: node joins and
 	// deaths and the lease lifecycle (grant, upload, expire). Nil records
 	// nothing.
@@ -40,12 +34,6 @@ type Options struct {
 	// Now is the clock (default time.Now); tests inject a fake to drive
 	// lease expiry and node death deterministically.
 	Now func() time.Time
-}
-
-// ResultCache is the coordinator's view of a content-addressed result store.
-type ResultCache interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, body []byte)
 }
 
 func (o Options) withDefaults() Options {
@@ -81,8 +69,6 @@ const (
 // what the lease protocol still needs.
 type slot struct {
 	state int
-	req   hetwire.RunRequest
-	key   string // content-addressed request identity (CacheKey)
 	body  []byte // the accepted result frame, compared against duplicates
 	// redispatched marks an index whose lease ended unresolved at least
 	// once; the next lease containing it counts toward the re-dispatch
@@ -90,16 +76,15 @@ type slot struct {
 	redispatched bool
 }
 
-// Publish receives one scenario's outcome the moment its slot resolves: its
-// TypeScenario frame, and the number of result-frame bytes that resolution
-// inserted into the federated cache (non-zero only for a freshly uploaded
-// result). The coordinator calls it at most once per slot: for a cache hit
-// inside Submit, and for an accepted result or owned scenario error inside
-// Upload. Upload calls it with the coordinator's lock held, so every
-// publication lands before the job's done channel closes and before a
-// Cancel; it must therefore not call back into the Coordinator. Slots a
-// cancellation resolves are never published.
-type Publish func(index int, frame []byte, inserted int)
+// Publish receives one scenario's outcome the moment an upload resolves its
+// slot: its TypeScenario frame and, for an accepted result, the validated
+// result frame, which the daemon stores in its result cache (nil for a
+// scenario error). The coordinator calls it at most once per slot, inside
+// Upload and with the coordinator's lock held, so every publication lands
+// before the job's done channel closes and before a Cancel; it must
+// therefore not call back into the Coordinator. Slots a cancellation
+// resolves are never published.
+type Publish func(index int, frame, result []byte)
 
 // jobState is one batch flowing through the cluster.
 type jobState struct {
@@ -109,32 +94,32 @@ type jobState struct {
 	// job produces so node-side flight events attribute work to its tenant.
 	// Accounting (sim-CPU billing, fair-share charging) stays on the
 	// coordinator; the name on the wire is observability only.
-	tenant  string
+	tenant string
+	// reqs and keys are the daemon's expansion and each scenario's cache
+	// key, both computed once at admission; slot i answers reqs[i].
+	reqs    []hetwire.RunRequest
+	keys    []string
 	slots   []slot
 	pending []int // sorted scenario indices awaiting a lease
 	open    int   // slots not yet in a terminal state
 	done    chan struct{}
-	// spanDur accumulates node-reported per-lease phase durations (ms) by
-	// name; AwaitJob hands them to the server for the job's span breakdown.
-	spanDur map[string]float64
-	// fedHits counts slots filled from the federated cache.
-	fedHits int
+	simMS   float64 // the uploads' node_sim total, which AwaitJob returns
 	publish Publish // nil publishes nothing
 }
 
 // resolve publishes slot i's outcome as its TypeScenario frame. Result
 // frames are validated before they reach a slot and indices are bounded by
 // hetwire.MaxSweepPoints, so encoding cannot fail.
-func (j *jobState) resolve(i int, sc wire.Scenario, inserted int) {
+func (j *jobState) resolve(i int, sc wire.Scenario) {
 	if j.publish == nil {
 		return
 	}
-	sc.Index, sc.Request = i, j.slots[i].req
+	sc.Index, sc.Request = i, j.reqs[i]
 	fr, err := wire.AppendScenario(nil, &sc)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: encoding scenario %d: %v", i, err))
 	}
-	j.publish(i, fr, inserted)
+	j.publish(i, fr, sc.Result)
 }
 
 // nodeState tracks one registered node.
@@ -179,7 +164,6 @@ type Stats struct {
 	// with the recorded result — impossible for deterministic simulations; a
 	// non-zero value means a node is misbehaving (first result wins).
 	UploadConflicts uint64
-	FederatedHits   uint64
 	JobsSubmitted   uint64
 	JobsCompleted   uint64
 	JobsCancelled   uint64
@@ -201,7 +185,6 @@ type Coordinator struct {
 	leases    map[string]*leaseState
 	jobOrder  []string // submission order; leases are filled oldest-first
 	nextNode  uint64
-	nextJob   uint64
 	nextLease uint64
 	compat    string
 	stats     Stats
@@ -358,7 +341,7 @@ func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 			if sl.redispatched {
 				c.stats.ScenariosRedispatched++
 			}
-			scenarios[i] = sl.req
+			scenarios[i] = j.reqs[idx]
 		}
 		c.stats.LeasesIssued++
 		c.opts.Flight.Record(flight.Event{
@@ -385,7 +368,7 @@ func (c *Coordinator) leaseLocked(req *LeaseRequest) (*Lease, error) {
 
 // Upload records a lease's decoded upload stream (wire.DecodeUpload). It
 // validates every scenario before changing any state, so a rejected upload
-// leaves the slot table, its lease and the federated cache as they were: a
+// leaves the slot table and its lease as they were and publishes nothing: a
 // scenario must answer its slot's request (same CacheKey), must not claim
 // to be cached, and a result must be a valid result frame. It is deliberately
 // forgiving about result *frames*: a frame for an expired or unknown lease
@@ -431,7 +414,7 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, scenarios []wire.Scenario) 
 		// slot's request: a node's request bytes may differ from the
 		// daemon's (the lease JSON compacts a config document), its identity
 		// may not.
-		if key, err := sc.Request.CacheKey(); err != nil || key != j.slots[sc.Index].key {
+		if key, err := sc.Request.CacheKey(); err != nil || key != j.keys[sc.Index] {
 			return nil, reqErr(hetwire.ReasonBadRequest,
 				"scenario %d does not carry the request it was leased for", sc.Index)
 		}
@@ -440,8 +423,9 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, scenarios []wire.Scenario) 
 				"scenario %d is flagged cached; a node uploads only what it simulated", sc.Index)
 		}
 		// Validate the frame (CRC, strict payload decode, summary agreement)
-		// before any comparison or store: the slot table and the federated
-		// cache hold exactly the bytes the node's simulation produced.
+		// before any comparison or publication: the slot table and the
+		// daemon's cache hold exactly the bytes the node's simulation
+		// produced.
 		if sc.Error == "" {
 			if err := wire.ValidateResultFrame(sc.Result); err != nil {
 				return nil, reqErr(hetwire.ReasonBadRequest, "scenario %d result rejected: %v", sc.Index, err)
@@ -477,16 +461,11 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, scenarios []wire.Scenario) 
 			if reason == "" {
 				reason = hetwire.ReasonInvalidRequest
 			}
-			j.resolve(sc.Index, wire.Scenario{Error: sc.Error, Reason: reason}, 0)
+			j.resolve(sc.Index, wire.Scenario{Error: sc.Error, Reason: reason})
 		default:
 			sl.state = slotDone
 			sl.body = append([]byte(nil), sc.Result...)
-			inserted := 0
-			if c.opts.Cache != nil {
-				c.opts.Cache.Put(sl.key, sl.body)
-				inserted = len(sl.body)
-			}
-			j.resolve(sc.Index, wire.Scenario{Result: sl.body}, inserted)
+			j.resolve(sc.Index, wire.Scenario{Result: sl.body})
 		}
 		// A straggler result can land while its index sits in the pending
 		// queue (lease expired, index not yet re-leased). Accepting it must
@@ -502,7 +481,9 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, scenarios []wire.Scenario) 
 		requeued = c.endLeaseLocked(own)
 	}
 	for _, sp := range hdr.Spans {
-		j.spanDur[sp.Name] += sp.DurMS
+		if sp.Name == SpanSim {
+			j.simMS += sp.DurMS
+		}
 	}
 	detail := fmt.Sprintf("accepted=%d duplicate=%d requeued=%d", resp.Accepted, resp.Duplicate, requeued)
 	if conflicts > 0 {
@@ -523,66 +504,46 @@ func (c *Coordinator) Upload(hdr *wire.UploadHeader, scenarios []wire.Scenario) 
 		select {
 		case <-j.done:
 		default:
-			c.completeLocked(j)
+			c.stats.JobsCompleted++
+			close(j.done)
 		}
 	}
 	return resp, nil
 }
 
-// Submit registers a batch as a cluster job on behalf of the named tenant
-// ("" for pre-tenancy callers and open mode). reqs is the batch's
-// expansion, validated by the caller (the daemon's admission); index i of
-// reqs is slot i. Every scenario whose valid result frame is already in the
-// federated cache is filled and published at once; only the rest are queued
-// for leasing, and a job with nothing left to simulate completes before
-// Submit returns. Each later slot is published as its upload resolves it.
-// The returned channel closes when every scenario reaches a terminal state
-// (or the job is cancelled); wait on it with AwaitJob.
-func (c *Coordinator) Submit(reqs []hetwire.RunRequest, traceID, tenant string, publish Publish) (jobID string, done <-chan struct{}, err error) {
+// Submit registers the daemon's batch job id on behalf of the named tenant
+// ("" in open mode). reqs and keys are its expansion and cache keys, both
+// computed at admission, and index i is slot i; pending lists, ascending and
+// never empty, the indices admission found uncached, the only ones leased.
+// Each pending slot is published as its upload resolves it. The returned
+// channel closes when every pending scenario reaches a terminal state (or
+// the job is cancelled); wait on it with AwaitJob.
+func (c *Coordinator) Submit(id string, reqs []hetwire.RunRequest, keys []string, pending []int, traceID, tenant string, publish Publish) <-chan struct{} {
 	j := &jobState{
+		id:      id,
 		traceID: traceID,
 		tenant:  tenant,
+		reqs:    reqs,
+		keys:    keys,
 		slots:   make([]slot, len(reqs)),
+		pending: slices.Clone(pending), // requeues insert in place; the daemon keeps its copy
+		open:    len(pending),
 		done:    make(chan struct{}),
-		spanDur: make(map[string]float64),
 		publish: publish,
 	}
-	// The job is private until it is registered below, so its slots are
-	// filled and published without c.mu; the cache has its own lock.
-	for i := range reqs {
-		key, err := reqs[i].CacheKey()
-		if err != nil {
-			return "", nil, err
-		}
-		sl := &j.slots[i]
-		*sl = slot{state: slotPending, req: reqs[i], key: key}
-		if c.opts.Cache != nil {
-			// A cached entry that is not a valid result frame (corrupt, or a
-			// foreign value under our key) is simulated again, never served.
-			if body, ok := c.opts.Cache.Get(key); ok && wire.ValidateResultFrame(body) == nil {
-				sl.state, sl.body = slotDone, body
-				j.fedHits++
-				j.resolve(i, wire.Scenario{Result: body, Cached: true}, 0)
-				continue
-			}
-		}
-		j.pending = append(j.pending, i)
+	for i := range j.slots {
+		j.slots[i].state = slotDone // answered at admission: no upload resolves it
 	}
-	j.open = len(j.pending)
+	for _, i := range pending {
+		j.slots[i].state = slotPending
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextJob++
-	j.id = fmt.Sprintf("cj-%06d", c.nextJob)
-	c.jobs[j.id] = j
-	c.jobOrder = append(c.jobOrder, j.id)
+	c.jobs[id] = j
+	c.jobOrder = append(c.jobOrder, id)
 	c.stats.JobsSubmitted++
-	c.stats.FederatedHits += uint64(j.fedHits)
-	if j.open == 0 {
-		c.completeLocked(j)
-	} else {
-		c.wakeLocked()
-	}
-	return j.id, j.done, nil
+	c.wakeLocked()
+	return j.done
 }
 
 // Cancel resolves a job's unfinished scenarios as cancelled, without
@@ -612,19 +573,13 @@ func (c *Coordinator) Cancel(jobID string) {
 	close(j.done)
 }
 
-// completeLocked finishes a job whose last open slot just resolved.
-func (c *Coordinator) completeLocked(j *jobState) {
-	c.stats.JobsCompleted++
-	close(j.done)
-}
-
 // AwaitJob blocks until the job completes, ctx ends, or — because lease
 // expiry and node death are only detected when the clock is consulted — a
 // periodic sweep tick fires. Ending ctx cancels the job first. Either way
 // every slot that will ever be published has been by the time AwaitJob
-// returns: it drops the job record and returns the node-reported span
-// totals (milliseconds by span name).
-func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan struct{}) (map[string]float64, error) {
+// returns: it drops the job record and returns the job's node_sim total in
+// milliseconds.
+func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan struct{}) (float64, error) {
 	tick := time.NewTicker(c.sweepInterval())
 	defer tick.Stop()
 	for {
@@ -640,17 +595,17 @@ func (c *Coordinator) AwaitJob(ctx context.Context, jobID string, done <-chan st
 	}
 }
 
-// dropJob removes a job record and returns its span totals.
-func (c *Coordinator) dropJob(jobID string) map[string]float64 {
+// dropJob removes a job record and returns its node_sim total.
+func (c *Coordinator) dropJob(jobID string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[jobID]
 	if !ok {
-		return nil
+		return 0
 	}
 	delete(c.jobs, jobID)
 	c.jobOrder = slices.DeleteFunc(c.jobOrder, func(id string) bool { return id == jobID })
-	return j.spanDur
+	return j.simMS
 }
 
 // sweepInterval is how often AwaitJob forces a sweep: often enough to catch

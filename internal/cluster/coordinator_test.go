@@ -36,28 +36,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// memCache is a map-backed ResultCache for coordinator tests.
-type memCache struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func newMemCache() *memCache { return &memCache{m: make(map[string][]byte)} }
-
-func (c *memCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.m[key]
-	return b, ok
-}
-
-func (c *memCache) Put(key string, body []byte) {
-	c.mu.Lock()
-	c.m[key] = append([]byte(nil), body...)
-	c.mu.Unlock()
-}
-
-func testCoordinator(t *testing.T, clk *fakeClock, cache ResultCache) *Coordinator {
+func testCoordinator(t *testing.T, clk *fakeClock) *Coordinator {
 	t.Helper()
 	// DeadAfter is kept past the lease TTL so lease-expiry tests exercise the
 	// deadline path, not node death; the node-death test builds its own.
@@ -66,7 +45,6 @@ func testCoordinator(t *testing.T, clk *fakeClock, cache ResultCache) *Coordinat
 		LeaseTTL:  10 * time.Second,
 		Heartbeat: 2 * time.Second,
 		DeadAfter: 30 * time.Second,
-		Cache:     cache,
 		Now:       clk.Now,
 	})
 }
@@ -116,32 +94,57 @@ func errorFor(idx int, msg, reason string) wire.Scenario {
 	return wire.Scenario{Index: idx, Request: testRequest(idx), Error: msg, Reason: reason}
 }
 
+// cacheKeys returns each scenario's cache key, as the daemon computes it
+// at admission.
+func cacheKeys(t *testing.T, reqs []hetwire.RunRequest) []string {
+	t.Helper()
+	keys := make([]string, len(reqs))
+	for i := range reqs {
+		var err error
+		if keys[i], err = reqs[i].CacheKey(); err != nil {
+			t.Fatalf("cache key %d: %v", i, err)
+		}
+	}
+	return keys
+}
+
+// submit registers reqs as job id with every index pending, as the daemon
+// submits a batch none of whose scenarios is cached.
+func submit(t *testing.T, c *Coordinator, id string, reqs []hetwire.RunRequest, traceID, tenant string, publish Publish) <-chan struct{} {
+	t.Helper()
+	pending := make([]int, len(reqs))
+	for i := range pending {
+		pending[i] = i
+	}
+	return c.Submit(id, reqs, cacheKeys(t, reqs), pending, traceID, tenant, publish)
+}
+
 // upload sends scenario outcomes for a lease as nodeID.
 func upload(c *Coordinator, nodeID string, lease *Lease, scenarios ...wire.Scenario) (*UploadResponse, error) {
 	return c.Upload(&wire.UploadHeader{NodeID: nodeID, LeaseID: lease.ID, JobID: lease.JobID}, scenarios)
 }
 
-// sink collects what a job publishes: its frames by index, the result
-// bytes the publications report inserting into the federated cache, and any
-// index published twice. Uploads publish under the coordinator's lock, so
-// the sink has its own.
+// sink collects what a job publishes: its frames and the result frames
+// handed back for the daemon's cache, by index, and any index published
+// twice. Uploads publish under the coordinator's lock, so the sink has its
+// own.
 type sink struct {
-	mu       sync.Mutex
-	frames   map[int][]byte
-	inserted int
-	repeats  int
+	mu      sync.Mutex
+	frames  map[int][]byte
+	results map[int][]byte
+	repeats int
 }
 
-func newSink() *sink { return &sink{frames: make(map[int][]byte)} }
+func newSink() *sink { return &sink{frames: make(map[int][]byte), results: make(map[int][]byte)} }
 
-func (s *sink) publish(i int, frame []byte, inserted int) {
+func (s *sink) publish(i int, frame, result []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.frames[i]; ok {
 		s.repeats++
 	}
 	s.frames[i] = frame
-	s.inserted += inserted
+	s.results[i] = result
 }
 
 // published returns how many indices have been published.
@@ -231,7 +234,7 @@ func mustLease(t *testing.T, c *Coordinator, nodeID string, max int) *Lease {
 }
 
 func TestRegisterRejectsIncompatibleNodes(t *testing.T) {
-	c := testCoordinator(t, newFakeClock(), nil)
+	c := testCoordinator(t, newFakeClock())
 	_, err := c.Register(&RegisterRequest{Protocol: ProtocolVersion + 1, CompatHash: CompatHash()})
 	if hetwire.ReasonCode(err) != ReasonIncompatibleNode {
 		t.Fatalf("protocol mismatch: got reason %q err %v", hetwire.ReasonCode(err), err)
@@ -243,7 +246,7 @@ func TestRegisterRejectsIncompatibleNodes(t *testing.T) {
 }
 
 func TestUnknownNodeIsMachineReadable(t *testing.T) {
-	c := testCoordinator(t, newFakeClock(), nil)
+	c := testCoordinator(t, newFakeClock())
 	if _, err := c.Lease(noWait, &LeaseRequest{NodeID: "n-9999"}); hetwire.ReasonCode(err) != ReasonUnknownNode {
 		t.Fatalf("lease: got reason %q err %v", hetwire.ReasonCode(err), err)
 	}
@@ -257,11 +260,9 @@ func TestUnknownNodeIsMachineReadable(t *testing.T) {
 
 func TestLeaseShardsInCanonicalOrder(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "a")
-	if _, done, err := c.Submit(testBatch(10), "t1", "", nil); err != nil || done == nil {
-		t.Fatalf("submit: %v", err)
-	}
+	submit(t, c, "j-000001", testBatch(10), "t1", "", nil)
 	l1 := mustLease(t, c, n1, 0)
 	if l1.Start != 0 || l1.End != 4 {
 		t.Fatalf("first lease covers [%d,%d), want [0,4)", l1.Start, l1.End)
@@ -321,14 +322,12 @@ func awaitLease(t *testing.T, held <-chan *LeaseResponse) *Lease {
 // held, and a Submit during the hold answers every held request, each with
 // its own shard of the new job.
 func TestHeldLeaseWakesOnSubmit(t *testing.T) {
-	c := testCoordinator(t, newFakeClock(), nil)
+	c := testCoordinator(t, newFakeClock())
 	n1 := register(t, c, "a")
 	n2 := register(t, c, "b")
 	held1, held2 := heldLease(t, c, n1), heldLease(t, c, n2)
-	jobID, _, err := c.Submit(testBatch(8), "", "", nil)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	const jobID = "j-000001"
+	submit(t, c, jobID, testBatch(8), "", "", nil)
 	l1, l2 := awaitLease(t, held1), awaitLease(t, held2)
 	if l1.Start > l2.Start {
 		l1, l2 = l2, l1
@@ -343,12 +342,10 @@ func TestHeldLeaseWakesOnSubmit(t *testing.T) {
 // wakes another node's held request, which gets the expired range.
 func TestHeldLeaseWakesOnExpiry(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "sick")
 	n2 := register(t, c, "healthy")
-	if _, _, err := c.Submit(testBatch(4), "", "", nil); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	submit(t, c, "j-000001", testBatch(4), "", "", nil)
 	l1 := mustLease(t, c, n1, 0)
 	held := heldLease(t, c, n2)
 	clk.Advance(11 * time.Second) // past the 10s TTL, inside n2's 30s DeadAfter
@@ -362,7 +359,7 @@ func TestHeldLeaseWakesOnExpiry(t *testing.T) {
 // TestIdleLeaseHoldEndsEmpty: a hold whose context ends without work answers
 // an empty lease and no error; an unknown node is rejected without a hold.
 func TestIdleLeaseHoldEndsEmpty(t *testing.T) {
-	c := testCoordinator(t, newFakeClock(), nil)
+	c := testCoordinator(t, newFakeClock())
 	n1 := register(t, c, "a")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -386,14 +383,11 @@ func TestIdleLeaseHoldEndsEmpty(t *testing.T) {
 
 func TestLeaseExpiryRedispatchesToAnotherNode(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "sick")
 	n2 := register(t, c, "healthy")
 	pub := newSink()
-	_, done, err := c.Submit(testBatch(4), "t2", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	done := submit(t, c, "j-000001", testBatch(4), "t2", "", pub.publish)
 	l1 := mustLease(t, c, n1, 0) // covers [0,4), then the node goes silent
 	// Keep n2 alive while n1's lease runs out.
 	clk.Advance(5 * time.Second)
@@ -457,9 +451,7 @@ func TestDeadNodeLeasesExpireImmediately(t *testing.T) {
 	})
 	n1 := register(t, c, "doomed")
 	n2 := register(t, c, "survivor")
-	if _, _, err := c.Submit(testBatch(4), "", "", nil); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	submit(t, c, "j-000001", testBatch(4), "", "", nil)
 	mustLease(t, c, n1, 0)
 	// n2 keeps heartbeating; n1 goes silent past DeadAfter.
 	clk.Advance(4 * time.Second)
@@ -478,133 +470,39 @@ func TestDeadNodeLeasesExpireImmediately(t *testing.T) {
 	}
 }
 
-// cacheKeys returns each scenario's federated cache key, as Submit
-// computes it.
-func cacheKeys(t *testing.T, reqs []hetwire.RunRequest) []string {
-	t.Helper()
-	keys := make([]string, len(reqs))
-	for i := range reqs {
-		var err error
-		if keys[i], err = reqs[i].CacheKey(); err != nil {
-			t.Fatalf("cache key %d: %v", i, err)
+// TestSubmitLeasesOnlyPending: Submit leases only the indices the daemon
+// found uncached, publishes nothing for the others, and completes when the
+// pending ones resolve. An accepted upload hands its result frame back for
+// the daemon's cache.
+func TestSubmitLeasesOnlyPending(t *testing.T) {
+	c := testCoordinator(t, newFakeClock())
+	n1 := register(t, c, "a")
+	reqs := testBatch(3)
+	pub := newSink()
+	done := c.Submit("j-000001", reqs, cacheKeys(t, reqs), []int{0, 2}, "", "", pub.publish)
+	for _, want := range []int{0, 2} {
+		l := mustLease(t, c, n1, 0)
+		if l.Start != want || l.End != want+1 {
+			t.Fatalf("lease covers [%d,%d), want [%d,%d)", l.Start, l.End, want, want+1)
+		}
+		if resp := uploadRange(t, c, n1, l); resp.Accepted != 1 {
+			t.Fatalf("upload of [%d,%d): %+v", l.Start, l.End, resp)
 		}
 	}
-	return keys
-}
-
-// TestFederatedCacheFillsSkippedSlots: Submit fills a scenario the federated
-// cache already holds, so leases skip its slot and only the miss is leased.
-func TestFederatedCacheFillsSkippedSlots(t *testing.T) {
-	cache := newMemCache()
-	c := testCoordinator(t, newFakeClock(), cache)
-	n1 := register(t, c, "a")
-	keys := cacheKeys(t, testBatch(2))
-	// Pre-load index 1's result, as if another sweep had computed it. The
-	// federated store holds wire frames, so the preload must be one too.
-	body1 := resultFor(1).Result
-	cache.Put(keys[1], body1)
-
-	pub := newSink()
-	_, done, err := c.Submit(testBatch(2), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if st := c.Stats(); st.FederatedHits != 1 {
-		t.Fatalf("federated hits after submit = %d, want 1", st.FederatedHits)
-	}
-	if pub.published() != 1 {
-		t.Fatalf("Submit published %d frames, want the one cache hit", pub.published())
-	}
-	lease := mustLease(t, c, n1, 0)
-	if lease.Start != 0 || lease.End != 1 {
-		t.Fatalf("lease covers [%d,%d), want only the miss [0,1)", lease.Start, lease.End)
-	}
 	if resp, err := c.Lease(noWait, &LeaseRequest{NodeID: n1}); err != nil || resp.Lease != nil {
-		t.Fatalf("cached index leased: %+v err %v", resp.Lease, err)
-	}
-	if resp := uploadRange(t, c, n1, lease); resp.Accepted != 1 {
-		t.Fatalf("upload response: %+v, want 1 accepted", resp)
-	}
-	// Index 0's fresh result must have populated the federated store.
-	if _, ok := cache.Get(keys[0]); !ok {
-		t.Fatal("fresh upload did not populate the federated cache")
-	}
-	// Only the fresh upload inserted bytes, and it inserted the result frame.
-	if pub.inserted != len(resultFor(0).Result) {
-		t.Fatalf("publications report %d inserted bytes, want the %d of the uploaded result frame",
-			pub.inserted, len(resultFor(0).Result))
-	}
-	take(t, c, lease.JobID, done, pub, 2)
-	sc, err := wire.DecodeScenario(pub.frames[1])
-	if err != nil {
-		t.Fatalf("scenario 1: %v", err)
-	}
-	if !sc.Cached || !bytes.Equal(sc.Result, body1) {
-		t.Fatalf("cached slot: cached=%v, result equals the cached bytes: %v", sc.Cached, bytes.Equal(sc.Result, body1))
-	}
-	if sc, err := wire.DecodeScenario(pub.frames[0]); err != nil || sc.Cached {
-		t.Fatalf("simulated slot: %+v err %v, want a fresh result", sc, err)
-	}
-	if st := c.Stats(); st.FederatedHits != 1 || st.JobsCompleted != 1 {
-		t.Fatalf("stats after the job: %+v, want 1 federated hit and 1 completed job", st)
-	}
-}
-
-// TestInvalidCachedEntryIsSimulated: a cached entry that is not a valid
-// result frame is leased and simulated, never served.
-func TestInvalidCachedEntryIsSimulated(t *testing.T) {
-	cache := newMemCache()
-	c := testCoordinator(t, newFakeClock(), cache)
-	n1 := register(t, c, "a")
-	keys := cacheKeys(t, testBatch(1))
-	cache.Put(keys[0], []byte(`{"ipc":1}`))
-	pub := newSink()
-	_, done, err := c.Submit(testBatch(1), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	lease := mustLease(t, c, n1, 0)
-	if lease.Start != 0 || lease.End != 1 {
-		t.Fatalf("lease covers [%d,%d), want [0,1)", lease.Start, lease.End)
-	}
-	uploadRange(t, c, n1, lease)
-	out := take(t, c, lease.JobID, done, pub, 1)
-	if out.Completed != 1 || out.CacheHits != 0 || out.Scenarios[0].Response.IPC != 1 {
-		t.Fatalf("completed=%d hits=%d ipc=%v, want the simulated result", out.Completed, out.CacheHits, out.Scenarios[0].Response.IPC)
-	}
-	if st := c.Stats(); st.FederatedHits != 0 {
-		t.Fatalf("invalid entry counted as a federated hit: %+v", st)
-	}
-}
-
-// TestFullyCachedBatchCompletesInSubmit: a batch whose every scenario is
-// cached completes before Submit returns, with no node registered and no
-// lease issued.
-func TestFullyCachedBatchCompletesInSubmit(t *testing.T) {
-	cache := newMemCache()
-	c := testCoordinator(t, newFakeClock(), cache)
-	for i, key := range cacheKeys(t, testBatch(3)) {
-		cache.Put(key, resultFor(i).Result)
-	}
-	pub := newSink()
-	jobID, done, err := c.Submit(testBatch(3), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatalf("an index admission answered was leased: %+v err %v", resp.Lease, err)
 	}
 	select {
 	case <-done:
 	default:
-		t.Fatal("fully cached job still open after Submit")
+		t.Fatal("job open after its pending indices resolved")
 	}
-	if pub.published() != 3 || pub.inserted != 0 {
-		t.Fatalf("Submit published %d frames inserting %d bytes, want 3 cache hits inserting nothing", pub.published(), pub.inserted)
+	take(t, c, "j-000001", done, pub, 3)
+	if _, ok := pub.frames[1]; ok || len(pub.frames) != 2 {
+		t.Fatalf("published indices %v, want only 0 and 2", pub.frames)
 	}
-	out := take(t, c, jobID, done, pub, 3)
-	if out.Completed != 3 || out.CacheHits != 3 {
-		t.Fatalf("completed=%d hits=%d, want 3/3", out.Completed, out.CacheHits)
-	}
-	if st := c.Stats(); st.FederatedHits != 3 || st.JobsCompleted != 1 || st.LeasesIssued != 0 {
-		t.Fatalf("stats: %+v, want 3 federated hits, 1 completed job, no lease", st)
+	if !bytes.Equal(pub.results[2], resultFor(2).Result) {
+		t.Fatal("the accepted upload's result frame was not handed back")
 	}
 }
 
@@ -615,14 +513,11 @@ func TestFullyCachedBatchCompletesInSubmit(t *testing.T) {
 // the indices it left unresolved at once.
 func TestUploadRejectsMalformedResults(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "a")
 	n2 := register(t, c, "b")
 	pub := newSink()
-	_, done, err := c.Submit(testBatch(4), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	done := submit(t, c, "j-000001", testBatch(4), "", "", pub.publish)
 	lease := mustLease(t, c, n1, 0)
 
 	outOfRange := resultFor(1)
@@ -671,24 +566,22 @@ func TestUploadRejectsMalformedResults(t *testing.T) {
 	}
 }
 
-// TestUploadMustAnswerItsSlot: an upload is stored under its slot's cache
-// key, so a scenario that carries another slot's request, or that claims to
-// be a cache hit, is rejected whole with bad_request. Nothing changes: no
-// slot resolves, nothing is published, the lease stays outstanding and the
-// federated cache stays empty. A request that differs from the leased one
-// only in its bytes (the lease JSON compacts a config document) answers the
-// slot, and the published frame carries the daemon's request bytes.
+// TestUploadMustAnswerItsSlot: an upload's result is stored under its
+// slot's cache key, so a scenario that carries another slot's request, or
+// that claims to be a cache hit, is rejected whole with bad_request.
+// Nothing changes: no slot resolves, nothing is published (so nothing
+// reaches the daemon's cache) and the lease stays outstanding. A request
+// that differs from the leased one only in its bytes (the lease JSON
+// compacts a config document) answers the slot, and the published frame
+// carries the daemon's request bytes.
 func TestUploadMustAnswerItsSlot(t *testing.T) {
-	cache := newMemCache()
-	c := testCoordinator(t, newFakeClock(), cache)
+	c := testCoordinator(t, newFakeClock())
 	n1 := register(t, c, "a")
 	reqs := testBatch(2)
 	reqs[1].Config = json.RawMessage(`{ "model": "I",  "clusters": 4 }`)
 	pub := newSink()
-	jobID, done, err := c.Submit(reqs, "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	const jobID = "j-000001"
+	done := submit(t, c, jobID, reqs, "", "", pub.publish)
 	lease := mustLease(t, c, n1, 0)
 
 	mismatched := resultFor(1)
@@ -716,9 +609,6 @@ func TestUploadMustAnswerItsSlot(t *testing.T) {
 			t.Fatalf("%s: stats %+v and %d frames published, want the lease outstanding and nothing accepted",
 				name, st, pub.published())
 		}
-		if len(cache.m) != 0 {
-			t.Fatalf("%s: the federated cache holds %d entries", name, len(cache.m))
-		}
 	}
 
 	// A node reads its lease from JSON, which compacts the document.
@@ -743,22 +633,22 @@ func TestUploadMustAnswerItsSlot(t *testing.T) {
 
 func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "a")
 	pub := newSink()
-	_, done, err := c.Submit(testBatch(2), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	done := submit(t, c, "j-000001", testBatch(2), "", "", pub.publish)
 	lease := mustLease(t, c, n1, 0)
 	r0 := resultFor(0)
-	_, err = upload(c, n1, lease, r0, errorFor(1, "simulated node failure", "bad_config"))
+	_, err := upload(c, n1, lease, r0, errorFor(1, "simulated node failure", "bad_config"))
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
 	out := take(t, c, lease.JobID, done, pub, 2)
 	if out.Completed != 1 || out.Failed != 1 {
 		t.Fatalf("completed=%d failed=%d, want 1/1", out.Completed, out.Failed)
+	}
+	if !bytes.Equal(pub.results[0], r0.Result) || pub.results[1] != nil {
+		t.Fatal("publish must hand back the accepted result frame, and nothing for an error")
 	}
 	if out.Scenarios[1].Reason != "bad_config" || out.Scenarios[1].Error == "" {
 		t.Fatalf("failed slot: %+v", out.Scenarios[1])
@@ -767,13 +657,11 @@ func TestScenarioErrorsIsolateToTheirSlots(t *testing.T) {
 
 func TestCancelResolvesOpenSlots(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "a")
 	pub := newSink()
-	jobID, done, err := c.Submit(testBatch(3), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	const jobID = "j-000001"
+	done := submit(t, c, jobID, testBatch(3), "", "", pub.publish)
 	lease := mustLease(t, c, n1, 2)
 	r0 := resultFor(0)
 	if _, err := upload(c, n1, lease, r0); err != nil {
@@ -802,19 +690,11 @@ func TestCancelResolvesOpenSlots(t *testing.T) {
 
 func TestOldestJobLeasesFirst(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "a")
-	j1, _, err := c.Submit(testBatch(2), "", "", nil)
-	if err != nil {
-		t.Fatalf("submit 1: %v", err)
-	}
-	j2, _, err := c.Submit(testBatch(2), "", "", nil)
-	if err != nil {
-		t.Fatalf("submit 2: %v", err)
-	}
-	if j1 == j2 {
-		t.Fatalf("duplicate job IDs: %s", j1)
-	}
+	const j1, j2 = "j-000001", "j-000002"
+	submit(t, c, j1, testBatch(2), "", "", nil)
+	submit(t, c, j2, testBatch(2), "", "", nil)
 	l := mustLease(t, c, n1, 0)
 	if l.JobID != j1 {
 		t.Fatalf("first lease from job %s, want oldest %s", l.JobID, j1)
@@ -823,7 +703,7 @@ func TestOldestJobLeasesFirst(t *testing.T) {
 
 func TestLeaseIDsAndNodeIDsAreSequential(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	for i := 1; i <= 3; i++ {
 		id := register(t, c, "n")
 		if want := fmt.Sprintf("n-%04d", i); id != want {
@@ -839,14 +719,11 @@ func TestLeaseIDsAndNodeIDsAreSequential(t *testing.T) {
 // completion, then a negative open count).
 func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "slow")
 	n2 := register(t, c, "healthy")
 	pub := newSink()
-	_, done, err := c.Submit(testBatch(4), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	done := submit(t, c, "j-000001", testBatch(4), "", "", pub.publish)
 	l1 := mustLease(t, c, n1, 0) // [0,4), then the lease runs out
 	clk.Advance(5 * time.Second)
 	c.Heartbeat(&HeartbeatRequest{NodeID: n2})
@@ -892,14 +769,11 @@ func TestStragglerUploadWhilePendingRetiresQueueEntry(t *testing.T) {
 // result wins regardless of interleaving.
 func TestStaleErrorDoesNotFailSlot(t *testing.T) {
 	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil)
+	c := testCoordinator(t, clk)
 	n1 := register(t, c, "flaky")
 	n2 := register(t, c, "healthy")
 	pub := newSink()
-	_, done, err := c.Submit(testBatch(2), "", "", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	done := submit(t, c, "j-000001", testBatch(2), "", "", pub.publish)
 	l1 := mustLease(t, c, n1, 0)
 	clk.Advance(5 * time.Second)
 	c.Heartbeat(&HeartbeatRequest{NodeID: n2})

@@ -33,9 +33,7 @@ func TestCoordinatorFlightLeaseLifecycle(t *testing.T) {
 	c := testFlightCoordinator(t, clk, fr)
 	n1 := register(t, c, "slow")
 	n2 := register(t, c, "healthy")
-	if _, _, err := c.Submit(testBatch(2), "tr-life", "acme", nil); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	submit(t, c, "j-000001", testBatch(2), "tr-life", "acme", nil)
 	l1 := mustLease(t, c, n1, 0)
 	clk.Advance(5 * time.Second)
 	c.Heartbeat(&HeartbeatRequest{NodeID: n2})
@@ -88,9 +86,7 @@ func TestCoordinatorFlightNodeMembership(t *testing.T) {
 	})
 	doomed := register(t, c, "doomed")
 	survivor := register(t, c, "survivor")
-	if _, _, err := c.Submit(testBatch(4), "tr-dead", "acme", nil); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	submit(t, c, "j-000001", testBatch(4), "tr-dead", "acme", nil)
 	l1 := mustLease(t, c, doomed, 0)
 	clk.Advance(4 * time.Second)
 	c.Heartbeat(&HeartbeatRequest{NodeID: survivor})
@@ -134,10 +130,8 @@ func runTwoNodeScript(t *testing.T) string {
 	c := testFlightCoordinator(t, clk, coordFR)
 	nodes := []string{register(t, c, "alpha"), register(t, c, "beta")}
 	pub := newSink()
-	jobID, done, err := c.Submit(testBatch(4), "tr-merge", "acme", pub.publish)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	const jobID = "j-000001"
+	done := submit(t, c, jobID, testBatch(4), "tr-merge", "acme", pub.publish)
 
 	nodeFR := []*flight.Recorder{flight.New(64), flight.New(64)}
 	for i, nodeID := range nodes {
@@ -181,14 +175,14 @@ func TestMergedTimelineByteIdenticalAcrossRuns(t *testing.T) {
 	// grant, then the node's execution and outcome, then the upload — and
 	// blocks appear in grant order.
 	wantOrder := []string{
-		"lease_grant tenant=acme job=cj-000001 lease=l-000001",
-		"lease_run tenant=acme job=cj-000001 lease=l-000001",
-		"lease_done tenant=acme job=cj-000001 lease=l-000001 node=n-0001 detail=simulated=2",
-		"lease_upload tenant=acme job=cj-000001 lease=l-000001",
-		"lease_grant tenant=acme job=cj-000001 lease=l-000002",
-		"lease_run tenant=acme job=cj-000001 lease=l-000002",
-		"lease_done tenant=acme job=cj-000001 lease=l-000002 node=n-0002 detail=simulated=2",
-		"lease_upload tenant=acme job=cj-000001 lease=l-000002",
+		"lease_grant tenant=acme job=j-000001 lease=l-000001",
+		"lease_run tenant=acme job=j-000001 lease=l-000001",
+		"lease_done tenant=acme job=j-000001 lease=l-000001 node=n-0001 detail=simulated=2",
+		"lease_upload tenant=acme job=j-000001 lease=l-000001",
+		"lease_grant tenant=acme job=j-000001 lease=l-000002",
+		"lease_run tenant=acme job=j-000001 lease=l-000002",
+		"lease_done tenant=acme job=j-000001 lease=l-000002 node=n-0002 detail=simulated=2",
+		"lease_upload tenant=acme job=j-000001 lease=l-000002",
 	}
 	pos := -1
 	for _, probe := range wantOrder {

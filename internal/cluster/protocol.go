@@ -1,20 +1,20 @@
 // Package cluster is the distributed sweep fabric: a coordinator that
-// expands BatchRequest sweeps in canonical order, shards the scenario index
-// space into bounded work leases, and hands them to registered worker nodes
-// over a small authenticated HTTP protocol, plus the node agent that pulls
-// leases, simulates, and uploads content-addressed results.
+// shards the uncached part of a batch's scenario index space into bounded
+// work leases and hands them to registered worker nodes over a small
+// authenticated HTTP protocol, plus the node agent that pulls leases,
+// simulates, and uploads content-addressed results.
 //
 // One encoding per message: control messages (register, heartbeat, lease,
 // and the upload acknowledgement) are JSON; results travel only as
 // hetwire-bin/v1 upload streams (wire.EncodeUpload) of TypeScenario frames,
-// the same frames a local batch publishes, so the coordinator stores exactly
-// the result bytes a node's simulation produced.
+// the same frames a local batch publishes, so the daemon's cache stores
+// exactly the result bytes a node's simulation produced.
 //
 // Dispatch is push-on-arrival over a pull protocol: a lease request that
 // finds nothing pending is held open (the daemon bounds the hold at 200
-// ms) and answered as soon as indices enter the pending queue — on a submit
-// that left scenarios to simulate, or when a lease ends with indices
-// unresolved (expiry, node death, or a partial upload). A node asks again
+// ms) and answered as soon as indices enter the pending queue — on a submit,
+// or when a lease ends with indices unresolved (expiry, node death, or a
+// partial upload). A node asks again
 // right after every answer, so queued work reaches an idle node at once
 // rather than at its next poll.
 //
@@ -24,9 +24,8 @@
 // carry the request its index was leased for. A scenario's result frame is
 // a pure function of its RunRequest (simulations are deterministic and the
 // wire encoding is canonical), so the assembled batch stream is
-// bit-identical regardless of
-// node count, lease size, which node ran which range, or how lease expiry
-// and re-dispatch interleaved. Duplicate uploads — a straggler finishing
+// bit-identical regardless of node count, lease size, which node ran which
+// range, or how lease expiry and re-dispatch interleaved. Duplicate uploads — a straggler finishing
 // after its lease was re-dispatched — are no-ops by construction: the slot
 // already holds the same bytes, and the coordinator compares the frames to
 // prove it. Scenario errors are not content-addressed, so they are only
@@ -36,10 +35,10 @@
 // Robustness contract: leases carry deadlines; an expired lease returns its
 // unfinished indices to the pending queue for another node (straggler
 // re-dispatch). Nodes that miss enough heartbeats are declared dead and
-// their leases expire immediately. The coordinator answers every scenario
-// its federated result cache already holds at submit, so only misses are
-// leased; uploaded results populate that content-addressed cache, so
-// cluster work and single-box work share one result store.
+// their leases expire immediately. The coordinator keeps no result cache:
+// the daemon answers cached scenarios at admission and submits only the
+// misses, and stores each accepted upload's result frame, which Publish
+// hands back, in the one cache that cluster and local work share.
 package cluster
 
 import (

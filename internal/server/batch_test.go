@@ -270,7 +270,7 @@ func TestBatchProgressConcurrentPublish(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = hetwire.RunRequest{Benchmark: "gzip", Model: "I", N: uint64(1000 + i)}
 	}
-	p := newBatchProgress(reqs)
+	p := newBatchProgress(reqs, nil, nil)
 	result, err := wire.EncodeRunResult(&hetwire.RunResponse{IPC: 1.5})
 	if err != nil {
 		t.Fatal(err)

@@ -87,18 +87,9 @@ func (c *Cache) setFlight(fr *flight.Recorder) { c.flight = fr }
 func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, error)) (body []byte, hit bool, err error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			ent := el.Value.(*cacheEntry)
-			if sha256.Sum256(ent.body) == ent.sum {
-				c.ll.MoveToFront(el)
-				c.hits++
-				c.mu.Unlock()
-				return ent.body, true, nil
-			}
-			// Corrupt entry: drop it and fall through to recompute.
-			c.removeLocked(el)
-			c.corruption++
-			c.flight.Record(flight.Event{Kind: flight.KindCacheCorrupt, Detail: key})
+		if body, ok := c.lookupLocked(key); ok {
+			c.mu.Unlock()
+			return body, true, nil
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.coalesced++
@@ -155,18 +146,19 @@ func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Get looks the key up without computing on miss; corrupt entries are
-// dropped and reported as a miss. A found entry is not counted as a hit:
-// the coordinator counts its own federated hits.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	return c.lookup(key, false)
-}
-
-// lookup is Get; count makes a found entry count as a stored-entry hit, as
-// it does for a request the daemon answers from the cache at submission.
-func (c *Cache) lookup(key string, count bool) ([]byte, bool) {
+// lookup returns the stored body for key without computing on a miss; it
+// is how admission answers a request from the cache.
+func (c *Cache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.lookupLocked(key)
+}
+
+// lookupLocked is the one stored-entry check, shared by admission and Do: a
+// found entry is verified against its insert-time checksum and counted as a
+// hit, and a corrupt one is dropped and reported as a miss. Called with
+// c.mu held.
+func (c *Cache) lookupLocked(key string) ([]byte, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
@@ -179,9 +171,7 @@ func (c *Cache) lookup(key string, count bool) ([]byte, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	if count {
-		c.hits++
-	}
+	c.hits++
 	return ent.body, true
 }
 
@@ -226,10 +216,9 @@ func runJSON(frame []byte) ([]byte, error) {
 	return json.Marshal(resp)
 }
 
-// Put stores a body under key without running a computation — the
-// federated-cache population path for results uploaded by cluster nodes.
-// The body is copied so the caller may reuse its buffer. An empty key or
-// body is ignored.
+// Put stores a body under key without running a computation: how a
+// coordinator stores a result a cluster node uploaded. The body is copied
+// so the caller may reuse its buffer. An empty key or body is ignored.
 func (c *Cache) Put(key string, body []byte) {
 	if key == "" || len(body) == 0 {
 		return

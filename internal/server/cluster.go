@@ -16,10 +16,9 @@ import (
 	"hetwire/internal/wire"
 )
 
-// ClusterOptions turns the daemon into a cluster coordinator: batch jobs are
-// sharded into work leases and executed by registered worker nodes instead
-// of the local worker's own CPU, with results flowing through the daemon's
-// content-addressed cache (the federated result store).
+// ClusterOptions turns the daemon into a cluster coordinator: batch jobs'
+// uncached scenarios run on registered worker nodes instead of the local
+// CPU pool, and their results fill the daemon's one result cache.
 type ClusterOptions struct {
 	// Token is the shared cluster secret; every /v1/cluster request must
 	// carry it as "Authorization: Bearer <token>". An empty token disables
@@ -43,7 +42,6 @@ func (s *Server) initCluster(co *ClusterOptions) {
 		LeaseTTL:  co.LeaseTTL,
 		Heartbeat: co.Heartbeat,
 		DeadAfter: co.DeadAfter,
-		Cache:     s.cache,
 		Flight:    s.flight,
 	})
 	s.clusterToken = co.Token
@@ -185,34 +183,28 @@ func (s *Server) handleClusterNodes(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// runClusterBatch executes a batch job through the cluster fabric instead of
-// the local CPU pool: submit the expansion made at admission to the
-// coordinator, which publishes each scenario's frame into the job as its
-// slot resolves (cached scenarios at once, the rest as nodes upload them),
-// then wait for the last one. The frames are bit-identical to local batch
-// execution — scenarios land at their expansion index, carry the daemon's
-// request and no node identity, and embed the uploaded result frames
-// verbatim — so the golden corpus reproduces exactly through either path.
+// runClusterBatch executes a batch job's uncached scenarios on the cluster:
+// the coordinator takes the job with the expansion, keys and pending
+// indices admission made, and publishes each scenario's frame into the job
+// as its upload lands; an accepted result is stored in the cache here and
+// billed to the tenant, as a local fill is. The frames are bit-identical to
+// local batch execution — each lands at its expansion index, carries the
+// daemon's request and embeds the uploaded result frame verbatim — so the
+// golden corpus reproduces exactly through either path. The nodes'
+// node_sim total is the job's one node-side span.
 func (s *Server) runClusterBatch(job *Job) error {
-	jobID, done, err := s.coord.Submit(job.progress.reqs, job.TraceID, job.tenant.Name(),
-		func(i int, frame []byte, inserted int) {
-			// A fresh result entered the federated cache via node upload rather
-			// than the local fill path, so its insert is billed here, by the
-			// bytes the cache stores.
-			job.tenant.AddCacheBytes(int64(inserted))
-			job.progress.publishFrame(i, frame)
+	p := job.progress
+	done := s.coord.Submit(job.ID, p.reqs, p.keys, p.pending, job.TraceID, job.tenant.Name(),
+		func(i int, frame, result []byte) {
+			if result != nil {
+				s.cache.Put(p.keys[i], result)
+				job.tenant.AddCacheBytes(int64(len(result)))
+			}
+			p.publishFrame(i, frame)
 		})
-	if err != nil {
-		return err
-	}
-	spanDur, err := s.coord.AwaitJob(job.ctx, jobID, done)
-	// Merge node-reported lease phases into the job's span breakdown. Only
-	// the fixed protocol span names are admitted so a misbehaving node cannot
-	// grow the span list (or the phase-metric label set) without bound.
-	for _, name := range []string{cluster.SpanSim, cluster.SpanUpload} {
-		if ms, ok := spanDur[name]; ok {
-			job.spans.observe(name, time.Now(), time.Duration(ms*float64(time.Millisecond)))
-		}
+	simMS, err := s.coord.AwaitJob(job.ctx, job.ID, done)
+	if simMS > 0 {
+		job.spans.observe(cluster.SpanSim, time.Now(), time.Duration(simMS*float64(time.Millisecond)))
 	}
 	return err
 }
@@ -236,7 +228,6 @@ func (m *Metrics) renderCluster(w io.Writer) {
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"duplicate\"} %d\n", cs.UploadsDuplicate)
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"stale\"} %d\n", cs.UploadsStale)
 	fmt.Fprintf(w, "hetwired_cluster_uploads_total{result=\"conflict\"} %d\n", cs.UploadConflicts)
-	writeCounter(w, "hetwired_cluster_federated_cache_hits_total", "Scenarios answered by the federated result cache instead of a node simulation.", cs.FederatedHits)
 	fmt.Fprintf(w, "# HELP hetwired_cluster_jobs_total Cluster jobs by lifecycle event.\n# TYPE hetwired_cluster_jobs_total counter\n")
 	fmt.Fprintf(w, "hetwired_cluster_jobs_total{event=\"submitted\"} %d\n", cs.JobsSubmitted)
 	fmt.Fprintf(w, "hetwired_cluster_jobs_total{event=\"completed\"} %d\n", cs.JobsCompleted)

@@ -29,9 +29,14 @@ var fuzzClusterHandler = sync.OnceValue(func() http.Handler {
 	}); err != nil {
 		panic(err)
 	}
-	if _, _, err := s.coord.Submit(fuzzJobScenarios, "", "", nil); err != nil {
-		panic(err)
+	keys := make([]string, len(fuzzJobScenarios))
+	for i := range fuzzJobScenarios {
+		var err error
+		if keys[i], err = fuzzJobScenarios[i].CacheKey(); err != nil {
+			panic(err)
+		}
 	}
+	s.coord.Submit("cj-000001", fuzzJobScenarios, keys, []int{0, 1, 2, 3}, "", "", nil)
 	if _, err := s.coord.Lease(fuzzDone, &cluster.LeaseRequest{NodeID: "n-0001"}); err != nil {
 		panic(err)
 	}

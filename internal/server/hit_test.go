@@ -2,15 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hetwire"
+	"hetwire/internal/cluster"
 	"hetwire/internal/tenant"
 	"hetwire/internal/wire"
 )
@@ -370,4 +373,251 @@ func TestJobContextReleasedAtEnd(t *testing.T) {
 	released(done, StateDone)
 	b := submit(batchBody([]string{"I"}, []string{"swim"}, 2000, 0))
 	released(b, StateDone)
+}
+
+// batchModes runs test on a plain daemon and on a coordinator with no node
+// attached: admission answers cached batch scenarios the same way on both.
+func batchModes(t *testing.T, opts Options, test func(t *testing.T, s *Server, ts *httptest.Server)) {
+	for _, mode := range []string{"plain", "coordinator"} {
+		t.Run(mode, func(t *testing.T) {
+			o := opts
+			if mode == "coordinator" {
+				o.Cluster = &ClusterOptions{Token: "hit-test"}
+			}
+			s, ts := newTestServer(t, o)
+			test(t, s, ts)
+		})
+	}
+}
+
+// hitBatch is a three-scenario sweep, gzip on models I, V and VII, and
+// hitSweep its submission body.
+var (
+	hitBatch = &hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{Models: []string{"I", "V", "VII"},
+		Benchmarks: []string{"gzip"}, Ns: []uint64{3000}}}
+	hitSweep = map[string]any{"batch": hitBatch}
+)
+
+// hitSweepRequests is hitBatch's expansion.
+func hitSweepRequests(t *testing.T) []hetwire.RunRequest {
+	t.Helper()
+	reqs, err := hitBatch.ValidExpansion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// leaseAndUpload plays one node on a coordinator: it takes the next lease,
+// which must cover exactly want, simulates it in process and uploads it.
+func leaseAndUpload(t *testing.T, s *Server, want []int) {
+	t.Helper()
+	reg, err := s.coord.Register(&cluster.RegisterRequest{
+		Name: "hand", Protocol: cluster.ProtocolVersion, CompatHash: cluster.CompatHash()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp, err := s.coord.Lease(ctx, &cluster.LeaseRequest{NodeID: reg.NodeID})
+	if err != nil || resp.Lease == nil {
+		t.Fatalf("lease: %+v err %v", resp, err)
+	}
+	l := resp.Lease
+	if l.Start != want[0] || l.End != want[len(want)-1]+1 {
+		t.Fatalf("lease covers [%d,%d), want the misses %v", l.Start, l.End, want)
+	}
+	scs := make([]wire.Scenario, len(l.Scenarios))
+	for k, req := range l.Scenarios {
+		res, err := req.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs[k] = wire.Scenario{Index: l.Start + k, Request: req}
+		if scs[k].Result, err = wire.EncodeRunResult(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.coord.Upload(&wire.UploadHeader{NodeID: reg.NodeID, LeaseID: l.ID, JobID: l.JobID}, scs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFullyCachedBatchBornDone: a batch whose every scenario is cached is
+// answered at submission — 202, done, every scenario a cache hit, no
+// queue_wait span — while a saturated queue refuses every miss with 429
+// queue_full. It takes no worker and, on a coordinator, no lease. A replay
+// under its Idempotency-Key returns the same record and counts no hit.
+func TestFullyCachedBatchBornDone(t *testing.T) {
+	in := mustInjector(t, "seed=3,slow=1,slowms=5000")
+	batchModes(t, Options{Workers: 1, QueueDepth: 1, Faults: in}, func(t *testing.T, s *Server, ts *httptest.Server) {
+		for _, req := range hitSweepRequests(t) {
+			cachedRun(t, s, req)
+		}
+		var blockers []string
+		t.Cleanup(func() {
+			for _, id := range blockers {
+				cancelJob(t, ts.URL, id)
+			}
+		})
+		for n, want := range []int{http.StatusAccepted, http.StatusAccepted, http.StatusTooManyRequests} {
+			resp, raw := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"benchmark": "mcf", "n": 3000 + n})
+			if resp.StatusCode != want {
+				t.Fatalf("blocker %d = %d, want %d: %s", n, resp.StatusCode, want, raw)
+			}
+			if want == http.StatusAccepted {
+				var st JobStatus
+				mustDecode(t, raw, &st)
+				blockers = append(blockers, st.ID)
+				if n == 0 {
+					waitFor(t, 5*time.Second, func() bool { return s.queue.depthNow() == 0 }, "the first blocker to run")
+				}
+			}
+		}
+
+		before := s.Cache().Stats().Hits
+		resp, raw := postAs(t, ts.URL+"/v1/jobs", "", "cached-sweep", hitSweep)
+		var st JobStatus
+		mustDecode(t, raw, &st)
+		if resp.StatusCode != http.StatusAccepted || st.State != StateDone || !st.CacheHit ||
+			st.Batch == nil || st.Batch.CacheHits != 3 || st.Batch.Completed != 3 {
+			t.Fatalf("submit = %d: state %s cache_hit %v batch %+v", resp.StatusCode, st.State, st.CacheHit, st.Batch)
+		}
+		if len(st.Spans) != 1 || st.Spans[0].Name != spanCacheLookup {
+			t.Errorf("spans %+v, want only the cache lookup", st.Spans)
+		}
+		if got := s.Cache().Stats().Hits - before; got != 3 {
+			t.Errorf("cache hits moved by %d, want 3", got)
+		}
+		if s.coord != nil {
+			if cs := s.coord.Stats(); cs.JobsSubmitted != 0 || cs.LeasesIssued != 0 {
+				t.Errorf("coordinator stats %+v, want no job and no lease", cs)
+			}
+		}
+		var polled JobStatus
+		getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &polled)
+		var out hetwire.BatchResponse
+		if err := json.Unmarshal(polled.Result, &out); err != nil || out.CacheHits != 3 || len(out.Scenarios) != 3 {
+			t.Fatalf("result %s: %v", polled.Result, err)
+		}
+
+		resp, raw = postAs(t, ts.URL+"/v1/jobs", "", "cached-sweep", hitSweep)
+		var replay JobStatus
+		mustDecode(t, raw, &replay)
+		if resp.StatusCode != http.StatusOK || replay.ID != st.ID {
+			t.Errorf("replay = %d job %s, want 200 and %s", resp.StatusCode, replay.ID, st.ID)
+		}
+		if got := s.Cache().Stats().Hits - before; got != 3 {
+			t.Errorf("the replay moved the cache hits to %d, want 3", got)
+		}
+	})
+}
+
+// TestPartlyCachedBatchRunsOnlyMisses: a batch publishes its cached
+// scenarios (cached flag set) at admission, and only the miss is simulated
+// on a plain daemon or leased on a coordinator. A coordinator stores the
+// uploaded result in its cache.
+func TestPartlyCachedBatchRunsOnlyMisses(t *testing.T) {
+	batchModes(t, Options{Workers: 1}, func(t *testing.T, s *Server, ts *httptest.Server) {
+		reqs := hitSweepRequests(t)
+		cachedRun(t, s, reqs[0])
+		cachedRun(t, s, reqs[2])
+		misses := s.Cache().Stats().Misses
+		st := submitBatch(t, ts.URL, hitSweep)
+		if st.Batch == nil || st.Batch.CacheHits != 2 {
+			t.Fatalf("submit answered batch %+v, want the 2 hits published", st.Batch)
+		}
+		if s.coord != nil {
+			leaseAndUpload(t, s, []int{1})
+		}
+		done := waitTerminal(t, ts.URL, st.ID, 30*time.Second)
+		var out hetwire.BatchResponse
+		if err := json.Unmarshal(done.Result, &out); err != nil || done.State != StateDone {
+			t.Fatalf("job ended %s: %v", done.State, err)
+		}
+		for i, sc := range out.Scenarios {
+			if sc.Cached != (i != 1) || sc.Response == nil {
+				t.Errorf("scenario %d: cached %v response %v", i, sc.Cached, sc.Response != nil)
+			}
+		}
+		sims := s.Cache().Stats().Misses - misses
+		key, _ := reqs[1].CacheKey()
+		if _, stored := s.cache.lookup(key); !stored || (s.coord == nil && sims != 1) || (s.coord != nil && sims != 0) {
+			t.Errorf("the miss is stored %v, after %d local simulations", stored, sims)
+		}
+	})
+}
+
+// TestCorruptEntryDroppedAtAdmission: admission verifies each entry's
+// checksum, so a corrupted entry is dropped, counted in
+// hetwired_cache_corrupt_dropped_total, and its scenario runs again.
+func TestCorruptEntryDroppedAtAdmission(t *testing.T) {
+	batchModes(t, Options{Workers: 1}, func(t *testing.T, s *Server, ts *httptest.Server) {
+		reqs := hitSweepRequests(t)
+		for _, req := range reqs {
+			cachedRun(t, s, req)
+		}
+		key, _ := reqs[2].CacheKey()
+		if !s.Cache().CorruptEntry(key) {
+			t.Fatal("entry to corrupt is not resident")
+		}
+		st := submitBatch(t, ts.URL, hitSweep)
+		if st.State == StateDone || st.Batch.CacheHits != 2 {
+			t.Fatalf("submit answered state %s batch %+v, want 2 hits and the corrupt entry run", st.State, st.Batch)
+		}
+		if got := metricValue(t, scrapeMetrics(t, ts.URL), "hetwired_cache_corrupt_dropped_total"); got != 1 {
+			t.Errorf("hetwired_cache_corrupt_dropped_total = %v, want 1", got)
+		}
+		if s.coord != nil {
+			leaseAndUpload(t, s, []int{2})
+		}
+		if done := waitTerminal(t, ts.URL, st.ID, 30*time.Second); done.State != StateDone || done.Batch.CacheHits != 2 {
+			t.Fatalf("job ended %s with batch %+v", done.State, done.Batch)
+		}
+	})
+}
+
+// TestStatusBodiesMatchMarshal: the submit answer and the poll of a done
+// run job and of a done batch job are byte-identical to json.Marshal of
+// the same status plus the newline json.Encoder writes, although the
+// stored result view is appended without re-encoding.
+func TestStatusBodiesMatchMarshal(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	for _, req := range hitSweepRequests(t) {
+		cachedRun(t, s, req)
+	}
+	for _, body := range []map[string]any{{"benchmark": "gzip", "model": "V", "n": 3000}, hitSweep} {
+		resp, submitted := postJSON(t, ts.URL+"/v1/jobs", body)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("submit answered Content-Type %q", ct)
+		}
+		var st JobStatus
+		mustDecode(t, submitted, &st)
+		job := s.lookup(st.ID)
+		if st.State != StateDone || job == nil {
+			t.Fatalf("job %s answered %s, want born done", st.ID, st.State)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polled, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name       string
+			got        []byte
+			withResult bool
+		}{{"submit", submitted, job.Kind == "run"}, {"poll", polled, true}} {
+			want, err := json.Marshal(job.Status(c.withResult))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(c.got, append(want, '\n')) {
+				t.Errorf("%s %s body:\n%s\nwant:\n%s", job.Kind, c.name, c.got, want)
+			}
+		}
+	}
 }

@@ -123,15 +123,18 @@ func (j *Job) arm(parent context.Context, deadline time.Duration) {
 	}
 }
 
-// hit ends a run job at submission with the result frame found in the
-// cache: done, a cache hit, no queue_wait, and one span, the cache lookup
-// that started at lookupStart.
+// hit ends a job at submission, answered from the cache (frame is a run's
+// stored result; a batch's frames are already published): done, a cache
+// hit, no queue_wait, and one span, the lookup that started at lookupStart.
 func (j *Job) hit(frame []byte, lookupStart, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.started = j.submitted
 	j.spans.observe(spanCacheLookup, lookupStart, now.Sub(lookupStart))
-	j.body, j.cacheHit, j.ipc = frame, true, ipcOf(frame)
+	if j.progress == nil {
+		j.body, j.ipc = frame, ipcOf(frame)
+	}
+	j.cacheHit = true
 	j.endLocked(StateDone, now)
 }
 
@@ -398,30 +401,46 @@ type BatchStatus struct {
 }
 
 // batchProgress is a batch job's one record of its scenarios: the expanded
-// requests, one published TypeScenario frame per index, and the running
-// trailer counts those frames add up to. A frame is published once, as its
-// scenario resolves — by a local scenario run, or by the coordinator on a
-// cache hit or an upload — and the job's terminal transition fills every
-// index still unresolved with a cancelled frame. Status polls, the
-// streaming endpoint and the JSON result all read the frames, which is what
-// makes partial batch results visible while the job is still running. Every
-// publication closes the current notify channel so blocked streamers
-// re-check.
+// requests and their cache keys, one published TypeScenario frame per
+// index, and the running trailer counts those frames add up to. A frame is
+// published once, as its scenario resolves — by admission on a cache hit,
+// by a local scenario run, or by the coordinator on an upload — and the
+// job's terminal transition fills every index still unresolved with a
+// cancelled frame. Status polls, the streaming endpoint and the JSON result
+// all read the frames, which is what makes partial batch results visible
+// while the job is still running. Every publication closes the current
+// notify channel so blocked streamers re-check.
 type batchProgress struct {
-	mu      sync.Mutex
-	reqs    []hetwire.RunRequest // immutable after construction
+	mu sync.Mutex
+	// reqs, keys and pending are immutable after construction: the
+	// expansion, each scenario's cache key, and the indices admission found
+	// uncached (ascending), which a worker or the coordinator runs.
+	reqs    []hetwire.RunRequest
+	keys    []string
+	pending []int
 	frames  [][]byte
 	trailer wire.BatchTrailer
 	notify  chan struct{}
 }
 
-func newBatchProgress(reqs []hetwire.RunRequest) *batchProgress {
-	return &batchProgress{
+// newBatchProgress builds a batch's record at admission, publishing each
+// scenario whose stored result frame the lookup found (nil on a miss).
+func newBatchProgress(reqs []hetwire.RunRequest, keys []string, cached [][]byte) *batchProgress {
+	p := &batchProgress{
 		reqs:    reqs,
+		keys:    keys,
 		frames:  make([][]byte, len(reqs)),
 		trailer: wire.BatchTrailer{Total: len(reqs)},
 		notify:  make(chan struct{}),
 	}
+	for i, fr := range cached {
+		if fr == nil {
+			p.pending = append(p.pending, i)
+		} else {
+			p.publish(i, fr, true, nil)
+		}
+	}
+	return p
 }
 
 // publish publishes scenario i's outcome. A result frame that cannot be

@@ -4,14 +4,14 @@
 // lane for single runs; see sched.go), a fixed worker pool, a
 // content-addressed result cache, and Prometheus-format metrics.
 // Simulations are deterministic, so identical requests are served from the
-// cache (or coalesced onto an in-flight run) instead of re-simulating; a
-// cached run is answered at submission and never becomes queued work.
+// cache (or coalesced onto an in-flight run) instead of re-simulating; every
+// cache hit is answered at submission, and only misses become queued work.
 //
 // Endpoints:
 //
 //	POST   /v1/run        synchronous run; X-Hetwired-Cache: hit|miss
-//	POST   /v1/jobs       submit a run or batch job; returns its status (a
-//	                      cached run's is done, with its result)
+//	POST   /v1/jobs       submit a run or batch job; returns its status
+//	                      (done at once when the cache answers it whole)
 //	GET    /v1/jobs       list job statuses (?state= filters)
 //	GET    /v1/jobs/{id}  poll one job; result body included when done
 //	DELETE /v1/jobs/{id}  cancel a queued or running job
@@ -531,34 +531,30 @@ func (s *Server) runCached(ctx context.Context, req *hetwire.RunRequest, key str
 	return body, hit, err
 }
 
-// runBatch executes a batch job on the shared engine: scenarios run in
-// parallel under the process CPU-token budget, each going through the result
-// cache individually, with per-scenario spans merged into the job's recorder
-// and each scenario's frame published as it finishes (a status poll mid-run
-// sees the completed scenarios, and the streaming endpoint relays each frame
-// as it lands). A cached scenario's stored result frame is embedded
-// verbatim, so the batch path never decodes or re-encodes a result.
-// Scenario failures are isolated into their frame rather than failing the
-// job; only cancellation or a deadline ends the job early, and the job's
-// terminal transition resolves the scenarios that never started.
+// runBatch executes a batch job's uncached scenarios on the shared engine:
+// they run in parallel under the process CPU-token budget, each through the
+// result cache under the key admission computed (so a twin that filled or
+// is filling the entry meanwhile is not simulated again), with per-scenario
+// spans merged into the job's recorder and each frame published as it
+// finishes. A cached scenario's stored result frame is embedded verbatim, so
+// the batch path never decodes or re-encodes a result. Scenario failures are
+// isolated into their frame; only cancellation or a deadline ends the job
+// early, and the job's terminal transition resolves the scenarios that never
+// started.
 func (s *Server) runBatch(job *Job) error {
 	p := job.progress
-	errs := batch.Run(job.ctx, p.total(), job.Batch.Parallelism, func(ctx context.Context, i int) error {
-		key, err := p.reqs[i].CacheKey()
-		var body []byte
-		var hit bool
-		if err == nil {
-			body, hit, err = s.runCached(ctx, &p.reqs[i], key, job.spans)
-		}
+	errs := batch.Run(job.ctx, len(p.pending), job.Batch.Parallelism, func(ctx context.Context, k int) error {
+		i := p.pending[k]
+		body, hit, err := s.runCached(ctx, &p.reqs[i], p.keys[i], job.spans)
 		p.publish(i, body, hit, err)
 		return err
 	})
 	// A scenario that panicked never reached its publish: its frame carries
 	// the contained panic. A context error here belongs to a scenario that
 	// never started.
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			p.publish(i, nil, false, err)
+	for k, err := range errs {
+		if err != nil && !isContextError(err) {
+			p.publish(p.pending[k], nil, false, err)
 		}
 	}
 	return job.ctx.Err()
@@ -643,27 +639,27 @@ type admission struct {
 
 // submit validates a request on behalf of tn (never nil; the anonymous
 // tenant in open mode) and answers it from the result cache or registers
-// and enqueues a job. A run whose result is cached never becomes work: a
-// synchronous one (sync set) is answered with the stored frame and leaves no
-// record, an asynchronous one gets a record born done. A hit takes no queue
-// slot, so validation, the tenant rate limit and draining refuse it, and
-// queue_full and tenant_queue_share never do. A non-empty idemKey makes the
-// submission idempotent within the tenant: a retry carrying the same key
-// returns the job the first attempt created instead of enqueueing a
-// duplicate — but the same key from a different tenant is a different
-// submission. Every rejection is counted by machine-readable reason, on
-// both the global and the tenant's counters, before it returns.
+// and enqueues a job. Every cache hit is decided here, once per scenario.
+// A request the cache answers whole never becomes work: a synchronous run
+// (sync set) is answered with the stored frame and leaves no record, and a
+// run or batch submitted as a job gets a record born done. That takes no
+// queue slot, so queue_full and tenant_queue_share never refuse it. A batch
+// with misses publishes its hits at once and enqueues the rest. A non-empty
+// idemKey makes the submission idempotent within the tenant: a retry with
+// the same key returns the job the first attempt created and counts no hit,
+// but the same key from a different tenant is a different submission. Every
+// rejection is counted by machine-readable reason, on both the global and
+// the tenant's counters, before it returns.
 func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID string, sync bool) (admission, error) {
 	kind := "run"
-	var batchReqs []hetwire.RunRequest
+	reqs := []hetwire.RunRequest{sub.RunRequest}
 	if sub.Batch != nil {
 		kind = "batch"
-		reqs, err := sub.Batch.ValidExpansion()
-		if err != nil {
+		var err error
+		if reqs, err = sub.Batch.ValidExpansion(); err != nil {
 			s.reject(tn, hetwire.ReasonCode(err))
 			return admission{}, err
 		}
-		batchReqs = reqs
 	} else if err := sub.RunRequest.Validate(); err != nil {
 		s.reject(tn, hetwire.ReasonCode(err))
 		return admission{}, err
@@ -684,6 +680,17 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 			Err: fmt.Errorf("server: tenant %q submission rate limit exceeded", tn.Name())}
 		s.reject(tn, hetwire.ReasonTenantRateLimited)
 		return admission{}, err
+	}
+
+	// Each scenario's cache key is computed once, here: admission looks the
+	// keys up, and the worker or the coordinator reuses them for the misses.
+	keys := make([]string, len(reqs))
+	for i := range reqs {
+		var err error
+		if keys[i], err = reqs[i].CacheKey(); err != nil { // unreachable after Validate
+			s.reject(tn, hetwire.ReasonCode(err))
+			return admission{}, err
+		}
 	}
 
 	// Idempotency keys are scoped per tenant: tenant A replaying key K must
@@ -709,22 +716,15 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 			}
 		}
 	}
-	// A run's cache key is computed once: the lookup here uses it, and so
-	// does the worker if the lookup misses. The lookup verifies the entry's
-	// checksum, so a corrupt entry is dropped and the run becomes a miss.
+	// The lookups verify each entry's checksum, so a corrupt entry is
+	// dropped and its scenario becomes a miss.
 	now := time.Now()
-	var key string
-	var frame []byte
-	var hit bool
-	if sub.Batch == nil {
-		k, err := sub.RunRequest.CacheKey()
-		if err != nil { // unreachable after Validate, but don't trust it
-			s.mu.Unlock()
-			s.reject(tn, hetwire.ReasonCode(err))
-			return admission{}, err
-		}
-		key = k
-		frame, hit = s.cache.lookup(key, true)
+	frames := make([][]byte, len(keys))
+	hit := true
+	for i, k := range keys {
+		var ok bool
+		frames[i], ok = s.cache.lookup(k)
+		hit = hit && ok
 	}
 	if hit && sync {
 		s.mu.Unlock()
@@ -733,21 +733,26 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 		tn.CountSubmitted()
 		s.settle(outcome{tenant: tn, state: StateDone, submitted: now, started: now, finished: end,
 			spans: []Span{{Name: spanCacheLookup, DurMS: float64(end.Sub(now)) / float64(time.Millisecond)}}})
-		return admission{key: key, frame: frame}, nil
+		return admission{key: keys[0], frame: frames[0]}, nil
 	}
 	s.nextID++
 	job := newJob(fmt.Sprintf("j-%06d", s.nextID), kind, traceID, tn, now)
 	job.Req = sub.RunRequest
 	job.Batch = sub.Batch
 	job.flight = s.flight
-	job.key = key
 	job.cache = s.cache
-	if batchReqs != nil {
-		job.progress = newBatchProgress(batchReqs)
+	if sub.Batch == nil {
+		job.key = keys[0]
+	} else {
+		job.progress = newBatchProgress(reqs, keys, frames)
+	}
+	for _, fr := range frames {
+		if fr != nil {
+			s.recordHit(traceID, tn, job.ID)
+		}
 	}
 	if hit {
-		s.recordHit(traceID, tn, job.ID)
-		job.hit(frame, now, time.Now())
+		job.hit(frames[0], now, time.Now())
 	} else {
 		job.arm(s.baseCtx, s.deadlineFor(sub))
 	}
@@ -794,8 +799,8 @@ func (s *Server) submit(sub *submitRequest, tn *tenant.Tenant, idemKey, traceID 
 	return admission{job: job}, nil
 }
 
-// recordHit records the cache_hit event of a run answered at submission;
-// job is empty for a synchronous hit, which has no record.
+// recordHit records the cache_hit event of a run or batch scenario answered
+// at submission; job is empty for a synchronous hit, which has no record.
 func (s *Server) recordHit(traceID string, tn *tenant.Tenant, job string) {
 	s.flight.Record(flight.Event{Kind: flight.KindCacheHit, Trace: traceID, Tenant: tn.Name(), Job: job})
 }
@@ -866,16 +871,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.submitError(w, err, tn)
 		return
 	}
+	code := http.StatusAccepted
 	if adm.replayed {
 		w.Header().Set("X-Hetwired-Idempotent", "replay")
-		w.WriteHeader(http.StatusOK)
-	} else {
-		w.WriteHeader(http.StatusAccepted)
+		code = http.StatusOK
 	}
 	// A run job's result rides along once it is done: a cache hit is born
 	// done, and a replay may find its job finished. The client then has
 	// nothing to poll.
-	writeJSON(w, adm.job.Status(adm.job.Kind == "run"))
+	writeStatus(w, code, adm.job.Status(adm.job.Kind == "run"))
 }
 
 // submitError maps a submission failure to its HTTP response. Overload
@@ -1019,7 +1023,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, job.Status(true))
+	writeStatus(w, http.StatusOK, job.Status(true))
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -1145,6 +1149,25 @@ func writeJSON(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 	}
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeStatus answers a job status with the bytes writeJSON would write,
+// without re-scanning the result: the stored view is already compact, so it
+// is appended as the last field as it is.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
+	result := st.Result
+	st.Result = nil
+	b, err := json.Marshal(st)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if len(result) > 0 {
+		b = append(append(append(b[:len(b)-1], `,"result":`...), result...), '}')
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(b, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -32,15 +32,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	put("a", 1)
 	put("b", 2)
 	put("c", 3)
-	if _, ok := c.Get("a"); !ok { // touch a -> b becomes LRU
+	if _, ok := c.lookup("a"); !ok { // touch a -> b becomes LRU
 		t.Fatal("a missing before eviction")
 	}
 	put("d", 4) // evicts b
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.lookup("b"); ok {
 		t.Error("b survived eviction")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.lookup(k); !ok {
 			t.Errorf("%s evicted unexpectedly", k)
 		}
 	}
@@ -53,7 +53,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, _, err := c.Do(context.Background(), "huge", func() ([]byte, error) { return make([]byte, 100), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("huge"); ok {
+	if _, ok := c.lookup("huge"); ok {
 		t.Error("oversized body was stored")
 	}
 	if st := c.Stats(); st.Entries != 3 {

@@ -15,10 +15,10 @@ import (
 
 // fuzzSeeds builds the seed corpus shared by both fuzz targets: valid
 // frames of every type, a complete batch stream, two complete upload
-// streams, a stream of frames with a retired type byte, and a few
+// streams, two streams with a retired type byte, and a few
 // deliberately-broken variants so the fuzzer starts on both sides of every
-// validation. The committed corpus keeps its seed-08 and seed-09 from
-// before uploads carried scenario frames: they hold the retired 0x07 type.
+// validation. The committed corpus is exactly these seeds
+// (TestFuzzCorpusMatchesSeeds).
 func fuzzSeeds(t testing.TB) [][]byte {
 	must := func(b []byte, err error) []byte {
 		if err != nil {
@@ -63,6 +63,8 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	uploadErr := must(EncodeUpload(&UploadHeader{NodeID: "n1", LeaseID: "l1", JobID: "j1"}, []Scenario{
 		{Index: 5, Request: hetwire.RunRequest{Benchmark: "gzip", Model: "I", N: 6000}, Error: "boom", Reason: "internal"},
 	}))
+	// Type 0x07 once carried each scenario of an upload, after its header.
+	retiredUpload := must(appendFrame(append([]byte(nil), uploadHdr...), 0x07, 0, 4, 0, result))
 	bhdr := must(AppendBatchHeader(nil, 3))
 	btrl := must(AppendBatchTrailer(nil, BatchTrailer{Total: 3, Completed: 2, Failed: 0, CacheHits: 1}))
 
@@ -77,6 +79,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		retired, uploadHdr, uploadRes, uploadErr, bhdr, btrl,
 		torn, corrupt, badMagic,
 		nil, []byte("HWB1"), []byte(`{"ipc":1}`),
+		retiredUpload,
 	}
 }
 
@@ -229,10 +232,38 @@ func TestUpdateFuzzSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, seed := range fuzzSeeds(t) {
-			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, seedName(i)), seedFile(seed), 0o644); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// seedName and seedFile are seed i's corpus file name and its contents in
+// the `go test fuzz v1` format.
+func seedName(i int) string { return fmt.Sprintf("seed-%02d", i) }
+
+func seedFile(seed []byte) []byte {
+	return []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n")
+}
+
+// TestFuzzCorpusMatchesSeeds: both wire targets' committed corpus is
+// fuzzSeeds, file for file, so -update-wire-seeds drops no pin.
+func TestFuzzCorpusMatchesSeeds(t *testing.T) {
+	seeds := fuzzSeeds(t)
+	for _, target := range []string{"FuzzWireDecode", "FuzzWireFrameSplit"} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(seeds) {
+			t.Errorf("%s holds %d files, fuzzSeeds %d", dir, len(files), len(seeds))
+		}
+		for i, seed := range seeds {
+			got, err := os.ReadFile(filepath.Join(dir, seedName(i)))
+			if err != nil || !bytes.Equal(got, seedFile(seed)) {
+				t.Errorf("%s/%s is not fuzzSeeds[%d] (err %v)", dir, seedName(i), i, err)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package hetwire
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hetwire/internal/config"
 )
@@ -61,6 +63,19 @@ func VerifyReproduction(opt Options) []Finding {
 	ivLkg := t3.Rows[3].RelICLkg
 	add("Table 3: Model IV IC leakage ~194", ivLkg > 170 && ivLkg < 220,
 		"%.1f (paper: 194)", ivLkg)
+
+	// Table 4: on 16 clusters heterogeneity still wins ED^2, and IPC puts
+	// Model IX on top and Model II at the bottom, as the paper's does.
+	t4 := Table4(opt)
+	b4 := t4.BestED2(20)
+	add("Table 4: best ED2 @20% is heterogeneous", !homog[b4.Model],
+		"%v at %.1f (paper: Models VII and IX at 88.7)", b4.Model, b4.RelED2At20)
+	byIPC := func(a, b TableRow) int { return cmp.Compare(a.IPC, b.IPC) }
+	top, bottom := slices.MaxFunc(t4.Rows, byIPC), slices.MinFunc(t4.Rows, byIPC)
+	add("Table 4: IPC ranks Model IX first", top.Model == ModelIX,
+		"%v at %.3f (paper: Model-IX at 1.22)", top.Model, top.IPC)
+	add("Table 4: IPC ranks Model II last", bottom.Model == ModelII,
+		"%v at %.3f (paper: Model-II at 1.05)", bottom.Model, bottom.IPC)
 
 	// Section 1: latency sensitivity direction.
 	lat := LatencySensitivity(opt)
