@@ -135,6 +135,13 @@ func (c *Cache) ReservePort(addr uint64, at uint64) uint64 {
 // ResetStats zeroes the hit/miss counters, keeping cache contents.
 func (c *Cache) ResetStats() { c.Accesses, c.Misses = 0, 0 }
 
+// attach moves the bank-port calendars onto the timeline tl.
+func (c *Cache) attach(tl *sched.Timeline) {
+	for _, b := range c.banks {
+		b.Attach(tl)
+	}
+}
+
 // Reset restores the cache to its just-constructed state — cold arrays, idle
 // bank ports, zero counters — reusing all storage. A reset cache behaves
 // bit-identically to a freshly built one. It costs O(1): bumping the
@@ -339,6 +346,15 @@ func (h *Hierarchy) Reset() {
 	h.L1D.Reset()
 	h.L2.Reset()
 	h.TLB.Reset()
+}
+
+// Attach moves the hierarchy's port calendars onto the timeline tl, so a
+// hierarchy built for one machine can serve another; Reset then cools it
+// as for its first machine.
+func (h *Hierarchy) Attach(tl *sched.Timeline) {
+	h.L1I.attach(tl)
+	h.L1D.attach(tl)
+	h.L2.attach(tl)
 }
 
 // FetchAccess models an instruction fetch at cycle start; returns completion

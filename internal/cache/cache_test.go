@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hetwire/internal/sched"
 	"hetwire/internal/xrand"
 )
 
@@ -128,6 +129,25 @@ func newTestHierarchy() *Hierarchy {
 		TLBPenalty: 30,
 		MemLatency: 300,
 	}, nil)
+}
+
+// TestAttachMovesPortCalendars: after Attach, every bank-port calendar of
+// every cache in the hierarchy checks its bookings against the new
+// timeline's floor and records its faults there.
+func TestAttachMovesPortCalendars(t *testing.T) {
+	h := newTestHierarchy()
+	var tl sched.Timeline
+	h.Attach(&tl)
+	tl.Floor = 100
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+		for b := range c.banks {
+			tl.Fault = nil
+			c.ReservePort(uint64(8*b), 10) // 8-byte words interleave the banks
+			if tl.Fault == nil || !tl.Fault.BelowFloor {
+				t.Errorf("%d KiB cache, bank %d: a booking below the attached floor recorded %v", c.cfg.SizeBytes>>10, b, tl.Fault)
+			}
+		}
+	}
 }
 
 // TestDataAccessLatencies: an L1 hit (after warming TLB and cache) takes the

@@ -34,7 +34,7 @@ func NewSharedFabric(cfg config.Config) *SharedFabric {
 	}
 	fab := &SharedFabric{}
 	fab.net = noc.New(cfg, &fab.tl)
-	fab.mem = newHierarchy(cfg, &fab.tl)
+	fab.mem = newHierarchy(cfg.Core, &fab.tl)
 	return fab
 }
 
@@ -54,6 +54,7 @@ func NewOnFabric(cfg config.Config, fab *SharedFabric, clusters []int) *Processo
 	p.fabric = &fab.tl
 	p.net = fab.net
 	p.mem = fab.mem
+	p.bp = newPredictor(cfg.Core)
 	p.allowed = append([]int(nil), clusters...)
 	for r := range p.regCluster {
 		p.regCluster[r] = uint8(clusters[r%len(clusters)])

@@ -271,18 +271,28 @@ func (s Stats) IPC() float64 {
 
 // New builds a processor for the configuration.
 func New(cfg config.Config) *Processor {
-	p := newCore(cfg)
-	p.fabric = &p.tl
-	p.net = noc.New(cfg, p.fabric)
-	p.mem = newHierarchy(cfg, p.fabric)
+	p := newMachine(cfg)
+	p.mem, p.bp = newHierarchy(cfg.Core, p.fabric), newPredictor(cfg.Core)
 	return p
 }
 
-// newCore builds everything but the network and the memory hierarchy, which
-// a processor either owns (New) or shares with sibling threads
-// (NewOnFabric). Every private calendar lives on the processor's timeline,
-// whose floor is its fetch frontier: each booking step makes is at or after
-// the instruction's fetch request, which is at or after the previous fetch.
+// newMachine builds a processor that owns its network and timeline but has
+// no memory hierarchy or branch predictor yet. Those two are its Core part:
+// only cfg.Core sizes them, so New builds them for the one machine while
+// AcquireScratch lends them to any machine of the same Core.
+func newMachine(cfg config.Config) *Processor {
+	p := newCore(cfg)
+	p.fabric = &p.tl
+	p.net = noc.New(cfg, p.fabric)
+	return p
+}
+
+// newCore builds everything but the network, the memory hierarchy and the
+// branch predictor. A processor owns the network (New) or shares it and the
+// memory hierarchy with sibling threads (NewOnFabric). Every private
+// calendar lives on the processor's timeline, whose floor is its fetch
+// frontier: each booking step makes is at or after the instruction's fetch
+// request, which is at or after the previous fetch.
 func newCore(cfg config.Config) *Processor {
 	if err := cfg.Validate(); err != nil {
 		panic("core: " + err.Error())
@@ -294,21 +304,11 @@ func newCore(cfg config.Config) *Processor {
 	p := &Processor{
 		cfg:       cfg,
 		nClusters: cfg.Topology.Clusters(),
-		bp: bpred.New(bpred.Config{
-			BimodalSize: c.BimodalSize,
-			L1Size:      c.L1PredSize,
-			HistoryBits: c.HistoryBits,
-			L2Size:      c.L2PredSize,
-			ChooserSize: c.ChooserSize,
-			BTBSets:     c.BTBSets,
-			BTBAssoc:    c.BTBAssoc,
-			RASEntries:  c.RASEntries,
-		}),
-		np:     narrow.NewPredictor(c.NarrowPredSz),
-		fvt:    narrow.NewFrequentValueTable(),
-		fetchQ: sched.NewWheel(c.FetchQueueSize),
-		rob:    make([]uint64, c.ROBSize),
-		lsq:    newLSQ(cfg),
+		np:        narrow.NewPredictor(c.NarrowPredSz),
+		fvt:       narrow.NewFrequentValueTable(),
+		fetchQ:    sched.NewWheel(c.FetchQueueSize),
+		rob:       make([]uint64, c.ROBSize),
+		lsq:       newLSQ(cfg),
 	}
 	p.fetchCal = sched.NewCalendar(c.FetchWidth, &p.tl)
 	p.dispatchCal = sched.NewCalendar(c.DispatchWidth, &p.tl)
@@ -335,10 +335,23 @@ func newCore(cfg config.Config) *Processor {
 	return p
 }
 
-// newHierarchy builds the configuration's memory hierarchy, its port
-// calendars on the given timeline.
-func newHierarchy(cfg config.Config, tl *sched.Timeline) *cache.Hierarchy {
-	c := cfg.Core
+// newPredictor builds the core's branch predictor.
+func newPredictor(c config.Core) *bpred.Predictor {
+	return bpred.New(bpred.Config{
+		BimodalSize: c.BimodalSize,
+		L1Size:      c.L1PredSize,
+		HistoryBits: c.HistoryBits,
+		L2Size:      c.L2PredSize,
+		ChooserSize: c.ChooserSize,
+		BTBSets:     c.BTBSets,
+		BTBAssoc:    c.BTBAssoc,
+		RASEntries:  c.RASEntries,
+	})
+}
+
+// newHierarchy builds the core's memory hierarchy, its port calendars on the
+// given timeline.
+func newHierarchy(c config.Core, tl *sched.Timeline) *cache.Hierarchy {
 	return cache.NewHierarchy(cache.HierarchyConfig{
 		L1I:        cache.Config{SizeBytes: c.L1ISizeKB * 1024, LineBytes: c.LineBytes, Assoc: c.L1IAssoc, Latency: c.L1ILatency},
 		L1D:        cache.Config{SizeBytes: c.L1DSizeKB * 1024, LineBytes: c.LineBytes, Assoc: c.L1DAssoc, Latency: c.L1DLatency, Banks: c.L1DBanks, Ports: c.L1DPorts},
@@ -394,11 +407,13 @@ func (p *Processor) initDerived() {
 // cooled, the LSQ emptied, and the architectural registers re-seeded with
 // their round-robin home clusters. A reset processor produces bit-identical
 // results to a freshly constructed one (pinned by TestProcessorResetReplay),
-// which is what lets AcquireScratch pool processors across runs.
+// which is what lets AcquireScratch pool processors and their Core parts
+// across runs.
 //
-// Reset is only valid on processors built with New: fabric-attached
-// processors (NewOnFabric) share their network and memory hierarchy with
-// sibling threads and must not rewind them unilaterally.
+// Reset is only valid on processors that own their network (New,
+// AcquireScratch): fabric-attached processors (NewOnFabric) share their
+// network and memory hierarchy with sibling threads and must not rewind
+// them unilaterally.
 func (p *Processor) Reset() {
 	p.net.Reset()
 	p.mem.Reset()

@@ -260,6 +260,13 @@ func (c *Calendar) Reset() {
 	c.base = c.end
 }
 
+// Attach moves the calendar onto another timeline, so one calendar can
+// serve a succession of machines. Its bookings keep their cycles; a
+// calendar attached and then Reset is as empty as a new one.
+func (c *Calendar) Attach(tl *Timeline) {
+	c.tl = tl
+}
+
 // Peek returns the cycle Reserve(at) would grant, without booking it.
 func (c *Calendar) Peek(at uint64) uint64 {
 	x := at + c.base

@@ -38,9 +38,11 @@ type Cache struct {
 	// dropped; nil-safe.
 	flight *flight.Recorder
 
-	hits       uint64 // served from a stored entry
-	coalesced  uint64 // served by waiting on an in-flight computation
-	misses     uint64 // computed fresh
+	// Admission counts each scenario once, as a hit or a miss; Do counts
+	// only the misses another caller's computation answered.
+	hits       uint64 // found stored at admission
+	coalesced  uint64 // Do calls answered without computing
+	misses     uint64 // not found stored at admission
 	evictions  uint64
 	corruption uint64 // entries dropped on checksum mismatch
 }
@@ -77,7 +79,9 @@ func (c *Cache) setFlight(fr *flight.Recorder) { c.flight = fr }
 // Do returns the cached body for key, or computes it. The hit result is
 // true when the body was served without running compute in this call —
 // either from the store or by coalescing onto another caller's in-flight
-// computation. Returned bodies are shared; callers must not mutate them.
+// computation — and such a call counts as coalesced. Do counts no hit or
+// miss: admission (lookup) already counted its key. Returned bodies are
+// shared; callers must not mutate them.
 //
 // ctx governs only the waiting: a caller coalesced onto another flight stops
 // waiting when ctx is cancelled. And when the flight it waited on fails with
@@ -85,14 +89,21 @@ func (c *Cache) setFlight(fr *flight.Recorder) { c.flight = fr }
 // computation itself instead of inheriting a cancellation that was never
 // meant for it.
 func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, error)) (body []byte, hit bool, err error) {
+	joined := false // counted as coalesced already
 	for {
 		c.mu.Lock()
 		if body, ok := c.lookupLocked(key); ok {
+			if !joined {
+				c.coalesced++
+			}
 			c.mu.Unlock()
 			return body, true, nil
 		}
 		if f, ok := c.inflight[key]; ok {
-			c.coalesced++
+			if !joined {
+				c.coalesced++
+				joined = true
+			}
 			c.mu.Unlock()
 			select {
 			case <-f.done:
@@ -106,7 +117,6 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 		}
 		f := &inflightCall{done: make(chan struct{})}
 		c.inflight[key] = f
-		c.misses++
 		c.mu.Unlock()
 
 		c.fill(key, f, compute)
@@ -147,17 +157,24 @@ func isContextError(err error) bool {
 }
 
 // lookup returns the stored body for key without computing on a miss; it
-// is how admission answers a request from the cache.
+// is how admission answers a request from the cache. It counts the key once,
+// as a hit or a miss, so every admitted scenario enters the hit ratio once,
+// whether a worker or a cluster node resolves its miss.
 func (c *Cache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookupLocked(key)
+	body, ok := c.lookupLocked(key)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return body, ok
 }
 
 // lookupLocked is the one stored-entry check, shared by admission and Do: a
-// found entry is verified against its insert-time checksum and counted as a
-// hit, and a corrupt one is dropped and reported as a miss. Called with
-// c.mu held.
+// found entry is verified against its insert-time checksum, and a corrupt
+// one is dropped and reported as a miss. Called with c.mu held.
 func (c *Cache) lookupLocked(key string) ([]byte, bool) {
 	el, ok := c.entries[key]
 	if !ok {
@@ -171,7 +188,6 @@ func (c *Cache) lookupLocked(key string) ([]byte, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits++
 	return ent.body, true
 }
 
@@ -294,18 +310,19 @@ type CacheStats struct {
 	Entries   int
 	Bytes     int64
 	Budget    int64
-	Hits      uint64 // stored-entry hits
-	Coalesced uint64 // in-flight dedup hits
-	Misses    uint64
+	Hits      uint64 // admitted scenarios found stored
+	Coalesced uint64 // misses answered by another caller's computation
+	Misses    uint64 // admitted scenarios not found stored
 	Evictions uint64
 	// Corrupt counts entries dropped because their bytes stopped matching
 	// the insert-time checksum.
 	Corrupt uint64
 }
 
-// HitRatio returns hits (stored + coalesced) over all lookups.
+// HitRatio returns the share of admitted scenarios answered without a
+// fresh simulation: stored hits plus coalesced misses, over hits and misses.
 func (s CacheStats) HitRatio() float64 {
-	total := s.Hits + s.Coalesced + s.Misses
+	total := s.Hits + s.Misses
 	if total == 0 {
 		return 0
 	}

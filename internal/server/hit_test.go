@@ -523,6 +523,7 @@ func TestPartlyCachedBatchRunsOnlyMisses(t *testing.T) {
 		cachedRun(t, s, reqs[0])
 		cachedRun(t, s, reqs[2])
 		misses := s.Cache().Stats().Misses
+		instrs := s.metrics.instructions.Load()
 		st := submitBatch(t, ts.URL, hitSweep)
 		if st.Batch == nil || st.Batch.CacheHits != 2 {
 			t.Fatalf("submit answered batch %+v, want the 2 hits published", st.Batch)
@@ -540,10 +541,43 @@ func TestPartlyCachedBatchRunsOnlyMisses(t *testing.T) {
 				t.Errorf("scenario %d: cached %v response %v", i, sc.Cached, sc.Response != nil)
 			}
 		}
-		sims := s.Cache().Stats().Misses - misses
+		if got := s.Cache().Stats().Misses - misses; got != 1 {
+			t.Errorf("admission counted %d misses, want 1", got)
+		}
+		local := s.metrics.instructions.Load() - instrs
 		key, _ := reqs[1].CacheKey()
-		if _, stored := s.cache.lookup(key); !stored || (s.coord == nil && sims != 1) || (s.coord != nil && sims != 0) {
-			t.Errorf("the miss is stored %v, after %d local simulations", stored, sims)
+		if _, stored := s.cache.lookup(key); !stored || (s.coord == nil && local != 3000) || (s.coord != nil && local != 0) {
+			t.Errorf("the miss is stored %v, after %d locally simulated instructions", stored, local)
+		}
+	})
+}
+
+// TestHitRatioCountsEachScenarioOnce: admission counts every scenario once,
+// as a hit or a miss, whether a worker or a cluster node resolves the miss.
+// Two new scenarios and then the same sweep read hits 2, misses 2 and
+// ratio 0.5.
+func TestHitRatioCountsEachScenarioOnce(t *testing.T) {
+	batchModes(t, Options{Workers: 1}, func(t *testing.T, s *Server, ts *httptest.Server) {
+		sweep := map[string]any{"batch": &hetwire.BatchRequest{Sweep: &hetwire.BatchSweep{
+			Models: []string{"I", "V"}, Benchmarks: []string{"mcf"}, Ns: []uint64{3000}}}}
+		first := submitBatch(t, ts.URL, sweep)
+		if s.coord != nil {
+			leaseAndUpload(t, s, []int{0, 1})
+		}
+		if done := waitTerminal(t, ts.URL, first.ID, 30*time.Second); done.State != StateDone {
+			t.Fatalf("first sweep ended %s: %s", done.State, done.Error)
+		}
+		if again := submitBatch(t, ts.URL, sweep); again.State != StateDone || !again.CacheHit {
+			t.Fatalf("rerun answered %s, cache_hit %v", again.State, again.CacheHit)
+		}
+		text := scrapeMetrics(t, ts.URL)
+		for _, m := range []struct {
+			name string
+			want float64
+		}{{"hetwired_cache_hits_total", 2}, {"hetwired_cache_misses_total", 2}, {"hetwired_cache_hit_ratio", 0.5}} {
+			if got := metricValue(t, text, m.name); got != m.want {
+				t.Errorf("%s = %v, want %v", m.name, got, m.want)
+			}
 		}
 	})
 }

@@ -327,8 +327,8 @@ func (m *Metrics) render(w io.Writer, queueDepth int, draining bool, cs CacheSta
 	}
 
 	writeCounter(w, "hetwired_cache_hits_total", "Result-cache hits served from stored entries.", cs.Hits)
-	writeCounter(w, "hetwired_cache_coalesced_total", "Requests deduplicated onto an in-flight computation.", cs.Coalesced)
-	writeCounter(w, "hetwired_cache_misses_total", "Result-cache misses (fresh simulations).", cs.Misses)
+	writeCounter(w, "hetwired_cache_coalesced_total", "Result-cache misses answered by another job's computation instead of a fresh simulation.", cs.Coalesced)
+	writeCounter(w, "hetwired_cache_misses_total", "Admitted scenarios not found in the result cache.", cs.Misses)
 	writeCounter(w, "hetwired_cache_evictions_total", "Entries evicted to stay within the byte budget.", cs.Evictions)
 	writeCounter(w, "hetwired_cache_corrupt_dropped_total", "Entries dropped on checksum mismatch and recomputed.", cs.Corrupt)
 	writeGauge(w, "hetwired_cache_entries", "Entries resident in the result cache.", float64(cs.Entries))

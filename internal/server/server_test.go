@@ -131,8 +131,8 @@ func TestCachePanickingFillReleasesKey(t *testing.T) {
 		t.Fatalf("Do after the panic: body=%q hit=%t computed=%t err=%v after %s, want a fresh compute",
 			body, hit, computed, err, time.Since(start).Round(time.Millisecond))
 	}
-	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
-		t.Errorf("stats = %+v, want the fresh body stored after two fills", st)
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 0 || st.Coalesced != 1 {
+		t.Errorf("stats = %+v, want the fresh body stored after two fills, and only the waiter counted", st)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestCacheCoalescesConcurrentComputes(t *testing.T) {
 	if hits != 7 {
 		t.Errorf("%d callers coalesced, want 7", hits)
 	}
-	if st := c.Stats(); st.Misses != 1 || st.Coalesced != 7 {
-		t.Errorf("stats = %+v", st)
+	if st := c.Stats(); st.Misses != 0 || st.Coalesced != 7 {
+		t.Errorf("stats = %+v, want 7 coalesced and no miss (admission counts misses)", st)
 	}
 }
 
@@ -323,8 +323,11 @@ func TestConcurrentJobsDedupAndMetrics(t *testing.T) {
 	if cs.Hits+cs.Coalesced == 0 {
 		t.Error("no cache hits across 16 duplicated requests")
 	}
-	if cs.Misses != 16 {
-		t.Errorf("simulated %d distinct requests, want 16 (dedup failed)", cs.Misses)
+	if cs.Hits+cs.Misses != 32 {
+		t.Errorf("admission counted %d hits and misses, want one per job (32)", cs.Hits+cs.Misses)
+	}
+	if sims := cs.Misses - cs.Coalesced; sims != 16 {
+		t.Errorf("simulated %d distinct requests, want 16 (dedup failed)", sims)
 	}
 
 	text := scrapeMetrics(t, ts.URL)
