@@ -16,11 +16,6 @@
 // job), backs off exponentially honoring Retry-After on 429, and trips a
 // circuit breaker when the daemon stays unreachable.
 //
-// Fault injection for chaos testing is enabled with -faults or the
-// HETWIRE_FAULTS environment variable, e.g.
-//
-//	HETWIRE_FAULTS='seed=7,panic=0.05,slow=0.2,slowms=40,cancel=0.05,corrupt=0.1' hetwired
-//
 // SIGTERM or SIGINT drains gracefully: intake stops, queued jobs finish
 // (up to -drain-timeout), then the process exits.
 //
@@ -65,7 +60,6 @@ import (
 	"hetwire"
 	"hetwire/internal/client"
 	"hetwire/internal/cluster/node"
-	"hetwire/internal/faultinject"
 	"hetwire/internal/obs/flight"
 	"hetwire/internal/server"
 	"hetwire/internal/tenant"
@@ -89,7 +83,6 @@ func serve(args []string) {
 		cacheMB    = fs.Int64("cache-mb", 64, "result-cache budget in MiB")
 		deadline   = fs.Duration("deadline", 2*time.Minute, "default per-job wall-clock deadline (0 keeps the server default)")
 		maxDL      = fs.Duration("max-deadline", 10*time.Minute, "cap on per-request deadline overrides")
-		faults     = fs.String("faults", os.Getenv("HETWIRE_FAULTS"), "fault-injection spec (default $HETWIRE_FAULTS; empty = none)")
 		drainT     = fs.Duration("drain-timeout", 30*time.Second, "how long to let jobs finish on SIGTERM")
 		debugAddr  = fs.String("debug-addr", "", "optional introspection listener (host:port) serving /debug/pprof and /debug/vars; keep it off public interfaces")
 		coord      = fs.Bool("coordinator", false, "run as a cluster coordinator: serve /v1/cluster and execute batch jobs on joined worker nodes")
@@ -106,13 +99,6 @@ func serve(args []string) {
 	fs.Parse(args)
 
 	logger := log.New(os.Stderr, "hetwired ", log.LstdFlags|log.Lmicroseconds)
-	injector, err := faultinject.Parse(*faults)
-	if err != nil {
-		logger.Fatalf("parsing -faults: %v", err)
-	}
-	if injector != nil {
-		logger.Printf("fault injection active: %s", injector)
-	}
 	fr := flight.New(*flightN)
 	if *join != "" {
 		joinCluster(logger, fr, *join, *token, *nodeName, *workers, *leaseSize, *flightLog)
@@ -151,7 +137,6 @@ func serve(args []string) {
 		CacheBytes:        *cacheMB << 20,
 		DefaultDeadline:   *deadline,
 		MaxDeadline:       *maxDL,
-		Faults:            injector,
 		Cluster:           clusterOpts,
 		Tenants:           tenantCfg,
 		Flight:            fr,

@@ -12,8 +12,6 @@ import (
 	"hetwire/internal/core"
 	"hetwire/internal/energy"
 	"hetwire/internal/stats"
-	"hetwire/internal/trace"
-	"hetwire/internal/wires"
 	"hetwire/internal/workload"
 )
 
@@ -28,7 +26,9 @@ type Options struct {
 	Warmup uint64
 	// Benchmarks restricts the suite (default: all 23).
 	Benchmarks []string
-	// Parallelism bounds concurrent benchmark runs (default: GOMAXPROCS).
+	// Parallelism bounds how many of the driver's scenarios run at once
+	// (default: GOMAXPROCS). Each driver runs every configuration ×
+	// benchmark scenario it needs in one batch.
 	Parallelism int
 }
 
@@ -48,21 +48,29 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// suiteRun aggregates one configuration's run over the benchmark suite.
-type suiteRun struct {
-	perBench map[string]core.Stats
-	ipcs     []float64
+// suiteRun is one configuration's statistics over the benchmark suite, in
+// Options.Benchmarks order.
+type suiteRun []core.Stats
+
+// ipcs returns each benchmark's IPC.
+func (s suiteRun) ipcs() []float64 {
+	out := make([]float64, len(s))
+	for i, st := range s {
+		out[i] = st.IPC()
+	}
+	return out
 }
 
 // AMIPC returns the arithmetic-mean IPC over the suite (the paper's metric).
-func (s suiteRun) AMIPC() float64 { return stats.ArithmeticMean(s.ipcs) }
+func (s suiteRun) AMIPC() float64 { return stats.ArithmeticMean(s.ipcs()) }
 
 // measurement converts the aggregate run into the energy model's input:
-// cycles and traffic summed over the suite.
-func (s suiteRun) measurement(inventory map[wires.Class]float64) energy.RunMeasurement {
+// cycles and traffic summed over the suite, and the configuration's wire
+// inventory, which every run's statistics carry.
+func (s suiteRun) measurement() energy.RunMeasurement {
 	var m energy.RunMeasurement
-	m.Inventory = inventory
-	for _, st := range s.perBench {
+	m.Inventory = s[0].LinkInventory
+	for _, st := range s {
 		m.Cycles += st.Cycles
 		for i := range m.Net {
 			m.Net[i].Transfers += st.Net[i].Transfers
@@ -74,14 +82,17 @@ func (s suiteRun) measurement(inventory map[wires.Class]float64) energy.RunMeasu
 	return m
 }
 
-// runSuite simulates every benchmark on the configuration, in parallel on
-// the batch engine: one engine item per benchmark, statistics collected into
-// index-addressed slots so the aggregate is deterministic regardless of
-// completion order, CPU tokens shared with every other parallel surface in
-// the process (a driver running inside a hetwired worker composes with the
-// daemon's pool instead of oversubscribing it).
-func runSuite(cfg config.Config, opt Options) suiteRun {
-	profs := make([]workload.Profile, len(opt.Benchmarks))
+// runSuites simulates every benchmark on every configuration as one flat
+// batch: item i runs configuration i/nb on benchmark i%nb, so scenario
+// parallelism spans the whole driver rather than one suite at a time. Each
+// item warms and runs a pooled machine (runPooled), and writes only its own
+// index, so the result does not depend on completion order. CPU tokens are
+// shared with every other parallel surface in the process (a driver running
+// inside a hetwired worker composes with the daemon's pool instead of
+// oversubscribing it).
+func runSuites(cfgs []config.Config, opt Options) []suiteRun {
+	nb := len(opt.Benchmarks)
+	profs := make([]workload.Profile, nb)
 	for i, name := range opt.Benchmarks {
 		prof, ok := workload.ByName(name)
 		if !ok {
@@ -89,38 +100,44 @@ func runSuite(cfg config.Config, opt Options) suiteRun {
 		}
 		profs[i] = prof
 	}
-	sts := make([]core.Stats, len(profs))
-	errs := batch.Run(context.Background(), len(profs), opt.Parallelism, func(_ context.Context, i int) error {
-		proc := core.New(cfg)
-		gen := workload.NewGenerator(profs[i])
-		proc.Warmup(gen, opt.Warmup)
-		sts[i] = proc.Run(gen, opt.Instructions)
-		return nil
+	sts := make([]core.Stats, len(cfgs)*nb)
+	errs := batch.Run(context.Background(), len(sts), opt.Parallelism, func(ctx context.Context, i int) error {
+		res, err := runPooled(ctx, cfgs[i/nb], profs[i%nb].Name, profs[i%nb], opt.Warmup, opt.Instructions, nil)
+		sts[i] = res.Stats
+		return err
 	})
 	for i, err := range errs {
 		if err != nil {
-			// Simulations never return errors here; an entry means the item
-			// panicked (the engine contains it). That is a simulator bug the
-			// drivers must not paper over.
-			panic(fmt.Sprintf("hetwire: suite benchmark %s: %v", profs[i].Name, err))
+			// A driver's configurations are valid and its runs are never
+			// cancelled; an error is a simulator bug (a contained panic or an
+			// engine fault) the drivers must not paper over.
+			panic(fmt.Sprintf("hetwire: suite scenario %s on configuration %d: %v", profs[i%nb].Name, i/nb, err))
 		}
 	}
-	out := suiteRun{perBench: make(map[string]core.Stats, len(opt.Benchmarks))}
-	for i, name := range opt.Benchmarks {
-		out.perBench[name] = sts[i]
-		out.ipcs = append(out.ipcs, sts[i].IPC())
+	runs := make([]suiteRun, len(cfgs))
+	for c := range runs {
+		runs[c] = sts[c*nb : (c+1)*nb]
 	}
-	return out
+	return runs
 }
 
-// inventoryFor builds a network just to read its physical wire inventory.
-func inventoryFor(cfg config.Config) map[wires.Class]float64 {
-	return core.New(cfg).Run(emptyStream{}, 0).LinkInventory
+// withoutPWCriteria turns off the Section 4 PW steering criteria, so
+// everything steerable stays on the B plane.
+func withoutPWCriteria(c config.Config) config.Config {
+	c.Tech.PWReadyOperands = false
+	c.Tech.PWStoreData = false
+	c.Tech.PWLoadBalance = false
+	return c
 }
 
-type emptyStream struct{}
-
-func (emptyStream) Next(*trace.Instr) bool { return false }
+// withLWireLayer adds one L-wire layer (18 wires per link direction) and
+// the Section 4 low-latency optimisations that use it: Figure 3's
+// "+L-wires" machine.
+func withLWireLayer(c config.Config) config.Config {
+	c.Model.Link.LWires = 18
+	c.Tech = config.AllTechniques()
+	return withoutPWCriteria(c)
+}
 
 // Figure3Result holds the per-benchmark IPC comparison of paper Figure 3:
 // the baseline 4-cluster machine (144 B-wires per link) versus the same
@@ -138,23 +155,15 @@ type Figure3Result struct {
 // Figure3 regenerates paper Figure 3.
 func Figure3(opt Options) Figure3Result {
 	opt = opt.withDefaults()
-	base := runSuite(config.Default(), opt)
-
-	lw := config.Default()
-	lw.Model.Link.LWires = 18 // add one L-wire layer to every link
-	lw.Tech = config.AllTechniques()
-	lw.Tech.PWReadyOperands = false
-	lw.Tech.PWStoreData = false
-	lw.Tech.PWLoadBalance = false
-	lwRun := runSuite(lw, opt)
-
-	r := Figure3Result{Benchmarks: opt.Benchmarks}
-	for _, b := range opt.Benchmarks {
-		r.BaselineIPC = append(r.BaselineIPC, base.perBench[b].IPC())
-		r.LWireIPC = append(r.LWireIPC, lwRun.perBench[b].IPC())
+	runs := runSuites([]config.Config{config.Default(), withLWireLayer(config.Default())}, opt)
+	base, lw := runs[0], runs[1]
+	r := Figure3Result{
+		Benchmarks:  opt.Benchmarks,
+		BaselineIPC: base.ipcs(),
+		LWireIPC:    lw.ipcs(),
+		BaselineAM:  base.AMIPC(),
+		LWireAM:     lw.AMIPC(),
 	}
-	r.BaselineAM = base.AMIPC()
-	r.LWireAM = lwRun.AMIPC()
 	r.SpeedupPct = 100 * (r.LWireAM/r.BaselineAM - 1)
 	return r
 }
@@ -193,36 +202,31 @@ type TableResult struct {
 // column, normalised against Model I exactly as the paper does.
 func modelTable(topology config.Topology, opt Options) TableResult {
 	opt = opt.withDefaults()
-
-	type entry struct {
-		spec config.ModelSpec
-		run  suiteRun
-		meas energy.RunMeasurement
+	specs := config.Models()
+	cfgs := make([]config.Config, len(specs))
+	for i, spec := range specs {
+		cfgs[i] = config.Default().WithModel(spec.ID)
+		cfgs[i].Topology = topology
 	}
-	entries := make([]entry, 0, 10)
-	for _, spec := range config.Models() {
-		cfg := config.Default().WithModel(spec.ID)
-		cfg.Topology = topology
-		run := runSuite(cfg, opt)
-		entries = append(entries, entry{spec: spec, run: run, meas: run.measurement(inventoryFor(cfg))})
-	}
+	runs := runSuites(cfgs, opt)
 
-	em10 := energy.Model{Baseline: entries[0].meas, ICFraction: 0.10}
-	em20 := energy.Model{Baseline: entries[0].meas, ICFraction: 0.20}
+	em10 := energy.Model{Baseline: runs[0].measurement(), ICFraction: 0.10}
+	em20 := energy.Model{Baseline: em10.Baseline, ICFraction: 0.20}
 
 	out := TableResult{Topology: topology}
-	for _, e := range entries {
+	for i, spec := range specs {
+		meas := runs[i].measurement()
 		out.Rows = append(out.Rows, TableRow{
-			Model:       e.spec.ID,
-			Description: e.spec.Link.String(),
-			MetalArea:   e.spec.Link.MetalArea(),
-			IPC:         e.run.AMIPC(),
-			RelICDyn:    em10.RelativeICDynamic(e.meas),
-			RelICLkg:    em10.RelativeICLeakage(e.meas),
-			RelEnergy10: em10.RelativeProcessorEnergy(e.meas),
-			RelEnergy20: em20.RelativeProcessorEnergy(e.meas),
-			RelED2At10:  em10.RelativeED2(e.meas),
-			RelED2At20:  em20.RelativeED2(e.meas),
+			Model:       spec.ID,
+			Description: spec.Link.String(),
+			MetalArea:   spec.Link.MetalArea(),
+			IPC:         runs[i].AMIPC(),
+			RelICDyn:    em10.RelativeICDynamic(meas),
+			RelICLkg:    em10.RelativeICLeakage(meas),
+			RelEnergy10: em10.RelativeProcessorEnergy(meas),
+			RelEnergy20: em20.RelativeProcessorEnergy(meas),
+			RelED2At10:  em10.RelativeED2(meas),
+			RelED2At20:  em20.RelativeED2(meas),
 		})
 	}
 	return out
@@ -277,18 +281,18 @@ type LatencySensitivityResult struct {
 // reports the slowdown.
 func LatencySensitivity(opt Options) LatencySensitivityResult {
 	opt = opt.withDefaults()
-	base := runSuite(config.Default(), opt)
 	slow := config.Default()
 	slow.LatencyScale = 2
-	s2 := runSuite(slow, opt)
+	runs := runSuites([]config.Config{config.Default(), slow}, opt)
+	base, s2 := runs[0], runs[1]
 	r := LatencySensitivityResult{
 		BaselineAM:   base.AMIPC(),
 		DoubledAM:    s2.AMIPC(),
 		PerBenchmark: make(map[string][2]float64, len(opt.Benchmarks)),
 	}
 	r.SlowdownPct = 100 * (1 - r.DoubledAM/r.BaselineAM)
-	for _, b := range opt.Benchmarks {
-		r.PerBenchmark[b] = [2]float64{base.perBench[b].IPC(), s2.perBench[b].IPC()}
+	for i, b := range opt.Benchmarks {
+		r.PerBenchmark[b] = [2]float64{base[i].IPC(), s2[i].IPC()}
 	}
 	return r
 }
@@ -311,32 +315,20 @@ type ScalingResult struct {
 // ScalingStudies regenerates the Section 5.3 text claims.
 func ScalingStudies(opt Options) ScalingResult {
 	opt = opt.withDefaults()
-	var r ScalingResult
-
-	base4 := runSuite(config.Default(), opt)
 	cfg16 := config.Default()
 	cfg16.Topology = config.HierRing16
-	base16 := runSuite(cfg16, opt)
+	slow := config.Default()
+	slow.LatencyScale = 2
+	runs := runSuites([]config.Config{
+		config.Default(), cfg16, slow, withLWireLayer(slow), withLWireLayer(cfg16),
+	}, opt)
+	base4, base16, slowBase, slowLW, lw16 := runs[0], runs[1], runs[2], runs[3], runs[4]
+
+	var r ScalingResult
 	r.FourClusterAM = base4.AMIPC()
 	r.SixteenClusterAM = base16.AMIPC()
 	r.ClusterGainPct = 100 * (r.SixteenClusterAM/r.FourClusterAM - 1)
-
-	lwTech := func(c config.Config) config.Config {
-		c.Model.Link.LWires = 18
-		c.Tech = config.AllTechniques()
-		c.Tech.PWReadyOperands = false
-		c.Tech.PWStoreData = false
-		c.Tech.PWLoadBalance = false
-		return c
-	}
-
-	slow := config.Default()
-	slow.LatencyScale = 2
-	slowBase := runSuite(slow, opt)
-	slowLW := runSuite(lwTech(slow), opt)
 	r.WireConstrainedGainPct = 100 * (slowLW.AMIPC()/slowBase.AMIPC() - 1)
-
-	lw16 := runSuite(lwTech(cfg16), opt)
 	r.SixteenClusterLWireGainPct = 100 * (lw16.AMIPC()/base16.AMIPC() - 1)
 	return r
 }
@@ -371,11 +363,19 @@ func Claims(opt Options) ClaimsResult {
 	opt = opt.withDefaults()
 	var r ClaimsResult
 
-	// L-wire pipeline stats on the Model VII machine.
+	// The L-wire pipeline runs on the Model VII machine. PW diversion and
+	// contention compare Model V with the steering criteria against the
+	// same hardware with the criteria disabled (everything steerable stays
+	// on B-wires), and against Model IV for the IPC cost.
 	cfg := config.Default().WithModel(config.ModelVII)
-	run := runSuite(cfg, opt)
+	mvCfg := config.Default().WithModel(config.ModelV)
+	runs := runSuites([]config.Config{
+		cfg, mvCfg, withoutPWCriteria(mvCfg), config.Default().WithModel(config.ModelIV),
+	}, opt)
+	run, mv, mvNoCriteria, miv := runs[0], runs[1], runs[2], runs[3]
+
 	var checks, falseDeps, xfers, narrowEligible uint64
-	for _, st := range run.perBench {
+	for _, st := range run {
 		checks += st.PartialChecks
 		falseDeps += st.PartialFalseDeps
 		xfers += st.OperandTransfers
@@ -388,7 +388,8 @@ func Claims(opt Options) ClaimsResult {
 		r.NarrowTrafficPct = 100 * float64(narrowEligible) / float64(xfers)
 	}
 
-	// Narrow predictor rates on one long run.
+	// Narrow predictor rates on one long run. It runs on a Simulator, which
+	// exposes the predictor's own counters; Stats does not carry them.
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		panic(err)
@@ -399,26 +400,15 @@ func Claims(opt Options) ClaimsResult {
 	r.NarrowCoveragePct = 100 * cov
 	r.NarrowFalsePct = 100 * fr
 
-	// PW diversion and contention: Model V with the steering criteria,
-	// versus the same hardware with the criteria disabled (everything
-	// steerable stays on B-wires), and versus Model IV for the IPC cost.
-	mv := runSuite(config.Default().WithModel(config.ModelV), opt)
-	mvOff := config.Default().WithModel(config.ModelV)
-	mvOff.Tech.PWReadyOperands = false
-	mvOff.Tech.PWStoreData = false
-	mvOff.Tech.PWLoadBalance = false
-	mvNoCriteria := runSuite(mvOff, opt)
-	miv := runSuite(config.Default().WithModel(config.ModelIV), opt)
-
 	var pwT, allT, waitOn, waitOff uint64
-	for _, st := range mv.perBench {
+	for _, st := range mv {
 		pwT += st.Net[1].Transfers
 		for i := range st.Net {
 			allT += st.Net[i].Transfers
 		}
 		waitOn += st.WaitCycles
 	}
-	for _, st := range mvNoCriteria.perBench {
+	for _, st := range mvNoCriteria {
 		waitOff += st.WaitCycles
 	}
 	if allT > 0 {
@@ -492,40 +482,33 @@ func Extensions(opt Options) ExtensionsResult {
 	var r ExtensionsResult
 
 	base := config.Default().WithModel(config.ModelVII)
-	baseRun := runSuite(base, opt)
-	r.BaseIPC = baseRun.AMIPC()
-
-	fv := base
+	fv, cw, all := base, base, base
 	fv.Tech.FrequentValueEnc = true
-	fvRun := runSuite(fv, opt)
+	cw.Tech.CriticalWordOnL = true
+	all.Tech.FrequentValueEnc = true
+	all.Tech.CriticalWordOnL = true
+	runs := runSuites([]config.Config{base, fv, cw, all}, opt)
+	baseRun, fvRun, cwRun, allRun := runs[0], runs[1], runs[2], runs[3]
+
+	r.BaseIPC = baseRun.AMIPC()
 	r.FrequentValueIPC = fvRun.AMIPC()
 	var fvT, opT uint64
-	for _, st := range fvRun.perBench {
+	for _, st := range fvRun {
 		fvT += st.FVTransfers
 		opT += st.OperandTransfers
 	}
 	if opT > 0 {
 		r.FVTrafficPct = 100 * float64(fvT) / float64(opT)
 	}
-
-	cw := base
-	cw.Tech.CriticalWordOnL = true
-	cwRun := runSuite(cw, opt)
 	r.CriticalWordIPC = cwRun.AMIPC()
-	for _, st := range cwRun.perBench {
+	for _, st := range cwRun {
 		r.CriticalWords += st.CriticalWordOnL
 	}
-
-	all := base
-	all.Tech.FrequentValueEnc = true
-	all.Tech.CriticalWordOnL = true
-	allRun := runSuite(all, opt)
 	r.AllExtensionsIPC = allRun.AMIPC()
 
 	// Transmission-line L plane: identical timing at this clock, one third
 	// the L-plane dynamic energy.
-	inv := inventoryFor(base)
-	rcMeas := baseRun.measurement(inv)
+	rcMeas := baseRun.measurement()
 	tlMeas := rcMeas
 	tlMeas.TransmissionLineL = true
 	em := energy.Model{Baseline: rcMeas, ICFraction: 0.20}
@@ -582,20 +565,16 @@ type LatencyCurve struct {
 // latency multiplier.
 func SweepLatencyScale(scales []int, opt Options) LatencyCurve {
 	opt = opt.withDefaults()
-	var out LatencyCurve
+	var cfgs []config.Config
 	for _, sc := range scales {
 		base := config.Default()
 		base.LatencyScale = sc
-		b := runSuite(base, opt)
-
-		lw := base
-		lw.Model.Link.LWires = 18
-		lw.Tech = config.AllTechniques()
-		lw.Tech.PWReadyOperands = false
-		lw.Tech.PWStoreData = false
-		lw.Tech.PWLoadBalance = false
-		l := runSuite(lw, opt)
-
+		cfgs = append(cfgs, base, withLWireLayer(base))
+	}
+	runs := runSuites(cfgs, opt)
+	var out LatencyCurve
+	for i, sc := range scales {
+		b, l := runs[2*i], runs[2*i+1]
 		out.Scales = append(out.Scales, sc)
 		out.AMIPC = append(out.AMIPC, b.AMIPC())
 		out.LWireGainPct = append(out.LWireGainPct, 100*(l.AMIPC()/b.AMIPC()-1))

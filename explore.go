@@ -1,15 +1,10 @@
 package hetwire
 
 import (
-	"context"
-	"fmt"
 	"sort"
 
-	"hetwire/internal/batch"
 	"hetwire/internal/config"
-	"hetwire/internal/core"
 	"hetwire/internal/energy"
-	"hetwire/internal/workload"
 )
 
 // DesignPoint is one candidate link composition in a design-space
@@ -70,67 +65,35 @@ func enumerateLinks(areaBudget float64) []config.LinkSpec {
 // Section 3 remark ("evaluations of this nature help identify the most
 // promising ways to exploit such a resource") an executable query.
 //
-// The whole design × benchmark matrix runs as one flat batch on the engine,
-// so scenario-level parallelism covers the entire exploration rather than
-// one suite at a time; icFraction is the interconnect share of baseline
-// processor energy (0.10 or 0.20).
+// The baseline and every design run on the benchmark suite as one flat
+// batch (runSuites), so scenario-level parallelism covers the entire
+// exploration; icFraction is the interconnect share of baseline processor
+// energy (0.10 or 0.20).
 func ExploreArea(areaBudget, icFraction float64, opt Options) ExploreResult {
 	opt = opt.withDefaults()
 	res := ExploreResult{AreaBudget: areaBudget, ICFraction: icFraction}
 
-	// The normalisation baseline: the paper's Model I.
-	baseCfg := config.Default()
-	baseRun := runSuite(baseCfg, opt)
-	baseMeas := baseRun.measurement(inventoryFor(baseCfg))
-	em := energy.Model{Baseline: baseMeas, ICFraction: icFraction}
+	// Configuration 0 is the normalisation baseline, the paper's Model I;
+	// configuration i+1 is link i.
+	links := enumerateLinks(areaBudget)
+	cfgs := make([]config.Config, len(links)+1)
+	cfgs[0] = config.Default()
+	for i, link := range links {
+		cfgs[i+1] = config.Default().WithLink(link)
+	}
+	runs := runSuites(cfgs, opt)
+	em := energy.Model{Baseline: runs[0].measurement(), ICFraction: icFraction}
 
 	named := make(map[config.LinkSpec]ModelID, 10)
 	for _, m := range config.Models() {
 		named[m.Link] = m.ID
 	}
-
-	links := enumerateLinks(areaBudget)
-	nb := len(opt.Benchmarks)
-	profs := make([]workload.Profile, nb)
-	for i, name := range opt.Benchmarks {
-		prof, ok := workload.ByName(name)
-		if !ok {
-			panic(fmt.Sprintf("hetwire: unknown benchmark %q", name))
-		}
-		profs[i] = prof
-	}
-	cfgs := make([]config.Config, len(links))
 	for i, link := range links {
-		cfgs[i] = config.Default().WithLink(link)
-	}
-
-	// One flat scenario list: item i is (link i/nb, benchmark i%nb).
-	sts := make([]core.Stats, len(links)*nb)
-	errs := batch.Run(context.Background(), len(sts), opt.Parallelism, func(_ context.Context, i int) error {
-		proc := core.New(cfgs[i/nb])
-		gen := workload.NewGenerator(profs[i%nb])
-		proc.Warmup(gen, opt.Warmup)
-		sts[i] = proc.Run(gen, opt.Instructions)
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			panic(fmt.Sprintf("hetwire: explore scenario %d: %v", i, err))
-		}
-	}
-
-	for li, link := range links {
-		run := suiteRun{perBench: make(map[string]core.Stats, nb)}
-		for bi, name := range opt.Benchmarks {
-			st := sts[li*nb+bi]
-			run.perBench[name] = st
-			run.ipcs = append(run.ipcs, st.IPC())
-		}
-		meas := run.measurement(inventoryFor(cfgs[li]))
+		meas := runs[i+1].measurement()
 		res.Points = append(res.Points, DesignPoint{
 			Link:       link,
 			MetalArea:  link.MetalArea(),
-			IPC:        run.AMIPC(),
+			IPC:        runs[i+1].AMIPC(),
 			RelEnergy:  em.RelativeProcessorEnergy(meas),
 			RelED2:     em.RelativeED2(meas),
 			PaperModel: named[link],

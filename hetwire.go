@@ -116,9 +116,12 @@ func (s *Simulator) Run(src trace.Stream, n uint64) Result {
 
 // Warmup simulates n instructions and discards their statistics, keeping
 // caches, predictors and queues warm (the paper warms structures for 1M
-// instructions before measuring).
+// instructions before measuring). It panics on an engine fault, as Run
+// does. An attached probe samples the warmup as well.
 func (s *Simulator) Warmup(src trace.Stream, n uint64) {
-	s.proc.Warmup(src, n)
+	if err := s.proc.Warmup(context.Background(), src, n); err != nil {
+		panic(err)
+	}
 }
 
 // NarrowPredictorRates exposes the narrow-operand predictor's coverage and
@@ -160,11 +163,9 @@ func RunMultiprogrammed(cfg Config, benchmarks []string, n uint64) ([]ThreadResu
 func multiprogProfiles(benchmarks []string) ([]workload.Profile, error) {
 	profs := make([]workload.Profile, len(benchmarks))
 	for i, b := range benchmarks {
-		prof, ok := workload.ByName(b)
+		prof, ok := workload.Lookup(b)
 		if !ok {
-			if prof, ok = workload.KernelByName(b); !ok {
-				return nil, fmt.Errorf("hetwire: unknown benchmark %q", b)
-			}
+			return nil, fmt.Errorf("hetwire: unknown benchmark %q", b)
 		}
 		prof.AddrOffset = uint64(i) << 33
 		prof.Seed = xrand.Mix(prof.Seed, uint64(i))

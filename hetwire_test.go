@@ -1,10 +1,14 @@
 package hetwire
 
 import (
+	"encoding/json"
+	"expvar"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hetwire/internal/batch"
 	"hetwire/internal/trace"
 	"hetwire/internal/workload"
 )
@@ -149,12 +153,35 @@ func TestSuiteRunParallelismMatchesSerial(t *testing.T) {
 	optPar := smallOpt()
 	optPar.Parallelism = 8
 
-	a := runSuite(DefaultConfig(), optSerial.withDefaults())
-	b := runSuite(DefaultConfig(), optPar.withDefaults())
-	for _, bench := range optSerial.Benchmarks {
-		if a.perBench[bench].Cycles != b.perBench[bench].Cycles {
-			t.Fatalf("%s: parallel run diverged from serial", bench)
+	cfgs := []Config{DefaultConfig(), DefaultConfig().WithModel(ModelVII)}
+	a := runSuites(cfgs, optSerial.withDefaults())
+	b := runSuites(cfgs, optPar.withDefaults())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("parallel suite runs diverged from serial")
+	}
+}
+
+// TestRunSuitesReusesPooledMachines: the drivers run on runPooled's pooled
+// machines, so a batch of three configurations × three benchmarks reuses
+// Core parts and builds at most one per CPU token.
+func TestRunSuitesReusesPooledMachines(t *testing.T) {
+	pool := func() map[string]float64 {
+		var out map[string]float64
+		if err := json.Unmarshal([]byte(expvar.Get("hetwire_machine_pool").String()), &out); err != nil {
+			t.Fatal(err)
 		}
+		return out
+	}
+	before := pool()
+	opt := Options{Instructions: 4_000, Benchmarks: []string{"gzip", "mcf", "swim"}}
+	runSuites([]Config{DefaultConfig(), DefaultConfig().WithModel(ModelV), DefaultConfig().WithModel(ModelVII)},
+		opt.withDefaults())
+	after := pool()
+	if after["reused"] <= before["reused"] {
+		t.Errorf("reused Core parts stayed at %v: the suite bypassed the machine pool", after["reused"])
+	}
+	if built := after["built"] - before["built"]; built > float64(batch.CPU.Cap()) {
+		t.Errorf("the suite built %v Core parts, want at most %d", built, batch.CPU.Cap())
 	}
 }
 

@@ -379,7 +379,9 @@ func TestWarmupResetsStatsKeepsState(t *testing.T) {
 
 	warm := New(config.Default())
 	gen := workload.NewGenerator(prof)
-	warm.Warmup(gen, 30_000)
+	if err := warm.Warmup(context.Background(), gen, 30_000); err != nil {
+		t.Fatal(err)
+	}
 	st := warm.Run(gen, 30_000)
 
 	if st.Instructions != 30_000 {

@@ -485,18 +485,17 @@ func (p *Processor) Run(src trace.Stream, n uint64) Stats {
 	return st
 }
 
-// Warmup simulates n instructions and then clears all statistics while
-// keeping the microarchitectural state (caches, predictors, calendars)
-// warm — the paper's methodology of detailed warmup before measurement.
-func (p *Processor) Warmup(src trace.Stream, n uint64) {
-	var ins trace.Instr
-	for i := uint64(0); i < n; i++ {
-		if !src.Next(&ins) {
-			break
-		}
-		p.step(&ins)
-	}
+// Warmup simulates up to n instructions and then clears all statistics
+// while keeping the microarchitectural state (caches, predictors,
+// calendars) warm — the paper's methodology of detailed warmup before
+// measurement. It steps on RunContext's loop, so cancellation, the
+// forward-progress watchdog and the calendar check cover the warmup too,
+// and it returns RunContext's error. An attached probe samples the warmup
+// as well; attach it afterwards to observe only the measured run.
+func (p *Processor) Warmup(ctx context.Context, src trace.Stream, n uint64) error {
+	_, err := p.RunContext(ctx, src, n)
 	p.resetStats()
+	return err
 }
 
 // resetStats zeroes every statistic without touching machine state. The

@@ -50,6 +50,23 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
+// TestWarmupCancel: a warmup steps on RunContext's loop, so cancelling its
+// context mid-warmup stops it within one check interval with ctx's error.
+func TestWarmupCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAfter{Stream: genFor(t, "gzip"), k: 3 * CtxCheckInterval, cancel: cancel}
+	err := New(config.Default()).Warmup(ctx, src, 50*CtxCheckInterval)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// cancelAfter counts down past zero: -k instructions were drawn after
+	// the cancel.
+	if after := -src.k; after > CtxCheckInterval {
+		t.Errorf("warmed %d instructions after cancellation, want <= %d", after, CtxCheckInterval)
+	}
+}
+
 // TestRunMultiprogramContextCancel: same for the multiprogrammed loop.
 func TestRunMultiprogramContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -8,8 +8,8 @@
 // request sequence observes the same faults — failures found under injection
 // reproduce.
 //
-// The daemon enables injection from the HETWIRE_FAULTS environment variable
-// (or the -faults flag); the spec syntax is
+// Tests arm injection through server.Options.Faults with a spec parsed by
+// Parse; the spec syntax is
 //
 //	seed=42,panic=0.05,slow=0.2,slowms=50,cancel=0.1,corrupt=0.1,panic.max=3
 //

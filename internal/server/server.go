@@ -76,7 +76,7 @@ type Options struct {
 	// mode — everything runs as the unlimited anonymous tenant.
 	Tenants *tenant.Config
 	// Faults optionally wires the deterministic fault-injection harness into
-	// the worker path (chaos tests, HETWIRE_FAULTS). Nil injects nothing.
+	// the worker path (the chaos tests). Nil injects nothing.
 	Faults *faultinject.Injector
 	// Flight is the daemon's flight recorder, its one event stream: every
 	// component (scheduler, cache, coordinator, worker pool) records into

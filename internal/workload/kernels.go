@@ -71,3 +71,12 @@ var kernels = Kernels()
 func KernelByName(name string) (Profile, bool) {
 	return lookup(kernels, name)
 }
+
+// Lookup returns the benchmark profile with the given name or, failing
+// that, the kernel profile: the names a run request accepts.
+func Lookup(name string) (Profile, bool) {
+	if p, ok := ByName(name); ok {
+		return p, true
+	}
+	return KernelByName(name)
+}

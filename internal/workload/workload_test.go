@@ -329,22 +329,25 @@ func TestKernelCharacteristics(t *testing.T) {
 
 // TestLookupsAllocateNothing: ByName and KernelByName scan tables built
 // once, so looking a program up (every request validation does) allocates
-// nothing, and each returns the same profile its builder does.
+// nothing, and Lookup returns the same profile its builder does for every
+// benchmark and kernel.
 func TestLookupsAllocateNothing(t *testing.T) {
 	for _, p := range append(SPEC2K(), Kernels()...) {
-		got, ok := ByName(p.Name)
-		if !ok {
-			got, ok = KernelByName(p.Name)
+		if got, ok := Lookup(p.Name); !ok || got != p {
+			t.Fatalf("Lookup(%s) = %+v, %v; want %+v", p.Name, got, ok, p)
 		}
-		if !ok || got != p {
-			t.Fatalf("lookup of %s = %+v, %v; want %+v", p.Name, got, ok, p)
-		}
+	}
+	if _, ok := Lookup("nope"); ok {
+		t.Error("Lookup invented a program")
 	}
 	if n := testing.AllocsPerRun(100, func() { lookedUp, _ = ByName("vortex") }); n != 0 {
 		t.Errorf("ByName allocates %v times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { lookedUp, _ = KernelByName("brstorm") }); n != 0 {
 		t.Errorf("KernelByName allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { lookedUp, _ = Lookup("brstorm") }); n != 0 {
+		t.Errorf("Lookup allocates %v times per call, want 0", n)
 	}
 }
 

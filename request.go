@@ -129,14 +129,10 @@ func (r *RunRequest) Validate() error {
 		names = []string{r.Benchmark}
 	}
 	for _, b := range names {
-		if _, ok := workload.ByName(b); ok {
-			continue
+		if _, ok := workload.Lookup(b); !ok {
+			return &RequestError{Code: ReasonUnknownBenchmark,
+				Err: fmt.Errorf("hetwire: unknown benchmark %q (see Benchmarks() and Kernels())", b)}
 		}
-		if _, ok := workload.KernelByName(b); ok {
-			continue
-		}
-		return &RequestError{Code: ReasonUnknownBenchmark,
-			Err: fmt.Errorf("hetwire: unknown benchmark %q (see Benchmarks() and Kernels())", b)}
 	}
 	cfg, err := r.ResolveConfig()
 	if err != nil {

@@ -38,7 +38,7 @@ func RunBenchmarkContext(ctx context.Context, cfg Config, benchmark string, n ui
 	if !ok {
 		return Result{}, fmt.Errorf("hetwire: unknown benchmark %q (see Benchmarks())", benchmark)
 	}
-	return runPooled(ctx, cfg, benchmark, prof, n, nil)
+	return runPooled(ctx, cfg, benchmark, prof, 0, n, nil)
 }
 
 // RunKernelContext is RunKernel with cooperative cancellation (see
@@ -48,28 +48,38 @@ func RunKernelContext(ctx context.Context, cfg Config, kernel string, n uint64) 
 	if !ok {
 		return Result{}, fmt.Errorf("hetwire: unknown kernel %q (see Kernels())", kernel)
 	}
-	return runPooled(ctx, cfg, kernel, prof, n, nil)
+	return runPooled(ctx, cfg, kernel, prof, 0, n, nil)
 }
 
 // runPooled executes one named workload on a pooled processor
 // (core.AcquireScratch): processors are revived with Reset instead of being
 // rebuilt per run, so repeated jobs — batch sweeps, server workers, the
-// golden corpus — skip the construction a fresh machine costs (2.4 MiB at 4
-// clusters, 2.9–3.1 MiB at 16). The caches and branch predictor, 2.23 MiB
-// of it, are shared by every configuration with the same Core, and the rest
-// is kept per Config value. Results are bit-identical to a fresh build
-// (core.Processor.Reset's contract). A non-nil probe is attached for this run only: it is detached
+// golden corpus, the experiment drivers — skip the construction a fresh
+// machine costs (2.4 MiB at 4 clusters, 2.9–3.1 MiB at 16). The caches and
+// branch predictor, 2.23 MiB of it, are shared by every configuration with
+// the same Core, and the rest is kept per Config value. Results are
+// bit-identical to a fresh build (core.Processor.Reset's contract). The
+// first warmup instructions only warm the machine (0 on every served run);
+// a non-nil probe is then attached for the measured run only, and detached
 // before the processor returns to the pool.
-func runPooled(ctx context.Context, cfg Config, name string, prof workload.Profile, n uint64, probe Probe) (Result, error) {
+func runPooled(ctx context.Context, cfg Config, name string, prof workload.Profile, warmup, n uint64, probe Probe) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	p := core.AcquireScratch(cfg)
-	p.SetProbe(probe)
-	st, runErr := p.RunContext(ctx, workload.NewGenerator(prof), n)
-	p.SetProbe(nil)
+	gen := workload.NewGenerator(prof)
+	var st core.Stats
+	var err error
+	if warmup > 0 {
+		err = p.Warmup(ctx, gen, warmup)
+	}
+	if err == nil {
+		p.SetProbe(probe)
+		st, err = p.RunContext(ctx, gen, n)
+		p.SetProbe(nil)
+	}
 	core.ReleaseScratch(p)
-	return Result{Stats: st, Config: cfg, Benchmark: name}, runErr
+	return Result{Stats: st, Config: cfg, Benchmark: name}, err
 }
 
 // RunMultiprogrammedContext is RunMultiprogrammed with cooperative
@@ -103,12 +113,9 @@ func RunMultiprogrammedContext(ctx context.Context, cfg Config, benchmarks []str
 // runAnyContext is runAny with cancellation, accepting both benchmark and
 // kernel names; probe, when non-nil, observes the run.
 func runAnyContext(ctx context.Context, cfg Config, name string, n uint64, probe Probe) (Result, error) {
-	if prof, ok := workload.ByName(name); ok {
-		return runPooled(ctx, cfg, name, prof, n, probe)
-	}
-	prof, ok := workload.KernelByName(name)
+	prof, ok := workload.Lookup(name)
 	if !ok {
-		return Result{}, fmt.Errorf("hetwire: unknown kernel %q (see Kernels())", name)
+		return Result{}, fmt.Errorf("hetwire: unknown benchmark %q (see Benchmarks() and Kernels())", name)
 	}
-	return runPooled(ctx, cfg, name, prof, n, probe)
+	return runPooled(ctx, cfg, name, prof, 0, n, probe)
 }

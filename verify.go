@@ -111,10 +111,11 @@ func VerifyReproduction(opt Options) []Finding {
 		"%.1f%% (paper: 14%%)", cl.ContentionReductionPct)
 
 	// Section 3 design choice: plane heterogeneity >= link heterogeneity.
-	plane := runSuite(config.Default().WithModel(config.ModelV), opt)
-	lh := config.Default().WithModel(config.ModelV)
+	mv := config.Default().WithModel(config.ModelV)
+	lh := mv
 	lh.LinkHeterogeneous = true
-	linkRun := runSuite(lh, opt)
+	runs := runSuites([]config.Config{mv, lh}, opt)
+	plane, linkRun := runs[0], runs[1]
 	add("Section 3: plane heterogeneity >= link heterogeneity",
 		plane.AMIPC() >= linkRun.AMIPC()*0.98,
 		"plane %.3f vs link %.3f IPC", plane.AMIPC(), linkRun.AMIPC())
