@@ -37,3 +37,22 @@ func TestConfigHashMemo(t *testing.T) {
 		t.Errorf("after the memo turned over: ConfigHash = %s, want %s", got, want)
 	}
 }
+
+// TestRequestResolutionAllocs: resolving and validating a request that names
+// a model and carries no config document allocates nothing, and its cache
+// key costs only the hash and its hex encoding.
+func TestRequestResolutionAllocs(t *testing.T) {
+	req := RunRequest{Benchmark: "gcc", Model: "VII", N: 20_000, Clusters: 16}
+	if n := testing.AllocsPerRun(100, func() { resolved, _ = req.ResolveConfig() }); n != 0 {
+		t.Errorf("ResolveConfig allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = req.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = req.CacheKey() }); n > 4 {
+		t.Errorf("CacheKey allocates %v times per call, want at most 4", n)
+	}
+}
+
+// resolved keeps ResolveConfig's result live, as a caller's would be.
+var resolved Config

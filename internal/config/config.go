@@ -165,31 +165,31 @@ type ModelSpec struct {
 	Link LinkSpec // per direction, links to clusters; cache links are Double()
 }
 
-// Models returns the paper's ten interconnect models (Tables 3 and 4),
-// with per-direction wire counts (half the table's per-link totals).
-func Models() []ModelSpec {
-	return []ModelSpec{
-		{ModelI, LinkSpec{BWires: 72}},
-		{ModelII, LinkSpec{PWWires: 144}},
-		{ModelIII, LinkSpec{PWWires: 72, LWires: 18}},
-		{ModelIV, LinkSpec{BWires: 144}},
-		{ModelV, LinkSpec{BWires: 72, PWWires: 144}},
-		{ModelVI, LinkSpec{PWWires: 144, LWires: 18}},
-		{ModelVII, LinkSpec{BWires: 72, LWires: 18}},
-		{ModelVIII, LinkSpec{BWires: 216}},
-		{ModelIX, LinkSpec{BWires: 144, LWires: 18}},
-		{ModelX, LinkSpec{BWires: 72, PWWires: 144, LWires: 18}},
-	}
+// models is the paper's ten interconnect models (Tables 3 and 4), indexed
+// by ModelID-1, with per-direction wire counts (half the table's per-link
+// totals).
+var models = [...]ModelSpec{
+	{ModelI, LinkSpec{BWires: 72}},
+	{ModelII, LinkSpec{PWWires: 144}},
+	{ModelIII, LinkSpec{PWWires: 72, LWires: 18}},
+	{ModelIV, LinkSpec{BWires: 144}},
+	{ModelV, LinkSpec{BWires: 72, PWWires: 144}},
+	{ModelVI, LinkSpec{PWWires: 144, LWires: 18}},
+	{ModelVII, LinkSpec{BWires: 72, LWires: 18}},
+	{ModelVIII, LinkSpec{BWires: 216}},
+	{ModelIX, LinkSpec{BWires: 144, LWires: 18}},
+	{ModelX, LinkSpec{BWires: 72, PWWires: 144, LWires: 18}},
 }
 
-// Model returns the spec for one model ID.
+// Models returns a copy of the paper's ten interconnect models, in order.
+func Models() []ModelSpec { return append([]ModelSpec(nil), models[:]...) }
+
+// Model returns the spec for one model ID. It allocates nothing.
 func Model(id ModelID) ModelSpec {
-	for _, m := range Models() {
-		if m.ID == id {
-			return m
-		}
+	if id < ModelI || id > ModelX {
+		panic(fmt.Sprintf("config: unknown model %d", int(id)))
 	}
-	panic(fmt.Sprintf("config: unknown model %d", int(id)))
+	return models[id-1]
 }
 
 // SteeringPolicy selects how instructions are assigned to clusters.

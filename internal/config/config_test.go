@@ -72,7 +72,29 @@ func TestModelLinkSpecs(t *testing.T) {
 			t.Errorf("%v link = %+v, want %+v", id, got, spec)
 		}
 	}
+	for i, m := range Models() {
+		if m.ID != ModelID(i+1) || Model(m.ID) != m {
+			t.Errorf("Models()[%d] = %+v, Model(%v) = %+v", i, m, m.ID, Model(m.ID))
+		}
+	}
 }
+
+// TestModelAllocatesNothing: Model reads its table in place, so resolving a
+// named model (every run request does) allocates nothing, while Models
+// hands out a copy its caller may keep.
+func TestModelAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { modelSpec = Model(ModelVIII) }); n != 0 {
+		t.Errorf("Model allocates %v times per call, want 0", n)
+	}
+	ms := Models()
+	ms[0].Link.BWires = 1
+	if Model(ModelI).Link.BWires != 72 {
+		t.Error("editing Models' result changed the table")
+	}
+}
+
+// modelSpec keeps Model's result live, as a caller's would be.
+var modelSpec ModelSpec
 
 // TestModelMetalArea reproduces the "Relative Metal Area" column of
 // Table 3: I=1.0, II=1.0, III=1.5, IV..VII=2.0, VIII..X=3.0.

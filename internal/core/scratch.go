@@ -23,9 +23,10 @@ import (
 // timeline; Reset then cools it.
 //
 // The rest — clusters, wheels, calendars, network, LSQ, ROB and register
-// state — depends on the whole configuration: 0.17–0.21 MiB at 4 clusters
-// and 0.65–0.82 MiB at 16. It stays in one sync.Pool per config.Config
-// value, so it is only ever revived for the machine it was built for.
+// state — depends on the whole configuration: 0.10–0.14 MiB at 4 clusters
+// and 0.38–0.55 MiB at 16 (TestRestPartBytes bounds it). It stays in one
+// sync.Pool per config.Config value, so it is only ever revived for the
+// machine it was built for.
 //
 // Reviving either part with Reset costs O(1) for calendars and caches (a
 // cycle base and a set generation move) and keeps the ring sizes the

@@ -378,3 +378,29 @@ func TestPartBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestRestPartBytes bounds what building the rest of a machine (everything
+// but its Core part) allocates, for every model on both topologies: at most
+// 0.15 MiB at 4 clusters and 0.56 MiB at 16. Each pool's release ring takes
+// 8 bytes a slot, so the clusters' issue queues and rename registers add
+// little to the calendars, network and buffers.
+func TestRestPartBytes(t *testing.T) {
+	const mib = 1 << 20
+	for _, topo := range []struct {
+		topo  config.Topology
+		bound float64
+	}{{config.Crossbar4, 0.15 * mib}, {config.HierRing16, 0.56 * mib}} {
+		for _, m := range config.Models() {
+			cfg := config.Default().WithModel(m.ID)
+			cfg.Topology = topo.topo
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p := newMachine(cfg)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(p)
+			if got := float64(after.TotalAlloc - before.TotalAlloc); got > topo.bound {
+				t.Errorf("%v on %v: the rest part allocates %.3f MiB, want at most %.2f", m.ID, topo.topo, got/mib, topo.bound/mib)
+			}
+		}
+	}
+}

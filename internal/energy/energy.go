@@ -46,11 +46,12 @@ func InterconnectDynamic(m RunMeasurement) float64 {
 
 // InterconnectLeakage returns the interconnect leakage energy of a run:
 // every physical wire leaks every cycle in proportion to its class's
-// relative leakage power.
+// relative leakage power. The classes are summed in classOrder, not in the
+// inventory map's random order, so one run always gives one value.
 func InterconnectLeakage(m RunMeasurement) float64 {
 	var perCycle float64
-	for c, units := range m.Inventory {
-		perCycle += units * wires.Table2[c].RelLeakPerWire
+	for _, c := range classOrder {
+		perCycle += m.Inventory[c] * wires.Table2[c].RelLeakPerWire
 	}
 	return perCycle * float64(m.Cycles)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hetwire/internal/config"
 	"hetwire/internal/noc"
 	"hetwire/internal/wires"
 )
@@ -130,5 +131,24 @@ func TestTransmissionLineLCutsDynamicEnergy(t *testing.T) {
 	wantDelta := 300 * wires.Table2[wires.L].RelDynPerWire * 2 / 3
 	if math.Abs((rc-tl)-wantDelta) > 1e-9 {
 		t.Errorf("TL saved %f, want %f", rc-tl, wantDelta)
+	}
+}
+
+// TestLeakageSumsInOneOrder: a link of 72 B, 72 PW and 18 L wires (one of
+// the compositions the area explorer lists from area 2.5) leaks a total
+// whose last bit depends on the order its classes are added in. Evaluated
+// 200 times on each topology, its leakage takes one value.
+func TestLeakageSumsInOneOrder(t *testing.T) {
+	for _, topo := range []config.Topology{config.Crossbar4, config.HierRing16} {
+		cfg := config.Default()
+		cfg.Model.Link = config.LinkSpec{BWires: 72, PWWires: 72, LWires: 18}
+		cfg.Topology = topo
+		m := RunMeasurement{Cycles: 1, Inventory: noc.New(cfg, nil).LinkInventory()}
+		want := InterconnectLeakage(m)
+		for i := 0; i < 200; i++ {
+			if got := InterconnectLeakage(m); got != want {
+				t.Fatalf("%v: leakage %v, then %v", topo, want, got)
+			}
+		}
 	}
 }

@@ -5,8 +5,11 @@ package sched
 // fixed size where each occupant holds a slot until its release time
 // (issue-queue entries held until issue, rename registers held until
 // commit). Acquire returns the earliest cycle at which a slot is guaranteed
-// free given the request time. The simulator uses Wheel; Heap is the oracle
-// the differential test in wheel_test.go drives it against.
+// free given the request time. The simulator uses Wheel, which keeps the
+// same multiset of release times as a sorted ring; Heap is the oracle the
+// differential test in wheel_test.go drives it against, since a heap
+// orders by sifting and shares none of the ring's insertion scan or
+// wrap-around.
 //
 // Query times must be non-decreasing: Acquire and Free lazily expire
 // occupants whose release time has passed, so a query at cycle t discards

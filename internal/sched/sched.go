@@ -27,10 +27,10 @@ import "fmt"
 // Bookings below the floor can never be observed again, so a cell stamped
 // for another cycle that is not live reads as empty and is reused in place.
 // When Reserve lands on a live cell stamped for another cycle, the ring
-// doubles and re-buckets its live cells by absolute cycle (as Wheel.grow
-// does), so no two live cycles ever share a cell: the calendar answers
-// exactly like an unbounded map from cycle to count, and stays as small as
-// the live span it actually holds. Rings start at minCells and stop growing
+// doubles and re-buckets its live cells by absolute cycle, so no two live
+// cycles ever share a cell: the calendar answers exactly like an unbounded
+// map from cycle to count, and stays as small as the live span it actually
+// holds. Rings start at minCells and stop growing
 // at MaxCells; a live collision at the cap, or a query below the floor, is
 // recorded as the timeline's Fault instead of being answered inexactly.
 type Calendar struct {

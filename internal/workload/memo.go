@@ -3,6 +3,7 @@ package workload
 import (
 	"container/list"
 	"expvar"
+	"math"
 	"sync"
 	"unsafe"
 
@@ -25,16 +26,19 @@ import (
 //
 // An entry holds the built program, the dynamic stream's materialised
 // prefix in chunks of chunkInstrs instructions, and a generator parked at
-// the prefix's end. A Cursor replays the prefix and, on reaching its end,
-// has the entry extend it by one chunk, so a prefix only ever covers what
-// some run has read. Programs and prefixes have separate byte budgets.
-// Programs are evicted least recently used first, each taking its prefix
-// with it. Prefixes never displace anything: once their budget is full, no
-// prefix grows until an eviction frees room. A cursor whose entry cannot
-// grow (the prefix budget is full, or the entry was evicted) continues on a
-// private copy of the parked generator, so every cursor emits the same
-// stream, and draws past what the memo holds one instruction at a time, as
-// it would without replay.
+// the prefix's end. The prefix is stored as 24-byte records, half a
+// trace.Instr (see record). A Cursor replays the prefix and, on reaching
+// its end, has the entry extend it by one chunk, so a prefix only ever
+// covers what some run has read. Programs and prefixes have separate byte
+// budgets. Programs are evicted least recently used first, each taking its
+// prefix with it. Prefixes never displace anything: once their budget is
+// full, no prefix grows until an eviction frees room. A cursor whose entry
+// cannot grow (the prefix budget is full, or the entry was evicted)
+// continues on a private copy of the parked generator, so every cursor
+// emits the same stream, and draws past what the memo holds one
+// instruction at a time, as it would without replay. A program whose PCs
+// do not fit a record keeps no prefix, and its cursors take that private
+// path from the start.
 //
 // Invalidation contract: entries depend on nothing but the Profile and the
 // generator code itself. Profiles are immutable values, so entries can never
@@ -54,8 +58,8 @@ import (
 // 50–400 KiB).
 const DefaultMemoBytes = 32 << 20
 
-// DefaultPrefixBytes is the Shared cache's prefix budget: at 48 bytes an
-// instruction, about a million instructions, enough to replay every
+// DefaultPrefixBytes is the Shared cache's prefix budget: at 24 bytes an
+// instruction, about 2.1 million instructions, enough to replay every
 // program of a suite sweep at tens of thousands of instructions each.
 const DefaultPrefixBytes = 48 << 20
 
@@ -63,7 +67,72 @@ const DefaultPrefixBytes = 48 << 20
 const chunkInstrs = 4096
 
 // chunkBytes is the budget charge of one prefix chunk.
-const chunkBytes = chunkInstrs * int64(unsafe.Sizeof(trace.Instr{}))
+const chunkBytes = chunkInstrs * int64(unsafe.Sizeof(record{}))
+
+// record is one prefix instruction packed into 24 bytes. The generator
+// gives a branch a target and no address, and every other instruction at
+// most an address, so one word holds whichever the op has. A PC is stored
+// relative to its profile's AddrOffset, which multiprogrammed threads add
+// to every address; it fits 32 bits whenever the program packs (see
+// packs). Registers lie in [NoReg, NumArchRegs) and ops below 1<<7, so each
+// fits a byte, with Taken in the op byte's top bit.
+type record struct {
+	word             uint64 // Addr, or Target for a branch
+	value            uint64
+	pc               uint32 // PC - AddrOffset
+	op               uint8  // Op | Taken<<7
+	src1, src2, dest int8
+}
+
+const takenBit = 1 << 7
+
+// pack stores ins, whose program packs relative to base.
+func pack(ins *trace.Instr, base uint64) record {
+	r := record{
+		word:  ins.Addr,
+		value: ins.Value,
+		pc:    uint32(ins.PC - base),
+		op:    uint8(ins.Op),
+		src1:  int8(ins.Src1),
+		src2:  int8(ins.Src2),
+		dest:  int8(ins.Dest),
+	}
+	if ins.Op == trace.Branch {
+		r.word = ins.Target
+	}
+	if ins.Taken {
+		r.op |= takenBit
+	}
+	return r
+}
+
+// unpack restores the instruction pack stored.
+func (r *record) unpack(ins *trace.Instr, base uint64) {
+	op := trace.Op(r.op &^ takenBit)
+	*ins = trace.Instr{
+		PC:    base + uint64(r.pc),
+		Op:    op,
+		Src1:  int16(r.src1),
+		Src2:  int16(r.src2),
+		Dest:  int16(r.dest),
+		Taken: r.op&takenBit != 0,
+		Value: r.value,
+	}
+	if op == trace.Branch {
+		ins.Target = r.word
+	} else {
+		ins.Addr = r.word
+	}
+}
+
+// packs reports whether every PC of the program lies in the 4 GiB above
+// base, the profile's AddrOffset, so that its records store PCs exactly.
+// PCs rise through the blocks, so the first and the last decide.
+func (pr *program) packs(base uint64) bool {
+	last := &pr.blocks[len(pr.blocks)-1]
+	end := last.pc + 4*uint64(len(last.instrs)-1)
+	return pr.blocks[0].pc >= base && end-base <= math.MaxUint32
+}
 
 // Shared is the process-wide memo used by NewGenerator.
 var Shared = NewCache(DefaultMemoBytes, DefaultPrefixBytes)
@@ -86,15 +155,16 @@ type Cache struct {
 }
 
 type memoEntry struct {
-	key Profile
-	pr  *program
+	key   Profile
+	pr    *program
+	packs bool // pr.packs(key.AddrOffset), decided once at insert
 	// prefix and evicted are guarded by Cache.mu.
 	prefix  int64 // bytes of chunks charged to the budget
 	evicted bool
 
 	mu     sync.Mutex
-	chunks [][]trace.Instr // the materialised prefix; guarded by mu
-	gen    *Generator      // parked at the end of chunks; guarded by mu
+	chunks [][]record // the materialised prefix; guarded by mu
+	gen    *Generator // parked at the end of chunks; guarded by mu
 }
 
 // NewCache creates a cache holding at most budget bytes of programs and
@@ -123,7 +193,7 @@ func (c *Cache) Generator(p Profile) *Cursor {
 		c.hits++
 		ent := el.Value.(*memoEntry)
 		c.mu.Unlock()
-		return &Cursor{name: p.Name, c: c, ent: ent}
+		return &Cursor{name: p.Name, base: p.AddrOffset, c: c, ent: ent}
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -136,12 +206,12 @@ func (c *Cache) Generator(p Profile) *Cursor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[p]; ok {
-		return &Cursor{name: p.Name, c: c, ent: el.Value.(*memoEntry)}
+		return &Cursor{name: p.Name, base: p.AddrOffset, c: c, ent: el.Value.(*memoEntry)}
 	}
 	if pr.bytes > c.budget {
 		return &Cursor{name: p.Name, own: newFromProgram(p, pr)}
 	}
-	ent := &memoEntry{key: p, pr: pr, gen: newFromProgram(p, pr)}
+	ent := &memoEntry{key: p, pr: pr, gen: newFromProgram(p, pr), packs: pr.packs(p.AddrOffset)}
 	c.entries[p] = c.ll.PushFront(ent)
 	c.bytes += pr.bytes
 	for c.bytes > c.budget {
@@ -151,7 +221,7 @@ func (c *Cache) Generator(p Profile) *Cursor {
 		}
 		c.evict(back)
 	}
-	return &Cursor{name: p.Name, c: c, ent: ent}
+	return &Cursor{name: p.Name, base: p.AddrOffset, c: c, ent: ent}
 }
 
 // evict drops an entry from the memo. Cursors already attached to it keep
@@ -181,20 +251,23 @@ func (c *Cache) charge(ent *memoEntry) bool {
 
 // chunk returns prefix chunk k of ent, extending the prefix when k is the
 // next one (cursors ask for chunks in order, so k never skips ahead). When
-// the prefix cannot grow it returns instead a private copy of the parked
-// generator, which is positioned at chunk k's first instruction.
-func (c *Cache) chunk(ent *memoEntry, k int) ([]trace.Instr, *Generator) {
+// the prefix cannot grow, or the program does not pack, it returns instead a
+// private copy of the parked generator, which is positioned at chunk k's
+// first instruction.
+func (c *Cache) chunk(ent *memoEntry, k int) ([]record, *Generator) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if k < len(ent.chunks) {
 		return ent.chunks[k], nil
 	}
-	if !c.charge(ent) {
+	if !ent.packs || !c.charge(ent) {
 		return nil, ent.gen.clone()
 	}
-	buf := make([]trace.Instr, chunkInstrs)
+	buf := make([]record, chunkInstrs)
+	var ins trace.Instr
 	for i := range buf {
-		ent.gen.Next(&buf[i])
+		ent.gen.Next(&ins)
+		buf[i] = pack(&ins, ent.key.AddrOffset)
 	}
 	ent.chunks = append(ent.chunks, buf)
 	return buf, nil
@@ -205,9 +278,10 @@ func (c *Cache) chunk(ent *memoEntry, k int) ([]trace.Instr, *Generator) {
 // concurrent use, but any number of cursors may share one memo entry.
 type Cursor struct {
 	name string
-	cur  []trace.Instr // the chunk being replayed
-	pos  int           // next instruction in cur
-	next int           // index of the chunk after cur
+	base uint64   // the profile's AddrOffset, which records' PCs omit
+	cur  []record // the chunk being replayed
+	pos  int      // next instruction in cur
+	next int      // index of the chunk after cur
 	c    *Cache
 	ent  *memoEntry // nil once the cursor streams from own
 	own  *Generator
@@ -220,7 +294,7 @@ func (r *Cursor) Name() string { return r.name }
 // Next implements trace.Stream.
 func (r *Cursor) Next(ins *trace.Instr) bool {
 	if r.pos < len(r.cur) {
-		*ins = r.cur[r.pos]
+		r.cur[r.pos].unpack(ins, r.base)
 		r.pos++
 		return true
 	}
@@ -228,7 +302,7 @@ func (r *Cursor) Next(ins *trace.Instr) bool {
 		r.cur, r.own = r.c.chunk(r.ent, r.next)
 		r.next++
 		if r.own == nil {
-			*ins = r.cur[0]
+			r.cur[0].unpack(ins, r.base)
 			r.pos = 1
 			return true
 		}

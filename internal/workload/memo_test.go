@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hetwire/internal/trace"
 )
@@ -299,5 +300,87 @@ func TestReplayConcurrentCursors(t *testing.T) {
 		for g := range got {
 			sameStream(t, fmt.Sprintf("budget %d, cursor %d", budget, g), got[g], want)
 		}
+	}
+}
+
+// TestRecordSize: a prefix record is 24 bytes, half a trace.Instr, and the
+// budget charges exactly that per instruction.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n != 24 {
+		t.Errorf("record is %d bytes, want 24", n)
+	}
+	if chunkBytes != chunkInstrs*24 {
+		t.Errorf("a chunk is charged %d bytes, want %d", chunkBytes, chunkInstrs*24)
+	}
+}
+
+// TestReplayEveryProgram: every benchmark and kernel, and a
+// multiprogrammed thread whose addresses are offset by 3<<33, replays three
+// prefix chunks exactly as the uncached generator streams them.
+func TestReplayEveryProgram(t *testing.T) {
+	progs := append(SPEC2K(), Kernels()...)
+	if len(progs) != 28 {
+		t.Fatalf("%d programs, want 23 benchmarks and 5 kernels", len(progs))
+	}
+	thread := profileNamed(t, "gcc")
+	thread.AddrOffset = 3 << 33
+	progs = append(progs, thread)
+	const n = 3 * chunkInstrs
+	for _, p := range progs {
+		c := NewCache(1<<30, 1<<30)
+		sameStream(t, fmt.Sprintf("%s at offset %#x", p.Name, p.AddrOffset),
+			streamPrefix(c.Generator(p), n), streamPrefix(NewGeneratorUncached(p), n))
+		if st := c.Stats(); st.PrefixBytes != 3*chunkBytes {
+			t.Errorf("%s at offset %#x: prefix holds %d bytes, want 3 chunks", p.Name, p.AddrOffset, st.PrefixBytes)
+		}
+	}
+}
+
+// TestProgramPacks: a program packs when its PCs lie in the 4 GiB above
+// its AddrOffset. Every built program does; a code span that reaches past
+// that, or PCs below the offset, do not.
+func TestProgramPacks(t *testing.T) {
+	p := profileNamed(t, "gcc").normalized()
+	pr := buildProgram(p)
+	if !pr.packs(p.AddrOffset) {
+		t.Fatal("gcc does not pack at offset 0")
+	}
+	span := func(first, last uint64) *program {
+		return &program{blocks: []staticBlock{
+			{pc: first, instrs: make([]staticInstr, 3)},
+			{pc: last, instrs: make([]staticInstr, 5)},
+		}}
+	}
+	const base = 3 << 33
+	for _, tc := range []struct {
+		name        string
+		first, last uint64
+		want        bool
+	}{
+		{"at the base", base, base + 12, true},
+		{"last PC at 4 GiB - 1", base, base + 1<<32 - 1 - 16, true},
+		{"last PC at 4 GiB", base, base + 1<<32 - 16, false},
+		{"below the base", base - 4, base + 12, false},
+	} {
+		if got := span(tc.first, tc.last).packs(base); got != tc.want {
+			t.Errorf("%s: packs = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestUnpackedProgramReplaysPrivately: an entry whose program does not pack
+// keeps no prefix, and its cursors stream the uncached generator's
+// instructions from a private copy.
+func TestUnpackedProgramReplaysPrivately(t *testing.T) {
+	p := profileNamed(t, "mcf")
+	const n = 2*chunkInstrs + 9
+	want := streamPrefix(NewGeneratorUncached(p), n)
+	c := NewCache(1<<30, 1<<30)
+	first := c.Generator(p)
+	c.entries[p.normalized()].Value.(*memoEntry).packs = false
+	sameStream(t, "first cursor", streamPrefix(first, n), want)
+	sameStream(t, "second cursor", streamPrefix(c.Generator(p), n), want)
+	if st := c.Stats(); st.PrefixBytes != 0 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want the program kept with no prefix", st)
 	}
 }

@@ -55,13 +55,13 @@ func RunKernelContext(ctx context.Context, cfg Config, kernel string, n uint64) 
 // (core.AcquireScratch): processors are revived with Reset instead of being
 // rebuilt per run, so repeated jobs — batch sweeps, server workers, the
 // golden corpus, the experiment drivers — skip the construction a fresh
-// machine costs (2.4 MiB at 4 clusters, 2.9–3.1 MiB at 16). The caches and
-// branch predictor, 2.23 MiB of it, are shared by every configuration with
-// the same Core, and the rest is kept per Config value. Results are
-// bit-identical to a fresh build (core.Processor.Reset's contract). The
-// first warmup instructions only warm the machine (0 on every served run);
-// a non-nil probe is then attached for the measured run only, and detached
-// before the processor returns to the pool.
+// machine costs (2.3–2.4 MiB at 4 clusters, 2.6–2.8 MiB at 16). The
+// caches and branch predictor, 2.23 MiB of it, are shared by every
+// configuration with the same Core, and the rest is kept per Config value.
+// Results are bit-identical to a fresh build (core.Processor.Reset's
+// contract). The first warmup instructions only warm the machine (0 on
+// every served run); a non-nil probe is then attached for the measured run
+// only, and detached before the processor returns to the pool.
 func runPooled(ctx context.Context, cfg Config, name string, prof workload.Profile, warmup, n uint64, probe Probe) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
